@@ -15,7 +15,6 @@ from numbers import Rational
 from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
 
 from .errors import PreconditionError, SingularityError, StiffnessError
 
@@ -244,6 +243,8 @@ def integrate_flow(
     Inverse-power trajectories that run into the origin stop with a
     singularity error instead of silently producing garbage.
     """
+    from scipy.integrate import solve_ivp
+
     q0, p0 = float(state0[0]), float(state0[1])
     if not q0 > 0.0:
         raise PreconditionError("flow starts on the q > 0 side, got q0=%r" % (q0,))
@@ -300,6 +301,8 @@ def dilatation_drift_report(
     trajectory; for s = -2 it is identically zero and the measured
     drift collapses to integrator noise.
     """
+    from scipy.integrate import cumulative_simpson
+
     traj = integrate_flow(v, state0, t_end, tol, samples=samples)
     d_vals = traj.energies * traj.ts - 0.5 * traj.qs * traj.ps
     measured = d_vals - d_vals[0]

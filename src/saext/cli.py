@@ -656,12 +656,18 @@ def _run_sweep(target: str, tns: argparse.Namespace,
     specs = tns.sweep
     if not specs:
         tparser.error("sweep needs at least one --sweep param=start:stop:count")
-    valid = {_dest_of(flags, kwargs)
-             for flags, kwargs in _COMMANDS[target]["args"]}
-    swept = {name.replace("-", "_") for name, _, _, _ in specs}
+    args_of = {_dest_of(flags, kwargs): (flags, kwargs)
+               for flags, kwargs in _COMMANDS[target]["args"]}
+    dests = [name.replace("-", "_") for name, _, _, _ in specs]
+    swept = set(dests)
     for name in swept:
-        if name not in valid:
+        if name not in args_of:
             tparser.error(f"unknown sweep parameter {name!r} for {target}")
+        flags, kwargs = args_of[name]
+        # only a plain number can be laid on a linspace grid
+        if kwargs.get("type") not in (int, float) or "choices" in kwargs:
+            tparser.error(f"{flags[0]} is not a numeric range and cannot "
+                          f"be swept")
     for flags, kwargs in _COMMANDS[target]["args"]:
         dest = _dest_of(flags, kwargs)
         if kwargs.get("required") and dest not in swept \
@@ -673,16 +679,25 @@ def _run_sweep(target: str, tns: argparse.Namespace,
     if total > _SWEEP_LIMIT:
         raise SweepSizeError(
             f"sweep would evaluate {total} points (limit {_SWEEP_LIMIT})")
-    axes = [np.linspace(start, stop, count) for _, start, stop, count in specs]
+    axes = []
+    for dest, (name, start, stop, count) in zip(dests, specs):
+        flags, kwargs = args_of[dest]
+        cast = kwargs["type"]
+        grid = np.linspace(start, stop, count)
+        if cast is int and not np.all(grid == np.round(grid)):
+            tparser.error(f"sweep {name}={start:g}:{stop:g}:{count} has "
+                          f"non-integer points, but {flags[0]} takes an "
+                          f"integer")
+        axes.append([cast(v) for v in grid.tolist()])
+    names = [name for name, _, _, _ in specs]
     runner = _COMMANDS[target]["run"]
     points = []
     for combo in itertools.product(*axes):
         pns = argparse.Namespace(**vars(tns))
-        params = {}
-        for (name, _, _, _), value in zip(specs, combo):
-            setattr(pns, name.replace("-", "_"), float(value))
-            params[name] = float(value)
-        points.append({"params": params, "result": runner(pns)})
+        for dest, value in zip(dests, combo):
+            setattr(pns, dest, value)
+        points.append({"params": dict(zip(names, combo)),
+                       "result": runner(pns)})
     return {"target": target, "count": len(points), "points": points}
 
 

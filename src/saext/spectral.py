@@ -8,11 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
-from scipy.sparse.linalg import eigs as _sparse_eigs
 
 from .core import FINITE, GridFunction, Interval
 from .errors import (
@@ -171,6 +166,9 @@ def bound_state_shooting(
     psi'(0) - alpha*psi(0).  Independent of the closed form: the root
     should land on -alpha^2.
     """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
     if not alpha < 0.0:
         raise PreconditionError(
             "only alpha < 0 supports a bound state; got alpha=%r" % (alpha,)
@@ -270,6 +268,8 @@ def discretized_momentum_matrix(theta: float, n: int, as_sparse: bool = False):
     scale = 1j * n  # i/h
     wrap = -scale * cmath.exp(1j * theta)
     if as_sparse:
+        from scipy import sparse
+
         mat = sparse.diags(
             [np.full(n, scale), np.full(n - 1, -scale)],
             offsets=[0, 1],
@@ -316,10 +316,12 @@ def discretized_momentum_eigs(
     if n <= _DENSE_LIMIT:
         vals = np.linalg.eigvals(discretized_momentum_matrix(theta, n))
     else:
+        from scipy.sparse.linalg import eigs
+
         k = _ARNOLDI_DEFAULT_COUNT if count is None else count
         rng = np.random.default_rng(_ARNOLDI_SEED)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        vals = _sparse_eigs(
+        vals = eigs(
             discretized_momentum_matrix(theta, n, as_sparse=True),
             k=k,
             sigma=-0.5j,
@@ -341,6 +343,8 @@ def dirichlet_fd_eigenvalues(a: float, n_grid: int, count: int) -> List[float]:
     discrete values (2/h^2)(1 - cos(m*pi*h/a)) converge to (m*pi/a)^2
     like h^2.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if not a > 0.0:
         raise PreconditionError("well width must be positive, got %r" % (a,))
     if n_grid < 8:

@@ -148,6 +148,12 @@ def test_paradox_trace_stays_zero():
     assert result["quantities"]["max_scaled_trace"]["value"] <= 1e-10
 
 
+def test_paradox_hermiticity_meets_its_tolerance_at_large_n():
+    result = run_json(["paradox", "--id", "4", "--n", "130"])["result"]
+    deviation = result["quantities"]["defect_odd_sublattice_max_deviation"]
+    assert deviation["value"] <= deviation["tolerance"]
+
+
 def test_classical_symmetry_flag_tracks_exponent():
     inverse_sq = run_json(["classical", "--s", "-2"])["result"]
     assert inverse_sq["symmetry_exact"] is True
@@ -210,6 +216,31 @@ def test_sweep_rejects_unknown_parameter():
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "scatter", "--alpha", "-1",
                  "--sweep", "beta=0:1:3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, axis, values", [
+    (["paradox", "--id", "2", "--sweep", "n=4:8:2"], "n", [4, 8]),
+    (["spectrum", "--op", "well", "--sweep", "n_max=2:3:2"], "n_max", [2, 3]),
+])
+def test_sweep_integer_axis(argv, axis, values):
+    payload = run_json(["sweep", *argv])
+    jsonschema.validate(payload, cli.load_schema("sweep"))
+    got = [p["params"][axis] for p in payload["result"]["points"]]
+    assert got == values
+    assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("argv", [
+    # 4:5:3 puts a point at 4.5, which an integer flag must not truncate
+    ["paradox", "--id", "2", "--sweep", "n=4:5:3"],
+    # a choices flag has no numeric range
+    ["spectrum", "--op", "well", "--sweep", "op=0:1:2"],
+    ["paradox", "--sweep", "id=1:2:2"],
+])
+def test_sweep_axis_type_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", *argv])
     assert exc.value.code == 2
 
 

@@ -104,6 +104,33 @@ def test_defect_sublattice_pattern_larger_block():
                     assert abs(abs(d[m - 1, n - 1]) - 4.0 / l) < 1e-10
 
 
+@pytest.mark.parametrize("m_basis", [128, 256])
+def test_cosine_matrix_matches_closed_form_at_large_blocks(m_basis):
+    # a fixed quadrature order stops resolving the integrands near M ~ 110
+    result = cosine_basis_momentum_matrix(1.0, m_basis)
+    expected = np.array([
+        [cosine_basis_momentum_entry(1.0, m, n) for n in range(1, m_basis + 1)]
+        for m in range(1, m_basis + 1)
+    ])
+    assert np.max(np.abs(result.p - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("m_basis", [7, 130])
+def test_defect_demo_matches_entrywise_scan(m_basis):
+    defect = cosine_basis_momentum_matrix(1.0, m_basis).defect
+    even_max = odd_dev = 0.0
+    for m in range(m_basis):
+        for n in range(m_basis):
+            if (m + n) % 2 == 0:
+                even_max = max(even_max, abs(defect[m, n]))
+            else:
+                odd_dev = max(odd_dev, abs(defect[m, n] + 4j))
+    q = hermiticity_defect_demo(1.0, m_basis).quantities
+    assert q["defect_even_sublattice_max"].value == even_max
+    assert q["defect_odd_sublattice_max_deviation"].value == odd_dev
+    assert odd_dev <= q["defect_odd_sublattice_max_deviation"].tolerance
+
+
 def test_defect_demo_report():
     report = hermiticity_defect_demo(1.0, 6)
     assert report.id == 4

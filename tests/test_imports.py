@@ -1,0 +1,64 @@
+"""Import contract: scipy is loaded only by the entry points that call it.
+
+Each check runs in a fresh interpreter, so modules imported by other tests
+cannot leak into ``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_cli import GOLDEN
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_PROBE = """
+import contextlib, io, json, sys
+import saext, saext.cli
+code = None
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = saext.cli.main(argv)
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"code": code, "scipy": scipy}))
+"""
+
+#: Golden runs that need scipy: the integrated flow and the sparse ring.
+_SCIPY_ARGV = {
+    "classical": ["classical", "--s", "-2"],
+    "paradox-1": ["paradox", "--id", "1"],
+}
+
+
+def _probe(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_scipy():
+    assert _probe(None)["scipy"] == []
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in GOLDEN if GOLDEN[n][0] != "classical"))
+def test_scipy_free_golden_run_loads_no_scipy(name):
+    out = _probe(GOLDEN[name])
+    assert out["code"] == 0
+    assert out["scipy"] == []
+
+
+@pytest.mark.parametrize("name", sorted(_SCIPY_ARGV))
+def test_scipy_entry_points_still_run(name):
+    out = _probe(_SCIPY_ARGV[name])
+    assert out["code"] == 0
+    assert "scipy" in out["scipy"]
