@@ -38,12 +38,6 @@ __all__ = [
     "well_spectrum",
 ]
 
-# Dense eigensolves stay fast up to this size; larger twisted rings go
-# through shift-invert Arnoldi with a fixed starting vector.
-_DENSE_LIMIT = 1024
-_ARNOLDI_DEFAULT_COUNT = 32
-_ARNOLDI_SEED = 12345
-
 
 class DiscreteLevel(NamedTuple):
     n: int
@@ -286,6 +280,16 @@ def discretized_momentum_matrix(theta: float, n: int, as_sparse: bool = False):
     return mat
 
 
+def _twisted_difference(theta: float, vec: np.ndarray) -> np.ndarray:
+    """Apply discretized_momentum_matrix(theta, len(vec)) to ``vec``.
+
+    (P v)_j = i*n*(v_j - v_{j+1}), with v_n = exp(i*theta) v_0.
+    """
+    ahead = np.roll(vec, -1)
+    ahead[-1] *= cmath.exp(1j * theta)
+    return 1j * vec.size * (vec - ahead)
+
+
 def discretized_momentum_eigpair(theta: float, n: int, mode: int):
     """Closed-form eigenpair of the twisted difference matrix.
 
@@ -305,34 +309,28 @@ def discretized_momentum_eigs(
 ) -> List[complex]:
     """Eigenvalues of the twisted difference matrix, sorted by modulus.
 
-    The matrix is not normal, so the eigenvalues sit slightly off the
-    real axis; their real parts approach 2*pi*m + theta at first order
-    in 1/n.  Above the dense cutoff only the ``count`` smallest-modulus
-    eigenvalues are computed (shift-invert Arnoldi, fixed start vector,
-    fully deterministic).
+    The matrix is i*n*(1 - S) with S the theta-twisted cyclic shift.  S is
+    unitary, so the matrix is normal and its eigenvalues are exactly
+    -i*n*(exp(i*phi) - 1), phi = (2*pi*m + theta)/n, on the circle
+    |lambda - i*n| = n; they approach 2*pi*m + theta at first order in
+    1/n.  The modulus grows with |2*pi*m + theta|, so modes +-m tie at
+    theta = 0 and m, -m-1 at theta = pi; a tie lists the negative mode
+    first.  ``count`` keeps the smallest ``count`` of the n values
+    (``None``: all of them).
     """
     if n < 64:
         raise TooCoarseError("twisted ring needs n >= 64, got n=%d" % n)
-    if n <= _DENSE_LIMIT:
-        vals = np.linalg.eigvals(discretized_momentum_matrix(theta, n))
-    else:
-        from scipy.sparse.linalg import eigs
-
-        k = _ARNOLDI_DEFAULT_COUNT if count is None else count
-        rng = np.random.default_rng(_ARNOLDI_SEED)
-        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        vals = eigs(
-            discretized_momentum_matrix(theta, n, as_sparse=True),
-            k=k,
-            sigma=-0.5j,
-            which="LM",
-            v0=v0,
-            return_eigenvectors=False,
-        )
-    order = np.lexsort((vals.imag, vals.real, np.abs(vals)))
-    vals = vals[order]
-    if count is not None:
-        vals = vals[:count]
+    if count is None:
+        count = n
+    elif not 1 <= count <= n:
+        raise PreconditionError("count must lie in 1..%d, got %r" % (n, count))
+    shift = theta / math.tau
+    # one mode per eigenvalue, centred so that |m + shift| <= n/2
+    modes = np.arange(n) + math.ceil(-0.5 * n - shift)
+    key = modes + shift
+    modes = modes[np.lexsort((key >= 0.0, np.abs(key)))[:count]]
+    phi = (math.tau * modes + theta) / n
+    vals = -1j * n * (np.exp(1j * phi) - 1.0)
     return [complex(v) for v in vals]
 
 

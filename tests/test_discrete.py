@@ -131,6 +131,14 @@ def test_defect_demo_matches_entrywise_scan(m_basis):
     assert odd_dev <= q["defect_odd_sublattice_max_deviation"].tolerance
 
 
+@pytest.mark.parametrize("l", [0.1, 0.3, 1.0])
+def test_defect_demo_even_sublattice_meets_its_tolerance(l):
+    # the even-sublattice rounding grows with the entries, ~2M/l
+    for m_basis in (16, 64, 130, 200, 256):
+        q = hermiticity_defect_demo(l, m_basis).quantities["defect_even_sublattice_max"]
+        assert q.value <= q.tolerance
+
+
 def test_defect_demo_report():
     report = hermiticity_defect_demo(1.0, 6)
     assert report.id == 4

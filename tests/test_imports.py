@@ -20,27 +20,41 @@ _PROBE = """
 import contextlib, io, json, sys
 import saext, saext.cli
 code = None
-argv = json.loads(sys.argv[1])
+argv, call = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = saext.cli.main(argv)
+if call is not None:
+    getattr(saext, call[0])(*call[1])
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"code": code, "scipy": scipy}))
 """
 
-#: Golden runs that need scipy: the integrated flow and the sparse ring.
+#: Golden runs that need scipy: the integrated flow.
 _SCIPY_ARGV = {
     "classical": ["classical", "--s", "-2"],
+}
+
+#: Runs that must load numpy alone: the scipy-free golden runs and the
+#: twisted-ring paradox, whose stencil is applied with numpy.
+_SCIPY_FREE_ARGV = {
+    **{name: argv for name, argv in GOLDEN.items() if name not in _SCIPY_ARGV},
     "paradox-1": ["paradox", "--id", "1"],
 }
 
+#: Library calls on the twisted ring, which is solved in closed form.
+_SCIPY_FREE_CALLS = {
+    "eigs-1025": ("discretized_momentum_eigs", [0.7, 1025, 16]),
+    "eigvec-2048": ("eigenvector_commutator_demo", [0.7, 2048, 1]),
+}
 
-def _probe(argv):
+
+def _probe(argv, call=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        [sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(call)],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     return json.loads(proc.stdout)
 
@@ -49,12 +63,16 @@ def test_import_loads_no_scipy():
     assert _probe(None)["scipy"] == []
 
 
-@pytest.mark.parametrize(
-    "name", sorted(n for n in GOLDEN if GOLDEN[n][0] != "classical"))
+@pytest.mark.parametrize("name", sorted(_SCIPY_FREE_ARGV))
 def test_scipy_free_golden_run_loads_no_scipy(name):
-    out = _probe(GOLDEN[name])
+    out = _probe(_SCIPY_FREE_ARGV[name])
     assert out["code"] == 0
     assert out["scipy"] == []
+
+
+@pytest.mark.parametrize("name", sorted(_SCIPY_FREE_CALLS))
+def test_ring_library_calls_load_no_scipy(name):
+    assert _probe(None, _SCIPY_FREE_CALLS[name])["scipy"] == []
 
 
 @pytest.mark.parametrize("name", sorted(_SCIPY_ARGV))

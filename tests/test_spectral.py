@@ -284,13 +284,28 @@ def test_halfline_spectrum_bundles_both_parts():
 # ---------------------------------------------------------------------------
 
 def test_twisted_matrix_matches_closed_form_spectrum():
-    n, theta = 64, 0.9
-    computed = discretized_momentum_eigs(theta, n)
-    expected = sorted(
-        (discretized_momentum_eigpair(theta, n, m)[0] for m in range(n)),
-        key=lambda z: (abs(z), z.real, z.imag),
-    )
-    assert np.max(np.abs(np.array(computed) - np.array(expected))) < 1e-9
+    # the closed form against LAPACK on the dense matrix
+    for n in (64, 128, 256):
+        for theta in (0.0, 0.9, math.pi):
+            computed = np.array(discretized_momentum_eigs(theta, n))
+            dense = np.linalg.eigvals(discretized_momentum_matrix(theta, n))
+            assert len(computed) == n
+            gap = np.abs(computed[:, None] - dense[None, :])
+            assert np.max(np.min(gap, axis=1)) <= 1e-9 * n
+            assert np.max(np.min(gap, axis=0)) <= 1e-9 * n
+            moduli = np.abs(computed) - np.sort(np.abs(dense))
+            assert np.max(np.abs(moduli)) <= 1e-9 * n
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.9, math.pi])
+def test_twisted_stencil_matches_the_matrix(theta):
+    from saext.spectral import _twisted_difference
+
+    n = 96
+    rng = np.random.default_rng(3)
+    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    expected = discretized_momentum_matrix(theta, n) @ vec
+    assert np.max(np.abs(_twisted_difference(theta, vec) - expected)) <= 1e-12 * n
 
 
 def test_twisted_eigpair_is_exact_for_the_matrix():
@@ -312,12 +327,65 @@ def test_twisted_low_mode_tracks_continuum():
 
 
 def test_twisted_large_n_uses_arnoldi_and_matches():
-    vals = np.array(discretized_momentum_eigs(math.pi / 3, 2048, count=8))
-    target = math.pi / 3
-    nearest = vals[np.argmin(np.abs(vals - target))]
-    assert abs(nearest - target) / target < 1e-2
-    again = np.array(discretized_momentum_eigs(math.pi / 3, 2048, count=8))
+    from scipy.sparse.linalg import eigs
+
+    theta, n = math.pi / 3, 2048
+    vals = np.array(discretized_momentum_eigs(theta, n, count=8))
+    nearest = vals[np.argmin(np.abs(vals - theta))]
+    assert abs(nearest - theta) / theta < 1e-2
+    again = np.array(discretized_momentum_eigs(theta, n, count=8))
     assert np.array_equal(vals, again)
+    # shift-invert Arnoldi near 0 finds the same eight smallest moduli
+    rng = np.random.default_rng(12345)
+    arnoldi = eigs(
+        discretized_momentum_matrix(theta, n, as_sparse=True),
+        k=8,
+        sigma=-0.5j,
+        which="LM",
+        v0=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        return_eigenvectors=False,
+    )
+    arnoldi = arnoldi[np.argsort(np.abs(arnoldi))]
+    assert np.max(np.abs(vals - arnoldi)) <= 1e-9 * n
+
+
+@given(
+    st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+    st.integers(min_value=64, max_value=4096),
+    st.integers(min_value=1, max_value=32),
+)
+@settings(max_examples=40, deadline=None)
+def test_twisted_eigs_are_eigenvalues_of_the_matrix(theta, n, count):
+    mat = discretized_momentum_matrix(theta, n, as_sparse=True)
+    for lam in discretized_momentum_eigs(theta, n, count=count):
+        # invert lambda = -i*n*(exp(i*phi) - 1) for the mode label
+        phi = np.angle(1.0 + 1j * lam / n)
+        mode = round((n * phi - theta) / math.tau)
+        lam_pair, vec = discretized_momentum_eigpair(theta, n, mode)
+        assert abs(lam_pair - lam) <= 1e-10 * n
+        assert np.max(np.abs(mat @ vec - lam * vec)) <= 1e-10 * n
+
+
+@pytest.mark.parametrize("n", [1024, 1025])
+def test_twisted_count_none_returns_every_mode(n):
+    assert len(discretized_momentum_eigs(0.4, n)) == n
+    assert len(discretized_momentum_eigs(0.4, n, count=n)) == n
+
+
+@pytest.mark.parametrize("count", [0, -1, 65])
+def test_twisted_count_outside_range_is_rejected(count):
+    with pytest.raises(PreconditionError):
+        discretized_momentum_eigs(0.4, 64, count=count)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi])
+def test_twisted_tied_pair_lists_negative_mode_first(theta):
+    # theta = 0 ties modes -1, +1; theta = pi ties modes -1, 0
+    vals = discretized_momentum_eigs(theta, 256, count=4)
+    first, second = (1, 2) if theta == 0.0 else (0, 1)
+    assert abs(vals[first]) == abs(vals[second])
+    assert vals[first].real < 0.0 < vals[second].real
+    assert vals == discretized_momentum_eigs(theta, 256)[:4]
 
 
 def test_twisted_rejects_coarse_rings():
