@@ -96,13 +96,15 @@ def anomaly_quadrature(
     t: float = 0.0,
     x_max: Optional[float] = None,
     grid_n: Optional[int] = None,
+    tol: float = 1e-6,
 ) -> AnomalyReport:
     """Evaluate i[(H psi, D psi) - (psi, H D psi)] on the bound state.
 
     Both terms carry the same t * (H psi, H psi) piece, computed once so
     the cancellation is structural; what survives is the boundary
     mismatch between moving H across the inner product, and it equals
-    the bound-state energy.
+    the bound-state energy.  The residual scales with the energy, so the
+    reported tolerance is relative: tol * |E|.
     """
     state = bound_state(alpha, x_max=x_max, grid_n=grid_n)
     if state is None:
@@ -129,7 +131,7 @@ def anomaly_quadrature(
         anomaly=anomaly_value.real,
         bound_energy=energy,
         residual=abs(anomaly_value.real - energy),
-        tolerance=1e-6,
+        tolerance=tol * abs(energy),
     )
 
 

@@ -10,15 +10,15 @@ structured {code, message, context} object), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import itertools
 import json
 import math
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -141,48 +141,129 @@ def _parse_sweep(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+#
+# JSON output is the text of json.dumps(sort_keys=True, indent=2) + "\n" for
+# the payload with string keys, numpy scalars unwrapped, complex numbers as
+# {"re", "im"} and non-finite floats as "nan"/"inf"/"-inf".  CSV output is
+# the dot-path projection of each row onto scalar columns.  Both start from
+# one walk per record, which keeps the record's shape (keys in insertion
+# order, list lengths, complex numbers, empty containers) and its scalar
+# leaves but not the tree.  Each distinct shape is compiled once: to a
+# %-template at its indent depth for JSON, to its columns for CSV.  The
+# leaves of a chunk of records are encoded by the C json encoder in a
+# single call, which the pure-Python encoder behind indent= cannot match.
 
-def _sanitize(obj):
-    """JSON-safe copy: numpy scalars unwrapped, non-finite floats as strings."""
+_LEAF = None
+_SCALARS = frozenset({float, int, str, bool, type(None)})
+#: A complex number is walked as two leaves, real then imaginary part.
+_COMPLEX = "complex"
+_COMPLEX_DICT = ("{", "re", _LEAF, "im", _LEAF)
+_CHUNK = 4096
+_NON_FINITE = {"NaN": '"nan"', "Infinity": '"inf"', "-Infinity": '"-inf"'}
+
+
+def _walk(obj, leaves: list):
+    """Shape of obj; its scalar leaves are appended to leaves in walk order.
+
+    A dict's shape is ("{", key, shape, ...) with str keys in insertion
+    order, a list's or tuple's ("[", shape, ...).
+    """
     if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
+        shape = ["{"]
+        for key, value in obj.items():
+            shape.append(key if type(key) is str else str(key))
+            if type(value) in _SCALARS:  # the common leaf, without a call
+                leaves.append(value)
+                shape.append(_LEAF)
+            else:
+                shape.append(_walk(value, leaves))
+        return tuple(shape)
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
+        return ("[", *[_walk(value, leaves) for value in obj])
     if isinstance(obj, complex):
-        return {"re": _sanitize(obj.real), "im": _sanitize(obj.imag)}
-    return obj
+        leaves.append(obj.real)
+        leaves.append(obj.imag)
+        return _COMPLEX
+    leaves.append(obj)
+    return _LEAF
 
 
-def _to_json(payload: dict) -> str:
-    return json.dumps(_sanitize(payload), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+def _children(shape):
+    """(key, child shape) pairs of a dict shape, (index, child shape) of a list's."""
+    if shape[0] == "[":
+        return enumerate(shape[1:])
+    return zip(shape[1::2], shape[2::2])
 
 
-def _flatten(obj, prefix: str = "", out: Optional[dict] = None) -> dict:
-    """Dot-path projection of a nested payload onto scalar columns."""
-    if out is None:
-        out = {}
-    if isinstance(obj, dict):
-        for key in obj:
-            _flatten(obj[key], prefix + str(key) + ".", out)
-        return out
-    if isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            _flatten(item, f"{prefix}{i}.", out)
-        return out
-    out[prefix[:-1]] = obj
-    return out
+def _json_template(shape, depth: int, base: int, order: list) -> tuple:
+    """(%-template, leaf count) of shape at indent depth; its leaves start at base.
+
+    Appends to order the walk index of the leaf behind each %s.  Keys come
+    out sorted and, as for a dict keyed by str(key), a repeated key keeps
+    its last value; the leaves of a replaced value are not used.
+    """
+    if shape is _LEAF:
+        order.append(base)
+        return "%s", 1
+    if shape == _COMPLEX:
+        shape = _COMPLEX_DICT
+    is_dict = shape[0] == "{"
+    entries, count = {}, 0
+    for key, child in _children(shape):
+        sub: list = []
+        text, n = _json_template(child, depth + 1, base + count, sub)
+        if is_dict:
+            text = json.dumps(key).replace("%", "%%") + ": " + text
+        entries[key] = (text, sub)
+        count += n
+    close = "}" if is_dict else "]"
+    if not entries:
+        return shape[0] + close, count
+    keys = sorted(entries) if is_dict else list(entries)
+    for key in keys:
+        order += entries[key][1]
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(entries[key][0] for key in keys)
+    return shape[0] + inner + body + "\n" + "  " * depth + close, count
+
+
+def _json_default(obj):
+    """Numpy scalars encode as the Python int or float they hold."""
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_tokens(leaves: list) -> list:
+    """JSON text of each leaf, from one call of the C encoder."""
+    if not leaves:
+        return []
+    # a leaf's text holds no raw newline: strings escape it as \n
+    text = json.dumps(leaves, separators=("\n", ":"), default=_json_default)
+    tokens = text[1:-1].split("\n")
+    if "NaN" in text or "Infinity" in text:
+        tokens = [_NON_FINITE.get(token, token) for token in tokens]
+    return tokens
+
+
+def _csv_columns(shape, prefix: str, base: int, columns: dict) -> int:
+    """Map each leaf's dot path in shape to its walk index; return the leaf count.
+
+    A complex number is one column holding (real, imaginary) indices.  A
+    repeated path keeps its first position and its last leaf.
+    """
+    if shape is _LEAF:
+        columns[prefix[:-1]] = base
+        return 1
+    if shape == _COMPLEX:
+        columns[prefix[:-1]] = (base, base + 1)
+        return 2
+    count = 0
+    for key, child in _children(shape):
+        count += _csv_columns(child, f"{prefix}{key}.", base + count, columns)
+    return count
 
 
 def _cell(value) -> str:
@@ -195,24 +276,123 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _to_csv(rows: List[dict], header: Optional[List[str]] = None) -> str:
-    if header is None:
-        header = list(rows[0].keys()) if rows else []
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if header:
-        writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(row.get(col)) for col in header])
-    return buf.getvalue()
+class _Records:
+    """The shapes and leaves of a sequence of records, without their trees."""
+
+    def __init__(self, records=()):
+        self.shapes: Dict[tuple, int] = {}  # shape -> id, in first-seen order
+        self.ids: List[int] = []            # shape id of each record
+        self.leaves: list = []              # every record's leaves, in order
+        for record in records:
+            self.add(record)
+
+    def add(self, record) -> None:
+        shape = _walk(record, self.leaves)
+        self.ids.append(self.shapes.setdefault(shape, len(self.shapes)))
+
+    def _chunks(self, sizes: List[int]):
+        """(ids, leaves) of each run of _CHUNK records; sizes gives leaves per shape."""
+        pos = 0
+        for start in range(0, len(self.ids), _CHUNK):
+            ids = self.ids[start:start + _CHUNK]
+            end = pos + sum(map(sizes.__getitem__, ids))
+            yield ids, self.leaves[pos:end]
+            pos = end
+
+    def write_json(self, out, depth: int) -> None:
+        """Write the records as a JSON list whose items sit at indent depth."""
+        if not self.ids:
+            out.write("[]")
+            return
+        templates, pickers, sizes = [], [], []
+        for shape in self.shapes:
+            order: list = []
+            template, n = _json_template(shape, depth, 0, order)
+            templates.append(template)
+            pickers.append(tuple if order == list(range(n))
+                           else lambda tokens, order=order: tuple(map(tokens.__getitem__, order)))
+            sizes.append(n)
+        sep = ",\n" + "  " * depth
+        lead = "[\n" + "  " * depth
+        for ids, leaves in self._chunks(sizes):
+            tokens = _json_tokens(leaves)
+            pieces, pos = [], 0
+            for i in ids:
+                end = pos + sizes[i]
+                pieces.append(templates[i] % pickers[i](tokens[pos:end]))
+                pos = end
+            out.write(lead + sep.join(pieces))
+            lead = sep
+        out.write("\n" + "  " * (depth - 1) + "]")
+
+    def write_csv(self, out, header: Optional[List[str]] = None) -> None:
+        """Write one CSV row per record.
+
+        The columns are header or, by default, every record's dot paths in
+        first-seen order; a record lacking a column leaves its cell empty.
+        """
+        layouts, sizes = [], []
+        for shape in self.shapes:
+            columns: dict = {}
+            sizes.append(_csv_columns(shape, "", 0, columns))
+            layouts.append(columns)
+        if header is None:
+            header = list(dict.fromkeys(name for cols in layouts for name in cols))
+        where = {name: i for i, name in enumerate(header)}
+        # a record whose leaves are the header's columns, in order, maps
+        # straight onto a row; others are placed cell by cell
+        slots = [None if list(cols) == header and list(cols.values()) == list(range(len(header)))
+                 else [(where[name], pick) for name, pick in cols.items() if name in where]
+                 for cols in layouts]
+        writer = csv.writer(out, lineterminator="\n")
+        if header:
+            writer.writerow(header)
+        for ids, leaves in self._chunks(sizes):
+            # _cell, with its rule for the common float inlined
+            cells = [repr(leaf) if type(leaf) is float else _cell(leaf)
+                     for leaf in leaves]
+            rows, pos = [], 0
+            for i in ids:
+                end = pos + sizes[i]
+                if slots[i] is None:
+                    rows.append(cells[pos:end])
+                else:
+                    row = [""] * len(header)
+                    for col, pick in slots[i]:
+                        row[col] = _cell(leaves[pos + pick] if type(pick) is int
+                                         else complex(leaves[pos + pick[0]],
+                                                      leaves[pos + pick[1]]))
+                    rows.append(row)
+                pos = end
+            writer.writerows(rows)
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _write_json(payload: dict, out) -> None:
+    """Write payload as JSON; a _Records leaf is written as the list of its records."""
+    leaves: list = []
+    order: list = []
+    template = _json_template(_walk(payload, leaves), 0, 0, order)[0] + "\n"
+    streamed = [isinstance(leaf, _Records) for leaf in leaves]
+    tokens = _json_tokens([None if flag else leaf for flag, leaf in zip(streamed, leaves)])
+    # JSON text holds no raw NUL (strings escape it), so it marks the lists
+    parts = (template % tuple("\0" if streamed[i] else tokens[i] for i in order)).split("\0")
+    records = [leaves[i] for i in order if streamed[i]]
+    for part, recs in zip(parts, records):
+        out.write(part)
+        # the list's items sit one level deeper than the line it opens on
+        line = part[part.rfind("\n") + 1:]
+        recs.write_json(out, (len(line) - len(line.lstrip(" "))) // 2 + 1)
+    out.write(parts[-1])
+
+
+@contextlib.contextmanager
+def _output(out_path: Optional[str]):
+    """The file at out_path, opened for writing, or the current sys.stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def _interval_dict(iv: Interval) -> dict:
@@ -330,7 +510,8 @@ def _run_scatter(args) -> dict:
 
 
 def _run_anomaly(args) -> dict:
-    report = anomaly_quadrature(args.alpha, t=args.t, grid_n=args.grid_n)
+    report = anomaly_quadrature(args.alpha, t=args.t, grid_n=args.grid_n,
+                                tol=args.tol)
     return report.to_json_dict()
 
 
@@ -660,6 +841,8 @@ def _run_sweep(target: str, tns: argparse.Namespace,
                for flags, kwargs in _COMMANDS[target]["args"]}
     dests = [name.replace("-", "_") for name, _, _, _ in specs]
     swept = set(dests)
+    if len(swept) < len(dests):
+        tparser.error("each parameter may be swept by one --sweep only")
     for name in swept:
         if name not in args_of:
             tparser.error(f"unknown sweep parameter {name!r} for {target}")
@@ -690,24 +873,23 @@ def _run_sweep(target: str, tns: argparse.Namespace,
                           f"integer")
         axes.append([cast(v) for v in grid.tolist()])
     names = [name for name, _, _, _ in specs]
+    columns = ["param." + name for name in names]
+    as_rows = tns.fmt == "csv"
     runner = _COMMANDS[target]["run"]
-    points = []
+    # every point is computed before anything is written, so an error still
+    # gives one clean error envelope; only the points' leaves are kept
+    points = _Records()
     for combo in itertools.product(*axes):
-        pns = argparse.Namespace(**vars(tns))
         for dest, value in zip(dests, combo):
-            setattr(pns, dest, value)
-        points.append({"params": dict(zip(names, combo)),
-                       "result": runner(pns)})
-    return {"target": target, "count": len(points), "points": points}
-
-
-def _rows_sweep(result: dict) -> List[dict]:
-    rows = []
-    for point in result["points"]:
-        row = {f"param.{k}": v for k, v in point["params"].items()}
-        row.update(_flatten(point["result"]))
-        rows.append(row)
-    return rows
+            setattr(tns, dest, value)
+        result = runner(tns)
+        if as_rows:
+            row = dict(zip(columns, combo))
+            row.update(result)
+            points.add(row)
+        else:
+            points.add({"params": dict(zip(names, combo)), "result": result})
+    return {"target": target, "count": len(points.ids), "points": points}
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +903,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     ns = parser.parse_args(argv)
     command = ns.command
 
-    rows_fn: Optional[Callable[[dict], List[dict]]] = None
-    csv_header: Optional[List[str]] = None
     out_path: Optional[str] = None
     t0 = time.perf_counter()
     try:
@@ -731,49 +911,50 @@ def main(argv: Optional[List[str]] = None) -> int:
             tns = tparser.parse_args(ns.rest)
             out_path = tns.out
             _finalize(tns, ns.target, tparser)
-            result = _run_sweep(ns.target, tns, tparser)
-            out_ns = tns
+            # read before the sweep sets its axis values on tns
             params = {"target": ns.target,
                       "sweep": ["%s=%g:%g:%d" % spec for spec in tns.sweep],
                       **_command_params(ns.target, tns)}
-            rows_fn = _rows_sweep
+            result = _run_sweep(ns.target, tns, tparser)
+            out_ns = tns
         else:
             out_path = ns.out
             _finalize(ns, command, parser)
             result = _COMMANDS[command]["run"](ns)
             out_ns = ns
             params = _command_params(command, ns)
-            rows_fn = _COMMANDS[command].get("rows")
-            csv_header = _COMMANDS[command].get("csv_header")
-    except SaextError as exc:
-        error = {"error": {"code": exc.code, "message": str(exc),
+    except (SaextError, ValueError) as exc:
+        code = exc.code if isinstance(exc, SaextError) else "invalid-value"
+        error = {"error": {"code": code, "message": str(exc),
                            "context": {"command": command}}}
-        _emit(_to_json(error), out_path)
-        return 1
-    except ValueError as exc:
-        error = {"error": {"code": "invalid-value", "message": str(exc),
-                           "context": {"command": command}}}
-        _emit(_to_json(error), out_path)
+        with _output(out_path) as out:
+            _write_json(error, out)
         return 1
 
     if out_ns.fmt == "csv":
-        rows = rows_fn(result) if rows_fn else [_flatten(result)]
-        text = _to_csv(rows, header=csv_header)
-    else:
-        payload = {
-            "manifest": {
-                "argv": list(argv),
-                "command": command,
-                "params": params,
-                "units": {"hbar": out_ns.units.hbar, "two_m": out_ns.units.two_m},
-                "tolerances": {"tol": out_ns.tol},
-                "version": __version__,
-                "wall_time_s": time.perf_counter() - t0,
-            },
-            "result": result,
-        }
-        text = _to_json(payload)
-    _emit(text, out_ns.out)
+        if command == "sweep":
+            rows, header = result["points"], None
+        else:
+            spec = _COMMANDS[command]
+            rows = _Records(spec["rows"](result) if "rows" in spec else [result])
+            header = spec.get("csv_header")
+        with _output(out_ns.out) as out:
+            rows.write_csv(out, header)
+        return 0
+    payload = {
+        "manifest": {
+            "argv": list(argv),
+            "command": command,
+            "params": params,
+            "units": {"hbar": out_ns.units.hbar, "two_m": out_ns.units.two_m},
+            "tolerances": {"tol": out_ns.tol},
+            "version": __version__,
+            "wall_time_s": time.perf_counter() - t0,
+        },
+        "result": result,
+    }
+    with _output(out_ns.out) as out:
+        _write_json(payload, out)
     return 0
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saext.anomaly import (
     anomaly_quadrature,
@@ -87,6 +89,18 @@ def test_anomaly_energy_identity_family():
     for alpha in (-0.25, -0.5, -1.0, -2.0, -4.0):
         report = anomaly_quadrature(alpha)
         assert report.residual <= 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=-1.0, max_value=2.5))
+def test_anomaly_residual_meets_its_relative_tolerance(u):
+    # the quadrature error is a constant ~5.7e-9 of E = -alpha^2, so an
+    # absolute tolerance fails from |alpha| ~ 13 on
+    alpha = -(10.0 ** u)
+    report = anomaly_quadrature(alpha)
+    assert report.tolerance == 1e-6 * abs(report.bound_energy)
+    assert report.residual <= report.tolerance
+    assert anomaly_quadrature(alpha, tol=1e-3).tolerance == 1e-3 * abs(report.bound_energy)
 
 
 def test_anomaly_t_independent():

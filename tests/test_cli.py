@@ -1,12 +1,21 @@
 """End-to-end checks of the command-line interface."""
 
 import contextlib
+import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saext import cli
 
@@ -238,11 +247,257 @@ def test_sweep_integer_axis(argv, axis, values):
     # a choices flag has no numeric range
     ["spectrum", "--op", "well", "--sweep", "op=0:1:2"],
     ["paradox", "--sweep", "id=1:2:2"],
+    # a second axis on the same flag would silently replace the first
+    ["scatter", "--alpha", "-1", "--sweep", "k=1:2:2", "--sweep", "k=3:4:2"],
+    ["spectrum", "--op", "well", "--sweep", "n-max=2:3:2", "--sweep", "n_max=4:5:2"],
 ])
 def test_sweep_axis_type_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", *argv])
     assert exc.value.code == 2
+
+
+def test_sweep_csv_header_is_the_union_of_every_row():
+    # alpha=1 and alpha=0 have no bound state; the alpha=-1 row keeps its
+    # bound_state.* columns even though the first row lacks them
+    code, text = run_cli(["sweep", "boundstate", "--sweep", "alpha=1:-1:3", "--csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["param.alpha", "alpha", "E", "bound_state", "reason",
+                       "bound_state.energy", "bound_state.x_max",
+                       "bound_state.grid_n", "bound_state.norm"]
+    assert [len(row) for row in rows] == [9] * 4
+    first, last = dict(zip(rows[0], rows[1])), dict(zip(rows[0], rows[3]))
+    assert first["reason"] == "alpha >= 0" and first["bound_state.energy"] == ""
+    assert float(last["bound_state.energy"]) == pytest.approx(-1.0)
+    assert int(last["bound_state.grid_n"]) > 0
+
+
+def test_anomaly_tolerance_is_relative_and_honours_tol():
+    default = run_json(["anomaly", "--alpha", "-100"])["result"]
+    assert default["tolerance"] == pytest.approx(1e-6 * 1e4)
+    assert default["residual"] <= default["tolerance"]
+    tight = run_json(["anomaly", "--alpha", "-100", "--tol", "1e-12"])
+    assert tight["manifest"]["tolerances"]["tol"] == 1e-12
+    assert tight["result"]["tolerance"] == pytest.approx(1e-12 * 1e4)
+
+
+# -- the writer against the earlier encoder ----------------------------------
+#
+# The reference is the encoder the writer replaced: a sanitized deep copy
+# printed by the pure-Python json.dumps(indent=2), and a dot-path flattening
+# of each row for CSV, whose header is the union of the rows' columns.
+
+def _reference_sanitize(obj):
+    if isinstance(obj, dict):
+        return {str(k): _reference_sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_sanitize(v) for v in obj]
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        if math.isnan(f):
+            return "nan"
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        return f
+    if isinstance(obj, complex):
+        return {"re": _reference_sanitize(obj.real), "im": _reference_sanitize(obj.imag)}
+    return obj
+
+
+def reference_json(payload):
+    return json.dumps(_reference_sanitize(payload), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+def _reference_flatten(obj, prefix="", out=None):
+    if out is None:
+        out = {}
+    if isinstance(obj, dict):
+        for key in obj:
+            _reference_flatten(obj[key], prefix + str(key) + ".", out)
+        return out
+    if isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            _reference_flatten(item, f"{prefix}{i}.", out)
+        return out
+    out[prefix[:-1]] = obj
+    return out
+
+
+def _reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_csv(rows, header=None):
+    flat = [_reference_flatten(row) for row in rows]
+    if header is None:
+        header = list(dict.fromkeys(col for row in flat for col in row))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header:
+        writer.writerow(header)
+    for row in flat:
+        writer.writerow([_reference_cell(row.get(col)) for col in header])
+    return buf.getvalue()
+
+
+def written_json(payload):
+    buf = io.StringIO()
+    cli._write_json(payload, buf)
+    return buf.getvalue()
+
+
+def written_csv(rows, header=None):
+    buf = io.StringIO()
+    cli._Records(rows).write_csv(buf, header)
+    return buf.getvalue()
+
+
+_KEYS = st.text(alphabet='01a.%"\u00e9\n\x00', max_size=3) | st.integers(0, 3)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(alphabet='ab%"\\\u00e9\u2028\n\x00', max_size=4),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+_COMPLEX = st.complex_numbers()
+
+
+def _trees(scalars):
+    return st.recursive(
+        scalars,
+        lambda children: (st.lists(children, max_size=3)
+                          | st.lists(children, max_size=3).map(tuple)
+                          | st.dictionaries(_KEYS, children, max_size=4)),
+        max_leaves=12)
+
+
+_JSON_TREES = _trees(_SCALARS | _COMPLEX | _COMPLEX.map(np.complex128))
+# CSV cells of numpy complex values follow numpy's str(), which the writer
+# does not promise to keep; Python complex numbers are covered
+_CSV_TREES = _trees(_SCALARS | _COMPLEX)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_KEYS, _JSON_TREES, max_size=5))
+def test_writer_json_matches_the_reference_encoder(payload):
+    assert written_json(payload) == reference_json(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_JSON_TREES, max_size=6), st.lists(_JSON_TREES, max_size=2),
+       _JSON_TREES, st.lists(_KEYS, min_size=1, max_size=3))
+def test_writer_streams_records_like_a_list(items, others, sibling, path):
+    def nest(wrap):
+        payload = wrap(items)
+        for key in reversed(path):
+            payload = {key: payload}
+        payload["~sibling"] = sibling
+        # added last but written first: lists go out in key order
+        payload["!others"] = wrap(others)
+        return payload
+
+    assert written_json(nest(cli._Records)) == reference_json(nest(list))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(_KEYS, _CSV_TREES, max_size=4), max_size=6))
+def test_writer_csv_matches_the_reference_flattening(rows):
+    assert written_csv(rows) == reference_csv(rows)
+
+
+def test_writer_csv_keeps_an_explicit_header():
+    rows = [{"n": 1, "value": 2.5, "extra": "x"}, {"value": float("nan")}]
+    assert written_csv(rows, ["n", "value"]) == reference_csv(rows, ["n", "value"])
+    assert written_csv([], ["n", "value"]) == "n,value\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # alpha crosses 0, so the points have two shapes
+    ["boundstate", "--sweep", "alpha=1:-1:3"],
+    ["paradox", "--id", "2", "--sweep", "n=4:8:2"],
+    ["scatter", "--alpha", "-1", "--sweep", "k=0.1:10:0"],
+    ["scatter", "--alpha", "inf", "--sweep", "k=0.5:2:4"],
+    ["scatter", "--sweep", "k=1:2:2", "--sweep", "alpha=-1:-2:2"],
+])
+def test_sweep_output_is_the_reference_encoding(argv):
+    code, text = run_cli(["sweep", *argv])
+    assert code == 0
+    payload = json.loads(text)
+    # the JSON text is exactly what the reference encoder makes of it
+    assert reference_json(payload) == text
+    points = payload["result"]["points"]
+    assert payload["result"]["count"] == len(points)
+    fixed = [x for x in argv if x != "--sweep" and "=" not in x]
+    axes = [x.partition("=")[0] for x in argv if "=" in x]
+    rows = []
+    for point in points:
+        values = [point["params"][name] for name in axes]
+        one = fixed + [x for name, value in zip(axes, values)
+                       for x in (f"--{name.replace('_', '-')}", repr(value))]
+        # each point is the one-shot run at its parameters, in JSON and CSV
+        assert run_json(one)["result"] == point["result"]
+        code, one_csv = run_cli(one + ["--csv"])
+        header, cells = csv.reader(io.StringIO(one_csv))
+        rows.append({**{f"param.{name}": _reference_cell(value)
+                        for name, value in zip(axes, values)},
+                     **dict(zip(header, cells))})
+    code, text = run_cli(["sweep", *argv, "--csv"])
+    assert code == 0
+    assert text == reference_csv(rows)
+
+
+_WALL_TIME = re.compile(r'"wall_time_s": [^\n]*')
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_out_path_gets_the_bytes_of_stdout(tmp_path, fmt):
+    argv = ["sweep", "boundstate", "--sweep", "alpha=1:-1:3", *fmt]
+    target = tmp_path / "sweep.out"
+    assert run_cli(argv + ["--out", str(target)]) == (0, "")
+    code, expected = run_cli(argv + ["--out", ""])  # an empty PATH means stdout
+    assert code == 0
+    written = target.read_text().replace(json.dumps(str(target)), '""')
+    assert _WALL_TIME.sub("", written) == _WALL_TIME.sub("", expected)
+
+
+#: Runs argv and prints its exit code and peak RSS in KiB (Linux ru_maxrss).
+_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_sweep_memory_stays_below_200mb_at_1e5_points(fmt):
+    # the points are held as their leaves only; a tree, its sanitized copy
+    # and the whole text took ~450 MB (JSON) and ~210 MB (CSV).  A child's
+    # ru_maxrss starts at its spawner's resident size (the exec keeps the
+    # high-water mark of the memory it replaces), so the sweep is started by
+    # a small launcher rather than by this test process.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "saext.cli", "sweep", "scatter", "--alpha", "-1.3",
+            "--sweep", "k=0.1:5:100000", *fmt]
+    launched = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+    code, maxrss_kib = map(int, launched.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 200
 
 
 # -- plumbing ---------------------------------------------------------------
