@@ -4,18 +4,19 @@ Every computation in the library is reachable as a subcommand emitting
 JSON (default) or CSV.  Each JSON payload carries a reproducibility
 manifest; identical argv produces byte-identical output except for the
 wall-time field.  Exit codes: 0 success, 1 computation error (with a
-structured {code, message, context} object), 2 usage error.
+structured {code, message, context} object) or a reader that closed
+stdout early, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 from typing import Dict, List, Optional
@@ -385,14 +386,26 @@ def _write_json(payload: dict, out) -> None:
     out.write(parts[-1])
 
 
-@contextlib.contextmanager
-def _output(out_path: Optional[str]):
-    """The file at out_path, opened for writing, or the current sys.stdout."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+def _emit(out_path: Optional[str], write, code: int) -> int:
+    """Run write(out) on the file at out_path or on sys.stdout; return ``code``.
+
+    A reader that closes stdout early (``saext ... | head``) gives exit 1
+    and no traceback.  As in the SIGPIPE note of Python's signal docs,
+    stdout is then pointed at devnull so that its flush at interpreter exit
+    cannot raise again.
+    """
+    try:
+        if out_path:
+            with open(out_path, "w") as fh:
+                write(fh)
+        else:
+            write(sys.stdout)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 def _interval_dict(iv: Interval) -> dict:
@@ -421,7 +434,8 @@ def _run_deficiency(args) -> dict:
     else:
         iv = args.interval or Interval.half_line()
         spec = OperatorSpec.time_operator(iv.a, args.units)
-    report = solve_deficiency(spec, lam=args.lam, n=args.grid_n or 10_001)
+    report = solve_deficiency(spec, lam=args.lam,
+                              n=10_001 if args.grid_n is None else args.grid_n)
     return {
         "op": args.op,
         "interval": _interval_dict(spec.interval),
@@ -449,7 +463,7 @@ def _run_extend(args) -> dict:
 
 
 def _run_spectrum(args) -> dict:
-    grid_n = args.grid_n or 2001
+    grid_n = 2001 if args.grid_n is None else args.grid_n
     if args.op == "momentum":
         iv = args.interval or Interval.finite(0.0, 1.0)
         n_min = -5 if args.n_min is None else args.n_min
@@ -516,18 +530,20 @@ def _run_anomaly(args) -> dict:
 
 
 def _run_paradox(args) -> dict:
+    n = args.n
     if args.id == 1:
         report = eigenvector_commutator_demo(
-            args.theta, args.n or 256, mode=args.mode, units=args.units)
+            args.theta, 256 if n is None else n, mode=args.mode, units=args.units)
     elif args.id == 2:
         report = trace_commutator_check(
-            args.n or 8, args.trials,
+            8 if n is None else n, args.trials,
             seed=0 if args.seed is None else args.seed, units=args.units)
     elif args.id == 3:
         report = commuting_observables_demo(
-            args.a, args.n or 3, grid_n=args.grid_n or 10_001)
+            args.a, 3 if n is None else n,
+            grid_n=10_001 if args.grid_n is None else args.grid_n)
     else:
-        report = hermiticity_defect_demo(args.l, args.n or 8)
+        report = hermiticity_defect_demo(args.l, 8 if n is None else n)
     return report.to_json_dict()
 
 
@@ -575,7 +591,7 @@ def _run_geometry(args) -> dict:
     omega, label = _geometry_connection(args.metric)
     a, b = args.probe["a"], args.probe["b"]
     far_end = b + max(0.5 * (b - a), 0.25)
-    xs = np.linspace(0.0, far_end, args.grid_n or 4001)
+    xs = np.linspace(0.0, far_end, 4001 if args.grid_n is None else args.grid_n)
     f = GridFunction(xs, _bump_values(xs, 0.5 * (a + b), 0.5 * (b - a)), weight="r")
     defect = radial_symmetry_defect(omega, f, f)
     flat = GridFunction(xs, f.values, weight="1")
@@ -749,6 +765,20 @@ def _command_params(name: str, ns: argparse.Namespace) -> dict:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads ``-1e-3`` as a negative number, not a flag.
+
+    Python 3.11's argparse matches ``-1`` and ``-0.5`` only and takes
+    ``-1e-3`` for an option string, so ``--alpha -1e-3`` would be a usage
+    error.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
@@ -773,8 +803,7 @@ def _common_parser() -> argparse.ArgumentParser:
 
 
 def _target_parser(name: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=f"saext sweep {name}",
-                                     parents=[_common_parser()])
+    parser = _Parser(prog=f"saext sweep {name}", parents=[_common_parser()])
     for flags, kwargs in _COMMANDS[name]["args"]:
         # a required flag may be supplied by the sweep axis instead;
         # _run_sweep re-checks that nothing is left unset
@@ -788,7 +817,7 @@ def _target_parser(name: str) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="saext",
         description="Self-adjoint extensions of 1D quantum operators: "
                     "deficiency indices, boundary conditions, spectra, "
@@ -927,9 +956,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = exc.code if isinstance(exc, SaextError) else "invalid-value"
         error = {"error": {"code": code, "message": str(exc),
                            "context": {"command": command}}}
-        with _output(out_path) as out:
-            _write_json(error, out)
-        return 1
+        return _emit(out_path, lambda out: _write_json(error, out), 1)
 
     if out_ns.fmt == "csv":
         if command == "sweep":
@@ -938,9 +965,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             spec = _COMMANDS[command]
             rows = _Records(spec["rows"](result) if "rows" in spec else [result])
             header = spec.get("csv_header")
-        with _output(out_ns.out) as out:
-            rows.write_csv(out, header)
-        return 0
+        return _emit(out_ns.out, lambda out: rows.write_csv(out, header), 0)
     payload = {
         "manifest": {
             "argv": list(argv),
@@ -953,9 +978,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         },
         "result": result,
     }
-    with _output(out_ns.out) as out:
-        _write_json(payload, out)
-    return 0
+    return _emit(out_ns.out, lambda out: _write_json(payload, out), 0)
 
 
 if __name__ == "__main__":  # pragma: no cover

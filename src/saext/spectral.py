@@ -155,10 +155,16 @@ def bound_state_shooting(
 ) -> float:
     """Locate the Robin bound-state energy by inward shooting.
 
-    Integrates psi'' = -E psi from ``x_max`` toward the origin with
-    decaying far-field data and bisects the boundary mismatch
-    psi'(0) - alpha*psi(0).  Independent of the closed form: the root
-    should land on -alpha^2.
+    Shoots psi'' = -E psi from ``x_max`` toward the origin with decaying
+    far-field data and bisects the boundary mismatch psi'(0) - alpha*psi(0).
+    Independent of the closed form: the root should land on -alpha^2.
+
+    The integration runs on the far-field envelope: with kappa = sqrt(-E)
+    and psi(x) = exp(kappa*(x_max - x)) * phi(x), the equation becomes
+    phi'' = 2*kappa*phi' (a potential V(x) would add +V(x)*phi) from
+    (phi, phi')(x_max) = (1, 0).  The solver then tracks an O(1) function
+    instead of an amplitude that grows like exp(kappa*x_max); the factor
+    cancels from the normalised mismatch.
     """
     from scipy.integrate import solve_ivp
     from scipy.optimize import brentq
@@ -173,25 +179,30 @@ def bound_state_shooting(
     if hi >= 0.0:
         raise PreconditionError("energy bracket must be negative, got %r" % (e_bracket,))
     if x_max is None:
-        # keep the backward-grown amplitude exp(kappa*x_max) far from overflow
+        # psi = exp(kappa*(x_max - x))*phi stays clear of overflow, so a
+        # direct shot on psi over the same window agrees
         kappa_max = math.sqrt(-lo)
         x_max = min(35.0 / abs(alpha), 600.0 / kappa_max)
 
     def mismatch(energy: float) -> float:
         kappa = math.sqrt(-energy)
 
+        # -E - kappa^2 is zero exactly; written out it would only add
+        # rounding noise to the phi term
         def rhs(_x, y):
-            return (y[1], -energy * y[0])
+            return (y[1], 2.0 * kappa * y[1])
 
         sol = solve_ivp(
             rhs,
             (x_max, 0.0),
-            (1.0, -kappa),
+            (1.0, 0.0),
             method="DOP853",
             rtol=ode_rtol,
-            atol=1e-300,
+            atol=(ode_rtol, ode_rtol * kappa),
         )
-        psi0, dpsi0 = sol.y[0, -1], sol.y[1, -1]
+        # psi(0), psi'(0) up to the common factor exp(kappa*x_max)
+        psi0 = sol.y[0, -1]
+        dpsi0 = sol.y[1, -1] - kappa * psi0
         return (dpsi0 - alpha * psi0) / (abs(psi0) + abs(dpsi0))
 
     f_lo, f_hi = mismatch(lo), mismatch(hi)

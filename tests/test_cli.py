@@ -552,3 +552,53 @@ def test_units_flag_is_recorded():
     assert payload["manifest"]["units"] == {"hbar": 2.0, "two_m": 1.0}
     target = payload["result"]["quantities"]["naive_canonical_trace"]["value"]
     assert target["im"] == pytest.approx(16.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["deficiency", "--op", "momentum", "--grid-n", "0"],
+    ["spectrum", "--op", "well", "--grid-n", "0"],
+    ["paradox", "--id", "1", "--n", "0"],
+    ["paradox", "--id", "2", "--n", "0"],
+    ["paradox", "--id", "3", "--n", "0"],
+    ["paradox", "--id", "3", "--grid-n", "0"],
+    ["paradox", "--id", "4", "--n", "0"],
+    ["geometry", "--metric", "polar", "--grid-n", "0"],
+])
+def test_explicit_zero_is_not_replaced_by_the_default(argv):
+    # a 0 reaches the library, which rejects it, instead of running n=256
+    code, text = run_cli(argv)
+    assert code == 1
+    jsonschema.validate(json.loads(text), cli.load_schema("error"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--k", "1", "--alpha"],
+    ["boundstate", "--alpha"],
+    ["anomaly", "--alpha"],
+    ["spectrum", "--op", "robin", "--alpha"],
+    ["sweep", "scatter", "--sweep", "k=0.5:2:4", "--alpha"],
+])
+def test_negative_scientific_notation_is_a_value_not_a_flag(argv):
+    spaced = run_json(argv + ["-1e-3"])
+    joined = run_json(argv[:-1] + ["--alpha=-1e-3"])
+    for payload in (spaced, joined):
+        del payload["manifest"]["wall_time_s"], payload["manifest"]["argv"]
+    assert spaced == joined
+    assert spaced["manifest"]["params"]["alpha"] == -1e-3
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_closed_reader_pipe_exits_one_without_traceback(fmt):
+    # `saext sweep ... | head -c 10`: ~4 MB of output against a closed pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "saext.cli", "sweep", "scatter", "--alpha", "-1",
+            "--sweep", "k=0.1:5:20000", *fmt]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert stderr == ""

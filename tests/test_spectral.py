@@ -215,6 +215,68 @@ def test_shooting_preconditions():
         bound_state_shooting(-1.0, (-4.0, 1.0))
 
 
+def _shooting_reference(alpha, e_bracket, x_max=None, ode_rtol=1e-10):
+    """Shooting on psi itself: psi'' = -E psi, amplitude and all.
+
+    The direct form of ``bound_state_shooting``, kept as its reference.
+    Each integration holds psi to ``ode_rtol`` while it grows by
+    exp(kappa*x_max), so it takes ~10x the steps of the envelope form.
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    lo, hi = sorted(float(e) for e in e_bracket)
+    if x_max is None:
+        x_max = min(35.0 / abs(alpha), 600.0 / math.sqrt(-lo))
+
+    def mismatch(energy):
+        kappa = math.sqrt(-energy)
+        sol = solve_ivp(
+            lambda _x, y: (y[1], -energy * y[0]),
+            (x_max, 0.0),
+            (1.0, -kappa),
+            method="DOP853",
+            rtol=ode_rtol,
+            atol=1e-300,
+        )
+        psi0, dpsi0 = sol.y[0, -1], sol.y[1, -1]
+        return (dpsi0 - alpha * psi0) / (abs(psi0) + abs(dpsi0))
+
+    return float(brentq(mismatch, lo, hi, xtol=1e-9, rtol=8.9e-16))
+
+
+@given(st.floats(min_value=-1.5, max_value=3.0))
+@settings(max_examples=25, deadline=None)
+def test_shooting_envelope_matches_psi_form(u):
+    alpha = -(10.0**u)
+    a2 = alpha * alpha
+    for bracket in ((-1.5 * a2, -0.5 * a2), (-4.0 * a2, -0.25 * a2)):
+        energy = bound_state_shooting(alpha, bracket)
+        assert abs(energy - _shooting_reference(alpha, bracket)) <= 1e-13 * a2
+
+
+def test_shooting_work_guard(monkeypatch):
+    import warnings
+
+    import scipy.integrate
+
+    nfev = []
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy = bound_state_shooting(-2.0, (-6.0, -2.0))
+    assert abs(energy + 4.0) <= 1e-6
+    # the psi form spends ~12,600 evaluations on this call
+    assert 0 < sum(nfev) <= 2000
+
+
 # ---------------------------------------------------------------------------
 # scattering
 # ---------------------------------------------------------------------------
