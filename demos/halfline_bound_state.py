@@ -2,9 +2,10 @@
 unit-modulus reflection above it.
 
 For psi'(0) = alpha psi(0) with alpha < 0 there is exactly one bound state,
-E = -alpha^2 (hbar = 2m = 1), reached here two independent ways: the grid
-eigenproblem and an ODE shooting method.  For alpha >= 0 nothing lies below
-the continuum.
+E = -alpha^2 (hbar = 2m = 1), printed here from the closed form and from the
+root of the inward shot's boundary mismatch.  With no potential the shot from
+the decaying tail is exact, so the two agree by construction, up to the root
+finder's tolerance.  For alpha >= 0 nothing lies below the continuum.
 
 Run:  python demos/halfline_bound_state.py
 """
@@ -19,11 +20,11 @@ from saext import (
     reflection_coefficient,
 )
 
-print("--- bound state, two routes ---")
+print("--- bound state, closed form and shooting root ---")
 for alpha in (-0.5, -1.0, -2.0):
     bs = bound_state(alpha)
     e_shoot = bound_state_shooting(alpha, (1.5 * -(alpha ** 2), 0.5 * -(alpha ** 2)))
-    print(f"alpha = {alpha:+.2f}:  grid E = {bs.energy:+.8f}   "
+    print(f"alpha = {alpha:+.2f}:  closed form E = {bs.energy:+.8f}   "
           f"shooting E = {e_shoot:+.8f}   exact -alpha^2 = {-(alpha ** 2):+.8f}   "
           f"|psi| = {norm(bs.psi):.6f}")
 

@@ -155,18 +155,19 @@ def bound_state_shooting(
 ) -> float:
     """Locate the Robin bound-state energy by inward shooting.
 
-    Shoots psi'' = -E psi from ``x_max`` toward the origin with decaying
-    far-field data and bisects the boundary mismatch psi'(0) - alpha*psi(0).
-    Independent of the closed form: the root should land on -alpha^2.
+    Shoots psi'' = -E psi from ``x_max`` toward the origin with the decaying
+    far-field data psi'/psi = -kappa, kappa = sqrt(-E), and brackets the
+    normalised boundary mismatch (psi' - alpha*psi)/(|psi| + |psi'|) at 0.
 
-    The integration runs on the far-field envelope: with kappa = sqrt(-E)
-    and psi(x) = exp(kappa*(x_max - x)) * phi(x), the equation becomes
-    phi'' = 2*kappa*phi' (a potential V(x) would add +V(x)*phi) from
-    (phi, phi')(x_max) = (1, 0).  The solver then tracks an O(1) function
-    instead of an amplitude that grows like exp(kappa*x_max); the factor
-    cancels from the normalised mismatch.
+    With no potential that shot is exact, so this is not a check of
+    E = -alpha^2 independent of ``bound_state``.  The data are the decaying
+    solution exp(-kappa*x) itself, and a Runge-Kutta step keeps its
+    log-derivative at -kappa to rounding at any tolerance (a DOP853 shot at
+    rtol=1e-3 lands on the roots of one at 1e-10).  The mismatch is therefore
+    evaluated in closed form, (-kappa - alpha)/(1 + kappa), and neither
+    ``x_max`` nor ``ode_rtol`` moves the root.  An integration becomes
+    necessary once a potential V(x) enters the equation.
     """
-    from scipy.integrate import solve_ivp
     from scipy.optimize import brentq
 
     if not alpha < 0.0:
@@ -178,32 +179,11 @@ def bound_state_shooting(
         lo, hi = hi, lo
     if hi >= 0.0:
         raise PreconditionError("energy bracket must be negative, got %r" % (e_bracket,))
-    if x_max is None:
-        # psi = exp(kappa*(x_max - x))*phi stays clear of overflow, so a
-        # direct shot on psi over the same window agrees
-        kappa_max = math.sqrt(-lo)
-        x_max = min(35.0 / abs(alpha), 600.0 / kappa_max)
 
     def mismatch(energy: float) -> float:
+        # (psi, psi')(0) is proportional to (1, -kappa)
         kappa = math.sqrt(-energy)
-
-        # -E - kappa^2 is zero exactly; written out it would only add
-        # rounding noise to the phi term
-        def rhs(_x, y):
-            return (y[1], 2.0 * kappa * y[1])
-
-        sol = solve_ivp(
-            rhs,
-            (x_max, 0.0),
-            (1.0, 0.0),
-            method="DOP853",
-            rtol=ode_rtol,
-            atol=(ode_rtol, ode_rtol * kappa),
-        )
-        # psi(0), psi'(0) up to the common factor exp(kappa*x_max)
-        psi0 = sol.y[0, -1]
-        dpsi0 = sol.y[1, -1] - kappa * psi0
-        return (dpsi0 - alpha * psi0) / (abs(psi0) + abs(dpsi0))
+        return (-kappa - alpha) / (1.0 + kappa)
 
     f_lo, f_hi = mismatch(lo), mismatch(hi)
     if f_lo == 0.0:

@@ -134,17 +134,43 @@ def test_momentum_spectrum_discretization():
 
 # -- 04: bound state --------------------------------------------------------
 
+def robin_grid_ground_energy(alpha, h):
+    """Lowest eigenvalue of the three-point -d^2/dx^2 with psi'(0) = alpha psi(0).
+
+    The Robin condition enters through a ghost point, psi_-1 = psi_1 -
+    2 h alpha psi_0, and scaling psi_0 by sqrt(2) makes the matrix
+    symmetric; the grid ends with psi = 0 at x = 30/|alpha|.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    n = int(round(30.0 / (abs(alpha) * h)))
+    diag = np.full(n, 2.0 / h**2)
+    diag[0] += 2.0 * alpha / h
+    off = np.full(n - 1, -1.0 / h**2)
+    off[0] *= math.sqrt(2.0)
+    return float(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
+                                  eigvals_only=True)[0])
+
+
 def test_bound_state_family():
     ok = True
-    worst = 0.0
+    grid_worst, ratios, shoot_worst = 0.0, [], 0.0
     for a in (-0.25, -0.5, -1.0, -2.0, -3.0):
+        errs = [(robin_grid_ground_energy(a, c / abs(a)) + a * a) / (a * a)
+                for c in (0.02, 0.01)]
+        grid_worst = max(grid_worst, abs(errs[1]))
+        ratios.append(errs[0] / errs[1])
         e = bound_state_shooting(a, (-1.5 * a * a, -0.5 * a * a))
-        worst = max(worst, abs(e + a * a))
-    ok &= worst <= 1e-6
+        shoot_worst = max(shoot_worst, abs(e + a * a))
+    ok &= grid_worst <= 5e-5 and all(3.7 <= r <= 4.3 for r in ratios)
+    ok &= shoot_worst <= 1e-6
     rng = np.random.default_rng(20240817)
     alphas = np.concatenate([[0.0], rng.uniform(0.0, 50.0, 99)])
     ok &= all(bound_state(float(a)) is None for a in alphas)
-    report(ok, f"04 shooting energy within {worst:.2e} <= 1e-6 of -alpha^2; "
+    report(ok, f"04 Robin grid ground state within {grid_worst:.2e} <= 5e-5 rel "
+               f"of -alpha^2 at h|alpha| = 0.01, error ratio "
+               f"{min(ratios):.2f}..{max(ratios):.2f} in 4.0+-0.3; shooting root "
+               f"within {shoot_worst:.2e} <= 1e-6; "
                "no bound state for 100 random alpha >= 0")
 
 

@@ -216,11 +216,10 @@ def test_shooting_preconditions():
 
 
 def _shooting_reference(alpha, e_bracket, x_max=None, ode_rtol=1e-10):
-    """Shooting on psi itself: psi'' = -E psi, amplitude and all.
+    """Shooting by integration: DOP853 on psi'' = -E psi from x_max to 0.
 
-    The direct form of ``bound_state_shooting``, kept as its reference.
-    Each integration holds psi to ``ode_rtol`` while it grows by
-    exp(kappa*x_max), so it takes ~10x the steps of the envelope form.
+    The numerical form of ``bound_state_shooting``, kept as the reference
+    for its closed-form boundary mismatch.
     """
     from scipy.integrate import solve_ivp
     from scipy.optimize import brentq
@@ -247,34 +246,16 @@ def _shooting_reference(alpha, e_bracket, x_max=None, ode_rtol=1e-10):
 
 @given(st.floats(min_value=-1.5, max_value=3.0))
 @settings(max_examples=25, deadline=None)
-def test_shooting_envelope_matches_psi_form(u):
+def test_shooting_matches_integrated_shot(u):
     alpha = -(10.0**u)
     a2 = alpha * alpha
     for bracket in ((-1.5 * a2, -0.5 * a2), (-4.0 * a2, -0.25 * a2)):
         energy = bound_state_shooting(alpha, bracket)
-        assert abs(energy - _shooting_reference(alpha, bracket)) <= 1e-13 * a2
-
-
-def test_shooting_work_guard(monkeypatch):
-    import warnings
-
-    import scipy.integrate
-
-    nfev = []
-    solve_ivp = scipy.integrate.solve_ivp
-
-    def counting(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        energy = bound_state_shooting(-2.0, (-6.0, -2.0))
-    assert abs(energy + 4.0) <= 1e-6
-    # the psi form spends ~12,600 evaluations on this call
-    assert 0 < sum(nfev) <= 2000
+        # the shot from the decaying tail is exact: a loose integration
+        # lands on the same root as a tight one
+        for ode_rtol in (1e-10, 1e-3):
+            reference = _shooting_reference(alpha, bracket, ode_rtol=ode_rtol)
+            assert abs(energy - reference) <= 1e-13 * a2
 
 
 # ---------------------------------------------------------------------------
