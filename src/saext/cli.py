@@ -4,8 +4,9 @@ Every computation in the library is reachable as a subcommand emitting
 JSON (default) or CSV.  Each JSON payload carries a reproducibility
 manifest; identical argv produces byte-identical output except for the
 wall-time field.  Exit codes: 0 success, 1 computation error (with a
-structured {code, message, context} object) or a reader that closed
-stdout early, 2 usage error.
+structured {code, message, context} object), a sweep with a failed point
+(recorded in its output) or a reader that closed stdout early, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -134,6 +136,9 @@ def _parse_sweep(text: str) -> tuple:
         count = int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError("bad sweep grid in %r" % (text,))
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(
+            "sweep start and stop must be finite; got %r" % (text,))
     if count < 0:
         raise argparse.ArgumentTypeError("sweep count must be >= 0")
     return (name, start, stop, count)
@@ -146,21 +151,30 @@ def _parse_sweep(text: str) -> tuple:
 # JSON output is the text of json.dumps(sort_keys=True, indent=2) + "\n" for
 # the payload with string keys, numpy scalars unwrapped, complex numbers as
 # {"re", "im"} and non-finite floats as "nan"/"inf"/"-inf".  CSV output is
-# the dot-path projection of each row onto scalar columns.  Both start from
-# one walk per record, which keeps the record's shape (keys in insertion
-# order, list lengths, complex numbers, empty containers) and its scalar
-# leaves but not the tree.  Each distinct shape is compiled once: to a
-# %-template at its indent depth for JSON, to its columns for CSV.  The
-# leaves of a chunk of records are encoded by the C json encoder in a
-# single call, which the pure-Python encoder behind indent= cannot match.
+# the dot-path projection of each row onto scalar columns.  Both work from a
+# record's shape (keys in insertion order, list lengths, complex numbers,
+# empty containers) and its scalar leaves, not from its tree.  A list of
+# records is read _CHUNK records at a time.  A chunk whose records all have
+# the shape of its first is taken apart column by column; only a chunk of
+# mixed shapes is walked record by record.  Each distinct shape is compiled
+# once: to a %-template at its indent depth for JSON, to its columns for
+# CSV.  Each distinct column of a chunk is encoded once, in one call of the
+# C json encoder (or of float repr), which the pure-Python encoder behind
+# indent= cannot match.
 
 _LEAF = None
 _SCALARS = frozenset({float, int, str, bool, type(None)})
 #: A complex number is walked as two leaves, real then imaginary part.
 _COMPLEX = "complex"
 _COMPLEX_DICT = ("{", "re", _LEAF, "im", _LEAF)
+#: The values _walk descends into or splits; every other value is a leaf.
+_NODES = (dict, list, tuple, complex)
 _CHUNK = 4096
-_NON_FINITE = {"NaN": '"nan"', "Infinity": '"inf"', "-Infinity": '"-inf"'}
+#: JSON text of a non-finite float, from the encoder's token or from repr.
+_NON_FINITE = {"NaN": '"nan"', "Infinity": '"inf"', "-Infinity": '"-inf"',
+               "nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+#: Cell types whose text never needs CSV quoting.
+_PLAIN_CELLS = frozenset({float, int, bool, type(None)})
 
 
 def _walk(obj, leaves: list):
@@ -187,6 +201,104 @@ def _walk(obj, leaves: list):
         return _COMPLEX
     leaves.append(obj)
     return _LEAF
+
+
+def _pull(shape, column, out: list) -> bool:
+    """Append to out the leaf columns of records of this shape, in walk order.
+
+    column holds one value per record.  Returns False, with out partly
+    filled, unless every value has the shape: a dict the shape's keys in
+    order, a list or tuple its length, a complex number, or a leaf.  The
+    test is strict: a dict keyed by non-str keys fails it even when it
+    walks to the shape.
+    """
+    types = set(map(type, column))
+    if shape is _LEAF:
+        if any(issubclass(t, _NODES) for t in types):
+            return False
+        out.append(column)
+        return True
+    if shape == _COMPLEX:
+        if not all(issubclass(t, complex) for t in types):
+            return False
+        out.append([z.real for z in column])
+        out.append([z.imag for z in column])
+        return True
+    if shape[0] == "{":
+        keys = shape[1::2]
+        if not all(issubclass(t, dict) for t in types) \
+                or list(map(tuple, column)).count(keys) != len(column):
+            return False
+    elif not all(issubclass(t, (list, tuple)) for t in types) \
+            or set(map(len, column)) != {len(shape) - 1}:
+        return False
+    return all(_pull(child, list(map(operator.itemgetter(key), column)), out)
+               for key, child in _children(shape))
+
+
+def _blocks(records):
+    """(shape, count, leaf columns in walk order) of each run of records of one shape.
+
+    Records are read _CHUNK at a time.  A chunk is pulled apart column by
+    column against the shape of its first record; only a chunk where that
+    fails is walked record by record.
+    """
+    records = iter(records)
+    while True:
+        chunk = list(itertools.islice(records, _CHUNK))
+        if not chunk:
+            return
+        shape, columns = _walk(chunk[0], []), []
+        if _pull(shape, chunk, columns):
+            yield shape, len(chunk), columns
+            continue
+        run: list = []
+        for record in chunk:
+            leaves: list = []
+            own = _walk(record, leaves)
+            if own != shape:
+                if run:
+                    yield shape, len(run), list(zip(*run))
+                shape, run = own, []
+            run.append(leaves)
+        yield shape, len(run), list(zip(*run))
+
+
+def _same_as(columns: list) -> list:
+    """For each column: None if one object fills it, else the first column of the same objects.
+
+    A swept value is echoed by the target's result, and a flag the sweep
+    leaves alone is one object for the whole sweep, so such a column is
+    encoded once or as a single value.
+    """
+    same, first_of = [], {}
+    for i, column in enumerate(columns):
+        head = column[0]
+        if column[-1] is head and all(map(operator.is_, column, itertools.repeat(head))):
+            same.append(None)
+            continue
+        same.append(i)
+        for j in first_of.setdefault(id(head), []):
+            if all(map(operator.is_, column, columns[j])):
+                same[i] = j
+                break
+        else:
+            first_of[id(head)].append(i)
+    return same
+
+
+def _encoded(columns: list, encode) -> list:
+    """encode(column) of each column, called once per distinct column.
+
+    encode maps a list of values to the list of their texts.
+    """
+    texts: list = []
+    for i, (column, j) in enumerate(zip(columns, _same_as(columns))):
+        if j is None:
+            texts.append(encode(column[:1]) * len(column))
+        else:
+            texts.append(texts[j] if j < i else encode(column))
+    return texts
 
 
 def _children(shape):
@@ -237,10 +349,19 @@ def _json_default(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_tokens(leaves: list) -> list:
-    """JSON text of each leaf, from one call of the C encoder."""
+def _json_tokens(leaves) -> list:
+    """JSON text of each leaf, from one call of the C encoder.
+
+    A column of floats needs no encoder: the text of a finite float is its
+    repr, which is what the encoder writes.
+    """
     if not leaves:
         return []
+    if set(map(type, leaves)) == {float}:
+        tokens = list(map(float.__repr__, leaves))
+        if not all(map(math.isfinite, leaves)):
+            tokens = [_NON_FINITE.get(token, token) for token in tokens]
+        return tokens
     # a leaf's text holds no raw newline: strings escape it as \n
     text = json.dumps(leaves, separators=("\n", ":"), default=_json_default)
     tokens = text[1:-1].split("\n")
@@ -277,95 +398,94 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _cells(values) -> list:
+    """The CSV cells of a column of leaves."""
+    if set(map(type, values)) == {float}:
+        return list(map(float.__repr__, values))
+    return list(map(_cell, values))
+
+
+def _csv_layout(shape) -> dict:
+    """Each leaf's dot path in shape mapped to its walk index (see _csv_columns)."""
+    columns: dict = {}
+    _csv_columns(shape, "", 0, columns)
+    return columns
+
+
 class _Records:
-    """The shapes and leaves of a sequence of records, without their trees."""
+    """Records written as a JSON list or as CSV rows, one block of one shape at a time.
+
+    records is read once, _CHUNK records at a time (see _blocks), so the
+    records of a generator are made as they are written.  Each shape is
+    compiled once and each distinct column of a block encoded once.
+    """
 
     def __init__(self, records=()):
-        self.shapes: Dict[tuple, int] = {}  # shape -> id, in first-seen order
-        self.ids: List[int] = []            # shape id of each record
-        self.leaves: list = []              # every record's leaves, in order
-        for record in records:
-            self.add(record)
+        self.records = records
 
-    def add(self, record) -> None:
-        shape = _walk(record, self.leaves)
-        self.ids.append(self.shapes.setdefault(shape, len(self.shapes)))
-
-    def _chunks(self, sizes: List[int]):
-        """(ids, leaves) of each run of _CHUNK records; sizes gives leaves per shape."""
-        pos = 0
-        for start in range(0, len(self.ids), _CHUNK):
-            ids = self.ids[start:start + _CHUNK]
-            end = pos + sum(map(sizes.__getitem__, ids))
-            yield ids, self.leaves[pos:end]
-            pos = end
+    def blocks(self):
+        """(shape, count, leaf columns) of each run of records of one shape."""
+        return _blocks(self.records)
 
     def write_json(self, out, depth: int) -> None:
         """Write the records as a JSON list whose items sit at indent depth."""
-        if not self.ids:
-            out.write("[]")
-            return
-        templates, pickers, sizes = [], [], []
-        for shape in self.shapes:
-            order: list = []
-            template, n = _json_template(shape, depth, 0, order)
-            templates.append(template)
-            pickers.append(tuple if order == list(range(n))
-                           else lambda tokens, order=order: tuple(map(tokens.__getitem__, order)))
-            sizes.append(n)
+        compiled: dict = {}
         sep = ",\n" + "  " * depth
-        lead = "[\n" + "  " * depth
-        for ids, leaves in self._chunks(sizes):
-            tokens = _json_tokens(leaves)
-            pieces, pos = [], 0
-            for i in ids:
-                end = pos + sizes[i]
-                pieces.append(templates[i] % pickers[i](tokens[pos:end]))
-                pos = end
-            out.write(lead + sep.join(pieces))
-            lead = sep
-        out.write("\n" + "  " * (depth - 1) + "]")
+        opened = False
+        for shape, count, columns in self.blocks():
+            if shape not in compiled:
+                order: list = []
+                compiled[shape] = _json_template(shape, depth, 0, order)[0], order
+            template, order = compiled[shape]
+            tokens = _encoded(columns, _json_tokens)
+            rows = zip(*map(tokens.__getitem__, order)) if order \
+                else itertools.repeat((), count)
+            out.write((sep if opened else "[\n" + "  " * depth)
+                      + sep.join(map(template.__mod__, rows)))
+            opened = True
+        out.write("\n" + "  " * (depth - 1) + "]" if opened else "[]")
 
     def write_csv(self, out, header: Optional[List[str]] = None) -> None:
         """Write one CSV row per record.
 
         The columns are header or, by default, every record's dot paths in
         first-seen order; a record lacking a column leaves its cell empty.
+        Without a header every block is held until the last record is read.
         """
-        layouts, sizes = [], []
-        for shape in self.shapes:
-            columns: dict = {}
-            sizes.append(_csv_columns(shape, "", 0, columns))
-            layouts.append(columns)
+        blocks = self.blocks()
+        layouts: dict = {}
         if header is None:
-            header = list(dict.fromkeys(name for cols in layouts for name in cols))
-        where = {name: i for i, name in enumerate(header)}
-        # a record whose leaves are the header's columns, in order, maps
-        # straight onto a row; others are placed cell by cell
-        slots = [None if list(cols) == header and list(cols.values()) == list(range(len(header)))
-                 else [(where[name], pick) for name, pick in cols.items() if name in where]
-                 for cols in layouts]
+            blocks = list(blocks)
+            for shape, _, _ in blocks:
+                if shape not in layouts:
+                    layouts[shape] = _csv_layout(shape)
+            header = list(dict.fromkeys(name for cols in layouts.values() for name in cols))
         writer = csv.writer(out, lineterminator="\n")
         if header:
             writer.writerow(header)
-        for ids, leaves in self._chunks(sizes):
-            # _cell, with its rule for the common float inlined
-            cells = [repr(leaf) if type(leaf) is float else _cell(leaf)
-                     for leaf in leaves]
-            rows, pos = [], 0
-            for i in ids:
-                end = pos + sizes[i]
-                if slots[i] is None:
-                    rows.append(cells[pos:end])
+        for shape, count, columns in blocks:
+            if shape not in layouts:
+                layouts[shape] = _csv_layout(shape)
+            layout = layouts[shape]
+            cells = _encoded(columns, _cells)
+            blank = [""] * count
+            row_cells = []
+            for name in header:
+                pick = layout.get(name)
+                if pick is None:
+                    row_cells.append(blank)
+                elif type(pick) is int:
+                    row_cells.append(cells[pick])
                 else:
-                    row = [""] * len(header)
-                    for col, pick in slots[i]:
-                        row[col] = _cell(leaves[pos + pick] if type(pick) is int
-                                         else complex(leaves[pos + pick[0]],
-                                                      leaves[pos + pick[1]]))
-                    rows.append(row)
-                pos = end
-            writer.writerows(rows)
+                    row_cells.append([_cell(complex(re, im)) for re, im
+                                      in zip(columns[pick[0]], columns[pick[1]])])
+            # a row of two or more cells of these types needs no quoting;
+            # csv quotes the lone empty cell of a one-column row
+            if len(header) > 1 and all(set(map(type, column)) <= _PLAIN_CELLS
+                                       for column in columns):
+                out.write("\n".join(map(",".join, zip(*row_cells))) + "\n")
+            else:
+                writer.writerows(zip(*row_cells) if header else itertools.repeat((), count))
 
 
 def _write_json(payload: dict, out) -> None:
@@ -861,8 +981,79 @@ def _finalize(ns: argparse.Namespace, command: str,
 # Sweep
 # ---------------------------------------------------------------------------
 
+def _error_fields(exc: Exception) -> dict:
+    """The code and message of a library error."""
+    return {"code": exc.code if isinstance(exc, SaextError) else "invalid-value",
+            "message": str(exc)}
+
+
+class _SweepPoints(_Records):
+    """The points of a sweep, computed _CHUNK at a time as they are written.
+
+    A point is the record {"params": {name: value, ...}, "result": result}
+    or, as a CSV row, {"param.<name>": value, ..., **result}.  A point whose
+    runner raises a library error holds {"error": {code, message}} in place
+    of its result; failed counts such points.
+    """
+
+    def __init__(self, runner, tns: argparse.Namespace, names: list, dests: list,
+                 grids: list, as_rows: bool):
+        self.failed = 0
+        self._runner, self._tns, self._dests, self._grids = runner, tns, dests, grids
+        self._as_rows = as_rows
+        # the keys of the swept values, which come before the result's
+        self._keys = ["param." + name for name in names] if as_rows else names
+
+    def _axis_values(self):
+        """For each chunk of the grid, in itertools.product order, each axis's values."""
+        shape = tuple(len(grid) for grid, _ in self._grids)
+        total = math.prod(shape)
+        for start in range(0, total, _CHUNK):
+            index = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
+            yield [[cast(v) for v in grid[i].tolist()]
+                   for (grid, cast), i in zip(self._grids, index)]
+
+    def _records(self, values: list, results: list, failed: set):
+        """The records of a chunk's points; failed holds the indices of errors."""
+        for i, (combo, result) in enumerate(zip(zip(*values), results)):
+            head = dict(zip(self._keys, combo))
+            if self._as_rows:
+                head.update({"error": result} if i in failed else result)
+                yield head
+            else:
+                yield {"params": head, "error" if i in failed else "result": result}
+
+    def blocks(self):
+        """Blocks as _blocks makes them; the swept values are columns already.
+
+        A chunk whose results share the first one's shape is pulled apart
+        without making its records.  The rest are made and walked.
+        """
+        tns, runner, dests = self._tns, self._runner, self._dests
+        where = vars(tns)
+        params = tuple(x for key in self._keys for x in (key, _LEAF))
+        for values in self._axis_values():
+            results, failed = [], set()
+            for combo in zip(*values):
+                where.update(zip(dests, combo))
+                try:
+                    results.append(runner(tns))
+                except (SaextError, ValueError) as exc:
+                    failed.add(len(results))
+                    results.append(_error_fields(exc))
+            self.failed += len(failed)
+            shape, columns = _walk(results[0], []), list(values)
+            if not failed and _pull(shape, results, columns):
+                frame = ("{", *params, *shape[1:]) if self._as_rows \
+                    else ("{", "params", ("{", *params), "result", shape)
+                yield frame, len(results), columns
+            else:
+                yield from _blocks(self._records(values, results, failed))
+
+
 def _run_sweep(target: str, tns: argparse.Namespace,
                tparser: argparse.ArgumentParser) -> dict:
+    """The sweep's result; its points are computed as they are written."""
     specs = tns.sweep
     if not specs:
         tparser.error("sweep needs at least one --sweep param=start:stop:count")
@@ -885,13 +1076,11 @@ def _run_sweep(target: str, tns: argparse.Namespace,
         if kwargs.get("required") and dest not in swept \
                 and getattr(tns, dest) is None:
             tparser.error(f"{flags[0]} must be given or swept for {target}")
-    total = 1
-    for _, _, _, count in specs:
-        total *= count
+    total = math.prod(count for _, _, _, count in specs)
     if total > _SWEEP_LIMIT:
         raise SweepSizeError(
             f"sweep would evaluate {total} points (limit {_SWEEP_LIMIT})")
-    axes = []
+    grids = []
     for dest, (name, start, stop, count) in zip(dests, specs):
         flags, kwargs = args_of[dest]
         cast = kwargs["type"]
@@ -900,25 +1089,11 @@ def _run_sweep(target: str, tns: argparse.Namespace,
             tparser.error(f"sweep {name}={start:g}:{stop:g}:{count} has "
                           f"non-integer points, but {flags[0]} takes an "
                           f"integer")
-        axes.append([cast(v) for v in grid.tolist()])
-    names = [name for name, _, _, _ in specs]
-    columns = ["param." + name for name in names]
-    as_rows = tns.fmt == "csv"
-    runner = _COMMANDS[target]["run"]
-    # every point is computed before anything is written, so an error still
-    # gives one clean error envelope; only the points' leaves are kept
-    points = _Records()
-    for combo in itertools.product(*axes):
-        for dest, value in zip(dests, combo):
-            setattr(tns, dest, value)
-        result = runner(tns)
-        if as_rows:
-            row = dict(zip(columns, combo))
-            row.update(result)
-            points.add(row)
-        else:
-            points.add({"params": dict(zip(names, combo)), "result": result})
-    return {"target": target, "count": len(points.ids), "points": points}
+        grids.append((grid, cast))
+    points = _SweepPoints(_COMMANDS[target]["run"], tns,
+                          [name for name, _, _, _ in specs], dests, grids,
+                          tns.fmt == "csv")
+    return {"target": target, "count": total, "points": points}
 
 
 # ---------------------------------------------------------------------------
@@ -953,9 +1128,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             out_ns = ns
             params = _command_params(command, ns)
     except (SaextError, ValueError) as exc:
-        code = exc.code if isinstance(exc, SaextError) else "invalid-value"
-        error = {"error": {"code": code, "message": str(exc),
-                           "context": {"command": command}}}
+        error = {"error": {**_error_fields(exc), "context": {"command": command}}}
         return _emit(out_path, lambda out: _write_json(error, out), 1)
 
     if out_ns.fmt == "csv":
@@ -965,20 +1138,25 @@ def main(argv: Optional[List[str]] = None) -> int:
             spec = _COMMANDS[command]
             rows = _Records(spec["rows"](result) if "rows" in spec else [result])
             header = spec.get("csv_header")
-        return _emit(out_ns.out, lambda out: rows.write_csv(out, header), 0)
-    payload = {
-        "manifest": {
-            "argv": list(argv),
-            "command": command,
-            "params": params,
-            "units": {"hbar": out_ns.units.hbar, "two_m": out_ns.units.two_m},
-            "tolerances": {"tol": out_ns.tol},
-            "version": __version__,
-            "wall_time_s": time.perf_counter() - t0,
-        },
-        "result": result,
-    }
-    return _emit(out_ns.out, lambda out: _write_json(payload, out), 0)
+        code = _emit(out_ns.out, lambda out: rows.write_csv(out, header), 0)
+    else:
+        # a sweep's points are computed while they are written, so its wall
+        # time covers parsing and set-up only
+        payload = {
+            "manifest": {
+                "argv": list(argv),
+                "command": command,
+                "params": params,
+                "units": {"hbar": out_ns.units.hbar, "two_m": out_ns.units.two_m},
+                "tolerances": {"tol": out_ns.tol},
+                "version": __version__,
+                "wall_time_s": time.perf_counter() - t0,
+            },
+            "result": result,
+        }
+        code = _emit(out_ns.out, lambda out: _write_json(payload, out), 0)
+    # a sweep point that failed is recorded in the output and fails the run
+    return 1 if command == "sweep" and result["points"].failed else code
 
 
 if __name__ == "__main__":  # pragma: no cover

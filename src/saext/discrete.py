@@ -29,6 +29,17 @@ __all__ = [
     "trace_commutator_check",
 ]
 
+#: Largest set of arrays, in bytes, that one demonstration may allocate
+#: (1 GiB).  A size that needs more is refused before anything is allocated.
+_MEMORY_BUDGET = 1 << 30
+
+
+def _check_budget(nbytes: int, what: str) -> None:
+    if nbytes > _MEMORY_BUDGET:
+        raise PreconditionError(
+            "%s needs about %.3g GiB of arrays, over the %d GiB memory budget"
+            % (what, nbytes / 2**30, _MEMORY_BUDGET >> 30))
+
 
 class Quantity(NamedTuple):
     """A reported number together with the tolerance it was established at."""
@@ -66,11 +77,16 @@ def trace_commutator_check(
     Draws ``trials`` random Hermitian pairs and reports the largest
     commutator trace relative to the Frobenius norms, next to the
     i*hbar*dim value the canonical relation would demand.
+
+    A trial holds about six complex n x n arrays, 96*n**2 bytes; an n for
+    which that exceeds _MEMORY_BUDGET (1 GiB, so n > 3344) raises
+    PreconditionError before anything is allocated.
     """
     if n < 2:
         raise PreconditionError("need a matrix dimension of at least 2, got %d" % n)
     if trials < 1:
         raise PreconditionError("need at least one trial, got %d" % trials)
+    _check_budget(96 * n * n, "a trial at n=%d" % n)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -115,9 +131,16 @@ def cosine_basis_momentum_matrix(l: float, m_basis: int) -> CosineBasisResult:
     for m+n even and equals -4i/l on the whole m+n-odd sublattice: the
     matrix fails to be Hermitian because the basis functions do not
     vanish at the endpoints.
+
+    The quadrature tables take about 56 bytes per entry of an M x (2M+64)
+    grid and the two M x M results 32 bytes per entry; an M for which
+    that exceeds _MEMORY_BUDGET (1 GiB, so M > 2718) raises
+    PreconditionError before anything is allocated.
     """
     if m_basis < 2:
         raise PreconditionError("need at least a 2x2 block, got M=%d" % m_basis)
+    _check_budget(56 * m_basis * (2 * m_basis + 64) + 32 * m_basis * m_basis,
+                  "the M=%d momentum matrix" % m_basis)
     if not l > 0.0:
         raise PreconditionError("interval length must be positive, got %r" % (l,))
     # the integrands oscillate with frequency up to 2*M*pi/l, so the

@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -10,11 +12,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saext import cli
@@ -250,6 +253,10 @@ def test_sweep_integer_axis(argv, axis, values):
     # a second axis on the same flag would silently replace the first
     ["scatter", "--alpha", "-1", "--sweep", "k=1:2:2", "--sweep", "k=3:4:2"],
     ["spectrum", "--op", "well", "--sweep", "n-max=2:3:2", "--sweep", "n_max=4:5:2"],
+    # a non-finite endpoint would put nan or inf at every point
+    ["scatter", "--alpha", "-1", "--sweep", "k=nan:1:3"],
+    ["scatter", "--alpha", "-1", "--sweep", "k=0.1:inf:3"],
+    ["scatter", "--k", "1", "--sweep", "alpha=-inf:-1:3"],
 ])
 def test_sweep_axis_type_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -271,6 +278,33 @@ def test_sweep_csv_header_is_the_union_of_every_row():
     assert first["reason"] == "alpha >= 0" and first["bound_state.energy"] == ""
     assert float(last["bound_state.energy"]) == pytest.approx(-1.0)
     assert int(last["bound_state.grid_n"]) > 0
+
+
+@pytest.mark.parametrize("argv, failed, code", [
+    (["scatter", "--alpha", "0", "--sweep", "k=0:1:2"], [0], "indeterminate"),
+    # every point of a chunk fails alike: its errors are not results
+    (["scatter", "--alpha", "0", "--sweep", "k=0:0:2"], [0, 1], "indeterminate"),
+    # a size over the memory budget fails its own point only
+    (["paradox", "--id", "4", "--sweep", "n=8:100000:2"], [1], "precondition"),
+    (["paradox", "--id", "2", "--trials", "1", "--sweep", "n=8:200000:2"], [1],
+     "precondition"),
+])
+def test_a_failed_point_is_recorded_and_the_sweep_exits_one(argv, failed, code):
+    status, text = run_cli(["sweep", *argv])
+    assert status == 1
+    payload = json.loads(text)
+    jsonschema.validate(payload, cli.load_schema("sweep"))
+    assert reference_json(payload) == text
+    points = payload["result"]["points"]
+    assert payload["result"]["count"] == len(points) == 2
+    assert [i for i, p in enumerate(points) if "error" in p] == failed
+    for i in failed:
+        assert points[i]["error"]["code"] == code
+    status, text = run_cli(["sweep", *argv, "--csv"])
+    assert status == 1
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [row["error.code"] for row in rows] == \
+        [code if i in failed else "" for i in range(2)]
 
 
 def test_anomaly_tolerance_is_relative_and_honours_tol():
@@ -431,6 +465,8 @@ def test_writer_csv_keeps_an_explicit_header():
     ["scatter", "--alpha", "-1", "--sweep", "k=0.1:10:0"],
     ["scatter", "--alpha", "inf", "--sweep", "k=0.5:2:4"],
     ["scatter", "--sweep", "k=1:2:2", "--sweep", "alpha=-1:-2:2"],
+    # the middle point is gamma=pi, the Dirichlet limit: a float column with inf
+    ["extend", "--operator", "hamiltonian", "--sweep", "gamma=0:6.283185307179586:3"],
 ])
 def test_sweep_output_is_the_reference_encoding(argv):
     code, text = run_cli(["sweep", *argv])
@@ -457,6 +493,48 @@ def test_sweep_output_is_the_reference_encoding(argv):
     code, text = run_cli(["sweep", *argv, "--csv"])
     assert code == 0
     assert text == reference_csv(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(_KEYS, _CSV_TREES, max_size=3), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=12),
+       st.integers(1, 4))
+# two columns that start with the same object and then part
+@example([{"a": None, "b": None}, {"a": True, "b": False}], [(0, False), (1, False)], 2)
+def test_writer_chunks_give_the_reference_bytes(distinct, picks, chunk):
+    # records repeated, whole or as deep copies, share their shapes and leaf
+    # objects; small chunks put runs of them across chunk boundaries
+    records = [copy.deepcopy(distinct[i % len(distinct)]) if deep
+               else distinct[i % len(distinct)] for i, deep in picks]
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        assert written_json({"points": cli._Records(records)}) \
+            == reference_json({"points": records})
+        assert written_csv(records) == reference_csv(records)
+
+
+@pytest.mark.parametrize("axis, change", [
+    # the first bound state is point 4501, inside the second chunk of 4096
+    ("alpha=1:-1:9001", 4501),
+    # alpha = -4096 + i: the points without a bound state start the second chunk
+    ("alpha=-4096:4096:8193", 4096),
+])
+def test_sweep_across_chunks_of_two_shapes_is_the_reference_encoding(axis, change):
+    argv = ["sweep", "boundstate", "--grid-n", "8", "--sweep", axis]
+    _, start, stop, count = cli._parse_sweep(axis)
+    alphas = np.linspace(start, stop, count).tolist()
+    results = [cli._run_boundstate(argparse.Namespace(alpha=a, x_max=None, grid_n=8))
+               for a in alphas]
+    bound = [r["bound_state"] is not None for r in results]
+    assert [i for i in range(1, count) if bound[i] != bound[i - 1]] == [change]
+    code, text = run_cli(argv)
+    assert code == 0
+    payload = json.loads(text)
+    payload["result"]["points"] = [{"params": {"alpha": a}, "result": r}
+                                   for a, r in zip(alphas, results)]
+    assert reference_json(payload) == text
+    code, text = run_cli(argv + ["--csv"])
+    assert code == 0
+    assert text == reference_csv([{"param.alpha": a, **r} for a, r in zip(alphas, results)])
 
 
 _WALL_TIME = re.compile(r'"wall_time_s": [^\n]*')
@@ -498,6 +576,23 @@ def test_sweep_memory_stays_below_200mb_at_1e5_points(fmt):
     code, maxrss_kib = map(int, launched.stdout.split())
     assert code == 0
     assert maxrss_kib / 1024 < 200
+
+
+def test_json_sweep_memory_is_flat_in_the_number_of_points():
+    # JSON points are written and dropped a chunk at a time; what still grows
+    # is the axis grid, 8 bytes a point (1.6 MB from 1e5 to 3e5 points)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    peaks = []
+    for count in (100_000, 300_000):
+        argv = [sys.executable, "-m", "saext.cli", "sweep", "scatter", "--alpha", "-1.3",
+                "--sweep", f"k=0.1:5:{count}"]
+        launched = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env,
+                                  capture_output=True, text=True, check=True)
+        code, maxrss_kib = map(int, launched.stdout.split())
+        assert code == 0
+        peaks.append(maxrss_kib / 1024)
+    assert peaks[1] - peaks[0] < 5
 
 
 # -- plumbing ---------------------------------------------------------------

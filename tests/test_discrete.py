@@ -154,6 +154,19 @@ def test_cosine_matrix_guards():
         cosine_basis_momentum_matrix(-1.0, 4)
 
 
+@pytest.mark.parametrize("call", [
+    # the smallest sizes over the 1 GiB budget, and the sizes that asked
+    # numpy for 298 GiB; only refused sizes run, so nothing large is allocated
+    lambda: trace_commutator_check(3345, 1),
+    lambda: trace_commutator_check(200_000, 1),
+    lambda: cosine_basis_momentum_matrix(1.0, 2719),
+    lambda: hermiticity_defect_demo(1.0, 100_000),
+])
+def test_sizes_over_the_memory_budget_are_refused_before_allocating(call):
+    with pytest.raises(PreconditionError, match="1 GiB memory budget"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # momentum-eigenvector commutator expectation
 # ---------------------------------------------------------------------------
