@@ -39,7 +39,7 @@ def main():
     print("=== momentum on [0, 1]: unitary parameter -> quasi-periodic phase ===")
     for gamma in (0.0, np.pi / 3, np.pi, 3 * np.pi / 2):
         bc = momentum_bc_from_unitary(gamma)
-        print(f"gamma = {gamma:8.5f}  ->  psi(1) = exp(-i theta) psi(0),  theta = {bc.value:.6f}")
+        print(f"gamma = {gamma:8.5f}  ->  psi(1) = exp(i theta) psi(0),  theta = {bc.value:.6f}")
 
     theta = np.pi / 3
     result = momentum_spectrum(theta, Interval.finite(0.0, 1.0), range(-2, 3))

@@ -7,7 +7,6 @@ finite differences -- lands exactly on the bound-state energy -alpha^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -65,13 +64,11 @@ class AnomalyReport:
         }
 
 
-def _dilatation_pieces(psi: GridFunction, t: float):
-    """(t * H psi, G psi) with G = (x p + p x)/4 = -(i/4)(2x d/dx + 1)."""
+def _dilatation_pieces(psi: GridFunction, with_h: bool = True):
+    """(H psi or None, G psi) by 4th-order FD; G = (x p + p x)/4 = -(i/4)(2x d/dx + 1)."""
     d1 = derivative_values(psi.xs, psi.values, 1, acc=4)
     g_psi = -0.25j * (2.0 * psi.xs * d1 + psi.values)
-    h_psi = None
-    if t != 0.0:
-        h_psi = -derivative_values(psi.xs, psi.values, 2, acc=4)
+    h_psi = -derivative_values(psi.xs, psi.values, 2, acc=4) if with_h else None
     return h_psi, g_psi
 
 
@@ -86,7 +83,7 @@ def apply_dilatation(psi: GridFunction, t: float) -> GridFunction:
         raise DegenerateGridError(
             "dilatation needs at least %d grid points, got %d" % (needed, len(psi))
         )
-    h_psi, g_psi = _dilatation_pieces(psi, t)
+    h_psi, g_psi = _dilatation_pieces(psi, with_h=t != 0.0)
     values = -g_psi if h_psi is None else t * h_psi - g_psi
     return GridFunction(psi.xs, values, weight=psi.weight)
 
@@ -112,12 +109,9 @@ def anomaly_quadrature(
             "no bound state for alpha=%r; the anomaly needs alpha < 0" % (alpha,)
         )
     psi = state.psi
-    d1 = derivative_values(psi.xs, psi.values, 1, acc=4)
-    h_psi = GridFunction(psi.xs, -derivative_values(psi.xs, psi.values, 2, acc=4))
-    g_psi = GridFunction(psi.xs, -0.25j * (2.0 * psi.xs * d1 + psi.values))
-    hg_psi = GridFunction(
-        psi.xs, -derivative_values(psi.xs, g_psi.values, 2, acc=4)
-    )
+    h_values, g_values = _dilatation_pieces(psi)
+    h_psi, g_psi = GridFunction(psi.xs, h_values), GridFunction(psi.xs, g_values)
+    hg_psi = GridFunction(psi.xs, -derivative_values(psi.xs, g_values, 2, acc=4))
     c_h = inner_product(h_psi, h_psi)
     term_1 = t * c_h - inner_product(h_psi, g_psi)
     term_2 = t * c_h - inner_product(psi, hg_psi)
@@ -158,8 +152,10 @@ def heisenberg_correction(psi: GridFunction, alpha: float, t: float = 0.0) -> co
         raise DomainViolationError(
             "psi'(0) = alpha psi(0) violated at scaled level %.3e" % violation
         )
-    d_psi = apply_dilatation(psi, t)
-    h_psi = GridFunction(psi.xs, -derivative_values(psi.xs, psi.values, 2, acc=4))
+    h_values, g_values = _dilatation_pieces(psi)
+    d_psi = GridFunction(psi.xs, -g_values if t == 0.0 else t * h_values - g_values,
+                         weight=psi.weight)
+    h_psi = GridFunction(psi.xs, h_values)
     h_d_psi = GridFunction(psi.xs, -derivative_values(psi.xs, d_psi.values, 2, acc=4))
     return 1j * (inner_product(h_psi, d_psi) - inner_product(psi, h_d_psi))
 

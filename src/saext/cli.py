@@ -40,10 +40,11 @@ from .discrete import (
     hermiticity_defect_demo,
     trace_commutator_check,
 )
-from .errors import SaextError, SweepSizeError
-from .extension import halfline_bc_from_unitary, momentum_bc_from_unitary
+from .errors import PreconditionError, SaextError, SweepSizeError
+from .extension import ExtensionParameter, halfline_bc_from_unitary, momentum_bc_from_unitary
 from .geometry import commutator_preservation_check, radial_symmetry_defect
 from .spectral import (
+    _ALPHA_NORMAL_MIN,
     bound_state,
     halfline_robin_spectrum,
     momentum_spectrum,
@@ -570,12 +571,10 @@ def _run_deficiency(args) -> dict:
 
 
 def _run_extend(args) -> dict:
-    if args.operator == "momentum":
-        bc = momentum_bc_from_unitary(args.gamma)
-    else:
-        bc = halfline_bc_from_unitary(args.gamma)
+    bc = (momentum_bc_from_unitary if args.operator == "momentum"
+          else halfline_bc_from_unitary)(args.gamma)
     return {
-        "gamma": float(args.gamma) % math.tau,
+        "gamma": ExtensionParameter(args.gamma).gamma,
         "bc_variant": bc.variant,
         "value": bc.value,
         "dirichlet_limit": bool(bc.is_dirichlet_limit),
@@ -614,6 +613,9 @@ def _rows_spectrum(result: dict) -> List[dict]:
 
 
 def _run_boundstate(args) -> dict:
+    if -_ALPHA_NORMAL_MIN < args.alpha < 0.0:
+        raise PreconditionError("the energy -alpha^2 is not a normal float "
+                                "for |alpha| < 2^-511, got alpha=%r" % (args.alpha,))
     state = bound_state(args.alpha, x_max=args.x_max, grid_n=args.grid_n)
     if state is None:
         return {"alpha": args.alpha, "E": None, "bound_state": None,
@@ -857,8 +859,6 @@ _COMMANDS: Dict[str, dict] = {
     },
 }
 
-_COMMON_DESTS = {"fmt", "units", "tol", "grid_n", "seed", "out", "sweep", "help"}
-
 
 def _dest_of(flags: tuple, kwargs: dict) -> str:
     if "dest" in kwargs:
@@ -964,6 +964,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _finalize(ns: argparse.Namespace, command: str,
               parser: argparse.ArgumentParser) -> None:
+    # a float flag may not be nan, nor +-inf but on --alpha (+inf is Dirichlet)
+    for flags, kwargs in [(("--tol",), {"type": float}), *_COMMANDS[command]["args"]]:
+        value = getattr(ns, _dest_of(flags, kwargs))
+        if kwargs.get("type") is float and value is not None and not (
+                math.isfinite(value) or math.isinf(value) and flags[0] == "--alpha"):
+            parser.error(f"argument {flags[0]}: {value!r} is not a finite number")
     if ns.units is None:
         ns.units = UnitSystem()
     if ns.tol is None:

@@ -30,7 +30,6 @@ import numpy as np
 from .core import (
     FINITE,
     FREE_HAMILTONIAN,
-    FULL_LINE,
     HALF_LINE,
     MOMENTUM,
     TIME_OPERATOR,
@@ -66,12 +65,13 @@ DEFAULT_GRID_N = 10_001
 
 @dataclass(frozen=True)
 class DeficiencySolution:
-    """One deficiency basis function: samples plus its closed-form extender."""
+    """One deficiency basis function: samples and its closed form c e^{rate (x-a)}."""
 
     tag: str
     fn: GridFunction
     closed_form: Callable[[np.ndarray], np.ndarray]
     interval: Interval
+    rate: complex
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,10 @@ def _exp_tag(rate: float, var: str = "x") -> str:
     return f"exp({rate:g}*{var})"
 
 
-def _normalized_exponential(rate: float, a: float, b: float,
-                            n: int) -> tuple[GridFunction, Callable, float]:
+def _normalized_exponential(rate: float, iv: Interval, n: int,
+                            var: str = "x") -> DeficiencySolution:
     """C e^{rate (x-a)} on [a,b] with unit L2 norm (exact constant)."""
+    a, b = iv.a, iv.b
     if math.isinf(b):
         # int_a^inf e^{2 rate (x-a)} dx = -1/(2 rate), rate < 0
         c = math.sqrt(-2.0 * rate)
@@ -124,7 +125,8 @@ def _normalized_exponential(rate: float, a: float, b: float,
     def closed_form(x: np.ndarray) -> np.ndarray:
         return c * np.exp(rate * (np.asarray(x, dtype=float) - a)) + 0.0j
 
-    return GridFunction(xs, closed_form(xs)), closed_form, c
+    return DeficiencySolution(_exp_tag(rate, var), GridFunction(xs, closed_form(xs)),
+                              closed_form, iv, rate)
 
 
 def _hamiltonian_solution(sign: int, lam: float, n: int) -> DeficiencySolution:
@@ -142,7 +144,7 @@ def _hamiltonian_solution(sign: int, lam: float, n: int) -> DeficiencySolution:
     scale = "" if lam == 1.0 else f"{root:g}*"
     tag = f"2^(1/4){'' if lam == 1.0 else f'*{lam:g}^(1/4)'}*exp({scale}({sig}-1)x/sqrt2)"
     return DeficiencySolution(tag, GridFunction(xs, closed_form(xs)),
-                              closed_form, Interval.half_line(0.0))
+                              closed_form, Interval.half_line(0.0), mu)
 
 
 def solve_deficiency(op: OperatorSpec, lam: float = 1.0,
@@ -161,13 +163,10 @@ def solve_deficiency(op: OperatorSpec, lam: float = 1.0,
     if op.kind == MOMENTUM:
         # -i psi' = +/- i lam psi  =>  psi = e^{-+ lam x}
         if iv.kind == FINITE:
-            for sign, store in ((+1, basis_plus), (-1, basis_minus)):
-                rate = -sign * lam
-                fn, cf, _ = _normalized_exponential(rate, iv.a, iv.b, n)
-                store.append(DeficiencySolution(_exp_tag(rate), fn, cf, iv))
+            basis_plus.append(_normalized_exponential(-lam, iv, n))
+            basis_minus.append(_normalized_exponential(lam, iv, n))
         elif iv.kind == HALF_LINE:
-            fn, cf, _ = _normalized_exponential(-lam, iv.a, math.inf, n)
-            basis_plus.append(DeficiencySolution(_exp_tag(-lam), fn, cf, iv))
+            basis_plus.append(_normalized_exponential(-lam, iv, n))
         # full line: neither e^{-lam x} nor e^{lam x} is L2 -> (0,0)
     elif op.kind == FREE_HAMILTONIAN:
         if iv.kind != HALF_LINE:
@@ -178,8 +177,7 @@ def solve_deficiency(op: OperatorSpec, lam: float = 1.0,
     elif op.kind == TIME_OPERATOR:
         # conjugate variable is the energy E on [E0, inf); computed like
         # half-line momentum, so only the decaying solution survives
-        fn, cf, _ = _normalized_exponential(-lam, iv.a, math.inf, n)
-        basis_plus.append(DeficiencySolution(_exp_tag(-lam, "E"), fn, cf, iv))
+        basis_plus.append(_normalized_exponential(-lam, iv, n, "E"))
     else:  # pragma: no cover - OperatorSpec already validates
         raise UnsupportedOperatorError(op.kind)
 

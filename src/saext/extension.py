@@ -7,8 +7,9 @@ A domain element is
     xi = psi + psi_plus + e^{i gamma} psi_minus
 
 with psi in the raw restrictive domain and psi_+- the normalized deficiency
-pair.  The physical boundary condition is read off the deficiency
-contribution at the boundary:
+pair of ``solve_deficiency``.  The boundary condition is read off the
+deficiency contribution at the ends, with psi_+-' = rate_+- psi_+-; the
+public maps read the lambda = 1 catalog pairs:
 
     momentum on [0,1]:   xi(1)/xi(0) = (1 + beta e)/(e + beta), beta = e^{i gamma},
                          a pure phase e^{i theta}  ->  psi(1) = e^{i theta} psi(0)
@@ -16,16 +17,16 @@ contribution at the boundary:
                          with gamma = pi the Dirichlet limit alpha -> inf.
 
 For the half line the ratio is evaluated through the conjugate-pair
-factorization xi(0) = 2 Re(e^{-i gamma/2} psi_plus(0)) e^{i gamma/2} (using
-psi_minus = conj(psi_plus)), which is the same number as the naive complex
-division but stays accurate near gamma = pi where 1 + e^{i gamma} cancels;
-the naive route and the modulus identity
-|alpha|^2 (1 + cos gamma) = 1 - sin gamma serve as cross-checks.
+factorization xi(a) = 2 Re(e^{-i gamma/2} psi_plus(a)) e^{i gamma/2} (using
+psi_minus = conj(psi_plus)), which is the naive complex division but stays
+accurate near gamma = pi where 1 + e^{i gamma} cancels; the modulus identity
+|alpha|^2 (1 + cos gamma) = lambda (1 - sin gamma) is a cross-check.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,12 +34,13 @@ import numpy as np
 
 from .core import (
     FINITE,
-    HALF_LINE,
     BoundaryCondition,
     GridFunction,
+    Interval,
+    OperatorSpec,
     derivative_values,
 )
-from .deficiency import DeficiencyReport
+from .deficiency import DeficiencyReport, solve_deficiency
 from .errors import PreconditionError, UnsupportedExtensionError
 
 __all__ = [
@@ -47,15 +49,6 @@ __all__ = [
     "halfline_bc_from_unitary",
     "assemble_domain_element",
 ]
-
-#: Deficiency data entering the ratios, evaluated at the boundary.
-#: Momentum on [0,1] (lambda=1): psi_+- = C_+- e^{-+x} with unit L2 norm.
-_C_PLUS = math.sqrt(2.0) * math.e / math.sqrt(math.e**2 - 1.0)
-_C_MINUS = math.sqrt(2.0) / math.sqrt(math.e**2 - 1.0)
-#: Hamiltonian on [0,inf): psi_+ = 2^{1/4} e^{mu x}, mu = (i-1)/sqrt2,
-#: psi_- = conj(psi_+).
-_H_PSI0 = 2.0**0.25
-_H_MU = (1j - 1.0) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -69,23 +62,57 @@ class ExtensionParameter:
 
 
 def _gamma_of(gamma: float | ExtensionParameter) -> float:
-    if isinstance(gamma, ExtensionParameter):
-        return gamma.gamma
-    return float(gamma)
+    return gamma.gamma if isinstance(gamma, ExtensionParameter) else float(gamma)
+
+
+def _check_indices(report: DeficiencyReport) -> None:
+    if not (report.n_plus == report.n_minus == 1):
+        raise UnsupportedExtensionError(
+            f"extensions need indices (1,1), got ({report.n_plus},{report.n_minus})")
+
+
+def _bc_from_report(report: DeficiencyReport, gamma: float) -> BoundaryCondition:
+    """The phase (finite interval) or Robin (half line) condition of xi at its ends."""
+    _check_indices(report)
+    plus, minus = report.basis_plus[0], report.basis_minus[0]
+    # each sample grid starts at a and, on a finite interval, ends at b
+    p_a = complex(plus.fn.values[0])
+    if plus.interval.kind == FINITE:
+        beta = cmath.exp(1j * gamma)
+        ratio = ((complex(plus.fn.values[-1]) + beta * complex(minus.fn.values[-1]))
+                 / (p_a + beta * complex(minus.fn.values[0])))
+        if abs(abs(ratio) - 1.0) > 1e-12:
+            raise AssertionError(f"ratio modulus {abs(ratio)!r} is not 1")
+        return BoundaryCondition.phase(cmath.phase(ratio) % (2.0 * math.pi))
+    half = 0.5 * gamma
+    # xi(a) = e^{i g/2} 2 Re(e^{-i g/2} psi_+(a)), xi'(a) likewise; e^{i g/2} cancels
+    denom = (cmath.exp(-1j * half) * p_a).real
+    numer = (cmath.exp(-1j * half) * plus.rate * p_a).real
+    if abs(denom) < 1e-12 * abs(p_a):
+        return BoundaryCondition.robin(math.inf)
+    alpha = numer / denom
+    # modulus identity in half-angle form (1 + cos gamma cancels near pi)
+    lhs = alpha**2 * 2.0 * math.cos(half) ** 2
+    rhs = report.lam * (math.sin(half) - math.cos(half)) ** 2
+    if abs(lhs - rhs) > 1e-12 * max(report.lam, abs(rhs)):
+        raise AssertionError("modulus identity |alpha|^2(1+cos g) = lambda(1-sin g) failed")
+    return BoundaryCondition.robin(alpha)
+
+
+@functools.cache
+def _catalog(kind: str) -> DeficiencyReport:
+    """The lambda = 1 catalog report that a public map reads, built once.
+
+    _bc_from_report reads only the ends of the sample grids, so two samples do.
+    """
+    if kind == "momentum":
+        return solve_deficiency(OperatorSpec.momentum(Interval.finite(0.0, 1.0)), n=2)
+    return solve_deficiency(OperatorSpec.free_hamiltonian(), n=2)
 
 
 def momentum_bc_from_unitary(gamma: float | ExtensionParameter) -> BoundaryCondition:
-    """Phase boundary condition psi(1) = e^{i theta} psi(0) for the momentum family.
-
-    theta is the argument of xi(1)/xi(0) = (1 + beta e)/(e + beta); the ratio
-    is checked to be a pure phase before returning.
-    """
-    g = _gamma_of(gamma)
-    beta = cmath.exp(1j * g)
-    ratio = (_C_PLUS / math.e + beta * _C_MINUS * math.e) / (_C_PLUS + beta * _C_MINUS)
-    if abs(abs(ratio) - 1.0) > 1e-12:
-        raise AssertionError(f"momentum ratio modulus {abs(ratio)!r} is not 1")
-    return BoundaryCondition.phase(cmath.phase(ratio) % (2.0 * math.pi))
+    """Phase boundary condition psi(1) = e^{i theta} psi(0) for the momentum family."""
+    return _bc_from_report(_catalog("momentum"), _gamma_of(gamma))
 
 
 def halfline_bc_from_unitary(gamma: float | ExtensionParameter) -> BoundaryCondition:
@@ -94,24 +121,7 @@ def halfline_bc_from_unitary(gamma: float | ExtensionParameter) -> BoundaryCondi
     gamma = pi (within 1e-12 of cos(gamma/2) = 0) returns robin(inf), the
     Dirichlet limit psi(0) = 0.
     """
-    g = _gamma_of(gamma)
-    half = 0.5 * g
-    # xi(0)  = e^{i g/2} * 2 Re(e^{-i g/2} psi_+(0))
-    # xi'(0) = e^{i g/2} * 2 Re(e^{-i g/2} psi_+'(0)); the common phase cancels
-    denom = (cmath.exp(-1j * half) * _H_PSI0).real
-    numer = (cmath.exp(-1j * half) * _H_MU * _H_PSI0).real
-    if abs(denom) < 1e-12 * _H_PSI0:
-        return BoundaryCondition.robin(math.inf)
-    alpha = complex(numer / denom, 0.0)
-    if abs(alpha.imag) > 1e-12:  # structurally zero for real numer/denom
-        raise AssertionError(f"alpha acquired an imaginary part: {alpha!r}")
-    # modulus identity in half-angle form (stable against 1 + cos gamma
-    # cancellation near gamma = pi)
-    lhs = alpha.real**2 * 2.0 * math.cos(half) ** 2
-    rhs = (math.sin(half) - math.cos(half)) ** 2
-    if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
-        raise AssertionError("modulus identity |alpha|^2(1+cos g) = 1-sin g failed")
-    return BoundaryCondition.robin(alpha.real)
+    return _bc_from_report(_catalog("hamiltonian"), _gamma_of(gamma))
 
 
 def _raw_violation(underlying: GridFunction, interval_kind: str) -> float:
@@ -129,12 +139,12 @@ def assemble_domain_element(underlying: GridFunction,
     """xi = psi + psi_plus + e^{i gamma} psi_minus on the grid of ``underlying``.
 
     ``underlying`` must satisfy the raw restrictive condition (vanishing
-    endpoint data within 1e-8); the result satisfies the boundary condition
-    of the matching *_bc_from_unitary map for the same gamma.
+    endpoint data within 1e-8).  For any interval and lambda of ``report``
+    the result satisfies to 1e-8 the boundary condition that the report
+    gives for gamma; for the lambda = 1 catalog reports that is the
+    condition of the matching *_bc_from_unitary map.
     """
-    if not (report.n_plus == report.n_minus == 1):
-        raise UnsupportedExtensionError(
-            f"extensions need indices (1,1), got ({report.n_plus},{report.n_minus})")
+    _check_indices(report)
     g = _gamma_of(gamma)
     kind = report.basis_plus[0].interval.kind
     if _raw_violation(underlying, kind) > 1e-8:

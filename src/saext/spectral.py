@@ -38,6 +38,9 @@ __all__ = [
     "well_spectrum",
 ]
 
+#: The smallest |alpha| whose bound-state energy -alpha^2 is a normal float.
+_ALPHA_NORMAL_MIN = 2.0**-511
+
 
 class DiscreteLevel(NamedTuple):
     n: int
@@ -133,13 +136,13 @@ def bound_state(
 
     Returns ``None`` when alpha >= 0 (the boundary condition binds
     nothing).  The wave function is sqrt(2|alpha|) exp(alpha*x), unit
-    norm on the truncated grid to well below 1e-8.
+    norm on [0, 35/|alpha|] to well below 1e-8 while -alpha^2 is a normal
+    float, |alpha| >= 2^-511; below that the window stops growing.
     """
     if not alpha < 0.0:
         return None
     if x_max is None:
-        # cap the window so subnormal alphas cannot overflow the grid
-        x_max = 35.0 / max(abs(alpha), 1e-12)
+        x_max = 35.0 / max(abs(alpha), _ALPHA_NORMAL_MIN)
     if grid_n is None:
         grid_n = 3501
     xs = np.linspace(0.0, x_max, grid_n)
@@ -242,7 +245,7 @@ def halfline_robin_spectrum(
     return SpectrumResult(discrete, branch)
 
 
-def discretized_momentum_matrix(theta: float, n: int, as_sparse: bool = False):
+def discretized_momentum_matrix(theta: float, n: int):
     """One-sided difference matrix for -i d/dx on a theta-twisted ring.
 
     Row j holds (-i/h)(psi_{j+1} - psi_j) with h = 1/n; the last row
@@ -251,23 +254,11 @@ def discretized_momentum_matrix(theta: float, n: int, as_sparse: bool = False):
     if n < 64:
         raise TooCoarseError("twisted ring needs n >= 64, got n=%d" % n)
     scale = 1j * n  # i/h
-    wrap = -scale * cmath.exp(1j * theta)
-    if as_sparse:
-        from scipy import sparse
-
-        mat = sparse.diags(
-            [np.full(n, scale), np.full(n - 1, -scale)],
-            offsets=[0, 1],
-            format="lil",
-            dtype=complex,
-        )
-        mat[n - 1, 0] = wrap
-        return mat.tocsc()
     mat = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(mat, scale)
     idx = np.arange(n - 1)
     mat[idx, idx + 1] = -scale
-    mat[n - 1, 0] = wrap
+    mat[n - 1, 0] = -scale * cmath.exp(1j * theta)
     return mat
 
 
@@ -329,19 +320,16 @@ def dirichlet_fd_eigenvalues(a: float, n_grid: int, count: int) -> List[float]:
     """Lowest eigenvalues of the three-point Dirichlet Laplacian on [0, a].
 
     Second-order cross-check for the closed-form well levels: the
-    discrete values (2/h^2)(1 - cos(m*pi*h/a)) converge to (m*pi/a)^2
-    like h^2.
+    discrete values (2/h^2)(1 - cos(m*pi/n_grid)), h = a/n_grid and
+    m = 1..count, converge to (m*pi/a)^2 like h^2.  They are evaluated as
+    (4/h^2) sin^2(m*pi/(2*n_grid)), which does not cancel at small m.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     if not a > 0.0:
         raise PreconditionError("well width must be positive, got %r" % (a,))
     if n_grid < 8:
         raise TooCoarseError("need at least 8 interior cells, got %d" % n_grid)
+    if not 1 <= count <= n_grid - 1:
+        raise PreconditionError("count must lie in 1..%d, got %r" % (n_grid - 1, count))
     h = a / n_grid
-    diag = np.full(n_grid - 1, 2.0 / (h * h))
-    off = np.full(n_grid - 2, -1.0 / (h * h))
-    vals = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
-    )
-    return [float(v) for v in vals]
+    half_angles = np.arange(1, count + 1) * (0.5 * math.pi / n_grid)
+    return [float(v) for v in (4.0 / (h * h)) * np.sin(half_angles) ** 2]

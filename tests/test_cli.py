@@ -697,3 +697,79 @@ def test_closed_reader_pipe_exits_one_without_traceback(fmt):
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in stderr
     assert stderr == ""
+
+
+# -- non-finite flag values -------------------------------------------------
+
+#: Required flags of each subcommand, so that one flag's value can be varied.
+_REQUIRED = {
+    "deficiency": ["--op", "momentum"],
+    "extend": ["--operator", "momentum", "--gamma", "1"],
+    "spectrum": ["--op", "robin"],
+    "boundstate": ["--alpha", "-1"],
+    "scatter": ["--k", "1", "--alpha", "-1"],
+    "anomaly": ["--alpha", "-1"],
+    "paradox": ["--id", "4"],
+    "classical": ["--s", "-2"],
+    "geometry": ["--metric", "polar"],
+}
+
+#: Every float flag of the command table as (subcommand, flag).
+_FLOAT_FLAGS = [(name, flags[0]) for name, spec in cli._COMMANDS.items()
+                for flags, kwargs in spec["args"] if kwargs.get("type") is float]
+
+
+def _non_finite_cases():
+    for name, flag in _FLOAT_FLAGS:
+        # --alpha inf is the Dirichlet limit; only nan means nothing there
+        for value in ["nan"] if flag == "--alpha" else ["nan", "inf", "-inf"]:
+            yield [name, *_REQUIRED[name], f"{flag}={value}"]
+    for value in ("nan", "inf", "-inf"):
+        yield ["boundstate", "--alpha", "-1", f"--tol={value}"]
+    yield ["sweep", "scatter", "--k=nan", "--sweep", "alpha=-2:-1:2"]
+    yield ["sweep", "scatter", "--alpha=nan", "--sweep", "k=1:2:2"]
+    yield ["sweep", "extend", "--operator", "hamiltonian", "--gamma=inf",
+           "--sweep", "gamma=0:1:2"]
+
+
+@pytest.mark.parametrize("argv", list(_non_finite_cases()), ids="_".join)
+def test_non_finite_flag_value_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "number" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--k", "2", "--alpha", "inf"],
+    ["scatter", "--k", "2", "--alpha=-inf"],
+    ["spectrum", "--op", "robin", "--alpha", "inf"],
+    ["boundstate", "--alpha", "inf"],
+])
+def test_alpha_keeps_its_infinite_values(argv):
+    run_json(argv)
+
+
+@pytest.mark.parametrize("name, flag", _FLOAT_FLAGS)
+def test_every_float_flag_stays_sweepable(name, flag):
+    dest = flag.lstrip("-").replace("-", "_")
+    value = {"alpha": -1.0, "s": -2.0, "x_max": 35.0}.get(dest, 1.0)
+    payload = run_json(["sweep", name, *_REQUIRED[name],
+                        "--sweep", f"{dest}={value}:{value}:1"])
+    point = payload["result"]["points"][0]
+    assert point["params"] == {dest: value}
+    assert "result" in point
+
+
+@pytest.mark.parametrize("alpha", ["-1e-320", "-5.55e-170", "-1.49e-154"])
+def test_boundstate_refuses_an_underflowing_energy(alpha):
+    code, text = run_cli(["boundstate", f"--alpha={alpha}"])
+    assert code == 1
+    payload = json.loads(text)
+    jsonschema.validate(payload, cli.load_schema("error"))
+    assert payload["error"]["code"] == "precondition"
+    # the smallest |alpha| whose energy is a normal float is still served
+    state = run_json(["boundstate", f"--alpha={-2.0**-511!r}"])["result"]
+    assert state["bound_state"]["norm"] == pytest.approx(1.0, abs=1e-8)

@@ -178,6 +178,7 @@ def test_residual_flags_corrupted_basis():
         GridFunction(xs, np.exp(-2.0 * xs)),
         lambda x: np.exp(-2.0 * np.asarray(x)),
         Interval.finite(0.0, 1.0),
+        -2.0,
     )
     corrupted = DeficiencyReport(1, 1, 1.0, (fake,), r.basis_minus,
                                  r.classification, r.param_dim)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saext.core import GridFunction, Interval, OperatorSpec, derivative_values
@@ -11,6 +11,7 @@ from saext.deficiency import solve_deficiency
 from saext.errors import PreconditionError, UnsupportedExtensionError
 from saext.extension import (
     ExtensionParameter,
+    _bc_from_report,
     assemble_domain_element,
     halfline_bc_from_unitary,
     momentum_bc_from_unitary,
@@ -18,6 +19,28 @@ from saext.extension import (
 
 MOMENTUM_01 = OperatorSpec.momentum(Interval.finite(0.0, 1.0))
 HAMILTONIAN = OperatorSpec.free_hamiltonian()
+
+# Reference for the public maps: the catalog pairs on [0,1] and [0,inf) at
+# lambda = 1 written out as constants, and the two maps evaluated on them.
+_C_PLUS = math.sqrt(2.0) * math.e / math.sqrt(math.e**2 - 1.0)
+_C_MINUS = math.sqrt(2.0) / math.sqrt(math.e**2 - 1.0)
+_H_PSI0 = 2.0**0.25
+_H_MU = (1j - 1.0) / math.sqrt(2.0)
+
+
+def _constant_theta(g):
+    beta = cmath.exp(1j * g)
+    ratio = (_C_PLUS / math.e + beta * _C_MINUS * math.e) / (_C_PLUS + beta * _C_MINUS)
+    return cmath.phase(ratio) % (2.0 * math.pi)
+
+
+def _constant_alpha(g):
+    half = 0.5 * g
+    denom = (cmath.exp(-1j * half) * _H_PSI0).real
+    numer = (cmath.exp(-1j * half) * _H_MU * _H_PSI0).real
+    if abs(denom) < 1e-12 * _H_PSI0:
+        return math.inf
+    return numer / denom
 
 
 def test_extension_parameter_reduced():
@@ -116,6 +139,81 @@ def test_halfline_alpha_monotone_and_zero_at_neumann():
     assert halfline_bc_from_unitary(math.pi / 2 - 1e-3).value < 0
     assert halfline_bc_from_unitary(math.pi / 2 + 1e-3).value > 0
     assert abs(halfline_bc_from_unitary(math.pi / 2).value) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# maps read off the deficiency catalog
+# ---------------------------------------------------------------------------
+
+@given(st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
+@settings(max_examples=200, deadline=None)
+@example(math.pi)
+@example(0.5 * math.pi)
+@example(1.5 * math.pi)
+@example(0.0)
+def test_maps_match_the_constant_formulas(gamma):
+    gap = abs(momentum_bc_from_unitary(gamma).value - _constant_theta(gamma))
+    assert min(gap, 2.0 * math.pi - gap) <= 1e-15
+    assert halfline_bc_from_unitary(gamma).value == _constant_alpha(gamma)
+
+
+def test_momentum_off_the_default_interval():
+    """On [0,2], gamma = 2 the element's phase, not the frozen [0,1] one."""
+    report = solve_deficiency(OperatorSpec.momentum(Interval.finite(0.0, 2.0)))
+    assert _bc_from_report(report, 2.0).value == pytest.approx(1.7407, abs=1e-4)
+    assert momentum_bc_from_unitary(2.0).value == pytest.approx(1.2477, abs=1e-4)
+
+
+def test_halfline_alpha_scales_with_root_lambda():
+    report = solve_deficiency(HAMILTONIAN, lam=4.0)
+    for g in (0.0, 1.0, 2.5, 4.0):
+        expected = 2.0 * (math.tan(g / 2.0) - 1.0) / math.sqrt(2.0)
+        assert _bc_from_report(report, g).value == pytest.approx(expected, rel=1e-12)
+    assert _bc_from_report(report, math.pi).is_dirichlet_limit
+
+
+def test_bc_routine_rejects_wrong_indices():
+    report = solve_deficiency(OperatorSpec.momentum(Interval.half_line(0.0)))
+    with pytest.raises(UnsupportedExtensionError):
+        _bc_from_report(report, 1.0)
+
+
+@given(st.floats(min_value=-5.0, max_value=5.0),
+       st.floats(min_value=0.1, max_value=5.0),
+       st.floats(min_value=0.1, max_value=5.0),
+       st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
+@settings(max_examples=60, deadline=None)
+def test_momentum_round_trip_on_random_intervals(a, length, lam, gamma):
+    """map -> assemble -> measure: xi(b) = e^{i theta} xi(a) to 1e-8."""
+    b = a + length
+    report = solve_deficiency(OperatorSpec.momentum(Interval.finite(a, b)), lam=lam, n=501)
+    xs = np.linspace(a, b, 801)
+    u = (xs - a) / length
+    psi = GridFunction(xs, np.sin(2.0 * np.pi * u) * (u * (1.0 - u)) ** 2)
+    xi = assemble_domain_element(psi, gamma, report).values
+    theta = _bc_from_report(report, gamma).value
+    assert abs(xi[-1] - cmath.exp(1j * theta) * xi[0]) <= 1e-8 * abs(xi[0])
+
+
+@given(st.floats(min_value=0.1, max_value=5.0),
+       st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
+@settings(max_examples=30, deadline=None)
+@example(1.0, math.pi)
+@example(4.0, 1.0)
+def test_halfline_round_trip_over_lambda(lam, gamma):
+    """map -> assemble -> measure: xi'(0) = alpha xi(0) to 1e-8."""
+    report = solve_deficiency(HAMILTONIAN, lam=lam, n=501)
+    root = math.sqrt(lam)
+    xs = np.linspace(0.0, 40.0 / root, 16001)
+    psi = GridFunction(xs, (root * xs) ** 2 * np.exp(-root * xs))
+    xi = assemble_domain_element(psi, gamma, report)
+    bc = _bc_from_report(report, gamma)
+    scale = abs(report.basis_plus[0].closed_form(0.0))
+    if bc.is_dirichlet_limit:
+        assert abs(xi.values[0]) <= 1e-8 * scale
+        return
+    d0 = derivative_values(xi.xs, xi.values, order=1, acc=4)[0]
+    assert abs(d0 - bc.value * xi.values[0]) <= 1e-8 * (root + abs(bc.value)) * scale
 
 
 # ---------------------------------------------------------------------------

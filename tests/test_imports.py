@@ -17,7 +17,7 @@ from test_cli import GOLDEN
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, functools, io, json, sys
 import saext, saext.cli
 code = None
 argv, call = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -25,7 +25,7 @@ if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = saext.cli.main(argv)
 if call is not None:
-    getattr(saext, call[0])(*call[1])
+    functools.reduce(getattr, call[0].split("."), saext)(*call[1])
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"code": code, "scipy": scipy}))
 """
@@ -42,10 +42,12 @@ _SCIPY_FREE_ARGV = {
     "paradox-1": ["paradox", "--id", "1"],
 }
 
-#: Library calls on the twisted ring, which is solved in closed form.
+#: Library calls solved in closed form: the twisted ring and the three-point
+#: Dirichlet Laplacian.  A dotted name is looked up from ``saext``.
 _SCIPY_FREE_CALLS = {
     "eigs-1025": ("discretized_momentum_eigs", [0.7, 1025, 16]),
     "eigvec-2048": ("eigenvector_commutator_demo", [0.7, 2048, 1]),
+    "dirichlet-fd": ("spectral.dirichlet_fd_eigenvalues", [1.0, 400, 3]),
 }
 
 

@@ -15,6 +15,7 @@ from saext.errors import (
     UnsupportedOperatorError,
 )
 from saext.spectral import (
+    _twisted_difference,
     bound_state,
     bound_state_shooting,
     dirichlet_fd_eigenvalues,
@@ -129,6 +130,35 @@ def test_well_fd_convergence_is_second_order():
         assert order == pytest.approx(2.0, abs=0.2)
 
 
+def _dirichlet_lapack_reference(a, n_grid, count):
+    """The lowest eigenvalues of the three-point Dirichlet matrix by LAPACK."""
+    from scipy.linalg import eigh_tridiagonal
+
+    h = a / n_grid
+    diag = np.full(n_grid - 1, 2.0 / (h * h))
+    off = np.full(n_grid - 2, -1.0 / (h * h))
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
+                            eigvals_only=True)
+
+
+@pytest.mark.parametrize("a, n_grid, count", [
+    (1.0, 8, 7), (2.0, 200, 3), (math.pi, 800, 2), (0.3, 1000, 40), (5.0, 4096, 16),
+])
+def test_dirichlet_fd_closed_form_matches_lapack(a, n_grid, count):
+    values = dirichlet_fd_eigenvalues(a, n_grid, count)
+    reference = _dirichlet_lapack_reference(a, n_grid, count)
+    assert len(values) == count
+    # LAPACK resolves eigenvalues to rounding of the matrix norm, 4/h^2
+    scale = 4.0 * (n_grid / a) ** 2
+    assert np.max(np.abs(np.array(values) - reference)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("count", [0, -1, 400])
+def test_dirichlet_fd_count_outside_range_is_rejected(count):
+    with pytest.raises(PreconditionError):
+        dirichlet_fd_eigenvalues(1.0, 400, count)
+
+
 def test_well_eigenfunctions_orthonormal():
     res = well_spectrum(1.0, [1, 2, 3])
     fns = [lv.eigenfunction for lv in res.discrete]
@@ -165,6 +195,13 @@ def test_bound_state_alpha_minus_one():
     assert state is not None
     assert state.energy == -1.0
     assert state.psi.values[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert norm(state.psi) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [-1e-13, -5.55e-17, -1e-100, -1.5e-154, -2.0**-511])
+def test_bound_state_keeps_unit_norm_for_tiny_alpha(alpha):
+    state = bound_state(alpha)
+    assert state.energy == -alpha * alpha
     assert norm(state.psi) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -370,6 +407,7 @@ def test_twisted_low_mode_tracks_continuum():
 
 
 def test_twisted_large_n_uses_arnoldi_and_matches():
+    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import eigs
 
     theta, n = math.pi / 3, 2048
@@ -381,7 +419,7 @@ def test_twisted_large_n_uses_arnoldi_and_matches():
     # shift-invert Arnoldi near 0 finds the same eight smallest moduli
     rng = np.random.default_rng(12345)
     arnoldi = eigs(
-        discretized_momentum_matrix(theta, n, as_sparse=True),
+        csc_matrix(discretized_momentum_matrix(theta, n)),
         k=8,
         sigma=-0.5j,
         which="LM",
@@ -399,14 +437,13 @@ def test_twisted_large_n_uses_arnoldi_and_matches():
 )
 @settings(max_examples=40, deadline=None)
 def test_twisted_eigs_are_eigenvalues_of_the_matrix(theta, n, count):
-    mat = discretized_momentum_matrix(theta, n, as_sparse=True)
     for lam in discretized_momentum_eigs(theta, n, count=count):
         # invert lambda = -i*n*(exp(i*phi) - 1) for the mode label
         phi = np.angle(1.0 + 1j * lam / n)
         mode = round((n * phi - theta) / math.tau)
         lam_pair, vec = discretized_momentum_eigpair(theta, n, mode)
         assert abs(lam_pair - lam) <= 1e-10 * n
-        assert np.max(np.abs(mat @ vec - lam * vec)) <= 1e-10 * n
+        assert np.max(np.abs(_twisted_difference(theta, vec) - lam * vec)) <= 1e-10 * n
 
 
 @pytest.mark.parametrize("n", [1024, 1025])
