@@ -21,7 +21,12 @@ from .classical import (
     total_time_derivative,
 )
 from .core import GridFunction, derivative_values, inner_product
-from .errors import DegenerateGridError, DomainViolationError, NoBoundStateError
+from .errors import (
+    DegenerateGridError,
+    DomainViolationError,
+    NoBoundStateError,
+    PreconditionError,
+)
 from .spectral import bound_state
 
 __all__ = [
@@ -139,8 +144,12 @@ def heisenberg_correction(psi: GridFunction, alpha: float, t: float = 0.0) -> co
     Both inner products are computed head-on by quadrature; their
     mismatch is the surface term that moving H across (., .) leaves
     behind.  It vanishes for functions supported away from the
-    boundary and reproduces the anomaly on the bound state.
+    boundary and reproduces the anomaly on the bound state.  psi must
+    carry the plain dx measure, weight "1".
     """
+    if psi.weight != "1":
+        raise PreconditionError("the boundary correction is defined for the dx "
+                                "measure (weight '1'), got weight %r" % (psi.weight,))
     if len(psi) < 7:
         raise DegenerateGridError(
             "boundary correction needs at least 7 grid points, got %d" % len(psi)
@@ -153,8 +162,7 @@ def heisenberg_correction(psi: GridFunction, alpha: float, t: float = 0.0) -> co
             "psi'(0) = alpha psi(0) violated at scaled level %.3e" % violation
         )
     h_values, g_values = _dilatation_pieces(psi)
-    d_psi = GridFunction(psi.xs, -g_values if t == 0.0 else t * h_values - g_values,
-                         weight=psi.weight)
+    d_psi = GridFunction(psi.xs, -g_values if t == 0.0 else t * h_values - g_values)
     h_psi = GridFunction(psi.xs, h_values)
     h_d_psi = GridFunction(psi.xs, -derivative_values(psi.xs, d_psi.values, 2, acc=4))
     return 1j * (inner_product(h_psi, d_psi) - inner_product(psi, h_d_psi))

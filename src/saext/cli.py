@@ -582,21 +582,20 @@ def _run_extend(args) -> dict:
 
 
 def _run_spectrum(args) -> dict:
-    grid_n = 2001 if args.grid_n is None else args.grid_n
     if args.op == "momentum":
         iv = args.interval or Interval.finite(0.0, 1.0)
         n_min = -5 if args.n_min is None else args.n_min
         n_max = 5 if args.n_max is None else args.n_max
-        res = momentum_spectrum(args.theta, iv, range(n_min, n_max + 1), grid_n=grid_n)
+        res = momentum_spectrum(args.theta, iv, range(n_min, n_max + 1))
         params = {"op": "momentum", "theta": args.theta,
                   "interval": _interval_dict(iv), "n_min": n_min, "n_max": n_max}
     elif args.op == "well":
         n_min = 1 if args.n_min is None else args.n_min
         n_max = 5 if args.n_max is None else args.n_max
-        res = well_spectrum(args.a, range(n_min, n_max + 1), grid_n=grid_n)
+        res = well_spectrum(args.a, range(n_min, n_max + 1))
         params = {"op": "well", "a": args.a, "n_min": n_min, "n_max": n_max}
     else:
-        res = halfline_robin_spectrum(args.alpha, grid_n=args.grid_n)
+        res = halfline_robin_spectrum(args.alpha)
         params = {"op": "robin", "alpha": args.alpha}
     out = res.to_json_dict()
     if res.continuous is not None:

@@ -138,8 +138,8 @@ class UnitSystem:
     two_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.hbar > 0 and self.two_m > 0):
-            raise ValueError("hbar and two_m must be positive")
+        if not all(0.0 < v < math.inf for v in (self.hbar, self.two_m)):
+            raise ValueError("hbar and two_m must be finite and positive")
 
     def energy(self, value: float) -> float:
         """Convert an energy from natural (hbar=1, 2m=1) units."""

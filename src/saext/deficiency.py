@@ -129,22 +129,22 @@ def _normalized_exponential(rate: float, iv: Interval, n: int,
                               closed_form, iv, rate)
 
 
-def _hamiltonian_solution(sign: int, lam: float, n: int) -> DeficiencySolution:
-    """Decaying solution of -psi'' = sign * i lam psi on [0, inf)."""
+def _hamiltonian_solution(sign: int, lam: float, iv: Interval, n: int) -> DeficiencySolution:
+    """Decaying solution of -psi'' = sign * i lam psi on [a, inf)."""
     root = math.sqrt(lam)
     mu = root * (sign * 1j - 1.0) / math.sqrt(2.0)   # Re mu < 0
     c = 2.0**0.25 * lam**0.25
     span = 30.0 * math.sqrt(2.0) / root
 
     def closed_form(x: np.ndarray) -> np.ndarray:
-        return c * np.exp(mu * np.asarray(x, dtype=float))
+        return c * np.exp(mu * (np.asarray(x, dtype=float) - iv.a))
 
-    xs = np.linspace(0.0, span, n)
+    xs = np.linspace(iv.a, iv.a + span, n)
     sig = "+i" if sign > 0 else "-i"
     scale = "" if lam == 1.0 else f"{root:g}*"
     tag = f"2^(1/4){'' if lam == 1.0 else f'*{lam:g}^(1/4)'}*exp({scale}({sig}-1)x/sqrt2)"
     return DeficiencySolution(tag, GridFunction(xs, closed_form(xs)),
-                              closed_form, Interval.half_line(0.0), mu)
+                              closed_form, iv, mu)
 
 
 def solve_deficiency(op: OperatorSpec, lam: float = 1.0,
@@ -172,8 +172,8 @@ def solve_deficiency(op: OperatorSpec, lam: float = 1.0,
         if iv.kind != HALF_LINE:
             raise UnsupportedOperatorError(
                 "free Hamiltonian catalog entry is the half line")
-        basis_plus.append(_hamiltonian_solution(+1, lam, n))
-        basis_minus.append(_hamiltonian_solution(-1, lam, n))
+        basis_plus.append(_hamiltonian_solution(+1, lam, iv, n))
+        basis_minus.append(_hamiltonian_solution(-1, lam, iv, n))
     elif op.kind == TIME_OPERATOR:
         # conjugate variable is the energy E on [E0, inf); computed like
         # half-line momentum, so only the decaying solution survives

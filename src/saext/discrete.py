@@ -7,7 +7,6 @@ the computation actually yields.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Tuple, Union
 
@@ -111,11 +110,16 @@ def trace_commutator_check(
     )
 
 
+def _cosine_basis_im(l: float, m, n) -> np.ndarray:
+    """Im (e_m, -i d/dx e_n): 4n^2/(l(n^2 - m^2)) for m+n odd, else 0; m, n broadcast."""
+    m, n = np.asarray(m), np.asarray(n)
+    odd = (m + n) % 2 == 1
+    return np.where(odd, 4.0 * n * n / (l * np.where(odd, n * n - m * m, 1)), 0.0)
+
+
 def cosine_basis_momentum_entry(l: float, m: int, n: int) -> complex:
     """Closed form for (e_m, -i d/dx e_n) in the cosine basis on [0, l]."""
-    if (m + n) % 2 == 0:
-        return 0.0 + 0.0j
-    return complex(0.0, 4.0 * n * n / (l * (n * n - m * m)))
+    return complex(0.0, float(_cosine_basis_im(l, m, n)))
 
 
 class CosineBasisResult(NamedTuple):
@@ -126,34 +130,23 @@ class CosineBasisResult(NamedTuple):
 def cosine_basis_momentum_matrix(l: float, m_basis: int) -> CosineBasisResult:
     """Momentum matrix in the basis e_n = sqrt(2/l) cos(n*pi*x/l), n >= 1.
 
-    Returns the matrix p_mn = (e_m, -i d/dx e_n) by quadrature and the
-    hermiticity defect d_mn = conj(p_nm) - p_mn.  The defect vanishes
-    for m+n even and equals -4i/l on the whole m+n-odd sublattice: the
-    matrix fails to be Hermitian because the basis functions do not
+    Returns the matrix p_mn = (e_m, -i d/dx e_n), filled from its closed
+    form, and the hermiticity defect d_mn = conj(p_nm) - p_mn.  The defect
+    vanishes for m+n even and equals -4i/l on the whole m+n-odd sublattice:
+    the matrix fails to be Hermitian because the basis functions do not
     vanish at the endpoints.
 
-    The quadrature tables take about 56 bytes per entry of an M x (2M+64)
-    grid and the two M x M results 32 bytes per entry; an M for which
-    that exceeds _MEMORY_BUDGET (1 GiB, so M > 2718) raises
-    PreconditionError before anything is allocated.
+    p, its conjugate and the defect take 48 bytes per entry; an M over the
+    1 GiB _MEMORY_BUDGET (M > 4729) raises PreconditionError before
+    anything is allocated.
     """
     if m_basis < 2:
         raise PreconditionError("need at least a 2x2 block, got M=%d" % m_basis)
-    _check_budget(56 * m_basis * (2 * m_basis + 64) + 32 * m_basis * m_basis,
-                  "the M=%d momentum matrix" % m_basis)
+    _check_budget(48 * m_basis * m_basis, "the M=%d momentum matrix" % m_basis)
     if not l > 0.0:
         raise PreconditionError("interval length must be positive, got %r" % (l,))
-    # the integrands oscillate with frequency up to 2*M*pi/l, so the
-    # Gauss-Legendre order must grow with M to stay at ~1e-11 of the
-    # closed form
-    nodes, weights = np.polynomial.legendre.leggauss(2 * m_basis + 64)
-    xs = 0.5 * l * (nodes + 1.0)
-    ws = 0.5 * l * weights
-    ks = np.arange(1, m_basis + 1)[:, None] * (math.pi / l)
-    e = math.sqrt(2.0 / l) * np.cos(ks * xs)
-    # -i d/dx e_n = i (n*pi/l) sqrt(2/l) sin(n*pi*x/l)
-    pe = 1j * ks * math.sqrt(2.0 / l) * np.sin(ks * xs)
-    p = (e * ws) @ pe.T
+    ns = np.arange(1, m_basis + 1)
+    p = 1j * _cosine_basis_im(l, ns[:, None], ns[None, :])
     defect = p.conj().T - p
     return CosineBasisResult(p, defect)
 
@@ -161,8 +154,8 @@ def cosine_basis_momentum_matrix(l: float, m_basis: int) -> CosineBasisResult:
 def hermiticity_defect_demo(l: float, m_basis: int) -> ParadoxReport:
     """Wrap the cosine-basis defect pattern as a reportable demonstration."""
     p, defect = cosine_basis_momentum_matrix(l, m_basis)
-    # quadrature rounding grows with the entries, which reach ~2M/l
-    even_tol = 1e-13 * float(np.max(np.abs(p)))
+    # rounding grows with the entries, which reach ~2M/l
+    tol = 1e-13 * float(np.max(np.abs(p)))
     idx = np.arange(m_basis)
     even = (idx[:, None] + idx[None, :]) % 2 == 0
     even_max = float(np.max(np.abs(defect[even])))
@@ -170,9 +163,9 @@ def hermiticity_defect_demo(l: float, m_basis: int) -> ParadoxReport:
     return ParadoxReport(
         id=4,
         quantities={
-            "defect_even_sublattice_max": Quantity(even_max, even_tol),
+            "defect_even_sublattice_max": Quantity(even_max, tol),
             "defect_odd_sublattice_value": Quantity(complex(0.0, -4.0 / l), 1e-10),
-            "defect_odd_sublattice_max_deviation": Quantity(odd_dev, 1e-10),
+            "defect_odd_sublattice_max_deviation": Quantity(odd_dev, tol),
         },
         verdict=(
             "the momentum matrix in the cosine basis is not Hermitian: the "
@@ -223,19 +216,16 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
     multiple of psi_n is reported; since the derivative of a sine is a
     cosine, orthogonal to it, every residual sits at 1.
     """
-    if not a > 0.0:
-        raise PreconditionError("well width must be positive, got %r" % (a,))
     if n_max < 1:
         raise PreconditionError("need n_max >= 1, got %d" % n_max)
-    spectrum = well_spectrum(a, range(1, n_max + 1), grid_n=grid_n)
+    levels = well_spectrum(a, range(1, n_max + 1)).discrete
+    xs = np.linspace(0.0, a, grid_n)
     quantities = {}
-    for level in spectrum.discrete:
-        psi = level.eigenfunction
-        p_psi = GridFunction(
-            psi.xs, -1j * derivative_values(psi.xs, psi.values, 1, acc=4)
-        )
+    for level in levels:
+        psi = GridFunction(xs, level.eigenfunction(xs))
+        p_psi = GridFunction(xs, -1j * derivative_values(xs, psi.values, 1, acc=4))
         coeff = inner_product(psi, p_psi) / inner_product(psi, psi)
-        residual_fn = GridFunction(psi.xs, p_psi.values - coeff * psi.values)
+        residual_fn = GridFunction(xs, p_psi.values - coeff * psi.values)
         r = norm(residual_fn) / norm(p_psi)
         quantities["r_%d" % level.n] = Quantity(r, 1e-10)
     return ParadoxReport(

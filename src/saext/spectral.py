@@ -43,9 +43,11 @@ _ALPHA_NORMAL_MIN = 2.0**-511
 
 
 class DiscreteLevel(NamedTuple):
+    """One eigenvalue with its eigenfunction in closed form, x -> psi_n(x)."""
+
     n: int
     value: float
-    eigenfunction: GridFunction
+    eigenfunction: Callable[[np.ndarray], np.ndarray]
 
 
 class BoundState(NamedTuple):
@@ -84,7 +86,6 @@ def momentum_spectrum(
     theta: float,
     interval: Interval,
     n_range: Sequence[int],
-    grid_n: int = 2001,
 ) -> SpectrumResult:
     """Point spectrum p_n = (2*pi*n + theta)/L of -i d/dx on a finite box.
 
@@ -97,18 +98,19 @@ def momentum_spectrum(
             "the momentum operator has no self-adjoint version on an "
             "unbounded interval, so there is no spectrum to report"
         )
-    a, b = interval.a, interval.b
-    length = b - a
-    xs = np.linspace(a, b, grid_n)
+    length = interval.b - interval.a
     levels = []
     for n in sorted(int(n) for n in n_range):
         p = (math.tau * n + theta) / length
-        values = np.exp(1j * p * xs) / math.sqrt(length)
-        levels.append(DiscreteLevel(n, p, GridFunction(xs, values)))
+        levels.append(DiscreteLevel(n, p, _plane_wave(p, length)))
     return SpectrumResult(tuple(levels))
 
 
-def well_spectrum(a: float, n_range: Sequence[int], grid_n: int = 2001) -> SpectrumResult:
+def _plane_wave(p: float, length: float) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda x: np.exp(1j * p * np.asarray(x, dtype=float)) / math.sqrt(length)
+
+
+def well_spectrum(a: float, n_range: Sequence[int]) -> SpectrumResult:
     """Dirichlet levels E_n = (n*pi/a)^2 with psi_n = sqrt(2/a) sin(n*pi*x/a)."""
     if not a > 0.0:
         raise PreconditionError("well width must be positive, got %r" % (a,))
@@ -118,13 +120,20 @@ def well_spectrum(a: float, n_range: Sequence[int], grid_n: int = 2001) -> Spect
             raise InvalidIndexError(
                 "well levels are labelled n = 1, 2, ...; got n=%d" % n
             )
-    xs = np.linspace(0.0, a, grid_n)
     levels = []
     for n in ns:
         kn = n * math.pi / a
-        values = math.sqrt(2.0 / a) * np.sin(kn * xs)
-        levels.append(DiscreteLevel(n, kn * kn, GridFunction(xs, values)))
+        levels.append(DiscreteLevel(n, kn * kn, _sine_mode(kn, a)))
     return SpectrumResult(tuple(levels))
+
+
+def _sine_mode(kn: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda x: math.sqrt(2.0 / a) * np.sin(kn * np.asarray(x, dtype=float))
+
+
+def _robin_state(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The Robin bound state sqrt(2|alpha|) exp(alpha*x), alpha < 0."""
+    return lambda x: math.sqrt(2.0 * abs(alpha)) * np.exp(alpha * np.asarray(x, dtype=float))
 
 
 def bound_state(
@@ -146,8 +155,7 @@ def bound_state(
     if grid_n is None:
         grid_n = 3501
     xs = np.linspace(0.0, x_max, grid_n)
-    psi = math.sqrt(2.0 * abs(alpha)) * np.exp(alpha * xs)
-    return BoundState(-alpha * alpha, GridFunction(xs, psi))
+    return BoundState(-alpha * alpha, GridFunction(xs, _robin_state(alpha)(xs)))
 
 
 def bound_state_shooting(
@@ -227,20 +235,13 @@ def scattering_state(k: float, alpha: float, xs: np.ndarray) -> GridFunction:
     return GridFunction(grid, values)
 
 
-def halfline_robin_spectrum(
-    alpha: float,
-    x_max: Optional[float] = None,
-    grid_n: Optional[int] = None,
-) -> SpectrumResult:
+def halfline_robin_spectrum(alpha: float) -> SpectrumResult:
     """Full spectral data of the Robin half-line Hamiltonian.
 
     Discrete part: the single bound state when alpha < 0.  Continuous
     part: the scattering branch [0, inf) with its reflection phase.
     """
-    discrete: Tuple[DiscreteLevel, ...] = ()
-    state = bound_state(alpha, x_max=x_max, grid_n=grid_n)
-    if state is not None:
-        discrete = (DiscreteLevel(0, state.energy, state.psi),)
+    discrete = (DiscreteLevel(0, -alpha * alpha, _robin_state(alpha)),) if alpha < 0.0 else ()
     branch = ContinuousSpectrum(0.0, lambda k: reflection_phase(k, alpha))
     return SpectrumResult(discrete, branch)
 

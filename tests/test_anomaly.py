@@ -12,7 +12,12 @@ from saext.anomaly import (
     heisenberg_correction,
 )
 from saext.core import GridFunction, boundary_form_hamiltonian
-from saext.errors import DegenerateGridError, DomainViolationError, NoBoundStateError
+from saext.errors import (
+    DegenerateGridError,
+    DomainViolationError,
+    NoBoundStateError,
+    PreconditionError,
+)
 from saext.spectral import bound_state
 
 
@@ -181,6 +186,16 @@ def test_correction_grid_guard():
     xs = np.linspace(0.0, 1.0, 6)
     with pytest.raises(DegenerateGridError):
         heisenberg_correction(GridFunction(xs, np.zeros(6)), -1.0)
+
+
+@pytest.mark.parametrize("weight", ["r", "r^2"])
+def test_correction_refuses_a_measure_other_than_dx(weight):
+    # H and D here are those of the dx measure; the bound state itself, tagged
+    # with another weight, is refused up front rather than deep in a quadrature
+    state = bound_state(-1.0)
+    psi = GridFunction(state.psi.xs, state.psi.values, weight=weight)
+    with pytest.raises(PreconditionError, match="dx measure"):
+        heisenberg_correction(psi, -1.0)
 
 
 # ---------------------------------------------------------------------------

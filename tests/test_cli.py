@@ -578,6 +578,20 @@ def test_sweep_memory_stays_below_200mb_at_1e5_points(fmt):
     assert maxrss_kib / 1024 < 200
 
 
+def test_spectrum_memory_stays_below_200mb_at_1e5_levels():
+    # each level carries its eigenfunction as a closed form; a 2001-point
+    # sample per level took 4.7 GB at 1e5 levels
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "saext.cli", "spectrum", "--op", "well",
+            "--n-max", "100000"]
+    launched = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+    code, maxrss_kib = map(int, launched.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 200
+
+
 def test_json_sweep_memory_is_flat_in_the_number_of_points():
     # JSON points are written and dropped a chunk at a time; what still grows
     # is the axis grid, 8 bytes a point (1.6 MB from 1e5 to 3e5 points)
@@ -651,7 +665,7 @@ def test_units_flag_is_recorded():
 
 @pytest.mark.parametrize("argv", [
     ["deficiency", "--op", "momentum", "--grid-n", "0"],
-    ["spectrum", "--op", "well", "--grid-n", "0"],
+    ["boundstate", "--alpha", "-1", "--grid-n", "0"],
     ["paradox", "--id", "1", "--n", "0"],
     ["paradox", "--id", "2", "--n", "0"],
     ["paradox", "--id", "3", "--n", "0"],
@@ -664,6 +678,26 @@ def test_explicit_zero_is_not_replaced_by_the_default(argv):
     code, text = run_cli(argv)
     assert code == 1
     jsonschema.validate(json.loads(text), cli.load_schema("error"))
+
+
+@pytest.mark.parametrize("op", ["momentum", "well", "robin"])
+def test_spectrum_result_does_not_depend_on_grid_n(op):
+    # levels carry closed-form eigenfunctions, so no grid is built; --grid-n
+    # is echoed in the manifest only
+    base = run_json(["spectrum", "--op", op])["result"]
+    for grid_n in ("0", "1", "7", "4001"):
+        assert run_json(["spectrum", "--op", op, "--grid-n", grid_n])["result"] == base
+
+
+@pytest.mark.parametrize("units", ["hbar=inf", "two_m=inf", "hbar=1,two_m=-inf",
+                                   "hbar=nan"])
+def test_non_finite_units_are_a_usage_error(units, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["paradox", "--id", "2", "--n", "8", "--units", units])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "finite and positive" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -53,6 +53,11 @@ def test_unit_system():
         UnitSystem(hbar=0.0)
     with pytest.raises(ValueError):
         UnitSystem(two_m=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            UnitSystem(hbar=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            UnitSystem(two_m=bad)
 
 
 def test_operator_spec_validation():

@@ -71,6 +71,27 @@ def test_hamiltonian_basis_shapes():
     assert norm(plus.fn) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_hamiltonian_default_basis_keeps_its_bits():
+    # the left end enters as x - a; at a = 0 the samples keep their bits
+    r = solve_deficiency(HAMILTONIAN, n=501)
+    for sol in r.basis():
+        xs = sol.fn.xs
+        assert xs[0] == 0.0
+        assert np.array_equal(sol.fn.values, 2.0**0.25 * np.exp(sol.rate * xs))
+
+
+def test_hamiltonian_basis_starts_at_the_left_end():
+    iv = Interval.half_line(2.0)
+    shifted = solve_deficiency(OperatorSpec.free_hamiltonian(iv), lam=2.0)
+    origin = solve_deficiency(HAMILTONIAN, lam=2.0)
+    for sol, ref in zip(shifted.basis(), origin.basis()):
+        assert sol.interval == iv
+        assert sol.fn.xs[0] == 2.0
+        assert sol.closed_form(2.0) == ref.closed_form(0.0)
+        np.testing.assert_allclose(sol.fn.values, ref.fn.values, rtol=0.0, atol=1e-13)
+        assert norm(sol.fn) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_classifications():
     assert solve_deficiency(MOMENTUM_LINE).classification == ESSENTIALLY_SELF_ADJOINT
     r = solve_deficiency(MOMENTUM_01)

@@ -106,13 +106,49 @@ def test_defect_sublattice_pattern_larger_block():
 
 @pytest.mark.parametrize("m_basis", [128, 256])
 def test_cosine_matrix_matches_closed_form_at_large_blocks(m_basis):
-    # a fixed quadrature order stops resolving the integrands near M ~ 110
     result = cosine_basis_momentum_matrix(1.0, m_basis)
     expected = np.array([
         [cosine_basis_momentum_entry(1.0, m, n) for n in range(1, m_basis + 1)]
         for m in range(1, m_basis + 1)
     ])
     assert np.max(np.abs(result.p - expected)) <= 1e-10
+
+
+def _gauss_legendre_reference(l, m_basis):
+    """(e_m, -i d/dx e_n) by Gauss-Legendre quadrature, independent of the closed form.
+
+    The integrands oscillate with frequency up to 2*M*pi/l, so the order
+    grows with M (2M+64 nodes) to stay at ~1e-11 of the exact entries.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(2 * m_basis + 64)
+    xs = 0.5 * l * (nodes + 1.0)
+    ws = 0.5 * l * weights
+    ks = np.arange(1, m_basis + 1)[:, None] * (math.pi / l)
+    e = math.sqrt(2.0 / l) * np.cos(ks * xs)
+    # -i d/dx e_n = i (n*pi/l) sqrt(2/l) sin(n*pi*x/l)
+    pe = 1j * ks * math.sqrt(2.0 / l) * np.sin(ks * xs)
+    return (e * ws) @ pe.T
+
+
+@pytest.mark.parametrize("l", [0.1, 0.3, 1.0, 3.0])
+def test_cosine_matrix_matches_gauss_legendre_reference(l):
+    for m_basis in (2, 3, 17, 64, 130, 200, 256):
+        p = cosine_basis_momentum_matrix(l, m_basis).p
+        reference = _gauss_legendre_reference(l, m_basis)
+        assert np.max(np.abs(p - reference)) <= 1e-12 * np.max(np.abs(p))
+
+
+@given(st.floats(min_value=math.log(0.01), max_value=math.log(10.0)),
+       st.integers(min_value=2, max_value=256))
+@settings(max_examples=60, deadline=None)
+def test_defect_demo_meets_every_printed_tolerance(log_l, m_basis):
+    l = math.exp(log_l)
+    q = hermiticity_defect_demo(l, m_basis).quantities
+    assert q["defect_even_sublattice_max"].value <= q["defect_even_sublattice_max"].tolerance
+    deviation = q["defect_odd_sublattice_max_deviation"]
+    assert deviation.value <= deviation.tolerance
+    value = q["defect_odd_sublattice_value"]
+    assert abs(value.value - complex(0.0, -4.0 / l)) <= value.tolerance
 
 
 @pytest.mark.parametrize("m_basis", [7, 130])
@@ -159,7 +195,7 @@ def test_cosine_matrix_guards():
     # numpy for 298 GiB; only refused sizes run, so nothing large is allocated
     lambda: trace_commutator_check(3345, 1),
     lambda: trace_commutator_check(200_000, 1),
-    lambda: cosine_basis_momentum_matrix(1.0, 2719),
+    lambda: cosine_basis_momentum_matrix(1.0, 4730),
     lambda: hermiticity_defect_demo(1.0, 100_000),
 ])
 def test_sizes_over_the_memory_budget_are_refused_before_allocating(call):

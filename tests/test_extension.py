@@ -172,6 +172,13 @@ def test_halfline_alpha_scales_with_root_lambda():
     assert _bc_from_report(report, math.pi).is_dirichlet_limit
 
 
+def test_halfline_alpha_ignores_where_the_half_line_starts():
+    origin = solve_deficiency(HAMILTONIAN)
+    shifted = solve_deficiency(OperatorSpec.free_hamiltonian(Interval.half_line(2.0)))
+    for g in (0.0, 1.0, 2.5, math.pi, 4.0):
+        assert _bc_from_report(shifted, g) == _bc_from_report(origin, g)
+
+
 def test_bc_routine_rejects_wrong_indices():
     report = solve_deficiency(OperatorSpec.momentum(Interval.half_line(0.0)))
     with pytest.raises(UnsupportedExtensionError):

@@ -40,14 +40,19 @@ _SCIPY_ARGV = {
 _SCIPY_FREE_ARGV = {
     **{name: argv for name, argv in GOLDEN.items() if name not in _SCIPY_ARGV},
     "paradox-1": ["paradox", "--id", "1"],
+    "paradox-4": ["paradox", "--id", "4"],
+    "spectrum-well": ["spectrum", "--op", "well"],
 }
 
-#: Library calls solved in closed form: the twisted ring and the three-point
-#: Dirichlet Laplacian.  A dotted name is looked up from ``saext``.
+#: Library calls solved in closed form: the twisted ring, the three-point
+#: Dirichlet Laplacian, the well levels and the cosine-basis matrix.  A
+#: dotted name is looked up from ``saext``.
 _SCIPY_FREE_CALLS = {
     "eigs-1025": ("discretized_momentum_eigs", [0.7, 1025, 16]),
     "eigvec-2048": ("eigenvector_commutator_demo", [0.7, 2048, 1]),
     "dirichlet-fd": ("spectral.dirichlet_fd_eigenvalues", [1.0, 400, 3]),
+    "well-spectrum": ("well_spectrum", [1.0, [1, 2, 3]]),
+    "cosine-matrix": ("cosine_basis_momentum_matrix", [1.0, 256]),
 }
 
 

@@ -33,6 +33,12 @@ from saext.spectral import (
 BOX = Interval.finite(0.0, 1.0)
 
 
+def _sampled(level, a, b, grid_n=2001):
+    """A level's closed-form eigenfunction on grid_n points of [a, b]."""
+    xs = np.linspace(a, b, grid_n)
+    return GridFunction(xs, level.eigenfunction(xs))
+
+
 # ---------------------------------------------------------------------------
 # momentum spectrum
 # ---------------------------------------------------------------------------
@@ -53,11 +59,12 @@ def test_momentum_antiperiodic_lowest_level():
 
 def test_momentum_rescaled_box_by_residual():
     # length-2 box, n=1: p should be pi; verify against the ODE itself
-    res = momentum_spectrum(0.0, Interval.finite(0.0, 2.0), [1], grid_n=4001)
+    res = momentum_spectrum(0.0, Interval.finite(0.0, 2.0), [1])
     level = res.discrete[0]
     assert level.value == pytest.approx(math.pi)
-    dpsi = derivative_values(level.eigenfunction.xs, level.eigenfunction.values, 1, acc=4)
-    resid = -1j * dpsi - level.value * level.eigenfunction.values
+    f = _sampled(level, 0.0, 2.0, 4001)
+    dpsi = derivative_values(f.xs, f.values, 1, acc=4)
+    resid = -1j * dpsi - level.value * f.values
     assert np.max(np.abs(resid[3:-3])) < 1e-8
 
 
@@ -65,13 +72,13 @@ def test_momentum_twist_across_box():
     for theta in (0.0, math.pi / 3, math.pi, 5.0):
         res = momentum_spectrum(theta, BOX, range(-3, 4))
         for level in res.discrete:
-            f = level.eigenfunction
+            f = _sampled(level, 0.0, 1.0)
             assert abs(f.values[-1] - np.exp(1j * theta) * f.values[0]) < 1e-12
 
 
 def test_momentum_eigenfunctions_orthonormal():
     res = momentum_spectrum(0.7, BOX, range(-2, 3))
-    fns = [lv.eigenfunction for lv in res.discrete]
+    fns = [_sampled(lv, 0.0, 1.0) for lv in res.discrete]
     for i, f in enumerate(fns):
         for j, g in enumerate(fns):
             target = 1.0 if i == j else 0.0
@@ -108,7 +115,7 @@ def test_well_ground_state_unit_width():
     res = well_spectrum(1.0, [1])
     level = res.discrete[0]
     assert level.value == pytest.approx(math.pi**2, rel=1e-15)
-    mid = level.eigenfunction.values[1000]  # x = 1/2
+    mid = _sampled(level, 0.0, 1.0).values[1000]  # x = 1/2
     assert mid == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
@@ -161,7 +168,7 @@ def test_dirichlet_fd_count_outside_range_is_rejected(count):
 
 def test_well_eigenfunctions_orthonormal():
     res = well_spectrum(1.0, [1, 2, 3])
-    fns = [lv.eigenfunction for lv in res.discrete]
+    fns = [_sampled(lv, 0.0, 1.0) for lv in res.discrete]
     for i, f in enumerate(fns):
         for j, g in enumerate(fns):
             target = 1.0 if i == j else 0.0
@@ -178,9 +185,9 @@ def test_well_rejects_bad_labels_and_width():
 
 
 def test_well_eigenfunction_ode_residual():
-    res = well_spectrum(1.5, [1, 2, 4], grid_n=10_001)
+    res = well_spectrum(1.5, [1, 2, 4])
     for level in res.discrete:
-        f = level.eigenfunction
+        f = _sampled(level, 0.0, 1.5, 10_001)
         d2 = derivative_values(f.xs, f.values, 2, acc=4)
         resid = -d2 - level.value * f.values
         assert np.max(np.abs(resid[4:-4])) < 1e-4
@@ -357,6 +364,16 @@ def test_halfline_spectrum_bundles_both_parts():
     assert res.continuous.threshold == 0.0
     assert res.continuous.reflection_phase(1.0) == pytest.approx(1.5 * math.pi)
     assert halfline_robin_spectrum(2.0).discrete == ()
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.37, -12.5])
+def test_robin_level_is_the_sampled_bound_state(alpha):
+    # one closed form serves the spectrum level and bound_state's samples
+    level = halfline_robin_spectrum(alpha).discrete[0]
+    state = bound_state(alpha)
+    assert level.value == state.energy
+    assert np.array_equal(level.eigenfunction(state.psi.xs), state.psi.values)
+    assert level.eigenfunction(0.0) == math.sqrt(2.0 * abs(alpha))
 
 
 # ---------------------------------------------------------------------------
