@@ -42,7 +42,7 @@ from .discrete import (
 )
 from .errors import PreconditionError, SaextError, SweepSizeError
 from .extension import ExtensionParameter, halfline_bc_from_unitary, momentum_bc_from_unitary
-from .geometry import commutator_preservation_check, radial_symmetry_defect
+from .geometry import commutator_preservation_check, connection_condition, radial_symmetry_defect
 from .spectral import (
     _ALPHA_NORMAL_MIN,
     bound_state,
@@ -534,11 +534,18 @@ def _interval_dict(iv: Interval) -> dict:
 
 
 def load_schema(name: str) -> dict:
-    """Load one of the shipped JSON schemas by subcommand name."""
+    """Load a shipped JSON schema by subcommand name; the manifest block is in manifest.json."""
     from importlib import resources
 
-    path = resources.files("saext") / "schemas" / f"{name}.json"
-    return json.loads(path.read_text())
+    folder = resources.files("saext") / "schemas"
+    schema = json.loads((folder / f"{name}.json").read_text())
+    if "manifest" in schema["required"]:
+        manifest = json.loads((folder / "manifest.json").read_text())
+        own = schema["properties"].get("manifest", {}).get("properties", {})
+        for field, extra in own.items():  # sweep.json describes its wall_time_s
+            manifest["properties"][field].update(extra)
+        schema["properties"]["manifest"] = manifest
+    return schema
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +602,7 @@ def _run_spectrum(args) -> dict:
         res = well_spectrum(args.a, range(n_min, n_max + 1))
         params = {"op": "well", "a": args.a, "n_min": n_min, "n_max": n_max}
     else:
-        res = halfline_robin_spectrum(args.alpha)
+        res = halfline_robin_spectrum(_robin_alpha(args.alpha))
         params = {"op": "robin", "alpha": args.alpha}
     out = res.to_json_dict()
     if res.continuous is not None:
@@ -607,15 +614,16 @@ def _run_spectrum(args) -> dict:
     return {"params": params, **out}
 
 
-def _rows_spectrum(result: dict) -> List[dict]:
-    return [{"n": lv["n"], "value": lv["value"]} for lv in result["discrete"]]
+def _robin_alpha(alpha: float) -> float:
+    """alpha, refused where the bound-state energy -alpha^2 is not a normal float."""
+    if -_ALPHA_NORMAL_MIN < alpha < 0.0:
+        raise PreconditionError("the energy -alpha^2 is not a normal float "
+                                "for |alpha| < 2^-511, got alpha=%r" % (alpha,))
+    return alpha
 
 
 def _run_boundstate(args) -> dict:
-    if -_ALPHA_NORMAL_MIN < args.alpha < 0.0:
-        raise PreconditionError("the energy -alpha^2 is not a normal float "
-                                "for |alpha| < 2^-511, got alpha=%r" % (args.alpha,))
-    state = bound_state(args.alpha, x_max=args.x_max, grid_n=args.grid_n)
+    state = bound_state(_robin_alpha(args.alpha), x_max=args.x_max, grid_n=args.grid_n)
     if state is None:
         return {"alpha": args.alpha, "E": None, "bound_state": None,
                 "reason": "alpha >= 0"}
@@ -645,9 +653,7 @@ def _run_scatter(args) -> dict:
 
 
 def _run_anomaly(args) -> dict:
-    report = anomaly_quadrature(args.alpha, t=args.t, grid_n=args.grid_n,
-                                tol=args.tol)
-    return report.to_json_dict()
+    return anomaly_quadrature(_robin_alpha(args.alpha), t=args.t, tol=args.tol).to_json_dict()
 
 
 def _run_paradox(args) -> dict:
@@ -694,22 +700,16 @@ def _bump_values(xs: np.ndarray, center: float, width: float) -> np.ndarray:
     return out
 
 
-def _geometry_connection(metric: str):
-    if metric == "polar":
-        def omega(r):
-            with np.errstate(divide="ignore"):
-                return 0.5 / r
-        return omega, "1/(2r)"
-    if metric == "spherical":
-        def omega(r):
-            with np.errstate(divide="ignore"):
-                return 1.0 / r
-        return omega, "1/r"
-    return (lambda r: np.zeros_like(r)), "0"
-
-
 def _run_geometry(args) -> dict:
-    omega, label = _geometry_connection(args.metric)
+    measure, label = {"polar": ("polar", "1/(2r)"), "spherical": ("spherical_radial", "1/r"),
+                      "flat": ("cartesian", "0")}[args.metric]
+    closed_form = connection_condition(measure)
+
+    def omega(r):
+        # the library refuses r = 0, where the grid starts; every probe vanishes
+        # there (0 < a), and geometry._omega_times makes omega(0) * 0 zero
+        return closed_form(np.where(r > 0.0, r, np.inf))
+
     a, b = args.probe["a"], args.probe["b"]
     far_end = b + max(0.5 * (b - a), 0.25)
     xs = np.linspace(0.0, far_end, 4001 if args.grid_n is None else args.grid_n)
@@ -773,7 +773,7 @@ _COMMANDS: Dict[str, dict] = {
                                 help="Robin slope for op=robin (default -1)")),
         ],
         "run": _run_spectrum,
-        "rows": _rows_spectrum,
+        "rows": operator.itemgetter("discrete"),
         "csv_header": ["n", "value"],
     },
     "boundstate": {
@@ -873,10 +873,9 @@ def _command_params(name: str, ns: argparse.Namespace) -> dict:
         if isinstance(value, Interval):
             value = _interval_dict(value)
         params[dest] = value
-    if ns.grid_n is not None:
-        params["grid_n"] = ns.grid_n
-    if ns.seed is not None:
-        params["seed"] = ns.seed
+    for dest in ("grid_n", "seed"):  # echoed only when given
+        if getattr(ns, dest, None) is not None:
+            params[dest] = getattr(ns, dest)
     return params
 
 
@@ -898,7 +897,8 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _common_parser() -> argparse.ArgumentParser:
+def _common_parser(name: str) -> argparse.ArgumentParser:
+    """The flags every subcommand takes, and --grid-n where its runner reads it."""
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
@@ -912,8 +912,9 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None,
                         help="tolerance override (default: SAEXT_TOL or the "
                              "subcommand default)")
-    common.add_argument("--grid-n", type=int, default=None,
-                        help="grid size override")
+    if name in ("deficiency", "boundstate", "paradox", "geometry"):
+        common.add_argument("--grid-n", type=int, default=None,
+                            help="grid size override")
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed where randomness is used")
     common.add_argument("--out", default=None, metavar="PATH",
@@ -922,7 +923,7 @@ def _common_parser() -> argparse.ArgumentParser:
 
 
 def _target_parser(name: str) -> argparse.ArgumentParser:
-    parser = _Parser(prog=f"saext sweep {name}", parents=[_common_parser()])
+    parser = _Parser(prog=f"saext sweep {name}", parents=[_common_parser(name)])
     for flags, kwargs in _COMMANDS[name]["args"]:
         # a required flag may be supplied by the sweep axis instead;
         # _run_sweep re-checks that nothing is left unset
@@ -947,9 +948,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"saext {__version__}")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="subcommand")
-    common = _common_parser()
     for name, spec in _COMMANDS.items():
-        p = sub.add_parser(name, help=spec["help"], parents=[common])
+        p = sub.add_parser(name, help=spec["help"], parents=[_common_parser(name)])
         for flags, kwargs in spec["args"]:
             p.add_argument(*flags, **kwargs)
     p_sweep = sub.add_parser(
@@ -1145,6 +1145,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             header = spec.get("csv_header")
         code = _emit(out_ns.out, lambda out: rows.write_csv(out, header), 0)
     else:
+        if command != "sweep":
+            # a list, such as a spectrum's levels, compiles one template per shape
+            result = {key: _Records(value) if type(value) is list else value
+                      for key, value in result.items()}
         # a sweep's points are computed while they are written, so its wall
         # time covers parsing and set-up only
         payload = {

@@ -142,7 +142,8 @@ def _hamiltonian_solution(sign: int, lam: float, iv: Interval, n: int) -> Defici
     xs = np.linspace(iv.a, iv.a + span, n)
     sig = "+i" if sign > 0 else "-i"
     scale = "" if lam == 1.0 else f"{root:g}*"
-    tag = f"2^(1/4){'' if lam == 1.0 else f'*{lam:g}^(1/4)'}*exp({scale}({sig}-1)x/sqrt2)"
+    x = "x" if iv.a == 0.0 else f"(x{-iv.a:+g})"
+    tag = f"2^(1/4){'' if lam == 1.0 else f'*{lam:g}^(1/4)'}*exp({scale}({sig}-1){x}/sqrt2)"
     return DeficiencySolution(tag, GridFunction(xs, closed_form(xs)),
                               closed_form, iv, mu)
 

@@ -6,12 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saext.anomaly import (
+    AnomalyReport,
+    _dilatation_pieces,
     anomaly_quadrature,
     apply_dilatation,
     classical_symmetry_check,
     heisenberg_correction,
 )
-from saext.core import GridFunction, boundary_form_hamiltonian
+from saext.core import (
+    GridFunction,
+    boundary_form_hamiltonian,
+    derivative_values,
+    inner_product,
+)
 from saext.errors import (
     DegenerateGridError,
     DomainViolationError,
@@ -78,6 +85,67 @@ def test_generator_grid_size_guards():
 # anomaly on the bound state
 # ---------------------------------------------------------------------------
 
+def _grid_reference(alpha, t=0.0, x_max=None, grid_n=None, tol=1e-6):
+    """The anomaly by 4th-order finite differences and quadrature on the sampled state.
+
+    This was anomaly_quadrature before it used the closed form; its
+    residual floor is ~5.7e-9 * |E| on the default 3501-point grid.
+    """
+    state = bound_state(alpha, x_max=x_max, grid_n=grid_n)
+    if state is None:
+        raise NoBoundStateError(
+            "no bound state for alpha=%r; the anomaly needs alpha < 0" % (alpha,)
+        )
+    psi = state.psi
+    h_values, g_values = _dilatation_pieces(psi)
+    h_psi, g_psi = GridFunction(psi.xs, h_values), GridFunction(psi.xs, g_values)
+    hg_psi = GridFunction(psi.xs, -derivative_values(psi.xs, g_values, 2, acc=4))
+    c_h = inner_product(h_psi, h_psi)
+    term_1 = t * c_h - inner_product(h_psi, g_psi)
+    term_2 = t * c_h - inner_product(psi, hg_psi)
+    anomaly_value = 1j * (term_1 - term_2)
+    energy = state.energy
+    return AnomalyReport(alpha, t, term_1, term_2, anomaly_value.real, energy,
+                         abs(anomaly_value.real - energy), tol * abs(energy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-10.0, max_value=10.0))
+def test_anomaly_closed_form_is_exact_to_rounding(u, t):
+    alpha = -(10.0 ** u)
+    report = anomaly_quadrature(alpha, t=t)
+    energy = -alpha * alpha
+    assert report.bound_energy == energy
+    assert report.residual <= 1e-15 * abs(energy)
+    # (H psi, G psi) = 0 and (psi, H G psi) = i alpha^2
+    expected_1 = t * alpha**4
+    expected_2 = t * alpha**4 - 1j * alpha**2
+    assert abs(report.term_Hpsi_Dpsi - expected_1) <= 1e-15 * abs(expected_1)
+    assert abs(report.term_psi_HDpsi - expected_2) <= 1e-15 * abs(expected_2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(min_value=-1.0, max_value=2.5), st.floats(min_value=-10.0, max_value=10.0))
+def test_anomaly_closed_form_agrees_with_the_grid_reference(u, t):
+    alpha = -(10.0 ** u)
+    report = anomaly_quadrature(alpha, t=t)
+    reference = _grid_reference(alpha, t=t)
+    assert abs(report.anomaly - reference.anomaly) <= 1e-7 * abs(report.bound_energy)
+    assert report.bound_energy == reference.bound_energy
+    assert report.tolerance == reference.tolerance
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, math.nan, -math.inf])
+def test_anomaly_off_the_bound_states_fails_as_the_grid_reference(alpha):
+    # alpha >= 0 or nan binds nothing; at -inf the reference's grid collapses
+    # to a point, and the closed form refuses the value with the same type
+    with np.errstate(all="ignore"), pytest.raises(Exception) as expected:
+        _grid_reference(alpha)
+    with pytest.raises(Exception) as got:
+        anomaly_quadrature(alpha)
+    assert type(got.value) is type(expected.value)
+
+
 def test_anomaly_equals_energy_unit_alpha():
     report = anomaly_quadrature(-1.0)
     assert report.bound_energy == -1.0
@@ -99,8 +167,7 @@ def test_anomaly_energy_identity_family():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=-1.0, max_value=2.5))
 def test_anomaly_residual_meets_its_relative_tolerance(u):
-    # the quadrature error is a constant ~5.7e-9 of E = -alpha^2, so an
-    # absolute tolerance fails from |alpha| ~ 13 on
+    # the tolerance scales with E = -alpha^2; an absolute one would not
     alpha = -(10.0 ** u)
     report = anomaly_quadrature(alpha)
     assert report.tolerance == 1e-6 * abs(report.bound_energy)

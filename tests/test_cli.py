@@ -21,6 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saext import cli
+from saext.core import GridFunction
+from saext.geometry import commutator_preservation_check, radial_symmetry_defect
 
 #: Golden-run suite: one representative invocation per subcommand.
 GOLDEN = {
@@ -71,6 +73,20 @@ def test_outputs_validate_against_shipped_schemas(name):
     code, text = run_cli(GOLDEN[name])
     assert code == 0
     jsonschema.validate(json.loads(text), cli.load_schema(name))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_schema_holds_the_manifest_to_its_fields(name):
+    # the manifest block is kept once, in manifest.json, and load_schema puts
+    # it in each schema
+    payload = run_json(GOLDEN[name])
+    schema = cli.load_schema(name)
+    manifest = payload["manifest"]
+    for broken in ({key: manifest[key] for key in manifest if key != "version"},
+                   {**manifest, "extra": 1}, {**manifest, "wall_time_s": "0"}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**payload, "manifest": broken}, schema)
+    assert "manifest" not in cli.load_schema("error")["properties"]
 
 
 def test_error_payload_validates_and_exits_one():
@@ -184,6 +200,35 @@ def test_geometry_defect_by_metric():
     spherical = run_json(["geometry", "--metric", "spherical"])["result"]
     assert spherical["defect"]["im"] == pytest.approx(
         -spherical["overlap_flat"], abs=1e-6)
+
+
+def _inline_connection(metric):
+    """The connection term as the CLI once wrote it out: inf at r = 0."""
+    scale = {"polar": 0.5, "spherical": 1.0, "flat": 0.0}[metric]
+
+    def omega(r):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.zeros_like(r) if scale == 0.0 else scale / r
+    return omega
+
+
+@pytest.mark.parametrize("metric", ["polar", "spherical", "flat"])
+@pytest.mark.parametrize("probe, grid_n", [
+    ("bump:1,2", None), ("bump:0.1,0.3", None), ("bump:0.5,4", 2001), ("bump:3,7", 801),
+])
+def test_geometry_connection_matches_the_inline_reference(metric, probe, grid_n):
+    # the CLI reads the term from geometry.connection_condition, which refuses
+    # r = 0; the grid starts there, where every probe vanishes
+    argv = ["geometry", "--metric", metric, "--probe", probe]
+    result = run_json(argv + ([] if grid_n is None else ["--grid-n", str(grid_n)]))["result"]
+    bump = cli._parse_probe(probe)
+    a, b = bump["a"], bump["b"]
+    xs = np.linspace(0.0, b + max(0.5 * (b - a), 0.25), 4001 if grid_n is None else grid_n)
+    f = GridFunction(xs, cli._bump_values(xs, 0.5 * (a + b), 0.5 * (b - a)), weight="r")
+    defect = radial_symmetry_defect(_inline_connection(metric), f, f)
+    assert result["defect"] == {"re": defect.real, "im": defect.imag}
+    assert result["commutator_sup"] == commutator_preservation_check(
+        _inline_connection(metric), f)
 
 
 # -- sweep ------------------------------------------------------------------
@@ -422,6 +467,25 @@ _JSON_TREES = _trees(_SCALARS | _COMPLEX | _COMPLEX.map(np.complex128))
 # CSV cells of numpy complex values follow numpy's str(), which the writer
 # does not promise to keep; Python complex numbers are covered
 _CSV_TREES = _trees(_SCALARS | _COMPLEX)
+
+
+@pytest.mark.parametrize("argv", [GOLDEN[name] for name in sorted(GOLDEN) if name != "sweep"] + [
+    ["spectrum", "--op", "well", "--n-max", "5000"],
+    ["spectrum", "--op", "momentum"],
+    ["spectrum", "--op", "robin", "--alpha", "1"],
+    ["deficiency", "--op", "hamiltonian", "--interval", "2,inf"],
+])
+def test_one_shot_lists_are_written_as_the_reference_encodes_them(argv):
+    # a one-shot's lists, such as the levels of a spectrum, are written
+    # through the records writer
+    code, text = run_cli(argv)
+    assert code == 0
+    parser = cli.build_parser()
+    ns = parser.parse_args(argv)
+    cli._finalize(ns, argv[0], parser)
+    payload = json.loads(text)
+    payload["result"] = cli._COMMANDS[argv[0]]["run"](ns)
+    assert reference_json(payload) == text
 
 
 @settings(max_examples=300, deadline=None)
@@ -680,13 +744,45 @@ def test_explicit_zero_is_not_replaced_by_the_default(argv):
     jsonschema.validate(json.loads(text), cli.load_schema("error"))
 
 
-@pytest.mark.parametrize("op", ["momentum", "well", "robin"])
-def test_spectrum_result_does_not_depend_on_grid_n(op):
-    # levels carry closed-form eigenfunctions, so no grid is built; --grid-n
-    # is echoed in the manifest only
-    base = run_json(["spectrum", "--op", op])["result"]
-    for grid_n in ("0", "1", "7", "4001"):
-        assert run_json(["spectrum", "--op", op, "--grid-n", grid_n])["result"] == base
+#: argv and a sweep axis of each subcommand whose runner reads no --grid-n
+_NO_GRID = {
+    "spectrum-momentum": (["spectrum", "--op", "momentum"], "theta=0:1:2"),
+    "spectrum-well": (["spectrum", "--op", "well"], "a=1:2:2"),
+    "spectrum-robin": (["spectrum", "--op", "robin"], "alpha=-2:-1:2"),
+    "extend": (["extend", "--operator", "hamiltonian", "--gamma", "1"], "gamma=1:2:2"),
+    "scatter": (["scatter", "--k", "2", "--alpha", "-1"], "k=1:2:2"),
+    "classical": (["classical", "--s", "-2"], "g=1:2:2"),
+    "anomaly": (["anomaly", "--alpha", "-2"], "t=0:1:2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NO_GRID))
+def test_grid_n_is_a_usage_error_where_no_runner_reads_it(name, capsys):
+    # these results come from closed forms (or, for classical, an integrator
+    # sized by --samples), so a --grid-n would be echoed and change nothing
+    argv, axis = _NO_GRID[name]
+    sweep = ["sweep", *argv, "--sweep", axis]
+    for bad in (argv + ["--grid-n", "7"], sweep + ["--grid-n", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--grid-n" in err and "Traceback" not in err
+    run_json(sweep)
+
+
+@pytest.mark.parametrize("argv, axis", [
+    (["deficiency", "--op", "momentum"], "lam=1:2:2"),
+    (["boundstate", "--alpha", "-1"], "x_max=30:35:2"),
+    (["paradox", "--id", "3"], "a=1:2:2"),
+    (["geometry", "--metric", "polar"], None),  # no flag of geometry is numeric
+])
+def test_grid_n_is_echoed_only_when_given(argv, axis):
+    assert "grid_n" not in run_json(argv)["manifest"]["params"]
+    assert run_json(argv + ["--grid-n", "2001"])["manifest"]["params"]["grid_n"] == 2001
+    if axis is not None:
+        sweep = ["sweep", *argv, "--grid-n", "2001", "--sweep", axis]
+        assert run_json(sweep)["manifest"]["params"]["grid_n"] == 2001
 
 
 @pytest.mark.parametrize("units", ["hbar=inf", "two_m=inf", "hbar=1,two_m=-inf",
@@ -795,6 +891,30 @@ def test_every_float_flag_stays_sweepable(name, flag):
     point = payload["result"]["points"][0]
     assert point["params"] == {dest: value}
     assert "result" in point
+
+
+@pytest.mark.parametrize("name, flags, alpha", [
+    ("anomaly", [], "-1e-200"),
+    ("anomaly", ["--t", "3"], "-1e-320"),
+    ("spectrum", ["--op", "robin"], "-1e-320"),
+    ("spectrum", ["--op", "robin"], "-1.49e-154"),
+])
+def test_robin_energy_consumers_refuse_an_underflowing_energy(name, flags, alpha):
+    # as boundstate does: an energy -alpha^2 that is not a normal float would
+    # be reported as -0.0, with residual and tolerance 0
+    code, text = run_cli([name, *flags, f"--alpha={alpha}"])
+    assert code == 1
+    payload = json.loads(text)
+    jsonschema.validate(payload, cli.load_schema("error"))
+    assert payload["error"]["code"] == "precondition"
+    # also as a sweep point, next to one that is served
+    code, text = run_cli(["sweep", name, *flags, "--sweep", f"alpha={alpha}:-1:2"])
+    assert code == 1
+    points = json.loads(text)["result"]["points"]
+    assert points[0]["error"]["code"] == "precondition"
+    assert "result" in points[1]
+    # a spectrum of another op does not read --alpha
+    assert run_json(["spectrum", "--op", "well", f"--alpha={alpha}"])["result"]["discrete"]
 
 
 @pytest.mark.parametrize("alpha", ["-1e-320", "-5.55e-170", "-1.49e-154"])

@@ -92,6 +92,26 @@ def test_hamiltonian_basis_starts_at_the_left_end():
         assert norm(sol.fn) == pytest.approx(1.0, abs=1e-8)
 
 
+def _tag_function(tag):
+    """The function a free-Hamiltonian tag names, e.g. 2^(1/4)*exp((+i-1)(x-2)/sqrt2)."""
+    text = tag.replace("^", "**").replace("exp", "np.exp").replace("sqrt2", "math.sqrt(2)")
+    text = text.replace("+i", "+1j").replace("-i", "-1j")
+    text = text.replace(")(", ")*(").replace(")x", ")*x")
+    return lambda x: eval(text, {"np": np, "math": math, "x": x})
+
+
+@pytest.mark.parametrize("a, lam", [(0.0, 1.0), (2.0, 1.0), (2.0, 4.0), (-1.5, 0.25)])
+def test_hamiltonian_tag_names_the_sampled_function(a, lam):
+    # the tag states its normalisation constant, so the exponent must carry
+    # the left end: on [2, inf) it reads (x-2)
+    iv = Interval.half_line(a)
+    xs = np.linspace(a, a + 10.0, 101)
+    for sol in solve_deficiency(OperatorSpec.free_hamiltonian(iv), lam=lam).basis():
+        assert ("(x" in sol.tag) == (a != 0.0)
+        np.testing.assert_allclose(_tag_function(sol.tag)(xs), sol.closed_form(xs),
+                                   rtol=1e-13, atol=0.0)
+
+
 def test_classifications():
     assert solve_deficiency(MOMENTUM_LINE).classification == ESSENTIALLY_SELF_ADJOINT
     r = solve_deficiency(MOMENTUM_01)
