@@ -205,7 +205,9 @@ def bound_state_shooting(
         raise NoRootError(
             "boundary mismatch does not change sign on [%g, %g]" % (lo, hi)
         )
-    return float(brentq(mismatch, lo, hi, xtol=1e-9, rtol=8.9e-16))
+    # the root scales as alpha^2: an absolute xtol of one ulp of the end
+    # nearest zero leaves the relative rtol in charge at any |alpha|
+    return float(brentq(mismatch, lo, hi, xtol=math.ulp(hi), rtol=8.9e-16))
 
 
 def reflection_coefficient(k: float, alpha: float) -> complex:

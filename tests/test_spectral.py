@@ -285,7 +285,7 @@ def _shooting_reference(alpha, e_bracket, x_max=None, ode_rtol=1e-10):
         psi0, dpsi0 = sol.y[0, -1], sol.y[1, -1]
         return (dpsi0 - alpha * psi0) / (abs(psi0) + abs(dpsi0))
 
-    return float(brentq(mismatch, lo, hi, xtol=1e-9, rtol=8.9e-16))
+    return float(brentq(mismatch, lo, hi, xtol=math.ulp(hi), rtol=8.9e-16))
 
 
 @given(st.floats(min_value=-1.5, max_value=3.0))
