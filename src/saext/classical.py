@@ -238,18 +238,23 @@ def integrate_flow(
     tol: float,
     samples: int = 2001,
 ) -> FlowTrajectory:
-    """Integrate qdot = 2p, pdot = -V'(q) with adaptive error control.
+    """The flow qdot = 2p, pdot = -V'(q) at ``samples`` equally spaced times.
 
-    Inverse-power trajectories that run into the origin stop with a
+    For s = -2 the flow is closed: d(qp)/dt = 2H, so qp = q0 p0 + 2Ht and
+    q^2 = q0^2 + 4t(q0 p0 + Ht), exact up to rounding (``tol`` is not
+    used).  Every other exponent is integrated by DOP853 with relative
+    tolerance ``tol``.  Trajectories that run into the origin stop with a
     singularity error instead of silently producing garbage.
     """
-    from scipy.integrate import solve_ivp
-
     q0, p0 = float(state0[0]), float(state0[1])
     if not q0 > 0.0:
         raise PreconditionError("flow starts on the q > 0 side, got q0=%r" % (q0,))
     if not t_end > 0.0:
         raise PreconditionError("t_end must be positive, got %r" % (t_end,))
+    if v.s == -2.0:
+        return _inverse_square_flow(v, q0, p0, t_end, samples)
+
+    from scipy.integrate import solve_ivp
 
     def rhs(_t, y):
         return (2.0 * y[1], v.force(y[0]))
@@ -281,11 +286,42 @@ def integrate_flow(
         )
     if not sol.success:
         raise StiffnessError("integrator gave up: %s" % sol.message)
-    qs, ps = sol.y[0], sol.y[1]
+    return _trajectory(v, sol.t, sol.y[0], sol.y[1])
+
+
+def _trajectory(v: PowerLawPotential, ts, qs, ps) -> FlowTrajectory:
     energies = ps * ps + v.value(qs)
     h0 = energies[0]
     drift = float(np.max(np.abs(energies - h0)) / max(abs(h0), 1e-300))
-    return FlowTrajectory(sol.t, qs, ps, energies, drift)
+    return FlowTrajectory(ts, qs, ps, energies, drift)
+
+
+def _inverse_square_flow(
+    v: PowerLawPotential, q0: float, p0: float, t_end: float, samples: int
+) -> FlowTrajectory:
+    """The s = -2 flow from its closed form, or the time it reaches q = 0."""
+    b, q0_sq = q0 * p0, q0 * q0
+    if not q0_sq > 0.0:
+        raise PreconditionError("q0^2 underflows, got q0=%r" % (q0,))
+    h = p0 * p0 + v.g / q0_sq
+    # q^2 = q0^2 + 4t(b + ht) has discriminant 16(b^2 - h q0^2) = -16g, so
+    # it reaches 0 only for g <= 0 (a double root at g = 0).  Its roots in
+    # the form without cancellation are q0^2 / (2(+-sqrt(-g) - b)), and
+    # the first positive one is q0^2 / (2(sqrt(-g) - b)) if sqrt(-g) > b.
+    if v.g <= 0.0:
+        closing = math.sqrt(-v.g) - b
+        fall = 0.5 * q0_sq / closing if closing > 0.0 else math.inf
+        if fall <= t_end:
+            raise SingularityError("trajectory reaches the origin at t=%r" % (fall,))
+    ts = np.linspace(0.0, t_end, samples)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        qs = np.sqrt(q0_sq + 4.0 * ts * (b + h * ts))
+        traj = _trajectory(v, ts, qs, (b + 2.0 * h * ts) / qs)
+    if not (np.all(np.isfinite(traj.energies)) and np.all(traj.qs > 0.0)):
+        raise PreconditionError(
+            "the s=-2 flow from q0=%r, p0=%r, g=%r comes within rounding of "
+            "q = 0 or leaves the float range by t_end=%r" % (q0, p0, v.g, t_end))
+    return traj
 
 
 def dilatation_drift_report(
@@ -298,16 +334,20 @@ def dilatation_drift_report(
     """Measure D(t) - D(0) along a trajectory and compare to the predicted rate.
 
     The prediction integrates g (1 + s/2) q(t)^s along the same
-    trajectory; for s = -2 it is identically zero and the measured
-    drift collapses to integrator noise.
+    trajectory (Simpson's rule).  For s = -2 the rate vanishes
+    identically, so the prediction is zero, and since the flow is then
+    closed the measured drift is rounding alone.
     """
-    from scipy.integrate import cumulative_simpson
-
     traj = integrate_flow(v, state0, t_end, tol, samples=samples)
     d_vals = traj.energies * traj.ts - 0.5 * traj.qs * traj.ps
     measured = d_vals - d_vals[0]
-    rate = (1.0 + 0.5 * v.s) * v.value(traj.qs)
-    predicted = cumulative_simpson(rate, x=traj.ts, initial=0.0)
+    if v.s == -2.0:
+        predicted = np.zeros_like(measured)
+    else:
+        from scipy.integrate import cumulative_simpson
+
+        rate = (1.0 + 0.5 * v.s) * v.value(traj.qs)
+        predicted = cumulative_simpson(rate, x=traj.ts, initial=0.0)
     return DriftReport(
         max_drift=float(np.max(np.abs(measured))),
         predicted_drift=float(np.max(np.abs(predicted))),

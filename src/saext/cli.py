@@ -616,9 +616,10 @@ def _run_spectrum(args) -> dict:
 
 def _robin_alpha(alpha: float) -> float:
     """alpha, refused where the bound-state energy -alpha^2 is not a normal float."""
-    if -_ALPHA_NORMAL_MIN < alpha < 0.0:
-        raise PreconditionError("the energy -alpha^2 is not a normal float "
-                                "for |alpha| < 2^-511, got alpha=%r" % (alpha,))
+    # below 2^-511 -alpha^2 is subnormal or 0.0; from 2^512 on it overflows
+    if alpha < 0.0 and not _ALPHA_NORMAL_MIN <= -alpha < 2.0**512:
+        raise PreconditionError("the energy -alpha^2 is a normal float only for "
+                                "2^-511 <= |alpha| < 2^512, got alpha=%r" % (alpha,))
     return alpha
 
 
@@ -653,7 +654,11 @@ def _run_scatter(args) -> dict:
 
 
 def _run_anomaly(args) -> dict:
-    return anomaly_quadrature(_robin_alpha(args.alpha), t=args.t, tol=args.tol).to_json_dict()
+    report = anomaly_quadrature(_robin_alpha(args.alpha), t=args.t, tol=args.tol)
+    if not math.isfinite(report.anomaly):
+        raise PreconditionError("the anomaly needs (H psi, H psi) = alpha^4 and "
+                                "t*alpha^4 finite, got alpha=%r, t=%r" % (args.alpha, args.t))
+    return report.to_json_dict()
 
 
 def _run_paradox(args) -> dict:

@@ -105,7 +105,7 @@ def _exp_tag(rate: float, var: str = "x") -> str:
         return f"exp({var})"
     if rate == -1.0:
         return f"exp(-{var})"
-    return f"exp({rate:g}*{var})"
+    return f"exp({rate}*{var})"  # a float prints in full, as its repr
 
 
 def _normalized_exponential(rate: float, iv: Interval, n: int,
@@ -141,9 +141,10 @@ def _hamiltonian_solution(sign: int, lam: float, iv: Interval, n: int) -> Defici
 
     xs = np.linspace(iv.a, iv.a + span, n)
     sig = "+i" if sign > 0 else "-i"
-    scale = "" if lam == 1.0 else f"{root:g}*"
-    x = "x" if iv.a == 0.0 else f"(x{-iv.a:+g})"
-    tag = f"2^(1/4){'' if lam == 1.0 else f'*{lam:g}^(1/4)'}*exp({scale}({sig}-1){x}/sqrt2)"
+    # floats print in full, as their repr ('+' with no type adds the sign)
+    scale = "" if lam == 1.0 else f"{root}*"
+    x = "x" if iv.a == 0.0 else f"(x{-iv.a:+})"
+    tag = f"2^(1/4){'' if lam == 1.0 else f'*{lam}^(1/4)'}*exp({scale}({sig}-1){x}/sqrt2)"
     return DeficiencySolution(tag, GridFunction(xs, closed_form(xs)),
                               closed_form, iv, mu)
 

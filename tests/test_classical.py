@@ -1,6 +1,8 @@
 import math
+import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,90 @@ def test_attractive_singularity_detected():
 
 def test_drift_vanishes_for_inverse_square():
     assert dilatation_drift(PowerLawPotential(1.0, -2), (1.0, 0.3), 5.0) <= 1e-7
+
+
+def test_inverse_square_drift_is_rounding_alone():
+    # closed flow, zero rate: D = tH - qp/2 moves by rounding only
+    report = dilatation_drift_report(PowerLawPotential(1.0, -2), (1.0, 0.25), 5.0)
+    assert report.predicted_drift == 0.0
+    assert report.max_deviation == report.max_drift <= 1e-14
+    assert report.energy_drift <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# inverse-square flow in closed form; DOP853 is the reference
+# ---------------------------------------------------------------------------
+
+def _dop853_inverse_square(g, q0, p0, t_end, samples):
+    """(q, p) of qdot = 2p, pdot = 2g/q^3 at the samples, by DOP853 at rtol 1e-12."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(lambda _t, y: (2.0 * y[1], 2.0 * g / y[0] ** 3), (0.0, t_end),
+                    (q0, p0), method="DOP853", rtol=1e-12, atol=1e-14,
+                    t_eval=np.linspace(0.0, t_end, samples))
+    assert sol.success, sol.message
+    return sol.y
+
+
+def _fall_time(g, q0, p0):
+    """First t > 0 with q0^2 + 4t(q0 p0 + Ht) = 0 in 50-digit arithmetic, or None."""
+    with mpmath.workdps(50):
+        g, q0, p0 = (mpmath.mpf(x) for x in (g, q0, p0))
+        h = p0 * p0 + g / (q0 * q0)
+        if g > 0:
+            roots = []
+        elif h == 0:
+            roots = [-q0 / (4 * p0)] if p0 else []
+        else:
+            roots = [(-q0 * p0 + sign * mpmath.sqrt(-g)) / (2 * h) for sign in (1, -1)]
+        times = [t for t in roots if t > 0]
+        return float(min(times)) if times else None
+
+
+def _reported_time(exc):
+    return float(re.search(r"at t=(\S+)$", str(exc.value)).group(1))
+
+
+@pytest.mark.parametrize("g, p0, fall", [
+    (-1.0, 0.5, 1.0),       # g < 0: H < 0, captured although moving out
+    (-0.0625, -0.25, 1.0),  # H = 0: q^2 = 1 - t
+    (0.0, -1.0, 0.5),       # g = 0: q = 1 - 2t, a double root of q^2
+])
+def test_inverse_square_falls_at_the_exact_time(g, p0, fall):
+    v = PowerLawPotential(g, -2)
+    for t_end in (fall, 5.0):
+        with pytest.raises(SingularityError) as exc:
+            integrate_flow(v, (1.0, p0), t_end, 1e-10)
+        assert _reported_time(exc) == fall
+    # a horizon just short of the fall is served
+    assert integrate_flow(v, (1.0, p0), 0.99 * fall, 1e-10).qs[-1] > 0.0
+
+
+_COUPLINGS = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0)).map(
+    lambda c: c[0] * 10.0 ** c[1])
+
+
+@given(g=_COUPLINGS,
+       q0=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
+       p0=st.floats(-3.0, 3.0),
+       t_end=st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e))
+@settings(max_examples=80, deadline=None)
+def test_inverse_square_closed_form_matches_dop853(g, q0, p0, t_end):
+    v = PowerLawPotential(g, -2)
+    fall = _fall_time(g, q0, p0)
+    if fall is not None and fall <= t_end:
+        with pytest.raises(SingularityError) as exc:
+            integrate_flow(v, (q0, p0), t_end, 1e-10, samples=201)
+        # the fall time is q0^2 / (2(sqrt(-g) - q0 p0)); moving p0 or g by
+        # one ulp moves it by up to (|q0 p0| + sqrt(-g)) / (sqrt(-g) - q0 p0)
+        # ulps, the inputs' own conditioning near the escape threshold H = 0
+        b, s = q0 * p0, math.sqrt(-g)
+        rel = 1e-12 + 4e-16 * (abs(b) + s) / (s - b)
+        assert _reported_time(exc) == pytest.approx(fall, rel=rel)
+        return
+    traj = integrate_flow(v, (q0, p0), t_end, 1e-10, samples=201)
+    for got, ref in zip((traj.qs, traj.ps), _dop853_inverse_square(g, q0, p0, t_end, 201)):
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref)))
 
 
 def test_drift_matches_prediction_inverse_linear():

@@ -656,6 +656,19 @@ def test_spectrum_memory_stays_below_200mb_at_1e5_levels():
     assert maxrss_kib / 1024 < 200
 
 
+def test_inverse_square_flow_stays_below_50mb():
+    # the s = -2 flow is closed and imports no scipy; DOP853 and Simpson's
+    # rule through scipy.integrate peaked at 82 MB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "saext.cli", "classical", "--s", "-2"]
+    launched = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+    code, maxrss_kib = map(int, launched.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 50
+
+
 def test_json_sweep_memory_is_flat_in_the_number_of_points():
     # JSON points are written and dropped a chunk at a time; what still grows
     # is the axis grid, 8 bytes a point (1.6 MB from 1e5 to 3e5 points)
@@ -758,8 +771,9 @@ _NO_GRID = {
 
 @pytest.mark.parametrize("name", sorted(_NO_GRID))
 def test_grid_n_is_a_usage_error_where_no_runner_reads_it(name, capsys):
-    # these results come from closed forms (or, for classical, an integrator
-    # sized by --samples), so a --grid-n would be echoed and change nothing
+    # these results come from closed forms (for classical, sampled at
+    # --samples times, and integrated by DOP853 for s != -2), so a --grid-n
+    # would be echoed and change nothing
     argv, axis = _NO_GRID[name]
     sweep = ["sweep", *argv, "--sweep", axis]
     for bad in (argv + ["--grid-n", "7"], sweep + ["--grid-n", "7"]):
@@ -915,6 +929,42 @@ def test_robin_energy_consumers_refuse_an_underflowing_energy(name, flags, alpha
     assert "result" in points[1]
     # a spectrum of another op does not read --alpha
     assert run_json(["spectrum", "--op", "well", f"--alpha={alpha}"])["result"]["discrete"]
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("anomaly", []), ("boundstate", []), ("spectrum", ["--op", "robin"])])
+def test_robin_energy_consumers_refuse_an_overflowing_energy(name, flags):
+    # -alpha^2 overflows from |alpha| = 2^512 on; it was reported as "-inf"
+    # (and the anomaly and its residual as "nan")
+    for alpha in ("-1e200", repr(-2.0**512), "-inf"):
+        code, text = run_cli([name, *flags, f"--alpha={alpha}"])
+        assert code == 1
+        payload = json.loads(text)
+        jsonschema.validate(payload, cli.load_schema("error"))
+        assert payload["error"]["code"] == "precondition"
+    code, text = run_cli(["sweep", name, *flags, "--sweep", "alpha=-1e200:-1:2"])
+    assert code == 1
+    points = json.loads(text)["result"]["points"]
+    assert points[0]["error"]["code"] == "precondition"
+    assert "result" in points[1]
+
+
+@pytest.mark.parametrize("alpha", [repr(-2.0**512 * (1.0 - 2.0**-53)), "-1e154"])
+def test_largest_robin_energies_are_served(alpha):
+    energy = -float(alpha) ** 2
+    assert run_json(["boundstate", f"--alpha={alpha}"])["result"]["E"] == energy
+    level = run_json(["spectrum", "--op", "robin", f"--alpha={alpha}"])["result"]
+    assert level["discrete"][0]["value"] == energy
+
+
+@pytest.mark.parametrize("flags", [["--alpha=-1e100"], ["--alpha=-1e75", "--t=1e10"]])
+def test_anomaly_refuses_overflowing_terms(flags):
+    # (H psi, H psi) = alpha^4 overflows from |alpha| = 2^256 on, t*alpha^4
+    # sooner; their difference was reported as "nan"
+    code, text = run_cli(["anomaly", *flags])
+    assert code == 1
+    assert json.loads(text)["error"]["code"] == "precondition"
+    assert run_json(["anomaly", "--alpha=-1e75"])["result"]["residual"] == 0.0
 
 
 @pytest.mark.parametrize("alpha", ["-1e-320", "-5.55e-170", "-1.49e-154"])

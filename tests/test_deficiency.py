@@ -93,17 +93,19 @@ def test_hamiltonian_basis_starts_at_the_left_end():
 
 
 def _tag_function(tag):
-    """The function a free-Hamiltonian tag names, e.g. 2^(1/4)*exp((+i-1)(x-2)/sqrt2)."""
+    """The function a free-Hamiltonian tag names, e.g. 2^(1/4)*exp((+i-1)(x-2.0)/sqrt2)."""
     text = tag.replace("^", "**").replace("exp", "np.exp").replace("sqrt2", "math.sqrt(2)")
     text = text.replace("+i", "+1j").replace("-i", "-1j")
     text = text.replace(")(", ")*(").replace(")x", ")*x")
     return lambda x: eval(text, {"np": np, "math": math, "x": x})
 
 
-@pytest.mark.parametrize("a, lam", [(0.0, 1.0), (2.0, 1.0), (2.0, 4.0), (-1.5, 0.25)])
+@pytest.mark.parametrize("a, lam", [(0.0, 1.0), (2.0, 1.0), (2.0, 4.0), (-1.5, 0.25),
+                                    (0.0, 0.5)])
 def test_hamiltonian_tag_names_the_sampled_function(a, lam):
     # the tag states its normalisation constant, so the exponent must carry
-    # the left end: on [2, inf) it reads (x-2)
+    # the left end: on [2, inf) it reads (x-2.0); its numbers are printed in
+    # full, so at lam = 0.5 the tag is the sampled function to rounding
     iv = Interval.half_line(a)
     xs = np.linspace(a, a + 10.0, 101)
     for sol in solve_deficiency(OperatorSpec.free_hamiltonian(iv), lam=lam).basis():

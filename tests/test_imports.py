@@ -30,15 +30,15 @@ scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"code": code, "scipy": scipy}))
 """
 
-#: Golden runs that need scipy: the integrated flow.
+#: Runs that need scipy: the flow integrated by DOP853, for s != -2.
 _SCIPY_ARGV = {
-    "classical": ["classical", "--s", "-2"],
+    "classical": ["classical", "--s", "1"],
 }
 
-#: Runs that must load numpy alone: the scipy-free golden runs and the
-#: twisted-ring paradox, whose stencil is applied with numpy.
+#: Runs that must load numpy alone: every golden run (the s = -2 flow is
+#: closed) and the twisted-ring paradox, whose stencil is applied with numpy.
 _SCIPY_FREE_ARGV = {
-    **{name: argv for name, argv in GOLDEN.items() if name not in _SCIPY_ARGV},
+    **GOLDEN,
     "paradox-1": ["paradox", "--id", "1"],
     "paradox-4": ["paradox", "--id", "4"],
     "spectrum-well": ["spectrum", "--op", "well"],
