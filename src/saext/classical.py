@@ -240,19 +240,22 @@ def integrate_flow(
 ) -> FlowTrajectory:
     """The flow qdot = 2p, pdot = -V'(q) at ``samples`` equally spaced times.
 
-    For s = -2 the flow is closed: d(qp)/dt = 2H, so qp = q0 p0 + 2Ht and
-    q^2 = q0^2 + 4t(q0 p0 + Ht), exact up to rounding (``tol`` is not
-    used).  Every other exponent is integrated by DOP853 with relative
-    tolerance ``tol``.  Trajectories that run into the origin stop with a
-    singularity error instead of silently producing garbage.
+    For s in {-2, 0, 1, 2} the flow is closed and sampled from its closed
+    form, exact up to rounding (``tol`` is not used there); see
+    :func:`_closed_samples`.  Every other exponent is integrated by DOP853
+    with relative tolerance ``tol``.  Trajectories that run into the
+    origin stop with a singularity error instead of silently producing
+    garbage.
     """
+    if not samples >= 2:
+        raise PreconditionError("need at least 2 samples, got %r" % (samples,))
     q0, p0 = float(state0[0]), float(state0[1])
     if not q0 > 0.0:
         raise PreconditionError("flow starts on the q > 0 side, got q0=%r" % (q0,))
     if not t_end > 0.0:
         raise PreconditionError("t_end must be positive, got %r" % (t_end,))
-    if v.s == -2.0:
-        return _inverse_square_flow(v, q0, p0, t_end, samples)
+    if v.s in _CLOSED_EXPONENTS:
+        return _closed_flow(v, q0, p0, t_end, samples)
 
     from scipy.integrate import solve_ivp
 
@@ -290,38 +293,82 @@ def integrate_flow(
 
 
 def _trajectory(v: PowerLawPotential, ts, qs, ps) -> FlowTrajectory:
-    energies = ps * ps + v.value(qs)
-    h0 = energies[0]
-    drift = float(np.max(np.abs(energies - h0)) / max(abs(h0), 1e-300))
+    potential = v.value(qs)
+    energies = ps * ps + potential
+    # relative to p0^2 + |V(q0)|: that is |H0| when V(q0) >= 0, and it
+    # stays away from 0 when an attractive H0 cancels to 0
+    scale = ps[0] * ps[0] + abs(potential[0])
+    drift = float(np.max(np.abs(energies - energies[0])) / max(scale, 1e-300))
     return FlowTrajectory(ts, qs, ps, energies, drift)
 
 
-def _inverse_square_flow(
+#: Exponents whose flow :func:`integrate_flow` samples from its closed form.
+_CLOSED_EXPONENTS = (-2.0, 0.0, 1.0, 2.0)
+
+
+def _closed_flow(
     v: PowerLawPotential, q0: float, p0: float, t_end: float, samples: int
 ) -> FlowTrajectory:
-    """The s = -2 flow from its closed form, or the time it reaches q = 0."""
+    """The flow for s in _CLOSED_EXPONENTS from its closed form.
+
+    A flow that leaves the float range by t_end, or at s = -2 comes
+    within rounding of q = 0, raises PreconditionError.
+    """
+    g, s = v.g, v.s
+    if s == -2.0:
+        _inverse_square_fall(g, q0, p0, t_end)
+    ts = np.linspace(0.0, t_end, samples)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        traj = _trajectory(v, ts, *_closed_samples(g, s, q0, p0, ts))
+    if np.all(np.isfinite(traj.energies)) and (s != -2.0 or np.all(traj.qs > 0.0)):
+        return traj
+    lost = "comes within rounding of q = 0 or leaves" if s == -2.0 else "leaves"
+    raise PreconditionError("the s=%g flow from q0=%r, p0=%r, g=%r %s the float range "
+                            "by t_end=%r" % (s, q0, p0, g, lost, t_end))
+
+
+def _closed_samples(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
+    """(q, p) at the times ts for s in _CLOSED_EXPONENTS.
+
+    s = -2: with qdot = 2p, d(qp)/dt = 2H, so qp = q0 p0 + 2Ht and
+    q^2 = q0^2 + 4t(q0 p0 + Ht).  s = 1: constant force, p = p0 - g t and
+    q = q0 + 2 p0 t - g t^2.  s = 2 with g > 0: w = 2 sqrt(g),
+    q = q0 cos wt + (2 p0/w) sin wt and p = p0 cos wt - (w q0/2) sin wt;
+    with g < 0 the same with cosh, sinh and w = 2 sqrt(-g), the sign of
+    the p term flipped.  s = 0, or s = 2 with g = 0: free flight,
+    q = q0 + 2 p0 t.
+    """
+    if s == -2.0:
+        b, q0_sq = q0 * p0, q0 * q0
+        h = p0 * p0 + g / q0_sq
+        qs = np.sqrt(q0_sq + 4.0 * ts * (b + h * ts))
+        return qs, (b + 2.0 * h * ts) / qs
+    if s == 1.0:
+        return q0 + 2.0 * p0 * ts - g * ts * ts, p0 - g * ts
+    if s == 2.0 and g != 0.0:
+        w = 2.0 * math.sqrt(abs(g))
+        if g > 0.0:
+            c, sn, sign = np.cos(w * ts), np.sin(w * ts), -1.0
+        else:
+            c, sn, sign = np.cosh(w * ts), np.sinh(w * ts), 1.0
+        return q0 * c + (2.0 * p0 / w) * sn, p0 * c + sign * (0.5 * w * q0) * sn
+    return q0 + 2.0 * p0 * ts, np.full_like(ts, p0)
+
+
+def _inverse_square_fall(g: float, q0: float, p0: float, t_end: float) -> None:
+    """Raise SingularityError if the s = -2 flow reaches q = 0 by t_end."""
     b, q0_sq = q0 * p0, q0 * q0
     if not q0_sq > 0.0:
         raise PreconditionError("q0^2 underflows, got q0=%r" % (q0,))
-    h = p0 * p0 + v.g / q0_sq
-    # q^2 = q0^2 + 4t(b + ht) has discriminant 16(b^2 - h q0^2) = -16g, so
+    # q^2 = q0^2 + 4t(b + Ht) has discriminant 16(b^2 - H q0^2) = -16g, so
     # it reaches 0 only for g <= 0 (a double root at g = 0).  Its roots in
     # the form without cancellation are q0^2 / (2(+-sqrt(-g) - b)), and
     # the first positive one is q0^2 / (2(sqrt(-g) - b)) if sqrt(-g) > b.
-    if v.g <= 0.0:
-        closing = math.sqrt(-v.g) - b
+    if g <= 0.0:
+        closing = math.sqrt(-g) - b
         fall = 0.5 * q0_sq / closing if closing > 0.0 else math.inf
         if fall <= t_end:
             raise SingularityError("trajectory reaches the origin at t=%r" % (fall,))
-    ts = np.linspace(0.0, t_end, samples)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        qs = np.sqrt(q0_sq + 4.0 * ts * (b + h * ts))
-        traj = _trajectory(v, ts, qs, (b + 2.0 * h * ts) / qs)
-    if not (np.all(np.isfinite(traj.energies)) and np.all(traj.qs > 0.0)):
-        raise PreconditionError(
-            "the s=-2 flow from q0=%r, p0=%r, g=%r comes within rounding of "
-            "q = 0 or leaves the float range by t_end=%r" % (q0, p0, v.g, t_end))
-    return traj
 
 
 def dilatation_drift_report(
@@ -334,9 +381,10 @@ def dilatation_drift_report(
     """Measure D(t) - D(0) along a trajectory and compare to the predicted rate.
 
     The prediction integrates g (1 + s/2) q(t)^s along the same
-    trajectory (Simpson's rule).  For s = -2 the rate vanishes
-    identically, so the prediction is zero, and since the flow is then
-    closed the measured drift is rounding alone.
+    trajectory by Simpson's rule, also for s = 0, 1 and 2, where the
+    flow itself is closed (``tol`` is then not used).  For s = -2 the
+    rate vanishes identically, so the prediction is zero, and since the
+    flow is then closed the measured drift is rounding alone.
     """
     traj = integrate_flow(v, state0, t_end, tol, samples=samples)
     d_vals = traj.energies * traj.ts - 0.5 * traj.qs * traj.ps

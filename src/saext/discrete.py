@@ -7,6 +7,7 @@ the computation actually yields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Tuple, Union
 
@@ -65,6 +66,33 @@ class ParadoxReport:
         return out
 
 
+def _hermitian_draw(rng: np.random.Generator, n: int) -> np.ndarray:
+    """One n x n draw from the law of (A + A^H)/2, A with iid standard complex entries.
+
+    That law has an N(0, 1) diagonal and N(0, 1/2) real and imaginary
+    parts above it, so n**2 normals fill it: the diagonal, the real
+    parts from the upper triangle and the imaginary parts from the lower
+    one.  The lower triangle of the result is the exact conjugate of the
+    upper.
+    """
+    z = rng.standard_normal((n, n))
+    diagonal = z.diagonal().copy()
+    z *= math.sqrt(0.5)
+    upper = np.tri(n, k=-1, dtype=bool).T
+    x = np.empty((n, n), dtype=complex)
+    np.copyto(x.real, z.T)
+    np.copyto(x.real, z, where=upper)
+    np.negative(z, out=x.imag)
+    np.copyto(x.imag, z.T, where=upper)
+    np.fill_diagonal(x, diagonal)
+    return x
+
+
+def _commutator_trace(x: np.ndarray, p: np.ndarray) -> complex:
+    """Tr(XP) - Tr(PX), each trace summed entrywise without forming the product."""
+    return complex(np.sum(x * p.T)) - complex(np.sum(p * x.T))
+
+
 def trace_commutator_check(
     n: int,
     trials: int,
@@ -75,11 +103,14 @@ def trace_commutator_check(
 
     Draws ``trials`` random Hermitian pairs and reports the largest
     commutator trace relative to the Frobenius norms, next to the
-    i*hbar*dim value the canonical relation would demand.
+    i*hbar*dim value the canonical relation would demand.  Tr(XP) and
+    Tr(PX) are summed entrywise, O(n**2) each.
 
-    A trial holds about six complex n x n arrays, 96*n**2 bytes; an n for
-    which that exceeds _MEMORY_BUDGET (1 GiB, so n > 3344) raises
-    PreconditionError before anything is allocated.
+    A trial holds the two complex n x n matrices, one complex entrywise
+    product and the real scratch of a draw, under 64*n**2 bytes.  The
+    budget is charged 96*n**2 bytes per trial, so an n for which that
+    exceeds _MEMORY_BUDGET (1 GiB, so n > 3344) raises PreconditionError
+    before anything is allocated.
     """
     if n < 2:
         raise PreconditionError("need a matrix dimension of at least 2, got %d" % n)
@@ -89,11 +120,9 @@ def trace_commutator_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        x = 0.5 * (x + x.conj().T)
-        p = 0.5 * (p + p.conj().T)
-        tr = np.trace(x @ p) - np.trace(p @ x)
+        x = _hermitian_draw(rng, n)
+        p = _hermitian_draw(rng, n)
+        tr = _commutator_trace(x, p)
         scale = np.linalg.norm(x) * np.linalg.norm(p)
         worst = max(worst, abs(tr) / scale)
     naive = complex(0.0, units.hbar * n)

@@ -201,14 +201,14 @@ def test_inverse_square_drift_is_rounding_alone():
 
 
 # ---------------------------------------------------------------------------
-# inverse-square flow in closed form; DOP853 is the reference
+# flows in closed form (s = -2, 0, 1, 2); DOP853 is the reference
 # ---------------------------------------------------------------------------
 
-def _dop853_inverse_square(g, q0, p0, t_end, samples):
-    """(q, p) of qdot = 2p, pdot = 2g/q^3 at the samples, by DOP853 at rtol 1e-12."""
+def _dop853(g, s, q0, p0, t_end, samples):
+    """(q, p) of qdot = 2p, pdot = -g s q^(s-1) at the samples, by DOP853 at rtol 1e-12."""
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(lambda _t, y: (2.0 * y[1], 2.0 * g / y[0] ** 3), (0.0, t_end),
+    sol = solve_ivp(lambda _t, y: (2.0 * y[1], -g * s * y[0] ** (s - 1)), (0.0, t_end),
                     (q0, p0), method="DOP853", rtol=1e-12, atol=1e-14,
                     t_eval=np.linspace(0.0, t_end, samples))
     assert sol.success, sol.message
@@ -272,8 +272,63 @@ def test_inverse_square_closed_form_matches_dop853(g, q0, p0, t_end):
         assert _reported_time(exc) == pytest.approx(fall, rel=rel)
         return
     traj = integrate_flow(v, (q0, p0), t_end, 1e-10, samples=201)
-    for got, ref in zip((traj.qs, traj.ps), _dop853_inverse_square(g, q0, p0, t_end, 201)):
+    for got, ref in zip((traj.qs, traj.ps), _dop853(g, -2, q0, p0, t_end, 201)):
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref)))
+
+
+@given(s=st.sampled_from([0, 1, 2]),
+       g=_COUPLINGS,
+       q0=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
+       p0=st.floats(-3.0, 3.0),
+       t_end=st.floats(-2.0, 0.5).map(lambda e: 10.0 ** e))
+@settings(max_examples=120, deadline=None)
+def test_polynomial_flows_match_dop853(s, g, q0, p0, t_end):
+    # s = 2 with g = -10^3 grows like e^(2 sqrt(-g) t), e^200 at most here
+    traj = integrate_flow(PowerLawPotential(g, s), (q0, p0), t_end, 1e-10, samples=201)
+    for got, ref in zip((traj.qs, traj.ps), _dop853(g, s, q0, p0, t_end, 201)):
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref)))
+
+
+def test_harmonic_flow_closed_form_values():
+    # w = 2 sqrt(g) = 4: q = cos 4t + (2 p0/4) sin 4t, p = p0 cos 4t - 2 sin 4t
+    traj = integrate_flow(PowerLawPotential(4.0, 2), (1.0, 0.5), 3.0, 1e-10, samples=7)
+    c, sn = np.cos(4.0 * traj.ts), np.sin(4.0 * traj.ts)
+    np.testing.assert_allclose(traj.qs, c + 0.25 * sn, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(traj.ps, 0.5 * c - 2.0 * sn, rtol=0, atol=1e-15)
+    assert traj.energy_drift <= 1e-15
+
+
+@pytest.mark.parametrize("g, s, q0", [
+    (-1e4, 2, 1.0),     # cosh(200 t) overflows by t = 3.6
+    (1e300, -2, 1e-5),  # H = g/q0^2 overflows at once
+])
+def test_flows_that_leave_the_float_range_are_refused(g, s, q0):
+    with pytest.raises(PreconditionError, match="leaves the float range"):
+        integrate_flow(PowerLawPotential(g, s), (q0, 0.0), 10.0, 1e-10)
+
+
+@pytest.mark.parametrize("s", [-3, -2, -1, 0, 1, 2, 3])
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_fewer_than_two_samples_are_refused(s, samples):
+    with pytest.raises(PreconditionError, match="at least 2 samples"):
+        integrate_flow(PowerLawPotential(1.0, s), (1.0, 0.25), 5.0, 1e-10,
+                       samples=samples)
+
+
+def test_zero_energy_drift_is_relative_to_the_energy_terms():
+    # H0 = 0.25^2 - 0.0625 = 0 exactly; the drift is measured against
+    # p0^2 + |V(q0)| = 0.125, not against H0
+    traj = integrate_flow(PowerLawPotential(-0.0625, -2), (1.0, 0.25), 5.0, 1e-10)
+    assert traj.energies[0] == 0.0
+    assert traj.energy_drift <= 1e-12
+
+
+@pytest.mark.parametrize("g, s", [(1.0, -2), (0.5, 2), (2.0, 1), (1.0, 0), (1.0, -1)])
+def test_repulsive_drift_is_relative_to_the_energy(g, s):
+    # V(q0) >= 0, so p0^2 + |V(q0)| is H0 itself, to the bit
+    traj = integrate_flow(PowerLawPotential(g, s), (1.0, 0.25), 2.0, 1e-10)
+    h0 = traj.energies[0]
+    assert traj.energy_drift == float(np.max(np.abs(traj.energies - h0)) / abs(h0))
 
 
 def test_drift_matches_prediction_inverse_linear():

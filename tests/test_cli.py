@@ -772,8 +772,8 @@ _NO_GRID = {
 @pytest.mark.parametrize("name", sorted(_NO_GRID))
 def test_grid_n_is_a_usage_error_where_no_runner_reads_it(name, capsys):
     # these results come from closed forms (for classical, sampled at
-    # --samples times, and integrated by DOP853 for s != -2), so a --grid-n
-    # would be echoed and change nothing
+    # --samples times, and integrated by DOP853 for s outside {-2, 0, 1, 2}),
+    # so a --grid-n would be echoed and change nothing
     argv, axis = _NO_GRID[name]
     sweep = ["sweep", *argv, "--sweep", axis]
     for bad in (argv + ["--grid-n", "7"], sweep + ["--grid-n", "7"]):
@@ -965,6 +965,25 @@ def test_anomaly_refuses_overflowing_terms(flags):
     assert code == 1
     assert json.loads(text)["error"]["code"] == "precondition"
     assert run_json(["anomaly", "--alpha=-1e75"])["result"]["residual"] == 0.0
+
+
+@pytest.mark.parametrize("s", ["-2", "1", "2", "3"])
+@pytest.mark.parametrize("samples", ["-1", "0", "1"])
+def test_classical_refuses_fewer_than_two_samples(s, samples, capsys):
+    # 0 ended in an IndexError traceback, 1 reported a drift of 0.0 from
+    # a single sample
+    code, text = run_cli(["classical", "--s", s, "--samples", samples])
+    assert code == 1
+    payload = json.loads(text)
+    jsonschema.validate(payload, cli.load_schema("error"))
+    assert payload["error"]["code"] == "precondition"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_classical_zero_energy_drift_stays_at_rounding():
+    # H0 = 0.25^2 - 0.0625 = 0 exactly; this printed an energy drift of 6.9e282
+    result = run_json(["classical", "--s", "-2", "--g", "-0.0625", "--p0", "0.25"])["result"]
+    assert result["energy_drift"] <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", ["-1e-320", "-5.55e-170", "-1.49e-154"])

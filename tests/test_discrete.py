@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saext.discrete import (
+    _commutator_trace,
+    _hermitian_draw,
     commuting_observables_demo,
     cosine_basis_momentum_entry,
     cosine_basis_momentum_matrix,
@@ -56,6 +58,38 @@ def test_trace_check_guards():
 def test_trace_check_vanishes_for_any_dimension(n, seed):
     report = trace_commutator_check(n, 3, seed=seed)
     assert report.quantities["max_scaled_trace"].value <= 1e-12
+
+
+def test_hermitian_draw_is_exactly_hermitian():
+    x = _hermitian_draw(np.random.default_rng(3), 33)
+    assert x.shape == (33, 33)
+    # entry by entry, with no tolerance: the lower triangle is the
+    # conjugate of the upper, and the diagonal is real
+    assert np.array_equal(x, x.conj().T)
+    assert not np.any(x.diagonal().imag)
+
+
+def test_hermitian_draw_has_the_law_of_the_symmetrised_gaussian():
+    # (A + A^H)/2 with iid standard complex A: N(0, 1) on the diagonal,
+    # N(0, 1/2) real and imaginary parts off it; each sample variance
+    # must land within 5 of its standard errors, sigma^2 sqrt(2/count)
+    n = 256
+    x = _hermitian_draw(np.random.default_rng(20240607), n)
+    upper = x[np.triu_indices(n, 1)]
+    for values, variance in ((x.diagonal().real, 1.0), (upper.real, 0.5),
+                             (upper.imag, 0.5)):
+        spread = 5.0 * variance * math.sqrt(2.0 / values.size)
+        assert abs(np.mean(values * values) - variance) <= spread
+        assert abs(np.mean(values)) <= 5.0 * math.sqrt(variance / values.size)
+
+
+@pytest.mark.parametrize("n", [2, 7, 64, 200])
+def test_entrywise_trace_matches_the_matrix_products(n):
+    rng = np.random.default_rng(n)
+    x, p = _hermitian_draw(rng, n), _hermitian_draw(rng, n)
+    products = np.trace(x @ p) - np.trace(p @ x)
+    scale = np.linalg.norm(x) * np.linalg.norm(p)
+    assert abs(_commutator_trace(x, p) - products) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------

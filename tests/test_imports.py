@@ -30,9 +30,11 @@ scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"code": code, "scipy": scipy}))
 """
 
-#: Runs that need scipy: the flow integrated by DOP853, for s != -2.
+#: Runs that need scipy: the flow integrated by DOP853, for s outside
+#: {-2, 0, 1, 2} (at s = 3 the default t_end = 5 is past the run to
+#: q = -inf, so the horizon is shortened).
 _SCIPY_ARGV = {
-    "classical": ["classical", "--s", "1"],
+    "classical": ["classical", "--s", "3", "--t-end", "1"],
 }
 
 #: Runs that must load numpy alone: every golden run (the s = -2 flow is
@@ -44,15 +46,17 @@ _SCIPY_FREE_ARGV = {
     "spectrum-well": ["spectrum", "--op", "well"],
 }
 
-#: Library calls solved in closed form: the twisted ring, the three-point
-#: Dirichlet Laplacian, the well levels and the cosine-basis matrix.  A
-#: dotted name is looked up from ``saext``.
+#: Library calls that need numpy alone: the closed forms of the twisted
+#: ring, the three-point Dirichlet Laplacian, the well levels and the
+#: cosine-basis matrix, and the random commutator traces.  A dotted name is
+#: looked up from ``saext``.
 _SCIPY_FREE_CALLS = {
     "eigs-1025": ("discretized_momentum_eigs", [0.7, 1025, 16]),
     "eigvec-2048": ("eigenvector_commutator_demo", [0.7, 2048, 1]),
     "dirichlet-fd": ("spectral.dirichlet_fd_eigenvalues", [1.0, 400, 3]),
     "well-spectrum": ("well_spectrum", [1.0, [1, 2, 3]]),
     "cosine-matrix": ("cosine_basis_momentum_matrix", [1.0, 256]),
+    "trace-commutator": ("trace_commutator_check", [64, 100]),
 }
 
 
