@@ -244,8 +244,9 @@ def integrate_flow(
     form, exact up to rounding (``tol`` is not used there); see
     :func:`_closed_samples`.  Every other exponent is integrated by DOP853
     with relative tolerance ``tol``.  Trajectories that run into the
-    origin stop with a singularity error instead of silently producing
-    garbage.
+    origin, or for s > 2 down a potential unbounded below to q = +-inf in
+    finite time, stop with a singularity error instead of silently
+    producing garbage.
     """
     if not samples >= 2:
         raise PreconditionError("need at least 2 samples, got %r" % (samples,))
@@ -272,6 +273,19 @@ def integrate_flow(
         hit_origin.terminal = True
         hit_origin.direction = -1.0
         events = (hit_origin,)
+    elif v.s > 2.0 and (v.g < 0.0 or v.g > 0.0 and v.s % 2.0 == 1.0):
+        # V is unbounded below.  |V(q)| can pass 1e20 (p0^2 + |V(q0)|) only
+        # on the way to infinity, where DOP853 gives up near 1e30 or above
+        with np.errstate(over="ignore"):
+            scale = p0 * p0 + abs(float(v.value(q0)))
+        bound = (1e20 * scale / abs(v.g)) ** (1.0 / v.s)
+
+        def run_away(_t, y):
+            return abs(y[0]) - bound
+
+        run_away.terminal = True
+        run_away.direction = 1.0
+        events = (run_away,)
 
     sol = solve_ivp(
         rhs,
@@ -284,9 +298,13 @@ def integrate_flow(
         events=events,
     )
     if sol.status == 1:
-        raise SingularityError(
-            "trajectory reached the origin near t=%g" % float(sol.t_events[0][0])
-        )
+        t_hit = float(sol.t_events[0][0])
+        if v.s < 0.0:
+            raise SingularityError("trajectory reached the origin near t=%g" % t_hit)
+        # with p^2 = -V to 1e-20, the rest of the way takes |q| / ((s - 2)|p|)
+        q, p = sol.y_events[0][0]
+        raise SingularityError("trajectory runs to q = %sinf near t=%g" % (
+            "-" if q < 0.0 else "+", t_hit + abs(q) / ((v.s - 2.0) * abs(p))))
     if not sol.success:
         raise StiffnessError("integrator gave up: %s" % sol.message)
     return _trajectory(v, sol.t, sol.y[0], sol.y[1])
@@ -355,6 +373,47 @@ def _closed_samples(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
     return q0 + 2.0 * p0 * ts, np.full_like(ts, p0)
 
 
+def _closed_prediction(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
+    """The integral of g (1 + s/2) q(t)^s from 0 to each t in ts, s in _CLOSED_EXPONENTS.
+
+    On the flows of :func:`_closed_samples`: 0 at s = -2 (and at s = 2 with
+    g = 0), g t at s = 0, and 1.5 g (q0 t + p0 t^2 - g t^3/3) at s = 1.  At
+    s = 2 with g > 0, w = 2 sqrt(g) and x = 2wt, it is
+    2g [q0^2 (x + sin x)/(4w) + p0^2 (x - sin x)/w^3 + 2 q0 p0 sin^2(wt)/w^2];
+    with g < 0 the same with sinh, w = 2 sqrt(-g) and sinh x - x.
+    """
+    if s == -2.0 or (s == 2.0 and g == 0.0):
+        return np.zeros_like(ts)
+    if s == 0.0:
+        return g * ts
+    if s == 1.0:
+        return 1.5 * g * (q0 * ts + p0 * ts * ts - g * ts * ts * ts / 3.0)
+    w = 2.0 * math.sqrt(abs(g))
+    x = 2.0 * w * ts
+    if g > 0.0:
+        even, odd, half = x + np.sin(x), _odd_tail(x, -1.0), np.sin(0.5 * x)
+    else:
+        even, odd, half = x + np.sinh(x), _odd_tail(x, 1.0), np.sinh(0.5 * x)
+    return 2.0 * g * (q0 * q0 * even / (4.0 * w) + p0 * p0 * odd / w**3
+                      + 2.0 * q0 * p0 * (half / w) ** 2)
+
+
+def _odd_tail(x: np.ndarray, sign: float) -> np.ndarray:
+    """x - sin x (sign = -1) or sinh x - x (sign = +1), without cancellation.
+
+    Below |x| = 1 the difference is summed from its series
+    x^3/3! + sign x^5/5! + ..., whose terms after x^21/21! are below
+    rounding there.
+    """
+    x2 = x * x
+    series = np.ones_like(x)
+    for n in range(9, 0, -1):
+        series = 1.0 + sign * x2 / ((2 * n + 2) * (2 * n + 3)) * series
+    series *= x * x2 / 6.0
+    direct = np.sinh(x) - x if sign > 0.0 else x - np.sin(x)
+    return np.where(np.abs(x) < 1.0, series, direct)
+
+
 def _inverse_square_fall(g: float, q0: float, p0: float, t_end: float) -> None:
     """Raise SingularityError if the s = -2 flow reaches q = 0 by t_end."""
     b, q0_sq = q0 * p0, q0 * q0
@@ -380,17 +439,18 @@ def dilatation_drift_report(
 ) -> DriftReport:
     """Measure D(t) - D(0) along a trajectory and compare to the predicted rate.
 
-    The prediction integrates g (1 + s/2) q(t)^s along the same
-    trajectory by Simpson's rule, also for s = 0, 1 and 2, where the
-    flow itself is closed (``tol`` is then not used).  For s = -2 the
-    rate vanishes identically, so the prediction is zero, and since the
-    flow is then closed the measured drift is rounding alone.
+    The prediction integrates the rate g (1 + s/2) q(t)^s from 0 to each
+    sample time.  For s in {-2, 0, 1, 2} the flow is closed (``tol`` is
+    then not used) and so is the integral (see :func:`_closed_prediction`);
+    at s = -2 the rate vanishes identically, and the deviation from the
+    prediction is rounding alone.  Other exponents integrate the rate
+    along the DOP853 trajectory by Simpson's rule.
     """
     traj = integrate_flow(v, state0, t_end, tol, samples=samples)
     d_vals = traj.energies * traj.ts - 0.5 * traj.qs * traj.ps
     measured = d_vals - d_vals[0]
-    if v.s == -2.0:
-        predicted = np.zeros_like(measured)
+    if v.s in _CLOSED_EXPONENTS:
+        predicted = _closed_prediction(v.g, v.s, float(state0[0]), float(state0[1]), traj.ts)
     else:
         from scipy.integrate import cumulative_simpson
 

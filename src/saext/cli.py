@@ -45,11 +45,10 @@ from .extension import ExtensionParameter, halfline_bc_from_unitary, momentum_bc
 from .geometry import commutator_preservation_check, connection_condition, radial_symmetry_defect
 from .spectral import (
     _ALPHA_NORMAL_MIN,
+    _reflection_columns,
     bound_state,
     halfline_robin_spectrum,
     momentum_spectrum,
-    reflection_coefficient,
-    reflection_phase,
     well_spectrum,
 )
 
@@ -642,15 +641,28 @@ def _run_boundstate(args) -> dict:
     }
 
 
+def _scatter_result(k, alpha, re, im, modulus, phase) -> dict:
+    """A scatter result; its leaves walk in the order of the arguments."""
+    return {"k": k, "alpha": alpha, "R": {"re": re, "im": im},
+            "modulus": modulus, "phase": phase}
+
+
+def _scatter_columns(args, axes: dict, count: int) -> tuple:
+    """(shape, leaf columns in walk order) of count scatter results.
+
+    axes maps each swept flag's dest to its values; the other flags are
+    read from args.  The k and alpha columns are the values given, so a
+    sweep's params and its results share them.
+    """
+    ks = axes["k"] if "k" in axes else [args.k] * count
+    alphas = axes["alpha"] if "alpha" in axes else [args.alpha] * count
+    return (_walk(_scatter_result(*range(6)), []),
+            [ks, alphas, *_reflection_columns(ks, alphas)])
+
+
 def _run_scatter(args) -> dict:
-    r = reflection_coefficient(args.k, args.alpha)
-    return {
-        "k": args.k,
-        "alpha": args.alpha,
-        "R": {"re": r.real, "im": r.imag},
-        "modulus": abs(r),
-        "phase": reflection_phase(args.k, args.alpha),
-    }
+    _, columns = _scatter_columns(args, {}, 1)
+    return _scatter_result(*(column[0] for column in columns))
 
 
 def _run_anomaly(args) -> dict:
@@ -799,6 +811,8 @@ _COMMANDS: Dict[str, dict] = {
                                 help="Robin slope (inf = Dirichlet)")),
         ],
         "run": _run_scatter,
+        # a sweep evaluates its points a chunk at a time
+        "columns": _scatter_columns,
     },
     "anomaly": {
         "help": "dilatation anomaly on the Robin bound state",
@@ -889,17 +903,18 @@ def _command_params(name: str, ns: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads ``-1e-3`` as a negative number, not a flag.
+    """ArgumentParser that reads ``-1e-3`` and ``-inf`` as numbers, not flags.
 
     Python 3.11's argparse matches ``-1`` and ``-0.5`` only and takes
-    ``-1e-3`` for an option string, so ``--alpha -1e-3`` would be a usage
-    error.  Subparsers inherit the class.
+    ``-1e-3`` or ``-inf`` for an option string, so ``--alpha -1e-3`` would
+    be a usage error.  ``-inf`` and ``-infinity`` match in any case, as
+    float() reads them.  Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf(inity)?))$")
 
 
 def _common_parser(name: str) -> argparse.ArgumentParser:
@@ -1004,12 +1019,17 @@ class _SweepPoints(_Records):
     or, as a CSV row, {"param.<name>": value, ..., **result}.  A point whose
     runner raises a library error holds {"error": {code, message}} in place
     of its result; failed counts such points.
+
+    runner computes one point from tns.  columns, where the target has one
+    (see _scatter_columns), computes a whole chunk as leaf columns; a chunk
+    it raises on is computed by runner one point at a time.
     """
 
-    def __init__(self, runner, tns: argparse.Namespace, names: list, dests: list,
-                 grids: list, as_rows: bool):
+    def __init__(self, runner, columns, tns: argparse.Namespace, names: list,
+                 dests: list, grids: list, as_rows: bool):
         self.failed = 0
-        self._runner, self._tns, self._dests, self._grids = runner, tns, dests, grids
+        self._runner, self._columns = runner, columns
+        self._tns, self._dests, self._grids = tns, dests, grids
         self._as_rows = as_rows
         # the keys of the swept values, which come before the result's
         self._keys = ["param." + name for name in names] if as_rows else names
@@ -1033,16 +1053,32 @@ class _SweepPoints(_Records):
             else:
                 yield {"params": head, "error" if i in failed else "result": result}
 
+    def _frame(self, shape) -> tuple:
+        """The shape of a point whose result has this shape."""
+        params = tuple(x for key in self._keys for x in (key, _LEAF))
+        if self._as_rows:
+            return ("{", *params, *shape[1:])
+        return ("{", "params", ("{", *params), "result", shape)
+
     def blocks(self):
         """Blocks as _blocks makes them; the swept values are columns already.
 
-        A chunk whose results share the first one's shape is pulled apart
-        without making its records.  The rest are made and walked.
+        A chunk that the target computes as columns, or whose results share
+        the first one's shape, is written without making its records.  The
+        rest are made and walked.
         """
         tns, runner, dests = self._tns, self._runner, self._dests
         where = vars(tns)
-        params = tuple(x for key in self._keys for x in (key, _LEAF))
         for values in self._axis_values():
+            if self._columns is not None:
+                try:
+                    shape, columns = self._columns(tns, dict(zip(dests, values)),
+                                                   len(values[0]))
+                except (SaextError, ValueError):
+                    pass  # each point is run alone below, and only the bad ones fail
+                else:
+                    yield self._frame(shape), len(values[0]), [*values, *columns]
+                    continue
             results, failed = [], set()
             for combo in zip(*values):
                 where.update(zip(dests, combo))
@@ -1054,9 +1090,7 @@ class _SweepPoints(_Records):
             self.failed += len(failed)
             shape, columns = _walk(results[0], []), list(values)
             if not failed and _pull(shape, results, columns):
-                frame = ("{", *params, *shape[1:]) if self._as_rows \
-                    else ("{", "params", ("{", *params), "result", shape)
-                yield frame, len(results), columns
+                yield self._frame(shape), len(results), columns
             else:
                 yield from _blocks(self._records(values, results, failed))
 
@@ -1100,7 +1134,8 @@ def _run_sweep(target: str, tns: argparse.Namespace,
                           f"non-integer points, but {flags[0]} takes an "
                           f"integer")
         grids.append((grid, cast))
-    points = _SweepPoints(_COMMANDS[target]["run"], tns,
+    command = _COMMANDS[target]
+    points = _SweepPoints(command["run"], command.get("columns"), tns,
                           [name for name, _, _, _ in specs], dests, grids,
                           tns.fmt == "csv")
     return {"target": target, "count": total, "points": points}

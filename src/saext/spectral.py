@@ -227,6 +227,37 @@ def reflection_phase(k: float, alpha: float) -> float:
     return (-cmath.phase(reflection_coefficient(k, alpha))) % math.tau
 
 
+def _reflection_columns(k, alpha) -> tuple:
+    """Lists of R.real, R.imag, abs(R) and the reflection phase at each (k, alpha).
+
+    Each value is the float that reflection_coefficient, abs and
+    reflection_phase give for that point.  The quotient is CPython's
+    complex division (Smith's method) in the same operation order, the
+    modulus is hypot as in abs(complex), and the phase goes through libm's
+    atan2 (math.atan2), since numpy's SIMD arctan2 can differ from it by an
+    ulp.  A point whose quotient is not finite there (alpha = +-inf, the
+    indeterminate k = alpha = 0, a non-finite input) is computed by
+    reflection_coefficient, so it raises as that does.
+    """
+    k = np.asarray(k, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    # R = (alpha + ik)/(-alpha + ik): divide through by the larger of |alpha|, |k|
+    by_alpha = np.abs(alpha) >= np.abs(k)
+    with np.errstate(all="ignore"):
+        ratio = np.where(by_alpha, k / -alpha, -alpha / k)
+        denom = np.where(by_alpha, -alpha + k * ratio, -alpha * ratio + k)
+        re = np.where(by_alpha, alpha + k * ratio, alpha * ratio + k) / denom
+        im = np.where(by_alpha, k - alpha * ratio, k * ratio - alpha) / denom
+        modulus = np.hypot(re, im)
+    lost = np.flatnonzero(~np.isfinite(modulus)).tolist()
+    re, im, modulus = re.tolist(), im.tolist(), modulus.tolist()
+    for i in lost:
+        r = reflection_coefficient(float(k[i]), float(alpha[i]))
+        re[i], im[i], modulus[i] = r.real, r.imag, abs(r)
+    phase = [(-p) % math.tau for p in map(math.atan2, im, re)]
+    return re, im, modulus, phase
+
+
 def scattering_state(k: float, alpha: float, xs: np.ndarray) -> GridFunction:
     """Stationary scattering solution exp(-ikx) + R exp(ikx), unnormalized."""
     if not k > 0.0:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from saext.classical import (
     MonomialObservable,
+    _closed_prediction,
     P,
     PowerLawPotential,
     Q,
@@ -346,6 +347,53 @@ def test_drift_linear_potential_crosses_origin():
     # constant force pushes through q = 0; only inverse powers guard it
     report = dilatation_drift_report(PowerLawPotential(1.0, 1), (1.0, 0.3), 5.0)
     assert report.max_deviation / report.predicted_drift <= 1e-5
+
+
+@given(s=st.sampled_from([0, 1, 2]),
+       g=st.just(0.0) | st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-12.0, 1.0)).map(
+           lambda c: c[0] * 10.0 ** c[1]),
+       q0=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
+       p0=st.floats(-3.0, 3.0))
+@settings(max_examples=150, deadline=None)
+def test_closed_prediction_matches_simpson(s, g, q0, p0):
+    # Simpson's rule on the default 4001 samples to t = 5 is the reference.
+    # Its own error grows like (w h)^4 for q^2 ~ e^(2wt), w = 2 sqrt|g|,
+    # and stays below 1e-8 for |g| <= 10; tiny g checks the series for
+    # x - sin x and sinh x - x, where the plain difference cancels
+    from scipy.integrate import cumulative_simpson
+
+    v = PowerLawPotential(g, s)
+    traj = integrate_flow(v, (q0, p0), 5.0, 1e-10, samples=4001)
+    reference = cumulative_simpson((1.0 + 0.5 * s) * v.value(traj.qs), x=traj.ts,
+                                   initial=0.0)
+    got = _closed_prediction(g, s, q0, p0, traj.ts)
+    assert np.max(np.abs(got - reference)) <= 1e-8 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("g, s, sign", [
+    (1.0, 3, "-"), (-1.0, 3, "+"), (-1.0, 4, "+"), (1.0, 5, "-"), (-1.0, 2.5, "+"),
+    (-1e-3, 6, "+"),
+])
+def test_run_to_infinity_is_named_at_the_blow_up(g, s, sign):
+    # V = g q^s is unbounded below, and q reaches +-inf in finite time;
+    # DOP853 without the event gives up there, "step size is less than
+    # spacing between numbers"
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(lambda _t, y: (2.0 * y[1], -g * s * y[0] ** (s - 1)), (0.0, 50.0),
+                    (1.0, 0.25), method="DOP853", rtol=1e-10, atol=1e-13)
+    assert sol.status == -1
+    with pytest.raises(SingularityError, match=rf"runs to q = \{sign}inf near t=") as exc:
+        integrate_flow(PowerLawPotential(g, s), (1.0, 0.25), 50.0, 1e-10)
+    t_escape = float(re.search(r"near t=(\S+)$", str(exc.value)).group(1))
+    assert t_escape == pytest.approx(sol.t[-1], rel=1e-5)
+
+
+@pytest.mark.parametrize("g, s, p0", [(1.0, 4, 0.25), (0.0, 3, 1e12)])
+def test_flows_bounded_below_run_to_the_horizon(g, s, p0):
+    # a quartic well, and free flight far past any escape bound
+    traj = integrate_flow(PowerLawPotential(g, s), (1.0, p0), 5.0, 1e-10, samples=5)
+    assert traj.ts[-1] == 5.0
 
 
 def test_constant_potential_drift_is_linear_in_time():

@@ -5,6 +5,7 @@ import contextlib
 import copy
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,9 @@ from hypothesis import strategies as st
 
 from saext import cli
 from saext.core import GridFunction
+from saext.errors import IndeterminateError
 from saext.geometry import commutator_preservation_check, radial_symmetry_defect
+from saext.spectral import reflection_coefficient, reflection_phase
 
 #: Golden-run suite: one representative invocation per subcommand.
 GOLDEN = {
@@ -531,32 +534,87 @@ def test_writer_csv_keeps_an_explicit_header():
     ["scatter", "--sweep", "k=1:2:2", "--sweep", "alpha=-1:-2:2"],
     # the middle point is gamma=pi, the Dirichlet limit: a float column with inf
     ["extend", "--operator", "hamiltonian", "--sweep", "gamma=0:6.283185307179586:3"],
+    ["scatter", "--alpha=inf", "--sweep", "k=0.5:2:4"],
+    ["scatter", "--alpha=-inf", "--sweep", "k=0.5:2:4"],
+    ["scatter", "--k", "2", "--sweep", "alpha=-3:3:7"],
+    ["scatter", "--sweep", "k=-1:1:5", "--sweep", "alpha=-2:2:3"],
+    # k = alpha = 0 is indeterminate: an error record, and exit 1
+    ["scatter", "--alpha", "0", "--sweep", "k=0:1:2"],
 ])
 def test_sweep_output_is_the_reference_encoding(argv):
     code, text = run_cli(["sweep", *argv])
-    assert code == 0
     payload = json.loads(text)
     # the JSON text is exactly what the reference encoder makes of it
     assert reference_json(payload) == text
     points = payload["result"]["points"]
     assert payload["result"]["count"] == len(points)
-    fixed = [x for x in argv if x != "--sweep" and "=" not in x]
-    axes = [x.partition("=")[0] for x in argv if "=" in x]
+    assert code == (1 if any("error" in point for point in points) else 0)
+    swept = [i + 1 for i, x in enumerate(argv) if x == "--sweep"]
+    fixed = [x for i, x in enumerate(argv) if x != "--sweep" and i not in swept]
+    axes = [argv[i].partition("=")[0] for i in swept]
     rows = []
     for point in points:
         values = [point["params"][name] for name in axes]
         one = fixed + [x for name, value in zip(axes, values)
                        for x in (f"--{name.replace('_', '-')}", repr(value))]
+        params = {f"param.{name}": _reference_cell(value)
+                  for name, value in zip(axes, values)}
         # each point is the one-shot run at its parameters, in JSON and CSV
-        assert run_json(one)["result"] == point["result"]
-        code, one_csv = run_cli(one + ["--csv"])
+        one_code, one_text = run_cli(one)
+        if "error" in point:
+            assert one_code == 1
+            error = json.loads(one_text)["error"]
+            del error["context"]
+            assert point["error"] == error
+            rows.append({**params, **{f"error.{key}": value for key, value in error.items()}})
+            continue
+        assert one_code == 0
+        assert json.loads(one_text)["result"] == point["result"]
+        _, one_csv = run_cli(one + ["--csv"])
         header, cells = csv.reader(io.StringIO(one_csv))
-        rows.append({**{f"param.{name}": _reference_cell(value)
-                        for name, value in zip(axes, values)},
-                     **dict(zip(header, cells))})
-    code, text = run_cli(["sweep", *argv, "--csv"])
-    assert code == 0
-    assert text == reference_csv(rows)
+        rows.append({**params, **dict(zip(header, cells))})
+    assert run_cli(["sweep", *argv, "--csv"]) == (code, reference_csv(rows))
+
+
+def _scalar_scatter(k, alpha):
+    """A scatter sweep point's result, or its error, from the scalar library functions."""
+    try:
+        r = reflection_coefficient(k, alpha)
+    except IndeterminateError as exc:
+        return "error", {"code": exc.code, "message": str(exc)}
+    return "result", {"k": k, "alpha": alpha, "R": {"re": r.real, "im": r.imag},
+                      "modulus": abs(r), "phase": reflection_phase(k, alpha)}
+
+
+@pytest.mark.parametrize("flags, axes", [
+    (["--alpha", "-1.3"], ["k=0.1:5:4099"]),
+    # alpha = 0 at k = 0 is point 4096, the first of the second chunk
+    (["--k", "0"], ["alpha=-4096:2:4099"]),
+    (["--alpha", "-inf"], ["k=0:5:4097"]),
+    # 65 x 65 points through k = alpha = 0 (point 2112), tiny alpha, k < 0
+    ([], ["k=-1:1:65", "alpha=-1e-300:1e-300:65"]),
+])
+def test_scatter_sweep_across_chunks_is_the_scalar_reference(flags, axes):
+    # the sweep evaluates a chunk as columns; each point must be what
+    # reflection_coefficient, abs and reflection_phase give, to the bit
+    argv = ["sweep", "scatter", *flags, *[x for axis in axes for x in ("--sweep", axis)]]
+    specs = list(map(cli._parse_sweep, axes))
+    grids = [np.linspace(start, stop, count).tolist() for _, start, stop, count in specs]
+    fixed = {flag.lstrip("-"): float(value) for flag, value in zip(flags[::2], flags[1::2])}
+    points, rows = [], []
+    for combo in itertools.product(*grids):
+        params = dict(zip([name for name, _, _, _ in specs], combo))
+        kind, value = _scalar_scatter(**fixed, **params)
+        points.append({"params": params, kind: value})
+        rows.append({**{f"param.{name}": v for name, v in params.items()},
+                     **(value if kind == "result" else {"error": value})})
+    failed = any("error" in point for point in points)
+    code, text = run_cli(argv)
+    assert code == (1 if failed else 0)
+    payload = json.loads(text)
+    payload["result"]["points"] = points
+    assert reference_json(payload) == text
+    assert run_cli(argv + ["--csv"]) == (code, reference_csv(rows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -684,6 +742,29 @@ def test_json_sweep_memory_is_flat_in_the_number_of_points():
         assert code == 0
         peaks.append(maxrss_kib / 1024)
     assert peaks[1] - peaks[0] < 5
+
+
+def test_a_clean_scatter_sweep_computes_no_point_alone(monkeypatch):
+    # the columns of a chunk come from one array evaluation; a chunk falls
+    # back to the per-point runner only where a point fails
+    calls = []
+    run = cli._COMMANDS["scatter"]["run"]
+    monkeypatch.setitem(cli._COMMANDS["scatter"], "run",
+                        lambda args: calls.append(args.k) or run(args))
+    for fmt in ([], ["--csv"]):
+        code, _ = run_cli(["sweep", "scatter", "--alpha", "-1.3",
+                           "--sweep", "k=0.1:5:10000", *fmt])
+        assert code == 0
+        assert calls == []
+    # k = alpha = 0 is point 4999 of 10100: its chunk runs point by point
+    code, text = run_cli(["sweep", "scatter", "--sweep", "k=-49:50:100",
+                          "--sweep", "alpha=-1:1:101"])
+    assert code == 1
+    points = json.loads(text)["result"]["points"]
+    assert [i for i, point in enumerate(points) if "error" in point] == [4999]
+    assert points[4999]["params"] == {"k": 0.0, "alpha": 0.0}
+    assert points[4999]["error"]["code"] == "indeterminate"
+    assert len(calls) == cli._CHUNK
 
 
 # -- plumbing ---------------------------------------------------------------
@@ -826,6 +907,31 @@ def test_negative_scientific_notation_is_a_value_not_a_flag(argv):
     assert spaced["manifest"]["params"]["alpha"] == -1e-3
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["scatter", "--k", "1", "--alpha"], 0),
+    (["sweep", "scatter", "--sweep", "k=0.5:2:4", "--alpha"], 0),
+    # the Robin energy consumers refuse alpha = -inf, however it is spelled
+    (["boundstate", "--alpha"], 1),
+    (["anomaly", "--alpha"], 1),
+    (["spectrum", "--op", "robin", "--alpha"], 1),
+])
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF"])
+def test_negative_infinity_is_a_value_not_a_flag(argv, code, value):
+    # `--alpha -inf` was a usage error ("expected one argument")
+    spaced = run_cli(argv + [value])
+    joined = run_cli(argv[:-1] + [f"--alpha={value}"])
+    assert spaced[0] == joined[0] == code
+    spaced, joined = json.loads(spaced[1]), json.loads(joined[1])
+    for payload in (spaced, joined):
+        if code == 0:
+            del payload["manifest"]["wall_time_s"], payload["manifest"]["argv"]
+    assert spaced == joined
+    if code == 0:
+        assert spaced["manifest"]["params"]["alpha"] == "-inf"
+    else:
+        assert spaced["error"]["code"] == "precondition"
+
+
 @pytest.mark.parametrize("fmt", [[], ["--csv"]])
 def test_closed_reader_pipe_exits_one_without_traceback(fmt):
     # `saext sweep ... | head -c 10`: ~4 MB of output against a closed pipe
@@ -868,6 +974,9 @@ def _non_finite_cases():
         # --alpha inf is the Dirichlet limit; only nan means nothing there
         for value in ["nan"] if flag == "--alpha" else ["nan", "inf", "-inf"]:
             yield [name, *_REQUIRED[name], f"{flag}={value}"]
+        if flag != "--alpha":
+            # after a space, -inf is a value too, not an unknown flag
+            yield [name, *_REQUIRED[name], flag, "-inf"]
     for value in ("nan", "inf", "-inf"):
         yield ["boundstate", "--alpha", "-1", f"--tol={value}"]
     yield ["sweep", "scatter", "--k=nan", "--sweep", "alpha=-2:-1:2"]
@@ -984,6 +1093,21 @@ def test_classical_zero_energy_drift_stays_at_rounding():
     # H0 = 0.25^2 - 0.0625 = 0 exactly; this printed an energy drift of 6.9e282
     result = run_json(["classical", "--s", "-2", "--g", "-0.0625", "--p0", "0.25"])["result"]
     assert result["energy_drift"] <= 1e-12
+
+
+def test_classical_names_the_run_to_infinity():
+    # V = q^3 is unbounded below: by the default t_end = 5 the particle has
+    # run to q = -inf, and DOP853 gave up with "integrator gave up: Required
+    # step size is less than spacing between numbers"
+    code, text = run_cli(["classical", "--s", "3"])
+    assert code == 1
+    payload = json.loads(text)
+    jsonschema.validate(payload, cli.load_schema("error"))
+    assert payload["error"]["code"] == "singularity-reached"
+    assert payload["error"]["message"] == "trajectory runs to q = -inf near t=2.16324"
+    # a horizon short of the escape is served
+    result = run_json(["classical", "--s", "3", "--t-end", "1"])["result"]
+    assert result["deviation"] <= 1e-8 * result["predicted_drift"]
 
 
 @pytest.mark.parametrize("alpha", ["-1e-320", "-5.55e-170", "-1.49e-154"])

@@ -37,10 +37,15 @@ _SCIPY_ARGV = {
     "classical": ["classical", "--s", "3", "--t-end", "1"],
 }
 
-#: Runs that must load numpy alone: every golden run (the s = -2 flow is
-#: closed) and the twisted-ring paradox, whose stencil is applied with numpy.
+#: Runs that must load numpy alone: every golden run, the closed flows
+#: s = 0, 1, 2 (the s = -2 golden run is closed too), whose drift
+#: predictions are closed forms, and the twisted-ring paradox, whose
+#: stencil is applied with numpy.
 _SCIPY_FREE_ARGV = {
     **GOLDEN,
+    "classical-0": ["classical", "--s", "0"],
+    "classical-1": ["classical", "--s", "1"],
+    "classical-2": ["classical", "--s", "2"],
     "paradox-1": ["paradox", "--id", "1"],
     "paradox-4": ["paradox", "--id", "4"],
     "spectrum-well": ["spectrum", "--op", "well"],

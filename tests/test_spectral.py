@@ -15,6 +15,7 @@ from saext.errors import (
     UnsupportedOperatorError,
 )
 from saext.spectral import (
+    _reflection_columns,
     _twisted_difference,
     bound_state,
     bound_state_shooting,
@@ -333,6 +334,41 @@ def test_reflection_indeterminate_corner():
 @settings(max_examples=300, deadline=None)
 def test_reflection_unitarity_property(k, alpha):
     assert abs(abs(reflection_coefficient(k, alpha)) - 1.0) <= 1e-14
+
+
+#: k and alpha from 1e-300 to 1e300 of both signs, subnormals, signed
+#: zeros and, for alpha, the Dirichlet limits.
+_SCATTER_FLOATS = st.one_of(
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)).map(
+        lambda c: c[0] * 10.0 ** c[1]),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+)
+_SCATTER_POINTS = st.one_of(
+    st.tuples(_SCATTER_FLOATS, _SCATTER_FLOATS | st.sampled_from([math.inf, -math.inf])),
+    # |k| = |alpha| sits on the branch point of the complex division, and
+    # alpha of the order of k puts the phase anywhere on the circle
+    st.tuples(_SCATTER_FLOATS, st.sampled_from([-1.0, 1.0]) | st.floats(-10.0, 10.0)).map(
+        lambda c: (c[0], c[1] * c[0])),
+).filter(lambda point: point != (0.0, 0.0))
+
+
+@given(st.lists(_SCATTER_POINTS, min_size=1, max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_reflection_columns_are_the_scalar_floats(points):
+    ks, alphas = (list(c) for c in zip(*points))
+    got = _reflection_columns(ks, alphas)
+    want = []
+    for k, alpha in points:
+        r = reflection_coefficient(k, alpha)
+        want.append((r.real, r.imag, abs(r), reflection_phase(k, alpha)))
+    # to the bit: a signed zero or a last-place difference is a failure
+    assert np.asarray(got).T.tobytes() == np.asarray(want).tobytes()
+
+
+def test_reflection_columns_raise_at_the_indeterminate_corner():
+    with pytest.raises(IndeterminateError, match="indeterminate"):
+        _reflection_columns([1.0, -0.0, 2.0], [1.0, 0.0, 3.0])
 
 
 def test_scattering_state_neumann_is_cosine():
