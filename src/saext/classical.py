@@ -260,11 +260,16 @@ def integrate_flow(
 
     from scipy.integrate import solve_ivp
 
-    def rhs(_t, y):
+    def rhs(t, y):
+        if t != t:
+            # DOP853 picks a nan first step where the force at q0 is not
+            # finite or tol leaves no error scale, and would then never end
+            raise StiffnessError("integrator gave up: its step size is not a number")
         return (2.0 * y[1], v.force(y[0]))
 
-    events = None
-    if v.s < 0.0:
+    events = []
+    if v.s < 0.0 or v.s % 1.0 != 0.0:
+        # the force pulls q into 0 (s < 0), or q^s is undefined below it
         guard = 1e-6 * q0
 
         def hit_origin(_t, y):
@@ -272,8 +277,8 @@ def integrate_flow(
 
         hit_origin.terminal = True
         hit_origin.direction = -1.0
-        events = (hit_origin,)
-    elif v.s > 2.0 and (v.g < 0.0 or v.g > 0.0 and v.s % 2.0 == 1.0):
+        events.append(hit_origin)
+    if v.s > 2.0 and (v.g < 0.0 or v.g > 0.0 and v.s % 2.0 == 1.0):
         # V is unbounded below.  |V(q)| can pass 1e20 (p0^2 + |V(q0)|) only
         # on the way to infinity, where DOP853 gives up near 1e30 or above
         with np.errstate(over="ignore"):
@@ -285,24 +290,27 @@ def integrate_flow(
 
         run_away.terminal = True
         run_away.direction = 1.0
-        events = (run_away,)
+        events.append(run_away)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        (q0, p0),
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-3,
-        t_eval=np.linspace(0.0, t_end, samples),
-        events=events,
-    )
+    # at a non-integer s, a trial stage past q = 0 gives nan and is rejected
+    with np.errstate(invalid="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (0.0, t_end),
+            (q0, p0),
+            method="DOP853",
+            rtol=tol,
+            atol=tol * 1e-3,
+            t_eval=np.linspace(0.0, t_end, samples),
+            events=events or None,
+        )
     if sol.status == 1:
-        t_hit = float(sol.t_events[0][0])
-        if v.s < 0.0:
+        fired = next(i for i, ts in enumerate(sol.t_events) if len(ts))
+        t_hit = float(sol.t_events[fired][0])
+        if events[fired].direction < 0.0:  # hit_origin, the event of a falling q
             raise SingularityError("trajectory reached the origin near t=%g" % t_hit)
         # with p^2 = -V to 1e-20, the rest of the way takes |q| / ((s - 2)|p|)
-        q, p = sol.y_events[0][0]
+        q, p = sol.y_events[fired][0]
         raise SingularityError("trajectory runs to q = %sinf near t=%g" % (
             "-" if q < 0.0 else "+", t_hit + abs(q) / ((v.s - 2.0) * abs(p))))
     if not sol.success:

@@ -56,13 +56,8 @@ __all__ = ["main", "load_schema"]
 
 _SWEEP_LIMIT = 1_000_000
 
-#: Operative default tolerance recorded in the manifest (and consumed by the
-#: subcommands that integrate something); --tol then SAEXT_TOL override it.
-_DEFAULT_TOL = {
-    "classical": 1e-10,
-    "boundstate": 1e-10,
-    "anomaly": 1e-6,
-}
+#: The manifest's tolerances.tol of a subcommand that reads no tolerance.
+_UNREAD_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +549,13 @@ def load_schema(name: str) -> dict:
 def _run_deficiency(args) -> dict:
     if args.op == "momentum":
         iv = args.interval or Interval.finite(0.0, 1.0)
-        spec = OperatorSpec.momentum(iv, args.units)
+        spec = OperatorSpec.momentum(iv)
     elif args.op == "hamiltonian":
         iv = args.interval or Interval.half_line()
-        spec = OperatorSpec.free_hamiltonian(iv, args.units)
+        spec = OperatorSpec.free_hamiltonian(iv)
     else:
         iv = args.interval or Interval.half_line()
-        spec = OperatorSpec.time_operator(iv.a, args.units)
+        spec = OperatorSpec.time_operator(iv.a)
     report = solve_deficiency(spec, lam=args.lam,
                               n=10_001 if args.grid_n is None else args.grid_n)
     return {
@@ -747,6 +742,23 @@ def _run_geometry(args) -> dict:
 # Command table
 # ---------------------------------------------------------------------------
 
+#: Flags that more than one subcommand could take, by dest.  A subcommand
+#: declares one in its "shared" entry only where its runner reads it, so a
+#: flag that would change nothing is a usage error; one that declares
+#: "tol" gives its default as "tol".
+_SHARED = {
+    "units": (("--units",), dict(type=_parse_units, default=UnitSystem(),
+                                 metavar="hbar=<v>,two_m=<v>",
+                                 help="unit system (default hbar=1,two_m=1)")),
+    "tol": (("--tol",), dict(type=float, default=None,
+                             help="tolerance override (default: SAEXT_TOL or the "
+                                  "subcommand default)")),
+    "grid_n": (("--grid-n",), dict(type=int, default=None,
+                                   help="grid size override")),
+    "seed": (("--seed",), dict(type=int, default=None,
+                               help="RNG seed where randomness is used")),
+}
+
 _COMMANDS: Dict[str, dict] = {
     "deficiency": {
         "help": "deficiency indices and adjoint residual for a catalog operator",
@@ -760,6 +772,7 @@ _COMMANDS: Dict[str, dict] = {
                               help="probe scale lambda > 0 (default 1)")),
         ],
         "run": _run_deficiency,
+        "shared": ("grid_n",),
     },
     "extend": {
         "help": "map a von Neumann phase gamma to its boundary condition",
@@ -770,6 +783,7 @@ _COMMANDS: Dict[str, dict] = {
                                 help="unitary phase in radians")),
         ],
         "run": _run_extend,
+        "shared": (),
     },
     "spectrum": {
         "help": "discrete/continuous spectrum of a chosen operator",
@@ -790,6 +804,7 @@ _COMMANDS: Dict[str, dict] = {
                                 help="Robin slope for op=robin (default -1)")),
         ],
         "run": _run_spectrum,
+        "shared": (),
         "rows": operator.itemgetter("discrete"),
         "csv_header": ["n", "value"],
     },
@@ -802,6 +817,7 @@ _COMMANDS: Dict[str, dict] = {
                                 help="grid cutoff (default 35/|alpha|)")),
         ],
         "run": _run_boundstate,
+        "shared": ("grid_n",),
     },
     "scatter": {
         "help": "reflection coefficient of the Robin half line",
@@ -811,6 +827,7 @@ _COMMANDS: Dict[str, dict] = {
                                 help="Robin slope (inf = Dirichlet)")),
         ],
         "run": _run_scatter,
+        "shared": (),
         # a sweep evaluates its points a chunk at a time
         "columns": _scatter_columns,
     },
@@ -823,6 +840,8 @@ _COMMANDS: Dict[str, dict] = {
                             help="explicit time in the dilatation (default 0)")),
         ],
         "run": _run_anomaly,
+        "shared": ("tol",),
+        "tol": 1e-6,
     },
     "paradox": {
         "help": "numerical demonstration of a textbook operator paradox",
@@ -844,6 +863,8 @@ _COMMANDS: Dict[str, dict] = {
                             help="box width for id=3 (default 1)")),
         ],
         "run": _run_paradox,
+        # --units is read by ids 1 and 2, --seed by id 2, --grid-n by id 3
+        "shared": ("units", "seed", "grid_n"),
     },
     "classical": {
         "help": "dilatation drift along a power-law Hamiltonian flow",
@@ -862,6 +883,9 @@ _COMMANDS: Dict[str, dict] = {
                                   help="output samples (default 4001)")),
         ],
         "run": _run_classical,
+        # DOP853's relative tolerance, for s outside {-2, 0, 1, 2}
+        "shared": ("tol",),
+        "tol": 1e-10,
     },
     "geometry": {
         "help": "radial symmetry defect and commutator check for a metric",
@@ -874,6 +898,7 @@ _COMMANDS: Dict[str, dict] = {
                                      "bump:1,2)")),
         ],
         "run": _run_geometry,
+        "shared": ("grid_n",),
     },
 }
 
@@ -918,7 +943,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_parser(name: str) -> argparse.ArgumentParser:
-    """The flags every subcommand takes, and --grid-n where its runner reads it."""
+    """The flags every subcommand takes, and the shared flags it declares."""
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
@@ -926,17 +951,9 @@ def _common_parser(name: str) -> argparse.ArgumentParser:
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv",
                      help="emit a flat CSV projection instead")
     common.set_defaults(fmt="json")
-    common.add_argument("--units", type=_parse_units, default=None,
-                        metavar="hbar=<v>,two_m=<v>",
-                        help="unit system (default hbar=1,two_m=1)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="tolerance override (default: SAEXT_TOL or the "
-                             "subcommand default)")
-    if name in ("deficiency", "boundstate", "paradox", "geometry"):
-        common.add_argument("--grid-n", type=int, default=None,
-                            help="grid size override")
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed where randomness is used")
+    for dest in _COMMANDS[name]["shared"]:
+        flags, kwargs = _SHARED[dest]
+        common.add_argument(*flags, **kwargs)
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
     return common
@@ -983,15 +1000,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _finalize(ns: argparse.Namespace, command: str,
               parser: argparse.ArgumentParser) -> None:
+    spec = _COMMANDS[command]
+    shared = spec["shared"]
     # a float flag may not be nan, nor +-inf but on --alpha (+inf is Dirichlet)
-    for flags, kwargs in [(("--tol",), {"type": float}), *_COMMANDS[command]["args"]]:
+    for flags, kwargs in [*map(_SHARED.get, shared), *spec["args"]]:
         value = getattr(ns, _dest_of(flags, kwargs))
         if kwargs.get("type") is float and value is not None and not (
                 math.isfinite(value) or math.isinf(value) and flags[0] == "--alpha"):
             parser.error(f"argument {flags[0]}: {value!r} is not a finite number")
-    if ns.units is None:
-        ns.units = UnitSystem()
-    if ns.tol is None:
+    if "tol" in shared and ns.tol is None:
         env = os.environ.get("SAEXT_TOL")
         if env is not None:
             try:
@@ -999,12 +1016,25 @@ def _finalize(ns: argparse.Namespace, command: str,
             except ValueError:
                 parser.error(f"SAEXT_TOL is not a number: {env!r}")
         else:
-            ns.tol = _DEFAULT_TOL.get(command, 1e-6)
+            ns.tol = spec["tol"]
+
+
+def _manifest_settings(ns: argparse.Namespace, command: str) -> dict:
+    """The manifest's units and tolerances; natural units and _UNREAD_TOL where unread."""
+    shared = _COMMANDS[command]["shared"]
+    units = ns.units if "units" in shared else UnitSystem()
+    return {"units": {"hbar": units.hbar, "two_m": units.two_m},
+            "tolerances": {"tol": ns.tol if "tol" in shared else _UNREAD_TOL}}
 
 
 # ---------------------------------------------------------------------------
 # Sweep
 # ---------------------------------------------------------------------------
+
+#: What a runner raises on inputs it cannot compute for: a library error, or
+#: a ValueError, OverflowError or ZeroDivisionError from the arithmetic.
+_COMPUTE_ERRORS = (SaextError, ValueError, ArithmeticError)
+
 
 def _error_fields(exc: Exception) -> dict:
     """The code and message of a library error."""
@@ -1074,7 +1104,7 @@ class _SweepPoints(_Records):
                 try:
                     shape, columns = self._columns(tns, dict(zip(dests, values)),
                                                    len(values[0]))
-                except (SaextError, ValueError):
+                except _COMPUTE_ERRORS:
                     pass  # each point is run alone below, and only the bad ones fail
                 else:
                     yield self._frame(shape), len(values[0]), [*values, *columns]
@@ -1084,7 +1114,7 @@ class _SweepPoints(_Records):
                 where.update(zip(dests, combo))
                 try:
                     results.append(runner(tns))
-                except (SaextError, ValueError) as exc:
+                except _COMPUTE_ERRORS as exc:
                     failed.add(len(results))
                     results.append(_error_fields(exc))
             self.failed += len(failed)
@@ -1172,7 +1202,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             result = _COMMANDS[command]["run"](ns)
             out_ns = ns
             params = _command_params(command, ns)
-    except (SaextError, ValueError) as exc:
+    except _COMPUTE_ERRORS as exc:
         error = {"error": {**_error_fields(exc), "context": {"command": command}}}
         return _emit(out_path, lambda out: _write_json(error, out), 1)
 
@@ -1196,8 +1226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "argv": list(argv),
                 "command": command,
                 "params": params,
-                "units": {"hbar": out_ns.units.hbar, "two_m": out_ns.units.two_m},
-                "tolerances": {"tol": out_ns.tol},
+                **_manifest_settings(out_ns, ns.target if command == "sweep" else command),
                 "version": __version__,
                 "wall_time_s": time.perf_counter() - t0,
             },

@@ -118,8 +118,9 @@ def _normalized_exponential(rate: float, iv: Interval, n: int,
         span = 30.0 / abs(rate)
         xs = np.linspace(a, a + span, n)
     else:
-        # int_a^b e^{2 rate (x-a)} dx = (e^{2 rate (b-a)} - 1)/(2 rate)
-        c = math.sqrt(2.0 * rate / (math.exp(2.0 * rate * (b - a)) - 1.0))
+        # int_a^b e^{2 rate (x-a)} dx = (e^{2 rate (b-a)} - 1)/(2 rate), the
+        # difference from expm1, which does not cancel for small rate (b-a)
+        c = math.sqrt(2.0 * rate / math.expm1(2.0 * rate * (b - a)))
         xs = np.linspace(a, b, n)
 
     def closed_form(x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -25,7 +26,7 @@ from saext.classical import (
     scale_condition_residual,
     total_time_derivative,
 )
-from saext.errors import PreconditionError, SingularityError
+from saext.errors import PreconditionError, SingularityError, StiffnessError
 
 ONE = MonomialObservable.single(1)
 
@@ -387,6 +388,28 @@ def test_run_to_infinity_is_named_at_the_blow_up(g, s, sign):
         integrate_flow(PowerLawPotential(g, s), (1.0, 0.25), 50.0, 1e-10)
     t_escape = float(re.search(r"near t=(\S+)$", str(exc.value)).group(1))
     assert t_escape == pytest.approx(sol.t[-1], rel=1e-5)
+
+
+@pytest.mark.parametrize("g, s, p0", [(1.0, 2.5, 0.25), (1.0, 0.5, 0.25), (1.0, 3.7, 0.25),
+                                      (0.0, 1.5, -1.0), (-1.0, -1.5, 0.25)])
+def test_non_integer_exponents_stop_at_the_origin(g, s, p0):
+    # q^s is undefined below q = 0, where DOP853 gave up with "step size is
+    # less than spacing between numbers" and numpy warned of an invalid power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularityError, match="reached the origin near t="):
+            integrate_flow(PowerLawPotential(g, s), (1.0, p0), 50.0, 1e-10)
+
+
+@pytest.mark.parametrize("g, s, q0, p0, tol", [
+    (1.0, 4, 1.0, 0.0, 0.0),  # atol = 0 and p = 0: no error scale for p
+    (0.0, 2.5, 1e300, 0.25, 1e-10),  # the force 0 * inf at q0 is nan
+    (0.0, -1e300, 0.5, 0.25, 1e-10),
+])
+def test_a_nan_first_step_is_an_error(g, s, q0, p0, tol):
+    # DOP853 picked a nan first step here, and its loop never ended
+    with pytest.raises(StiffnessError, match="step size is not a number"):
+        integrate_flow(PowerLawPotential(g, s), (q0, p0), 1.0, tol)
 
 
 @pytest.mark.parametrize("g, s, p0", [(1.0, 4, 0.25), (0.0, 3, 1e12)])

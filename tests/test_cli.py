@@ -777,13 +777,24 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_tol_resolution_order(monkeypatch):
     monkeypatch.setenv("SAEXT_TOL", "1e-8")
-    from_env = run_json(["boundstate", "--alpha", "-1"])
+    from_env = run_json(["anomaly", "--alpha", "-1"])
     assert from_env["manifest"]["tolerances"]["tol"] == 1e-8
-    from_flag = run_json(["boundstate", "--alpha", "-1", "--tol", "1e-5"])
+    from_flag = run_json(["anomaly", "--alpha", "-1", "--tol", "1e-5"])
     assert from_flag["manifest"]["tolerances"]["tol"] == 1e-5
     monkeypatch.delenv("SAEXT_TOL")
-    default = run_json(["boundstate", "--alpha", "-1"])
-    assert default["manifest"]["tolerances"]["tol"] == 1e-10
+    default = run_json(["anomaly", "--alpha", "-1"])
+    assert default["manifest"]["tolerances"]["tol"] == 1e-6
+
+
+@pytest.mark.parametrize("argv", [["boundstate", "--alpha", "-1"],
+                                  ["sweep", "scatter", "--k", "1", "--sweep", "alpha=-2:-1:2"]])
+def test_a_subcommand_that_reads_no_tolerance_echoes_the_fixed_one(argv, monkeypatch):
+    # and the natural units it computes in; SAEXT_TOL, a number or not, changes nothing
+    for env in ("1e-8", "tight"):
+        monkeypatch.setenv("SAEXT_TOL", env)
+        manifest = run_json(argv)["manifest"]
+        assert manifest["tolerances"] == {"tol": 1e-6}
+        assert manifest["units"] == {"hbar": 1.0, "two_m": 1.0}
 
 
 def test_out_flag_writes_file(tmp_path):
@@ -838,32 +849,86 @@ def test_explicit_zero_is_not_replaced_by_the_default(argv):
     jsonschema.validate(json.loads(text), cli.load_schema("error"))
 
 
-#: argv and a sweep axis of each subcommand whose runner reads no --grid-n
-_NO_GRID = {
+#: argv and a sweep axis of each subcommand (of each op of spectrum)
+_CASES = {
+    "deficiency": (["deficiency", "--op", "momentum"], "lam=1:2:2"),
     "spectrum-momentum": (["spectrum", "--op", "momentum"], "theta=0:1:2"),
     "spectrum-well": (["spectrum", "--op", "well"], "a=1:2:2"),
     "spectrum-robin": (["spectrum", "--op", "robin"], "alpha=-2:-1:2"),
+    "boundstate": (["boundstate", "--alpha", "-1"], "x_max=30:35:2"),
     "extend": (["extend", "--operator", "hamiltonian", "--gamma", "1"], "gamma=1:2:2"),
     "scatter": (["scatter", "--k", "2", "--alpha", "-1"], "k=1:2:2"),
     "classical": (["classical", "--s", "-2"], "g=1:2:2"),
     "anomaly": (["anomaly", "--alpha", "-2"], "t=0:1:2"),
+    "paradox": (["paradox", "--id", "2", "--n", "8"], "trials=10:20:2"),
+    "geometry": (["geometry", "--metric", "polar"], None),  # no flag of geometry is numeric
 }
 
+#: A value of each shared flag other than its default.
+_SHARED_VALUES = {"units": "hbar=2,two_m=3", "tol": "1e-3", "grid_n": "2001", "seed": "7"}
 
-@pytest.mark.parametrize("name", sorted(_NO_GRID))
-def test_grid_n_is_a_usage_error_where_no_runner_reads_it(name, capsys):
-    # these results come from closed forms (for classical, sampled at
-    # --samples times, and integrated by DOP853 for s outside {-2, 0, 1, 2}),
-    # so a --grid-n would be echoed and change nothing
-    argv, axis = _NO_GRID[name]
-    sweep = ["sweep", *argv, "--sweep", axis]
-    for bad in (argv + ["--grid-n", "7"], sweep + ["--grid-n", "7"]):
+
+def _undeclared(flags):
+    """(case, flag) of each shared flag in flags that the case's subcommand does not declare."""
+    return [(case, flag) for case, (argv, _) in sorted(_CASES.items()) for flag in flags
+            if flag not in cli._COMMANDS[argv[0]]["shared"]]
+
+
+def _assert_refused(case, flag, capsys):
+    argv, axis = _CASES[case]
+    option = ["--" + flag.replace("_", "-"), _SHARED_VALUES[flag]]
+    runs = [argv + option]
+    if axis is not None:
+        sweep = ["sweep", *argv, "--sweep", axis]
+        run_json(sweep)
+        runs.append(sweep + option)
+    for bad in runs:
         with pytest.raises(SystemExit) as exc:
             run_cli(bad)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--grid-n" in err and "Traceback" not in err
-    run_json(sweep)
+        assert "unrecognized arguments: " + option[0] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", [case for case, _ in _undeclared(["grid_n"])])
+def test_grid_n_is_a_usage_error_where_no_runner_reads_it(name, capsys):
+    # these results come from closed forms (for classical, sampled at
+    # --samples times, and integrated by DOP853 for s outside {-2, 0, 1, 2}),
+    # so a --grid-n would be echoed and change nothing
+    _assert_refused(name, "grid_n", capsys)
+
+
+@pytest.mark.parametrize("case, flag", _undeclared(["units", "tol", "seed"]))
+def test_shared_flag_is_a_usage_error_where_no_runner_reads_it(case, flag, capsys):
+    # the manifest would echo units, a tolerance or a seed that nothing applied
+    _assert_refused(case, flag, capsys)
+
+
+#: argv of each subcommand, and the extra argv under which its runner reads
+#: each shared flag that it declares
+_DECLARED = {
+    ("deficiency", "grid_n"): (["deficiency", "--op", "momentum"], []),
+    ("boundstate", "grid_n"): (["boundstate", "--alpha", "-1"], []),
+    ("paradox", "grid_n"): (["paradox", "--id", "3"], []),
+    ("geometry", "grid_n"): (["geometry", "--metric", "polar"], []),
+    ("paradox", "units"): (["paradox", "--n", "64"], [["--id", "1"], ["--id", "2"]]),
+    ("paradox", "seed"): (["paradox", "--id", "2"], []),
+    ("anomaly", "tol"): (["anomaly", "--alpha", "-2"], []),
+    ("classical", "tol"): (["classical", "--s", "3", "--t-end", "1"], []),
+}
+
+
+def test_every_declared_shared_flag_has_a_case():
+    declared = {(name, flag) for name, spec in cli._COMMANDS.items() for flag in spec["shared"]}
+    assert declared == set(_DECLARED)
+
+
+@pytest.mark.parametrize("name, flag", sorted(_DECLARED))
+def test_a_declared_shared_flag_changes_the_result(name, flag):
+    argv, variants = _DECLARED[name, flag]
+    option = ["--" + flag.replace("_", "-"), _SHARED_VALUES[flag]]
+    for extra in variants or [[]]:
+        assert run_json(argv + extra + option)["result"] != run_json(argv + extra)["result"]
 
 
 @pytest.mark.parametrize("argv, axis", [
@@ -978,7 +1043,7 @@ def _non_finite_cases():
             # after a space, -inf is a value too, not an unknown flag
             yield [name, *_REQUIRED[name], flag, "-inf"]
     for value in ("nan", "inf", "-inf"):
-        yield ["boundstate", "--alpha", "-1", f"--tol={value}"]
+        yield ["anomaly", "--alpha", "-1", f"--tol={value}"]
     yield ["sweep", "scatter", "--k=nan", "--sweep", "alpha=-2:-1:2"]
     yield ["sweep", "scatter", "--alpha=nan", "--sweep", "k=1:2:2"]
     yield ["sweep", "extend", "--operator", "hamiltonian", "--gamma=inf",
@@ -1110,6 +1175,44 @@ def test_classical_names_the_run_to_infinity():
     assert result["deviation"] <= 1e-8 * result["predicted_drift"]
 
 
+def test_classical_at_a_non_integer_exponent_names_the_origin():
+    # q reaches 0 in finite time and q^s is undefined below it; this exited
+    # with "stiffness" and a numpy RuntimeWarning on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "saext.cli", "classical", "--s", "2.5"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    jsonschema.validate(payload, cli.load_schema("error"))
+    assert payload["error"]["code"] == "singularity-reached"
+    assert payload["error"]["message"] == "trajectory reached the origin near t=0.828967"
+
+
+@pytest.mark.parametrize("argv", [
+    ["deficiency", "--op", "momentum", "--lam", "1e300"],
+    ["deficiency", "--op", "momentum", "--interval", "0,1e300"],
+    ["paradox", "--id", "3", "--a", "1e300"],
+    ["classical", "--s", "2", "--g", "1e300"],
+    ["sweep", "deficiency", "--op", "momentum", "--sweep", "lam=1:1e300:2"],
+])
+def test_out_of_range_numbers_are_a_structured_error(argv, capsys):
+    # an OverflowError or ZeroDivisionError from the arithmetic ended in a
+    # traceback; a sweep records the point and goes on
+    code, text = run_cli(argv)
+    assert code == 1
+    payload = json.loads(text)
+    if argv[0] == "sweep":
+        jsonschema.validate(payload, cli.load_schema("sweep"))
+        first, last = payload["result"]["points"]
+        assert "result" in first and last["error"]["code"] == "invalid-value"
+    else:
+        jsonschema.validate(payload, cli.load_schema("error"))
+        assert payload["error"]["code"] == "invalid-value"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ["-1e-320", "-5.55e-170", "-1.49e-154"])
 def test_boundstate_refuses_an_underflowing_energy(alpha):
     code, text = run_cli(["boundstate", f"--alpha={alpha}"])
@@ -1120,3 +1223,67 @@ def test_boundstate_refuses_an_underflowing_energy(alpha):
     # the smallest |alpha| whose energy is a normal float is still served
     state = run_json(["boundstate", f"--alpha={-2.0**-511!r}"])["result"]
     assert state["bound_state"]["norm"] == pytest.approx(1.0, abs=1e-8)
+
+
+# -- argv fuzzer ------------------------------------------------------------
+
+_FUZZ_FLOATS = ["0", "-0.0", "1", "-1", "2.5", "1e-300", "-1e-300", "1e300", "-1e300",
+                "inf", "-inf", "nan"]
+_FUZZ_INTS = ["-1", "0", "1", "2", "64"]
+#: Values of the flags that take neither a float nor an int.
+_FUZZ_TEXTS = {
+    "--interval": ["0,1", "0,inf", "-inf,inf", "1,0", "0,1e300", "1e-300,1", "-1e300,0", "a"],
+    "--probe": ["bump:1,2", "bump:0.5,1.5", "bump:2,1", "bump:1e-300,1e300", "box:1,2"],
+    "--units": ["hbar=2,two_m=3", "hbar=0", "two_m=1e300", "hbar=1e-300", "planck=1"],
+}
+
+
+def _fuzz_values(flags, kwargs):
+    if "choices" in kwargs:
+        return [str(choice) for choice in kwargs["choices"]]
+    if flags[0] == "--t-end":
+        # DOP853 takes more steps the longer the horizon: classical --s 4
+        # runs for more than a minute at --t-end 1e5
+        return [value for value in _FUZZ_FLOATS if not float(value) > 10.0]
+    if flags[0] == "--s":
+        # at |s| = 1e300, q^s jumps between 0 and inf at q = 1: DOP853 steps
+        # against that wall without end (classical --s 1e300 --g 1e-300)
+        return [value for value in _FUZZ_FLOATS if abs(float(value)) != 1e300]
+    if kwargs.get("type") is float:
+        return _FUZZ_FLOATS
+    if kwargs.get("type") is int:
+        return _FUZZ_INTS
+    return _FUZZ_TEXTS[flags[0]]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A subcommand or a sweep of one, its required flags, and some more of its flags."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    spec = cli._COMMANDS[name]
+    declared = [*map(cli._SHARED.get, spec["shared"]), *spec["args"]]
+    chosen = [flag for flag in spec["args"] if flag[1].get("required")]
+    chosen += draw(st.lists(st.sampled_from(declared), max_size=3))  # repeats included
+    argv = [name] + [f"{flags[0]}={draw(st.sampled_from(_fuzz_values(flags, kwargs)))}"
+                     for flags, kwargs in chosen]
+    if draw(st.booleans()):
+        numeric = [(flags, kwargs) for flags, kwargs in spec["args"]
+                   if kwargs.get("type") in (int, float) and "choices" not in kwargs]
+        for flags, kwargs in draw(st.lists(st.sampled_from(numeric), max_size=2)) if numeric else []:
+            start, stop = (draw(st.sampled_from(_fuzz_values(flags, kwargs))) for _ in "ab")
+            axis = f"{cli._dest_of(flags, kwargs)}={start}:{stop}:{draw(st.integers(0, 4))}"
+            argv += ["--sweep", axis]
+        argv = ["sweep", *argv]
+    return argv + draw(st.sampled_from([[], ["--csv"]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fuzz_argv())
+def test_fuzzed_argv_ends_in_exit_0_1_or_2(argv):
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code, _ = run_cli(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 1), argv

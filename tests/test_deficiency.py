@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saext.core import GridFunction, Interval, OperatorSpec, norm
@@ -148,6 +148,18 @@ def test_lambda_scaling_of_momentum_basis():
     np.testing.assert_allclose(plus / plus[0], np.exp(-lam * xs), atol=1e-14)
     minus = r.basis_minus[0].closed_form(xs)
     np.testing.assert_allclose(minus / minus[0], np.exp(lam * xs), atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-300.0, 0.0))
+@example(-300.0)
+@example(-12.0)
+def test_momentum_basis_keeps_unit_norm_for_small_lambda(exponent):
+    # e^{2 lam} - 1 cancels for small lam: at lam = 1e-12 the norm was off
+    # by 1.1e-5, and at lam = 1e-300 the constant divided by zero
+    r = solve_deficiency(MOMENTUM_01, lam=10.0**exponent)
+    for sol in (r.basis_plus[0], r.basis_minus[0]):
+        assert abs(norm(sol.fn) - 1.0) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
