@@ -4,154 +4,105 @@ Deficiency indices, von Neumann extension parameters mapped to physical
 boundary conditions, the resulting spectra (bound, scattering, discretized),
 the domain-induced scale anomaly, and numerical demonstrations of the
 textbook operator paradoxes.
+
+The submodules and the names below are imported on first access (PEP 562),
+so ``import saext`` loads neither numpy nor any submodule.
 """
 
 from __future__ import annotations
 
-from . import (
-    anomaly,
-    classical,
-    core,
-    deficiency,
-    discrete,
-    errors,
-    extension,
-    geometry,
-    spectral,
-)
-from .anomaly import (
-    AnomalyReport,
-    anomaly_quadrature,
-    apply_dilatation,
-    classical_symmetry_check,
-    heisenberg_correction,
-)
-from .classical import (
-    DriftReport,
-    MonomialObservable,
-    PowerLawPotential,
-    dilatation,
-    dilatation_drift,
-    dilatation_drift_report,
-    hamiltonian_observable,
-    integrate_flow,
-    poisson_bracket,
-    scale_condition_residual,
-    total_time_derivative,
-)
-from .core import (
-    BoundaryCondition,
-    GridFunction,
-    Interval,
-    OperatorSpec,
-    UnitSystem,
-    boundary_form_hamiltonian,
-    boundary_form_momentum,
-    derivative,
-    inner_product,
-    norm,
-)
-from .deficiency import (
-    DeficiencyReport,
-    solve_deficiency,
-    verify_deficiency_numerically,
-)
-from .discrete import (
-    commuting_observables_demo,
-    cosine_basis_momentum_matrix,
-    eigenvector_commutator_demo,
-    hermiticity_defect_demo,
-    trace_commutator_check,
-)
-from .errors import SaextError
-from .extension import (
-    ExtensionParameter,
-    assemble_domain_element,
-    halfline_bc_from_unitary,
-    momentum_bc_from_unitary,
-)
-from .geometry import (
-    MeasureSpec,
-    commutator_preservation_check,
-    connection_condition,
-    radial_symmetry_defect,
-)
-from .spectral import (
-    BoundState,
-    SpectrumResult,
-    bound_state,
-    bound_state_shooting,
-    discretized_momentum_eigs,
-    halfline_robin_spectrum,
-    momentum_spectrum,
-    reflection_coefficient,
-    scattering_state,
-    well_spectrum,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnomalyReport",
-    "BoundState",
-    "BoundaryCondition",
-    "DeficiencyReport",
-    "DriftReport",
-    "ExtensionParameter",
-    "GridFunction",
-    "Interval",
-    "MeasureSpec",
-    "MonomialObservable",
-    "OperatorSpec",
-    "PowerLawPotential",
-    "SaextError",
-    "SpectrumResult",
-    "UnitSystem",
-    "anomaly",
-    "anomaly_quadrature",
-    "apply_dilatation",
-    "assemble_domain_element",
-    "bound_state",
-    "bound_state_shooting",
-    "boundary_form_hamiltonian",
-    "boundary_form_momentum",
-    "classical",
-    "classical_symmetry_check",
-    "commutator_preservation_check",
-    "commuting_observables_demo",
-    "connection_condition",
-    "core",
-    "cosine_basis_momentum_matrix",
-    "deficiency",
-    "derivative",
-    "dilatation",
-    "dilatation_drift",
-    "dilatation_drift_report",
-    "discrete",
-    "discretized_momentum_eigs",
-    "eigenvector_commutator_demo",
-    "errors",
-    "extension",
-    "geometry",
-    "halfline_bc_from_unitary",
-    "halfline_robin_spectrum",
-    "hamiltonian_observable",
-    "heisenberg_correction",
-    "hermiticity_defect_demo",
-    "inner_product",
-    "integrate_flow",
-    "momentum_bc_from_unitary",
-    "momentum_spectrum",
-    "norm",
-    "poisson_bracket",
-    "radial_symmetry_defect",
-    "reflection_coefficient",
-    "scale_condition_residual",
-    "scattering_state",
-    "solve_deficiency",
-    "spectral",
-    "total_time_derivative",
-    "trace_commutator_check",
-    "verify_deficiency_numerically",
-    "well_spectrum",
-]
+#: Each submodule and the public names the package re-exports from it.
+_EXPORTS = {
+    "anomaly": (
+        "AnomalyReport",
+        "anomaly_quadrature",
+        "apply_dilatation",
+        "classical_symmetry_check",
+        "heisenberg_correction",
+    ),
+    "classical": (
+        "DriftReport",
+        "MonomialObservable",
+        "PowerLawPotential",
+        "dilatation",
+        "dilatation_drift",
+        "dilatation_drift_report",
+        "hamiltonian_observable",
+        "integrate_flow",
+        "poisson_bracket",
+        "scale_condition_residual",
+        "total_time_derivative",
+    ),
+    "core": (
+        "BoundaryCondition",
+        "GridFunction",
+        "Interval",
+        "OperatorSpec",
+        "UnitSystem",
+        "boundary_form_hamiltonian",
+        "boundary_form_momentum",
+        "derivative",
+        "inner_product",
+        "norm",
+    ),
+    "deficiency": (
+        "DeficiencyReport",
+        "solve_deficiency",
+        "verify_deficiency_numerically",
+    ),
+    "discrete": (
+        "commuting_observables_demo",
+        "cosine_basis_momentum_matrix",
+        "eigenvector_commutator_demo",
+        "hermiticity_defect_demo",
+        "trace_commutator_check",
+    ),
+    "errors": ("SaextError",),
+    "extension": (
+        "ExtensionParameter",
+        "assemble_domain_element",
+        "halfline_bc_from_unitary",
+        "momentum_bc_from_unitary",
+    ),
+    "geometry": (
+        "MeasureSpec",
+        "commutator_preservation_check",
+        "connection_condition",
+        "radial_symmetry_defect",
+    ),
+    "spectral": (
+        "BoundState",
+        "SpectrumResult",
+        "bound_state",
+        "bound_state_shooting",
+        "discretized_momentum_eigs",
+        "halfline_robin_spectrum",
+        "momentum_spectrum",
+        "reflection_coefficient",
+        "scattering_state",
+        "well_spectrum",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,14 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import (
-    MonomialObservable,
-    PowerLawPotential,
-    dilatation_observable,
-    hamiltonian_observable,
-    poisson_bracket,
-    total_time_derivative,
-)
 from .core import GridFunction, derivative_values, inner_product
 from .errors import (
     DegenerateGridError,
@@ -173,6 +165,15 @@ def classical_symmetry_check() -> ClassicalSymmetryVerdict:
     {H, D} = H and dD/dt = dD/dt|_explicit + {D, H} = 0, both for the
     free particle and with the inverse-square potential added.
     """
+    from .classical import (
+        MonomialObservable,
+        PowerLawPotential,
+        dilatation_observable,
+        hamiltonian_observable,
+        poisson_bracket,
+        total_time_derivative,
+    )
+
     h_free = MonomialObservable.single(1, p_pow=2)
     d_free = dilatation_observable(h_free)
     bracket_ok = poisson_bracket(h_free, d_free) == h_free

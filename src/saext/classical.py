@@ -292,8 +292,9 @@ def integrate_flow(
         run_away.direction = 1.0
         events.append(run_away)
 
-    # at a non-integer s, a trial stage past q = 0 gives nan and is rejected
-    with np.errstate(invalid="ignore"):
+    # at a non-integer s, a trial stage past q = 0 gives nan and is rejected;
+    # a run-away overflows in the step-size norms before the flow fails
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         sol = solve_ivp(
             rhs,
             (0.0, t_end),
@@ -413,11 +414,13 @@ def _odd_tail(x: np.ndarray, sign: float) -> np.ndarray:
     x^3/3! + sign x^5/5! + ..., whose terms after x^21/21! are below
     rounding there.
     """
-    x2 = x * x
-    series = np.ones_like(x)
-    for n in range(9, 0, -1):
-        series = 1.0 + sign * x2 / ((2 * n + 2) * (2 * n + 3)) * series
-    series *= x * x2 / 6.0
+    # the series is used below |x| = 1 only; above it may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = x * x
+        series = np.ones_like(x)
+        for n in range(9, 0, -1):
+            series = 1.0 + sign * x2 / ((2 * n + 2) * (2 * n + 3)) * series
+        series *= x * x2 / 6.0
     direct = np.sinh(x) - x if sign > 0.0 else x - np.sin(x)
     return np.where(np.abs(x) < 1.0, series, direct)
 

@@ -21,36 +21,15 @@ import os
 import re
 import sys
 import time
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import __version__
-from .anomaly import anomaly_quadrature
-from .classical import (
-    PowerLawPotential,
-    dilatation_drift_report,
-    scale_condition_residual,
-)
-from .core import GridFunction, Interval, OperatorSpec, UnitSystem, inner_product, norm
-from .deficiency import solve_deficiency, verify_deficiency_numerically
-from .discrete import (
-    commuting_observables_demo,
-    eigenvector_commutator_demo,
-    hermiticity_defect_demo,
-    trace_commutator_check,
-)
 from .errors import PreconditionError, SaextError, SweepSizeError
-from .extension import ExtensionParameter, halfline_bc_from_unitary, momentum_bc_from_unitary
-from .geometry import commutator_preservation_check, connection_condition, radial_symmetry_defect
-from .spectral import (
-    _ALPHA_NORMAL_MIN,
-    _reflection_columns,
-    bound_state,
-    halfline_robin_spectrum,
-    momentum_spectrum,
-    well_spectrum,
-)
+
+if TYPE_CHECKING:  # for annotations; each function imports what it calls
+    import numpy as np
+
+    from .core import Interval, UnitSystem
 
 __all__ = ["main", "load_schema"]
 
@@ -65,6 +44,8 @@ _UNREAD_TOL = 1e-6
 # ---------------------------------------------------------------------------
 
 def _parse_units(text: str) -> UnitSystem:
+    from .core import UnitSystem
+
     fields = {"hbar": 1.0, "two_m": 1.0}
     for part in text.split(","):
         if not part:
@@ -85,6 +66,8 @@ def _parse_units(text: str) -> UnitSystem:
 
 
 def _parse_interval(text: str) -> Interval:
+    from .core import Interval
+
     try:
         a_text, b_text = text.split(",")
         a, b = float(a_text), float(b_text)
@@ -337,10 +320,13 @@ def _json_template(shape, depth: int, base: int, order: list) -> tuple:
 
 def _json_default(obj):
     """Numpy scalars encode as the Python int or float they hold."""
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    # a numpy scalar can only be met once numpy is loaded
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -547,6 +533,9 @@ def load_schema(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _run_deficiency(args) -> dict:
+    from .core import Interval, OperatorSpec
+    from .deficiency import solve_deficiency, verify_deficiency_numerically
+
     if args.op == "momentum":
         iv = args.interval or Interval.finite(0.0, 1.0)
         spec = OperatorSpec.momentum(iv)
@@ -572,6 +561,8 @@ def _run_deficiency(args) -> dict:
 
 
 def _run_extend(args) -> dict:
+    from .extension import ExtensionParameter, halfline_bc_from_unitary, momentum_bc_from_unitary
+
     bc = (momentum_bc_from_unitary if args.operator == "momentum"
           else halfline_bc_from_unitary)(args.gamma)
     return {
@@ -583,6 +574,11 @@ def _run_extend(args) -> dict:
 
 
 def _run_spectrum(args) -> dict:
+    import numpy as np
+
+    from .core import Interval
+    from .spectral import halfline_robin_spectrum, momentum_spectrum, well_spectrum
+
     if args.op == "momentum":
         iv = args.interval or Interval.finite(0.0, 1.0)
         n_min = -5 if args.n_min is None else args.n_min
@@ -610,6 +606,8 @@ def _run_spectrum(args) -> dict:
 
 def _robin_alpha(alpha: float) -> float:
     """alpha, refused where the bound-state energy -alpha^2 is not a normal float."""
+    from .spectral import _ALPHA_NORMAL_MIN
+
     # below 2^-511 -alpha^2 is subnormal or 0.0; from 2^512 on it overflows
     if alpha < 0.0 and not _ALPHA_NORMAL_MIN <= -alpha < 2.0**512:
         raise PreconditionError("the energy -alpha^2 is a normal float only for "
@@ -618,6 +616,9 @@ def _robin_alpha(alpha: float) -> float:
 
 
 def _run_boundstate(args) -> dict:
+    from .core import norm
+    from .spectral import bound_state
+
     state = bound_state(_robin_alpha(args.alpha), x_max=args.x_max, grid_n=args.grid_n)
     if state is None:
         return {"alpha": args.alpha, "E": None, "bound_state": None,
@@ -649,6 +650,8 @@ def _scatter_columns(args, axes: dict, count: int) -> tuple:
     read from args.  The k and alpha columns are the values given, so a
     sweep's params and its results share them.
     """
+    from .spectral import _reflection_columns
+
     ks = axes["k"] if "k" in axes else [args.k] * count
     alphas = axes["alpha"] if "alpha" in axes else [args.alpha] * count
     return (_walk(_scatter_result(*range(6)), []),
@@ -661,6 +664,8 @@ def _run_scatter(args) -> dict:
 
 
 def _run_anomaly(args) -> dict:
+    from .anomaly import anomaly_quadrature
+
     report = anomaly_quadrature(_robin_alpha(args.alpha), t=args.t, tol=args.tol)
     if not math.isfinite(report.anomaly):
         raise PreconditionError("the anomaly needs (H psi, H psi) = alpha^4 and "
@@ -669,6 +674,13 @@ def _run_anomaly(args) -> dict:
 
 
 def _run_paradox(args) -> dict:
+    from .discrete import (
+        commuting_observables_demo,
+        eigenvector_commutator_demo,
+        hermiticity_defect_demo,
+        trace_commutator_check,
+    )
+
     n = args.n
     if args.id == 1:
         report = eigenvector_commutator_demo(
@@ -687,6 +699,8 @@ def _run_paradox(args) -> dict:
 
 
 def _run_classical(args) -> dict:
+    from .classical import PowerLawPotential, dilatation_drift_report, scale_condition_residual
+
     v = PowerLawPotential(args.g, args.s)
     report = dilatation_drift_report(
         v, (args.q0, args.p0), args.t_end, tol=args.tol, samples=args.samples)
@@ -705,6 +719,8 @@ def _run_classical(args) -> dict:
 
 
 def _bump_values(xs: np.ndarray, center: float, width: float) -> np.ndarray:
+    import numpy as np
+
     u = (xs - center) / width
     out = np.zeros_like(xs, dtype=complex)
     inside = np.abs(u) < 1.0
@@ -713,6 +729,15 @@ def _bump_values(xs: np.ndarray, center: float, width: float) -> np.ndarray:
 
 
 def _run_geometry(args) -> dict:
+    import numpy as np
+
+    from .core import GridFunction, inner_product
+    from .geometry import (
+        commutator_preservation_check,
+        connection_condition,
+        radial_symmetry_defect,
+    )
+
     measure, label = {"polar": ("polar", "1/(2r)"), "spherical": ("spherical_radial", "1/r"),
                       "flat": ("cartesian", "0")}[args.metric]
     closed_form = connection_condition(measure)
@@ -747,9 +772,9 @@ def _run_geometry(args) -> dict:
 #: flag that would change nothing is a usage error; one that declares
 #: "tol" gives its default as "tol".
 _SHARED = {
-    "units": (("--units",), dict(type=_parse_units, default=UnitSystem(),
+    "units": (("--units",), dict(type=_parse_units, default="hbar=1,two_m=1",
                                  metavar="hbar=<v>,two_m=<v>",
-                                 help="unit system (default hbar=1,two_m=1)")),
+                                 help="unit system (default %(default)s)")),
     "tol": (("--tol",), dict(type=float, default=None,
                              help="tolerance override (default: SAEXT_TOL or the "
                                   "subcommand default)")),
@@ -910,6 +935,8 @@ def _dest_of(flags: tuple, kwargs: dict) -> str:
 
 
 def _command_params(name: str, ns: argparse.Namespace) -> dict:
+    from .core import Interval
+
     params = {}
     for flags, kwargs in _COMMANDS[name]["args"]:
         dest = _dest_of(flags, kwargs)
@@ -1008,19 +1035,28 @@ def _finalize(ns: argparse.Namespace, command: str,
         if kwargs.get("type") is float and value is not None and not (
                 math.isfinite(value) or math.isinf(value) and flags[0] == "--alpha"):
             parser.error(f"argument {flags[0]}: {value!r} is not a finite number")
-    if "tol" in shared and ns.tol is None:
+    if "tol" not in shared:
+        return
+    source = "argument --tol"
+    if ns.tol is None:
         env = os.environ.get("SAEXT_TOL")
-        if env is not None:
+        if env is None:
+            ns.tol = spec["tol"]
+        else:
+            source = "SAEXT_TOL"
             try:
                 ns.tol = float(env)
             except ValueError:
                 parser.error(f"SAEXT_TOL is not a number: {env!r}")
-        else:
-            ns.tol = spec["tol"]
+    # a tolerance is a finite number > 0, from the flag or the environment
+    if not 0.0 < ns.tol < math.inf:
+        parser.error(f"{source}: {ns.tol!r} is not a finite number > 0")
 
 
 def _manifest_settings(ns: argparse.Namespace, command: str) -> dict:
     """The manifest's units and tolerances; natural units and _UNREAD_TOL where unread."""
+    from .core import UnitSystem
+
     shared = _COMMANDS[command]["shared"]
     units = ns.units if "units" in shared else UnitSystem()
     return {"units": {"hbar": units.hbar, "two_m": units.two_m},
@@ -1066,6 +1102,8 @@ class _SweepPoints(_Records):
 
     def _axis_values(self):
         """For each chunk of the grid, in itertools.product order, each axis's values."""
+        import numpy as np
+
         shape = tuple(len(grid) for grid, _ in self._grids)
         total = math.prod(shape)
         for start in range(0, total, _CHUNK):
@@ -1128,6 +1166,8 @@ class _SweepPoints(_Records):
 def _run_sweep(target: str, tns: argparse.Namespace,
                tparser: argparse.ArgumentParser) -> dict:
     """The sweep's result; its points are computed as they are written."""
+    import numpy as np
+
     specs = tns.sweep
     if not specs:
         tparser.error("sweep needs at least one --sweep param=start:stop:count")

@@ -7,6 +7,28 @@ the same identifiers.
 
 from __future__ import annotations
 
+__all__ = [
+    "DegenerateGridError",
+    "DomainViolationError",
+    "GridMismatchError",
+    "IndeterminateError",
+    "InvalidIndexError",
+    "InvalidMetricError",
+    "InvalidScheduleError",
+    "NoBoundStateError",
+    "NoRootError",
+    "PreconditionError",
+    "SaextError",
+    "SingularSupportError",
+    "SingularityError",
+    "StiffnessError",
+    "SweepSizeError",
+    "TooCoarseError",
+    "UnsupportedBoundaryError",
+    "UnsupportedExtensionError",
+    "UnsupportedOperatorError",
+]
+
 
 class SaextError(Exception):
     """Base class for all library errors."""

@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -797,6 +798,27 @@ def test_a_subcommand_that_reads_no_tolerance_echoes_the_fixed_one(argv, monkeyp
         assert manifest["units"] == {"hbar": 1.0, "two_m": 1.0}
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("argv", [["anomaly", "--alpha", "-2"],
+                                  ["classical", "--s", "3", "--t-end", "1"]],
+                         ids=operator.itemgetter(0))
+def test_a_tolerance_is_a_finite_number_above_zero(argv, source, value, monkeypatch, capsys):
+    # from either source; SAEXT_TOL=nan was echoed as "nan", -1 from either
+    # gave a negative tolerance, and --tol 0 ran after scipy clipped it
+    if source == "env":
+        monkeypatch.setenv("SAEXT_TOL", value)
+    else:
+        monkeypatch.delenv("SAEXT_TOL", raising=False)
+        argv = [*argv, f"--tol={value}"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("argument --tol" if source == "flag" else "SAEXT_TOL") in err
+    assert "Traceback" not in err
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "run.json"
     code, text = run_cli(["boundstate", "--alpha", "-1", "--out", str(target)])
@@ -1188,6 +1210,25 @@ def test_classical_at_a_non_integer_exponent_names_the_origin():
     jsonschema.validate(payload, cli.load_schema("error"))
     assert payload["error"]["code"] == "singularity-reached"
     assert payload["error"]["message"] == "trajectory reached the origin near t=0.828967"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classical", "--s", "2", "--g", "1e300"], "invalid-value"),
+    (["classical", "--s", "3", "--q0", "1e100", "--g", "-1"], "stiffness"),
+    (["classical", "--s", "4", "--p0", "1e300"], "stiffness"),
+])
+def test_classical_out_of_range_input_keeps_stderr_empty(argv, code):
+    # numpy overflow warnings from the series of x - sin x and from the
+    # step-size norms of DOP853 reached stderr before the structured error
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "saext.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    jsonschema.validate(payload, cli.load_schema("error"))
+    assert payload["error"]["code"] == code
 
 
 @pytest.mark.parametrize("argv", [

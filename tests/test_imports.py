@@ -1,9 +1,12 @@
-"""Import contract: scipy is loaded only by the entry points that call it.
+"""Import contract: a module is loaded only by the entry points that call it.
 
-Each check runs in a fresh interpreter, so modules imported by other tests
-cannot leak into ``sys.modules``.
+scipy is loaded only where it is called, and each CLI process only the saext
+modules (and numpy) its subcommand runs.  Each check of what is loaded runs
+in a fresh interpreter, so modules imported by other tests cannot leak into
+``sys.modules``.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import saext
 from test_cli import GOLDEN
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -65,13 +69,17 @@ _SCIPY_FREE_CALLS = {
 }
 
 
-def _probe(argv, call=None):
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _probe(argv, call=None):
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(call)],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
+        capture_output=True, text=True, env=_env(), timeout=120, check=True)
     return json.loads(proc.stdout)
 
 
@@ -96,3 +104,96 @@ def test_scipy_entry_points_still_run(name):
     out = _probe(_SCIPY_ARGV[name])
     assert out["code"] == 0
     assert "scipy" in out["scipy"]
+
+
+# -- what each subcommand loads ----------------------------------------------
+
+#: ``python -m saext.cli`` with argv: the saext modules it loaded, whether
+#: numpy is among them, and its exit code.
+_RUN_MAIN = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["saext", *json.loads(sys.argv[1])]
+code = 0
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        runpy.run_module("saext.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+saext = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("saext."))
+print(json.dumps({"code": code, "saext": saext, "numpy": "numpy" in sys.modules}))
+"""
+
+_SPECTRAL = ["core", "errors", "spectral"]
+_DEFICIENCY = ["core", "deficiency", "errors"]
+
+#: (argv, exit code, the saext modules it loads); each one-shot loads
+#: numpy as well, and nothing else.
+_LOADS = {
+    "version": (["--version"], 0, ["errors"]),
+    "help": (["--help"], 0, ["errors"]),
+    "usage-error": (["boundstate"], 2, ["errors"]),
+    "scatter": (GOLDEN["scatter"], 0, _SPECTRAL),
+    "spectrum-robin": (GOLDEN["spectrum"], 0, _SPECTRAL),
+    "boundstate": (GOLDEN["boundstate"], 0, _SPECTRAL),
+    "sweep-scatter": (GOLDEN["sweep"], 0, _SPECTRAL),
+    "deficiency": (GOLDEN["deficiency"], 0, _DEFICIENCY),
+    "extend": (GOLDEN["extend"], 0, sorted([*_DEFICIENCY, "extension"])),
+    "anomaly": (GOLDEN["anomaly"], 0, ["anomaly", "core", "errors", "spectral"]),
+    "paradox": (GOLDEN["paradox"], 0, ["core", "discrete", "errors", "spectral"]),
+    "classical": (GOLDEN["classical"], 0, ["classical", "core", "errors"]),
+    "geometry": (GOLDEN["geometry"], 0, ["core", "errors", "geometry"]),
+}
+
+
+def _run_main(argv) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_MAIN, json.dumps(argv)],
+        capture_output=True, text=True, env=_env(), timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(_LOADS))
+def test_a_cli_process_loads_only_what_its_subcommand_runs(name):
+    argv, code, modules = _LOADS[name]
+    out = _run_main(argv)
+    assert out["code"] == code
+    assert out["saext"] == modules
+    # --version, --help and a usage error never reach a runner
+    assert out["numpy"] is (modules != ["errors"])
+
+
+# -- the lazy package ---------------------------------------------------------
+
+def test_each_public_name_is_its_home_modules():
+    for module_name, names in saext._EXPORTS.items():
+        module = importlib.import_module(f"saext.{module_name}")
+        assert getattr(saext, module_name) is module
+        for name in names:
+            assert getattr(saext, name) is getattr(module, name)
+            assert name in module.__all__
+    assert saext.__all__ == sorted([*saext._EXPORTS, *saext._HOME])
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from saext import *", namespace)
+    assert set(saext.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(saext, name) for name in saext.__all__)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        saext.no_such_name
+    assert not hasattr(saext, "no_such_name")
+
+
+def test_dir_lists_every_public_name():
+    assert set(saext.__all__) <= set(dir(saext))
+
+
+def test_a_bare_import_loads_no_submodule_and_no_numpy():
+    probe = ("import json, sys, saext; print(json.dumps(sorted(m for m in sys.modules "
+             "if m.startswith('saext') or m == 'numpy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_env(), timeout=120, check=True)
+    assert json.loads(proc.stdout) == ["saext"]
