@@ -702,8 +702,7 @@ def _run_classical(args) -> dict:
     from .classical import PowerLawPotential, dilatation_drift_report, scale_condition_residual
 
     v = PowerLawPotential(args.g, args.s)
-    report = dilatation_drift_report(
-        v, (args.q0, args.p0), args.t_end, tol=args.tol, samples=args.samples)
+    report = dilatation_drift_report(v, (args.q0, args.p0), args.t_end, samples=args.samples)
     return {
         "s": args.s,
         "g": args.g,
@@ -908,9 +907,7 @@ _COMMANDS: Dict[str, dict] = {
                                   help="output samples (default 4001)")),
         ],
         "run": _run_classical,
-        # DOP853's relative tolerance, for s outside {-2, 0, 1, 2}
-        "shared": ("tol",),
-        "tol": 1e-10,
+        "shared": (),
     },
     "geometry": {
         "help": "radial symmetry defect and commutator check for a metric",
@@ -1016,6 +1013,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=spec["help"], parents=[_common_parser(name)])
         for flags, kwargs in spec["args"]:
             p.add_argument(*flags, **kwargs)
+    # each subcommand's own parser, whose usage a usage error shows
+    parser.commands = sub.choices
     p_sweep = sub.add_parser(
         "sweep", help="run a subcommand over a cartesian parameter grid")
     p_sweep.add_argument("target", choices=sorted(_COMMANDS),
@@ -1238,7 +1237,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             out_ns = tns
         else:
             out_path = ns.out
-            _finalize(ns, command, parser)
+            _finalize(ns, command, parser.commands[command])
             result = _COMMANDS[command]["run"](ns)
             out_ns = ns
             params = _command_params(command, ns)

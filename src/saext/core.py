@@ -42,6 +42,7 @@ import numpy as np
 from .errors import (
     DegenerateGridError,
     GridMismatchError,
+    PreconditionError,
     UnsupportedBoundaryError,
 )
 
@@ -401,11 +402,14 @@ def inner_product(f: GridFunction, g: GridFunction) -> complex:
     which would leave O(eps) residue in conj(z)*z.)
     """
     _require_same_grid(f, g)
-    c = quadrature_weights(f.xs) * f.w
-    fr, fi = f.values.real, f.values.imag
-    gr, gi = g.values.real, g.values.imag
-    re = float(np.sum(c * (fr * gr + fi * gi)))
-    im = float(np.sum(c * (fr * gi - fi * gr)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = quadrature_weights(f.xs) * f.w
+        fr, fi = f.values.real, f.values.imag
+        gr, gi = g.values.real, g.values.imag
+        re = float(np.sum(c * (fr * gr + fi * gi)))
+        im = float(np.sum(c * (fr * gi - fi * gr)))
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise PreconditionError("the inner product leaves the float range")
     return complex(re, im)
 
 

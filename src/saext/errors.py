@@ -21,7 +21,6 @@ __all__ = [
     "SaextError",
     "SingularSupportError",
     "SingularityError",
-    "StiffnessError",
     "SweepSizeError",
     "TooCoarseError",
     "UnsupportedBoundaryError",
@@ -118,12 +117,6 @@ class SingularityError(SaextError):
     """Trajectory reached the potential singularity."""
 
     code = "singularity-reached"
-
-
-class StiffnessError(SaextError):
-    """Adaptive integrator step size underflowed."""
-
-    code = "stiffness"
 
 
 class SingularSupportError(SaextError):

@@ -166,21 +166,17 @@ def bound_state_shooting(
 ) -> float:
     """Locate the Robin bound-state energy by inward shooting.
 
-    Shoots psi'' = -E psi from ``x_max`` toward the origin with the decaying
-    far-field data psi'/psi = -kappa, kappa = sqrt(-E), and brackets the
-    normalised boundary mismatch (psi' - alpha*psi)/(|psi| + |psi'|) at 0.
-
-    With no potential that shot is exact, so this is not a check of
-    E = -alpha^2 independent of ``bound_state``.  The data are the decaying
-    solution exp(-kappa*x) itself, and a Runge-Kutta step keeps its
-    log-derivative at -kappa to rounding at any tolerance (a DOP853 shot at
-    rtol=1e-3 lands on the roots of one at 1e-10).  The mismatch is therefore
-    evaluated in closed form, (-kappa - alpha)/(1 + kappa), and neither
-    ``x_max`` nor ``ode_rtol`` moves the root.  An integration becomes
-    necessary once a potential V(x) enters the equation.
+    Shooting psi'' = -E psi inward from the decaying far-field data
+    psi'/psi = -kappa, kappa = sqrt(-E), gives the normalised boundary
+    mismatch (psi' - alpha*psi)/(|psi| + |psi'|) at 0.  With no potential
+    the shot is exact (the data are the decaying solution exp(-kappa*x)
+    itself), so the mismatch is (-kappa - alpha)/(1 + kappa), and this is
+    not a check of E = -alpha^2 independent of ``bound_state``.  It changes
+    sign on the bracket exactly when the bracket holds its root
+    kappa = -alpha, which is returned in closed form.  Neither ``x_max`` nor
+    ``ode_rtol`` is used; an integration becomes necessary once a potential
+    V(x) enters the equation.
     """
-    from scipy.optimize import brentq
-
     if not alpha < 0.0:
         raise PreconditionError(
             "only alpha < 0 supports a bound state; got alpha=%r" % (alpha,)
@@ -190,24 +186,12 @@ def bound_state_shooting(
         lo, hi = hi, lo
     if hi >= 0.0:
         raise PreconditionError("energy bracket must be negative, got %r" % (e_bracket,))
-
-    def mismatch(energy: float) -> float:
-        # (psi, psi')(0) is proportional to (1, -kappa)
-        kappa = math.sqrt(-energy)
-        return (-kappa - alpha) / (1.0 + kappa)
-
-    f_lo, f_hi = mismatch(lo), mismatch(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
+    energy = -alpha * alpha
+    if not lo <= energy <= hi:
         raise NoRootError(
             "boundary mismatch does not change sign on [%g, %g]" % (lo, hi)
         )
-    # the root scales as alpha^2: an absolute xtol of one ulp of the end
-    # nearest zero leaves the relative rtol in charge at any |alpha|
-    return float(brentq(mismatch, lo, hi, xtol=math.ulp(hi), rtol=8.9e-16))
+    return energy
 
 
 def reflection_coefficient(k: float, alpha: float) -> complex:

@@ -1,6 +1,6 @@
 """Import contract: a module is loaded only by the entry points that call it.
 
-scipy is loaded only where it is called, and each CLI process only the saext
+No entry point needs scipy, and each CLI process loads only the saext
 modules (and numpy) its subcommand runs.  Each check of what is loaded runs
 in a fresh interpreter, so modules imported by other tests cannot leak into
 ``sys.modules``.
@@ -9,6 +9,7 @@ in a fresh interpreter, so modules imported by other tests cannot leak into
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,40 +17,68 @@ from pathlib import Path
 import pytest
 
 import saext
-from test_cli import GOLDEN
+from test_cli import GOLDEN, run_cli
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+#: Runs argv through the CLI and/or a library call in a fresh interpreter:
+#: its exit code, its stdout or the call's repr, and the scipy modules it
+#: loaded.  A call is a name looked up from ``saext`` and its arguments, or
+#: an expression in ``saext``.  With the third argument true, importing
+#: scipy raises ImportError.
 _PROBE = """
 import contextlib, functools, io, json, sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is unimportable here")
+if json.loads(sys.argv[3]):
+    sys.meta_path.insert(0, NoScipy())
 import saext, saext.cli
-code = None
+code = out = None
 argv, call = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 if argv is not None:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as text:
         code = saext.cli.main(argv)
-if call is not None:
+    out = text.getvalue()
+if isinstance(call, str):
+    out = repr(eval(call, {"saext": saext}))
+elif call is not None:
     functools.reduce(getattr, call[0].split("."), saext)(*call[1])
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"code": code, "scipy": scipy}))
+print(json.dumps({"code": code, "out": out, "scipy": scipy}))
 """
 
-#: Runs that need scipy: the flow integrated by DOP853, for s outside
-#: {-2, 0, 1, 2} (at s = 3 the default t_end = 5 is past the run to
-#: q = -inf, so the horizon is shortened).
+#: Runs that needed scipy, before their flows came from the energy
+#: integral: s outside {-2, 0, 1, 2} (at s = 3 the default t_end = 5 is past
+#: the run to q = -inf, so the horizon is shortened; s = 2.5 reaches the
+#: origin), and every golden run.
 _SCIPY_ARGV = {
     "classical": ["classical", "--s", "3", "--t-end", "1"],
+    "classical-minus-1": ["classical", "--s", "-1"],
+    "classical-2.5": ["classical", "--s", "2.5"],
+    "classical-4-long": ["classical", "--s", "4", "--t-end", "1e5"],
+    **{"golden-" + name: argv for name, argv in GOLDEN.items()},
+}
+
+#: Library calls that needed scipy: brentq's Robin root, now closed, and a
+#: drift report at s = 3, once DOP853 and Simpson's rule.
+_SCIPY_CALLS = {
+    "shooting": "saext.bound_state_shooting(-1.0, (-1.5, -0.5))",
+    "drift-report-3": "saext.dilatation_drift_report(saext.PowerLawPotential(1.0, 3.0), "
+                      "(1.0, 0.25), 1.0)",
 }
 
 #: Runs that must load numpy alone: every golden run, the closed flows
 #: s = 0, 1, 2 (the s = -2 golden run is closed too), whose drift
-#: predictions are closed forms, and the twisted-ring paradox, whose
-#: stencil is applied with numpy.
+#: predictions are closed forms, a flow from the energy integral, and the
+#: twisted-ring paradox, whose stencil is applied with numpy.
 _SCIPY_FREE_ARGV = {
     **GOLDEN,
     "classical-0": ["classical", "--s", "0"],
     "classical-1": ["classical", "--s", "1"],
     "classical-2": ["classical", "--s", "2"],
+    "classical-3": ["classical", "--s", "3", "--t-end", "1"],
     "paradox-1": ["paradox", "--id", "1"],
     "paradox-4": ["paradox", "--id", "4"],
     "spectrum-well": ["spectrum", "--op", "well"],
@@ -76,9 +105,10 @@ def _env() -> dict:
     return env
 
 
-def _probe(argv, call=None):
+def _probe(argv, call=None, block_scipy=False):
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(call)],
+        [sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(call),
+         json.dumps(block_scipy)],
         capture_output=True, text=True, env=_env(), timeout=120, check=True)
     return json.loads(proc.stdout)
 
@@ -99,11 +129,23 @@ def test_ring_library_calls_load_no_scipy(name):
     assert _probe(None, _SCIPY_FREE_CALLS[name])["scipy"] == []
 
 
+def _without_wall_time(text):
+    return re.sub(r'"wall_time_s": [^,\n]*', "", text)
+
+
 @pytest.mark.parametrize("name", sorted(_SCIPY_ARGV))
 def test_scipy_entry_points_still_run(name):
-    out = _probe(_SCIPY_ARGV[name])
-    assert out["code"] == 0
-    assert "scipy" in out["scipy"]
+    # with scipy unimportable, as they run in this process
+    out = _probe(_SCIPY_ARGV[name], block_scipy=True)
+    code, text = run_cli(_SCIPY_ARGV[name])
+    assert (out["code"], _without_wall_time(out["out"])) == (code, _without_wall_time(text))
+
+
+@pytest.mark.parametrize("name", sorted(_SCIPY_CALLS))
+def test_scipy_library_calls_still_run(name):
+    expression = _SCIPY_CALLS[name]
+    out = _probe(None, expression, block_scipy=True)
+    assert out["out"] == repr(eval(expression, {"saext": saext}))
 
 
 # -- what each subcommand loads ----------------------------------------------
