@@ -1218,8 +1218,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns, extra = parser.parse_known_args(argv)
     command = ns.command
+    if extra:
+        # what follows the subcommand's name is its parser's usage error
+        owner = parser.commands[command] if argv.index(extra[0]) >= argv.index(command) else parser
+        owner.error("unrecognized arguments: %s" % " ".join(extra))
 
     out_path: Optional[str] = None
     t0 = time.perf_counter()

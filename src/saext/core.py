@@ -32,6 +32,7 @@ energies and momenta.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -368,6 +369,11 @@ def _require_same_grid(f: GridFunction, g: GridFunction) -> None:
 # Quadrature
 # ---------------------------------------------------------------------------
 
+def _is_uniform(h: np.ndarray) -> bool:
+    """Whether the grid steps ``h`` agree to 1e-9 relative."""
+    return bool(np.all(np.abs(h - h[0]) <= 1e-9 * abs(h[0])))
+
+
 def quadrature_weights(xs: np.ndarray) -> np.ndarray:
     """Positive quadrature weights for the grid.
 
@@ -379,8 +385,7 @@ def quadrature_weights(xs: np.ndarray) -> np.ndarray:
     if n < 2:
         raise DegenerateGridError("quadrature needs at least 2 points")
     h = np.diff(xs)
-    uniform = bool(np.all(np.abs(h - h[0]) <= 1e-9 * abs(h[0])))
-    if uniform and n >= 3 and n % 2 == 1:
+    if _is_uniform(h) and n >= 3 and n % 2 == 1:
         w = np.full(n, 2.0)
         w[1::2] = 4.0
         w[0] = w[-1] = 1.0
@@ -461,12 +466,32 @@ def _window_size(order: int, acc: int) -> int:
     return w
 
 
+@functools.lru_cache(maxsize=1024)
+def _unit_stencil(w: int, i: int, order: int) -> np.ndarray:
+    """fd_weights at node i of the nodes 0, 1, ..., w-1: built once, read-only."""
+    weights = fd_weights(i, np.arange(w, dtype=float), order)
+    weights.setflags(write=False)
+    return weights
+
+
+def _stencil_dot(xs: np.ndarray, values: np.ndarray, i: int, w: int,
+                 order: int, step: float | None):
+    """The derivative at xs[i] from the w-point window that holds it, clamped to the grid."""
+    start = min(max(i - w // 2, 0), len(xs) - w)
+    if step is None:
+        weights = fd_weights(xs[i], xs[start:start + w], order)
+    else:
+        weights = _unit_stencil(w, i - start, order) / step**order
+    return np.dot(weights, values[start:start + w])
+
+
 def derivative_values(xs: np.ndarray, values: np.ndarray,
                       order: int = 1, acc: int = 4) -> np.ndarray:
     """m-th derivative samples by finite differences of accuracy >= acc.
 
     Centred stencils in the interior; one-sided stencils of the same window
     at the edges.  Non-uniform grids fall back to per-point Fornberg weights.
+    A result that is not finite raises PreconditionError.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values)
@@ -476,29 +501,23 @@ def derivative_values(xs: np.ndarray, values: np.ndarray,
         raise DegenerateGridError(
             f"order-{order} derivative at accuracy {acc} needs >= {w} points")
     h = np.diff(xs)
-    uniform = bool(np.all(np.abs(h - h[0]) <= 1e-9 * abs(h[0])))
+    step = h[0] if _is_uniform(h) else None
     out = np.empty(n, dtype=complex if np.iscomplexobj(values) else float)
-    if uniform:
-        step = h[0]
-        offsets = np.arange(w, dtype=float)
-        c = w // 2
-        centre = fd_weights(c, offsets, order) / step**order
-        mid = np.zeros(n - w + 1, dtype=out.dtype)
-        for j, sj in enumerate(centre):
-            mid += sj * values[j:j + n - w + 1]
-        out[c:c + n - w + 1] = mid
-        for i in range(c):
-            wi = fd_weights(i, offsets, order) / step**order
-            out[i] = np.dot(wi, values[:w])
-            wj = fd_weights(w - 1 - i, offsets, order) / step**order
-            out[n - 1 - i] = np.dot(wj, values[-w:])
-        return out
     c = w // 2
-    for i in range(n):
-        start = min(max(i - c, 0), n - w)
-        nodes = xs[start:start + w]
-        wi = fd_weights(xs[i], nodes, order)
-        out[i] = np.dot(wi, values[start:start + w])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if step is None:
+            for i in range(n):
+                out[i] = _stencil_dot(xs, values, i, w, order, None)
+        else:
+            centre = _unit_stencil(w, c, order) / step**order
+            mid = np.zeros(n - w + 1, dtype=out.dtype)
+            for j, sj in enumerate(centre):
+                mid += sj * values[j:j + n - w + 1]
+            out[c:c + n - w + 1] = mid
+            for i in (*range(c), *range(n - c, n)):
+                out[i] = _stencil_dot(xs, values, i, w, order, step)
+    if not np.all(np.isfinite(out)):
+        raise PreconditionError("the derivative leaves the float range")
     return out
 
 

@@ -126,7 +126,13 @@ def _normalized_exponential(rate: float, iv: Interval, n: int,
     def closed_form(x: np.ndarray) -> np.ndarray:
         return c * np.exp(rate * (np.asarray(x, dtype=float) - a)) + 0.0j
 
-    return DeficiencySolution(_exp_tag(rate, var), GridFunction(xs, closed_form(xs)),
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = closed_form(xs)
+    if not np.all(np.isfinite(values)):
+        # 2 rate (b - a) past the float range leaves c = 0 times e^inf
+        raise PreconditionError("the solution e^(%r (x - a)) leaves the float range on [%r, %r]"
+                                % (rate, a, b))
+    return DeficiencySolution(_exp_tag(rate, var), GridFunction(xs, values),
                               closed_form, iv, rate)
 
 
@@ -242,18 +248,22 @@ def verify_deficiency_numerically(op: OperatorSpec,
     equation, large ones flag a corrupted basis.
     """
     lam = report.lam
+    out_of_range = "the adjoint residual at lam=%r leaves the float range" % (lam,)
     worst = 0.0
     for sign, basis in ((+1, report.basis_plus), (-1, report.basis_minus)):
         for sol in basis:
             xs, vals = sol.fn.xs, sol.fn.values
-            with np.errstate(over="ignore", invalid="ignore"):
+            try:
                 applied = _adjoint_apply(op.kind, xs, vals)
+            except PreconditionError:  # a derivative that left the float range
+                raise PreconditionError(out_of_range) from None
+            with np.errstate(over="ignore", invalid="ignore"):
                 resid = applied - sign * 1j * lam * vals
             # one-sided edge stencils are lower order; judge the interior
             interior = np.abs(resid[3:-3])
             worst = float(np.max(interior, initial=worst))
     if not math.isfinite(worst):
-        raise PreconditionError("the adjoint residual at lam=%r leaves the float range" % (lam,))
+        raise PreconditionError(out_of_range)
     return worst
 
 

@@ -66,31 +66,40 @@ class ParadoxReport:
         return out
 
 
-def _hermitian_draw(rng: np.random.Generator, n: int) -> np.ndarray:
-    """One n x n draw from the law of (A + A^H)/2, A with iid standard complex entries.
+def _hermitian_pair(rng: np.random.Generator, n: int, upper: np.ndarray) -> np.ndarray:
+    """An (X, P) pair, shape (2, n, n), from the law of (A + A^H)/2.
 
-    That law has an N(0, 1) diagonal and N(0, 1/2) real and imaginary
-    parts above it, so n**2 normals fill it: the diagonal, the real
-    parts from the upper triangle and the imaginary parts from the lower
-    one.  The lower triangle of the result is the exact conjugate of the
-    upper.
+    A has iid standard complex entries.  That law has an N(0, 1) diagonal
+    and N(0, 1/2) real and imaginary parts above it, so n**2 normals fill
+    one matrix: the diagonal, the real parts from the upper triangle and
+    the imaginary parts from the lower one.  One ``standard_normal`` call
+    draws both, X before P, the same normals as two calls of shape (n, n).
+    ``upper`` is the strict upper triangle mask.  The lower triangle of
+    each matrix is the exact conjugate of the upper.
     """
-    z = rng.standard_normal((n, n))
-    diagonal = z.diagonal().copy()
+    z = rng.standard_normal((2, n, n))
+    diagonal = z.diagonal(axis1=1, axis2=2).copy()
     z *= math.sqrt(0.5)
-    upper = np.tri(n, k=-1, dtype=bool).T
-    x = np.empty((n, n), dtype=complex)
-    np.copyto(x.real, z.T)
+    zt = z.swapaxes(1, 2)
+    x = np.empty(z.shape, dtype=complex)
+    np.copyto(x.real, zt)
     np.copyto(x.real, z, where=upper)
     np.negative(z, out=x.imag)
-    np.copyto(x.imag, z.T, where=upper)
-    np.fill_diagonal(x, diagonal)
+    np.copyto(x.imag, zt, where=upper)
+    i = np.arange(n)
+    x[:, i, i] = diagonal
     return x
 
 
 def _commutator_trace(x: np.ndarray, p: np.ndarray) -> complex:
-    """Tr(XP) - Tr(PX), each trace summed entrywise without forming the product."""
-    return complex(np.sum(x * p.T)) - complex(np.sum(p * x.T))
+    """Tr(XP) - Tr(PX) of two Hermitian matrices, without forming the products.
+
+    Tr(XP) = sum_ij X_ij P_ji = sum_ij conj(P_ij) X_ij is vdot(p, x) on the
+    flattened matrices, term by term, because P_ji = conj(P_ij) exactly;
+    likewise Tr(PX) is vdot(x, p), the conjugate of vdot(p, x).  So the
+    difference is 2i Im vdot(p, x), from one dot product.
+    """
+    return 2j * float(np.vdot(p, x).imag)
 
 
 def trace_commutator_check(
@@ -103,14 +112,14 @@ def trace_commutator_check(
 
     Draws ``trials`` random Hermitian pairs and reports the largest
     commutator trace relative to the Frobenius norms, next to the
-    i*hbar*dim value the canonical relation would demand.  Tr(XP) and
-    Tr(PX) are summed entrywise, O(n**2) each.
+    i*hbar*dim value the canonical relation would demand.  The commutator
+    trace and the two squared norms are dot products of the flattened
+    matrices, O(n**2) each.
 
-    A trial holds the two complex n x n matrices, one complex entrywise
-    product and the real scratch of a draw, under 64*n**2 bytes.  The
-    budget is charged 96*n**2 bytes per trial, so an n for which that
-    exceeds _MEMORY_BUDGET (1 GiB, so n > 3344) raises PreconditionError
-    before anything is allocated.
+    A trial holds the two complex n x n matrices and the real samples they
+    came from, 48*n**2 bytes.  The budget is charged 96*n**2 bytes per
+    trial, so an n for which that exceeds _MEMORY_BUDGET (1 GiB, so
+    n > 3344) raises PreconditionError before anything is allocated.
     """
     if n < 2:
         raise PreconditionError("need a matrix dimension of at least 2, got %d" % n)
@@ -118,13 +127,12 @@ def trace_commutator_check(
         raise PreconditionError("need at least one trial, got %d" % trials)
     _check_budget(96 * n * n, "a trial at n=%d" % n)
     rng = np.random.default_rng(seed)
+    upper = np.tri(n, k=-1, dtype=bool).T
     worst = 0.0
     for _ in range(trials):
-        x = _hermitian_draw(rng, n)
-        p = _hermitian_draw(rng, n)
-        tr = _commutator_trace(x, p)
-        scale = np.linalg.norm(x) * np.linalg.norm(p)
-        worst = max(worst, abs(tr) / scale)
+        x, p = _hermitian_pair(rng, n, upper).reshape(2, n * n)
+        scale = math.sqrt(np.vdot(x, x).real * np.vdot(p, p).real)
+        worst = max(worst, abs(_commutator_trace(x, p)) / scale)
     naive = complex(0.0, units.hbar * n)
     return ParadoxReport(
         id=2,

@@ -133,7 +133,11 @@ def _sine_mode(kn: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
 
 def _robin_state(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
     """The Robin bound state sqrt(2|alpha|) exp(alpha*x), alpha < 0."""
-    return lambda x: math.sqrt(2.0 * abs(alpha)) * np.exp(alpha * np.asarray(x, dtype=float))
+    def psi(x):
+        # an alpha*x past the float range is -inf, whose exp is the 0 it stands for
+        with np.errstate(over="ignore"):
+            return math.sqrt(2.0 * abs(alpha)) * np.exp(alpha * np.asarray(x, dtype=float))
+    return psi
 
 
 def bound_state(
@@ -152,6 +156,8 @@ def bound_state(
         return None
     if x_max is None:
         x_max = 35.0 / max(abs(alpha), _ALPHA_NORMAL_MIN)
+    elif not x_max > 0.0:
+        raise PreconditionError("the grid cutoff x_max must be positive, got %r" % (x_max,))
     if grid_n is None:
         grid_n = 3501
     xs = np.linspace(0.0, x_max, grid_n)

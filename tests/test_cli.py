@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -1279,10 +1280,17 @@ def test_classical_work_is_bounded(argv):
 @pytest.mark.parametrize("argv", [
     ["deficiency", "--op", "hamiltonian", "--lam", "1e300"],
     ["geometry", "--metric", "polar", "--probe", "bump:1e300,1e301"],
+    ["paradox", "--id", "3", "--a", "1e-300"],
+    ["deficiency", "--op", "momentum", "--interval", "0,1e300", "--lam", "1e300"],
+    ["boundstate", "--alpha", "-1", "--x-max", "-1e300"],
+    ["boundstate", "--alpha", "-1e100", "--x-max", "1e300"],
 ])
 def test_overflow_is_a_structured_error_not_a_nan(argv):
-    # these printed RuntimeWarnings and exited 0, with an adjoint_residual of
-    # 0.0 behind nan residuals, and a defect of {"re": "nan", "im": "nan"}
+    # the first two printed RuntimeWarnings and exited 0, with an
+    # adjoint_residual of 0.0 behind nan residuals, and a defect of
+    # {"re": "nan", "im": "nan"}; the others printed RuntimeWarnings from
+    # the derivative, the deficiency basis and the Robin state before
+    # their error
     proc = _run_process(argv)
     assert proc.returncode == 1
     assert proc.stderr == ""
@@ -1294,13 +1302,21 @@ def test_overflow_is_a_structured_error_not_a_nan(argv):
 @pytest.mark.parametrize("argv", [
     ["anomaly", "--alpha", "-2", "--tol", "0"],
     ["anomaly", "--alpha", "-2", "--t=nan"],
+    ["classical", "--s", "3", "--tol", "1e-3"],
 ])
 def test_a_usage_error_shows_the_subcommands_usage(argv, capsys):
     # it showed the top-level usage, "usage: saext [-h] [--version] subcommand ..."
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("usage: saext anomaly")
+    assert capsys.readouterr().err.startswith(f"usage: saext {argv[0]} ")
+
+
+def test_an_unknown_flag_before_the_subcommand_shows_the_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--foo", "classical", "--s", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: saext [-h] [--version] subcommand")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1385,10 +1401,17 @@ def _fuzz_argv(draw):
 @settings(max_examples=400, deadline=None)
 @given(_fuzz_argv())
 def test_fuzzed_argv_ends_in_exit_0_1_or_2(argv):
-    try:
-        with contextlib.redirect_stderr(io.StringIO()):
+    # "always" records every warning, also one that an earlier example raised
+    # at the same site; the only stderr is argparse's usage error
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
             code, _ = run_cli(argv)
-    except SystemExit as exc:
-        assert exc.code == 2, argv
-    else:
-        assert code in (0, 1), argv
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            assert err.getvalue().startswith("usage: saext"), argv
+        else:
+            assert code in (0, 1), argv
+            assert err.getvalue() == "", argv
+    assert not caught, (argv, [f"{w.filename}:{w.lineno}: {w.message}" for w in caught])

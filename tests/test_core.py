@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saext.core import (
+    _unit_stencil,
+    _window_size,
     BoundaryCondition,
     GridFunction,
     Interval,
@@ -23,6 +26,7 @@ from saext.core import (
 from saext.errors import (
     DegenerateGridError,
     GridMismatchError,
+    PreconditionError,
     UnsupportedBoundaryError,
 )
 
@@ -264,6 +268,77 @@ def test_derivative_non_uniform_grid():
 def test_derivative_too_few_points():
     with pytest.raises(DegenerateGridError):
         derivative(GridFunction(np.linspace(0, 1, 4), np.zeros(4)))
+
+
+def _derivative_reference(xs, values, order, acc):
+    """derivative_values as it was before its stencils were cached: each one solved where used."""
+    n = len(xs)
+    w = _window_size(order, acc)
+    h = np.diff(xs)
+    uniform = bool(np.all(np.abs(h - h[0]) <= 1e-9 * abs(h[0])))
+    out = np.empty(n, dtype=complex if np.iscomplexobj(values) else float)
+    c = w // 2
+    if not uniform:
+        for i in range(n):
+            start = min(max(i - c, 0), n - w)
+            nodes = xs[start:start + w]
+            out[i] = np.dot(fd_weights(xs[i], nodes, order), values[start:start + w])
+        return out
+    step = h[0]
+    offsets = np.arange(w, dtype=float)
+    centre = fd_weights(c, offsets, order) / step**order
+    mid = np.zeros(n - w + 1, dtype=out.dtype)
+    for j, sj in enumerate(centre):
+        mid += sj * values[j:j + n - w + 1]
+    out[c:c + n - w + 1] = mid
+    for i in range(c):
+        out[i] = np.dot(fd_weights(i, offsets, order) / step**order, values[:w])
+        wj = fd_weights(w - 1 - i, offsets, order) / step**order
+        out[n - 1 - i] = np.dot(wj, values[-w:])
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("acc", [1, 2, 4, 6])
+def test_cached_stencils_equal_fresh_weights_and_are_read_only(order, acc):
+    w = _window_size(order, acc)
+    for i in range(w):
+        cached = _unit_stencil(w, i, order)
+        assert np.array_equal(cached, fd_weights(i, np.arange(w, dtype=float), order))
+        assert _unit_stencil(w, i, order) is cached
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
+
+@given(st.integers(min_value=0, max_value=40), st.floats(-1e3, 1e3),
+       st.floats(1e-3, 1e2), st.integers(1, 3), st.integers(1, 6),
+       st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_derivative_values_equals_the_uncached_stencils_bit_for_bit(extra, a, length, order, acc,
+                                                                   seed, complex_values, warped):
+    n = _window_size(order, acc) + extra
+    t = np.linspace(0.0, 1.0, n)
+    xs = a + length * (t * t if warped else t)
+    values = np.random.default_rng(seed).standard_normal((2, n))
+    values = values[0] + 1j * values[1] if complex_values else values[0]
+    got = derivative_values(xs, values, order, acc)
+    want = _derivative_reference(xs, values, order, acc)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("xs, values", [
+    # the a = 1e-300 box of paradox 3: weights of ~1e302 times samples of ~1e150
+    (np.linspace(0.0, 1e-300, 101), 1e150 * np.sin(np.linspace(0.0, np.pi, 101))),
+    (np.linspace(0.0, 1.0, 11), np.full(11, 1e308)),
+    (np.linspace(0.0, 1.0, 11), np.r_[np.zeros(10), np.nan]),
+    (np.linspace(0.0, 1.0, 11) ** 2, np.full(11, 1e308)),
+])
+def test_a_derivative_that_leaves_the_float_range_is_refused_without_warnings(xs, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="float range"):
+            derivative_values(xs, values)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from saext.discrete import (
     _commutator_trace,
-    _hermitian_draw,
+    _hermitian_pair,
     commuting_observables_demo,
     cosine_basis_momentum_entry,
     cosine_basis_momentum_matrix,
@@ -60,13 +60,61 @@ def test_trace_check_vanishes_for_any_dimension(n, seed):
     assert report.quantities["max_scaled_trace"].value <= 1e-12
 
 
+def _hermitian_draw(rng, n):
+    """One n x n draw from the law of (A + A^H)/2, one generator call per matrix.
+
+    The reference for the pair draws: the diagonal is the diagonal of
+    the normals, the real parts above it come from the upper triangle and
+    the imaginary parts from the lower one, each scaled by sqrt(1/2).
+    """
+    z = rng.standard_normal((n, n))
+    diagonal = z.diagonal().copy()
+    z *= math.sqrt(0.5)
+    upper = np.tri(n, k=-1, dtype=bool).T
+    x = np.empty((n, n), dtype=complex)
+    np.copyto(x.real, z.T)
+    np.copyto(x.real, z, where=upper)
+    np.negative(z, out=x.imag)
+    np.copyto(x.imag, z.T, where=upper)
+    np.fill_diagonal(x, diagonal)
+    return x
+
+
+def _pair(rng, n):
+    return _hermitian_pair(rng, n, np.tri(n, k=-1, dtype=bool).T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_pair_draws_equal_the_sequential_draws_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    reference = [_hermitian_draw(rng, n) for _ in range(10)]
+    rng = np.random.default_rng(n)
+    drawn = [x for _ in range(5) for x in _pair(rng, n)]
+    for got, want in zip(drawn, reference, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, trials", [(2, 400), (3, 300), (8, 250), (64, 3)])
+def test_trace_check_equals_the_per_trial_reference(n, trials):
+    # Tr[X,P] = Tr(XP) - conj(Tr(XP)) for Hermitian X and P: twice the
+    # imaginary part of one dot product of the flattened matrices
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(trials):
+        x, p = _hermitian_draw(rng, n), _hermitian_draw(rng, n)
+        tr = 2.0 * np.vdot(p, x).imag
+        worst = max(worst, abs(tr) / math.sqrt(np.vdot(x, x).real * np.vdot(p, p).real))
+    assert trace_commutator_check(n, trials, seed=11).quantities["max_scaled_trace"].value == worst
+
+
 def test_hermitian_draw_is_exactly_hermitian():
-    x = _hermitian_draw(np.random.default_rng(3), 33)
-    assert x.shape == (33, 33)
+    pair = _pair(np.random.default_rng(3), 33)
+    assert pair.shape == (2, 33, 33)
     # entry by entry, with no tolerance: the lower triangle is the
     # conjugate of the upper, and the diagonal is real
-    assert np.array_equal(x, x.conj().T)
-    assert not np.any(x.diagonal().imag)
+    for x in pair:
+        assert np.array_equal(x, x.conj().T)
+        assert not np.any(x.diagonal().imag)
 
 
 def test_hermitian_draw_has_the_law_of_the_symmetrised_gaussian():
@@ -74,7 +122,7 @@ def test_hermitian_draw_has_the_law_of_the_symmetrised_gaussian():
     # N(0, 1/2) real and imaginary parts off it; each sample variance
     # must land within 5 of its standard errors, sigma^2 sqrt(2/count)
     n = 256
-    x = _hermitian_draw(np.random.default_rng(20240607), n)
+    x = _pair(np.random.default_rng(20240607), n)[0]
     upper = x[np.triu_indices(n, 1)]
     for values, variance in ((x.diagonal().real, 1.0), (upper.real, 0.5),
                              (upper.imag, 0.5)):
@@ -85,11 +133,11 @@ def test_hermitian_draw_has_the_law_of_the_symmetrised_gaussian():
 
 @pytest.mark.parametrize("n", [2, 7, 64, 200])
 def test_entrywise_trace_matches_the_matrix_products(n):
-    rng = np.random.default_rng(n)
-    x, p = _hermitian_draw(rng, n), _hermitian_draw(rng, n)
+    x, p = _pair(np.random.default_rng(n), n)
     products = np.trace(x @ p) - np.trace(p @ x)
     scale = np.linalg.norm(x) * np.linalg.norm(p)
-    assert abs(_commutator_trace(x, p) - products) <= 1e-14 * scale
+    # the dot products of the flattened matrices, as the check takes them
+    assert abs(_commutator_trace(x.ravel(), p.ravel()) - products) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
