@@ -8,7 +8,7 @@ for a sampled psi -- lands exactly on the bound-state energy -alpha^2.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,15 +43,19 @@ class AnomalyReport:
     tolerance: float
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
+        out = dict(vars(self))  # every field is a number: no deep copy needed
         for key in ("term_Hpsi_Dpsi", "term_psi_HDpsi"):
             out[key] = {"re": out[key].real, "im": out[key].imag}
         return out
 
 
-def _dilatation_pieces(psi: GridFunction, with_h: bool = True):
-    """(H psi or None, G psi) by 4th-order FD; G = (x p + p x)/4 = -(i/4)(2x d/dx + 1)."""
-    d1 = derivative_values(psi.xs, psi.values, 1, acc=4)
+def _dilatation_pieces(psi: GridFunction, with_h: bool = True, d1=None):
+    """(H psi or None, G psi) by 4th-order FD; G = (x p + p x)/4 = -(i/4)(2x d/dx + 1).
+
+    d1 is psi' by the same stencil, where the caller has it already.
+    """
+    if d1 is None:
+        d1 = derivative_values(psi.xs, psi.values, 1, acc=4)
     g_psi = -0.25j * (2.0 * psi.xs * d1 + psi.values)
     h_psi = -derivative_values(psi.xs, psi.values, 2, acc=4) if with_h else None
     return h_psi, g_psi
@@ -145,7 +149,7 @@ def heisenberg_correction(psi: GridFunction, alpha: float, t: float = 0.0) -> co
         raise DomainViolationError(
             "psi'(0) = alpha psi(0) violated at scaled level %.3e" % violation
         )
-    h_values, g_values = _dilatation_pieces(psi)
+    h_values, g_values = _dilatation_pieces(psi, d1=d1)
     d_psi = GridFunction(psi.xs, -g_values if t == 0.0 else t * h_values - g_values)
     h_psi = GridFunction(psi.xs, h_values)
     h_d_psi = GridFunction(psi.xs, -derivative_values(psi.xs, d_psi.values, 2, acc=4))

@@ -132,21 +132,18 @@ def _parse_sweep(text: str) -> tuple:
 # the dot-path projection of each row onto scalar columns.  Both work from a
 # record's shape (keys in insertion order, list lengths, complex numbers,
 # empty containers) and its scalar leaves, not from its tree.  A list of
-# records is read _CHUNK records at a time.  A chunk whose records all have
-# the shape of its first is taken apart column by column; only a chunk of
-# mixed shapes is walked record by record.  Each distinct shape is compiled
-# once: to a %-template at its indent depth for JSON, to its columns for
-# CSV.  Each distinct column of a chunk is encoded once, in one call of the
-# C json encoder (or of float repr), which the pure-Python encoder behind
-# indent= cannot match.
+# records is read _CHUNK records at a time; each record is walked once, and
+# a run of records of one shape becomes one block of leaf columns.  Each
+# distinct shape is compiled once: to a %-template at its indent depth for
+# JSON, to its columns for CSV.  Each column of a block is encoded once, in
+# one call of the C json encoder (or of float repr), which the pure-Python
+# encoder behind indent= cannot match.
 
 _LEAF = None
 _SCALARS = frozenset({float, int, str, bool, type(None)})
 #: A complex number is walked as two leaves, real then imaginary part.
 _COMPLEX = "complex"
 _COMPLEX_DICT = ("{", "re", _LEAF, "im", _LEAF)
-#: The values _walk descends into or splits; every other value is a leaf.
-_NODES = (dict, list, tuple, complex)
 _CHUNK = 4096
 #: JSON text of a non-finite float, from the encoder's token or from repr.
 _NON_FINITE = {"NaN": '"nan"', "Infinity": '"inf"', "-Infinity": '"-inf"',
@@ -181,56 +178,18 @@ def _walk(obj, leaves: list):
     return _LEAF
 
 
-def _pull(shape, column, out: list) -> bool:
-    """Append to out the leaf columns of records of this shape, in walk order.
-
-    column holds one value per record.  Returns False, with out partly
-    filled, unless every value has the shape: a dict the shape's keys in
-    order, a list or tuple its length, a complex number, or a leaf.  The
-    test is strict: a dict keyed by non-str keys fails it even when it
-    walks to the shape.
-    """
-    types = set(map(type, column))
-    if shape is _LEAF:
-        if any(issubclass(t, _NODES) for t in types):
-            return False
-        out.append(column)
-        return True
-    if shape == _COMPLEX:
-        if not all(issubclass(t, complex) for t in types):
-            return False
-        out.append([z.real for z in column])
-        out.append([z.imag for z in column])
-        return True
-    if shape[0] == "{":
-        keys = shape[1::2]
-        if not all(issubclass(t, dict) for t in types) \
-                or list(map(tuple, column)).count(keys) != len(column):
-            return False
-    elif not all(issubclass(t, (list, tuple)) for t in types) \
-            or set(map(len, column)) != {len(shape) - 1}:
-        return False
-    return all(_pull(child, list(map(operator.itemgetter(key), column)), out)
-               for key, child in _children(shape))
-
-
 def _blocks(records):
     """(shape, count, leaf columns in walk order) of each run of records of one shape.
 
-    Records are read _CHUNK at a time.  A chunk is pulled apart column by
-    column against the shape of its first record; only a chunk where that
-    fails is walked record by record.
+    Records are read _CHUNK at a time and each is walked; a run ends where
+    a record's shape differs from the one before it, or with its chunk.
     """
     records = iter(records)
     while True:
         chunk = list(itertools.islice(records, _CHUNK))
         if not chunk:
             return
-        shape, columns = _walk(chunk[0], []), []
-        if _pull(shape, chunk, columns):
-            yield shape, len(chunk), columns
-            continue
-        run: list = []
+        shape, run = _LEAF, []  # an empty run is not yielded, whatever its shape
         for record in chunk:
             leaves: list = []
             own = _walk(record, leaves)
@@ -242,40 +201,23 @@ def _blocks(records):
         yield shape, len(run), list(zip(*run))
 
 
-def _same_as(columns: list) -> list:
-    """For each column: None if one object fills it, else the first column of the same objects.
-
-    A swept value is echoed by the target's result, and a flag the sweep
-    leaves alone is one object for the whole sweep, so such a column is
-    encoded once or as a single value.
-    """
-    same, first_of = [], {}
-    for i, column in enumerate(columns):
-        head = column[0]
-        if column[-1] is head and all(map(operator.is_, column, itertools.repeat(head))):
-            same.append(None)
-            continue
-        same.append(i)
-        for j in first_of.setdefault(id(head), []):
-            if all(map(operator.is_, column, columns[j])):
-                same[i] = j
-                break
-        else:
-            first_of[id(head)].append(i)
-    return same
-
-
 def _encoded(columns: list, encode) -> list:
-    """encode(column) of each column, called once per distinct column.
+    """encode(column) of each column, called once per column object.
 
-    encode maps a list of values to the list of their texts.
+    encode maps a list of values to the list of their texts.  A column
+    that holds one object throughout, such as a flag a sweep leaves alone,
+    is encoded as that one value.  A column given twice, such as a swept
+    value that the target's columns echo, is encoded once.
     """
-    texts: list = []
-    for i, (column, j) in enumerate(zip(columns, _same_as(columns))):
-        if j is None:
-            texts.append(encode(column[:1]) * len(column))
-        else:
-            texts.append(texts[j] if j < i else encode(column))
+    texts, done = [], {}
+    for column in columns:
+        if id(column) not in done:
+            head = column[0]
+            if column[-1] is head and all(map(operator.is_, column, itertools.repeat(head))):
+                done[id(column)] = encode(column[:1]) * len(column)
+            else:
+                done[id(column)] = encode(column)
+        texts.append(done[id(column)])
     return texts
 
 
@@ -398,7 +340,7 @@ class _Records:
 
     records is read once, _CHUNK records at a time (see _blocks), so the
     records of a generator are made as they are written.  Each shape is
-    compiled once and each distinct column of a block encoded once.
+    compiled once and each column of a block encoded once (see _encoded).
     """
 
     def __init__(self, records=()):
@@ -1083,11 +1025,13 @@ class _SweepPoints(_Records):
     A point is the record {"params": {name: value, ...}, "result": result}
     or, as a CSV row, {"param.<name>": value, ..., **result}.  A point whose
     runner raises a library error holds {"error": {code, message}} in place
-    of its result; failed counts such points.
+    of its result; failed counts such points.  The part after the swept
+    values is the point's tail.
 
     runner computes one point from tns.  columns, where the target has one
     (see _scatter_columns), computes a whole chunk as leaf columns; a chunk
-    it raises on is computed by runner one point at a time.
+    it raises on, and every chunk of a target without it, is computed by
+    runner one point at a time and its tails walked by _blocks.
     """
 
     def __init__(self, runner, columns, tns: argparse.Namespace, names: list,
@@ -1096,7 +1040,7 @@ class _SweepPoints(_Records):
         self._runner, self._columns = runner, columns
         self._tns, self._dests, self._grids = tns, dests, grids
         self._as_rows = as_rows
-        # the keys of the swept values, which come before the result's
+        # the keys of the swept values, which come before the tail's
         self._keys = ["param." + name for name in names] if as_rows else names
 
     def _axis_values(self):
@@ -1110,56 +1054,47 @@ class _SweepPoints(_Records):
             yield [[cast(v) for v in grid[i].tolist()]
                    for (grid, cast), i in zip(self._grids, index)]
 
-    def _records(self, values: list, results: list, failed: set):
-        """The records of a chunk's points; failed holds the indices of errors."""
-        for i, (combo, result) in enumerate(zip(zip(*values), results)):
-            head = dict(zip(self._keys, combo))
-            if self._as_rows:
-                head.update({"error": result} if i in failed else result)
-                yield head
-            else:
-                yield {"params": head, "error" if i in failed else "result": result}
-
     def _frame(self, shape) -> tuple:
-        """The shape of a point whose result has this shape."""
+        """The shape of a point whose tail has this dict shape."""
         params = tuple(x for key in self._keys for x in (key, _LEAF))
         if self._as_rows:
             return ("{", *params, *shape[1:])
-        return ("{", "params", ("{", *params), "result", shape)
+        return ("{", "params", ("{", *params), *shape[1:])
 
     def blocks(self):
-        """Blocks as _blocks makes them; the swept values are columns already.
+        """(shape, count, leaf columns) of each run of points of one shape.
 
-        A chunk that the target computes as columns, or whose results share
-        the first one's shape, is written without making its records.  The
-        rest are made and walked.
+        The swept values are columns already; they are framed with the
+        columns of the target or with those of each run of tails.
         """
         tns, runner, dests = self._tns, self._runner, self._dests
         where = vars(tns)
         for values in self._axis_values():
+            count = len(values[0])
             if self._columns is not None:
                 try:
-                    shape, columns = self._columns(tns, dict(zip(dests, values)),
-                                                   len(values[0]))
+                    shape, columns = self._columns(tns, dict(zip(dests, values)), count)
                 except _COMPUTE_ERRORS:
                     pass  # each point is run alone below, and only the bad ones fail
                 else:
-                    yield self._frame(shape), len(values[0]), [*values, *columns]
+                    tail = shape if self._as_rows else ("{", "result", shape)
+                    yield self._frame(tail), count, [*values, *columns]
                     continue
-            results, failed = [], set()
+            tails = []
             for combo in zip(*values):
                 where.update(zip(dests, combo))
                 try:
-                    results.append(runner(tns))
+                    result = runner(tns)
                 except _COMPUTE_ERRORS as exc:
-                    failed.add(len(results))
-                    results.append(_error_fields(exc))
-            self.failed += len(failed)
-            shape, columns = _walk(results[0], []), list(values)
-            if not failed and _pull(shape, results, columns):
-                yield self._frame(shape), len(results), columns
-            else:
-                yield from _blocks(self._records(values, results, failed))
+                    self.failed += 1
+                    tails.append({"error": _error_fields(exc)})
+                else:
+                    tails.append(result if self._as_rows else {"result": result})
+            start = 0
+            for shape, run, columns in _blocks(tails):
+                yield (self._frame(shape), run,
+                       [*(axis[start:start + run] for axis in values), *columns])
+                start += run
 
 
 def _run_sweep(target: str, tns: argparse.Namespace,

@@ -182,12 +182,7 @@ def commutator_preservation_check(
 ) -> float:
     """sup-norm of ([r, p_r] - i) f; the omega term cancels identically."""
     _check_interior_support(f)
-    xs = f.xs
-    omega_vals = np.asarray(omega_re(xs), dtype=float)
-    d1 = derivative_values(xs, f.values, 1, acc=4)
-    r_p_f = xs * (-1j) * (d1 + _omega_times(omega_vals, f.values))
-    rf = xs * f.values
-    d_rf = derivative_values(xs, rf, 1, acc=4)
-    p_r_f = -1j * (d_rf + _omega_times(omega_vals, rf))
-    resid = r_p_f - p_r_f - 1j * f.values
+    rf = GridFunction(f.xs, f.xs * f.values, weight=f.weight)
+    resid = f.xs * _radial_momentum(omega_re, f) - _radial_momentum(omega_re, rf) \
+        - 1j * f.values
     return float(np.max(np.abs(resid)))

@@ -120,6 +120,9 @@ def well_spectrum(a: float, n_range: Sequence[int]) -> SpectrumResult:
             raise InvalidIndexError(
                 "well levels are labelled n = 1, 2, ...; got n=%d" % n
             )
+    top = ns[-1] * math.pi / a if ns else 0.0
+    if not top * top < math.inf:
+        raise PreconditionError("the level (n*pi/a)^2 overflows at n=%d, a=%r" % (ns[-1], a))
     levels = []
     for n in ns:
         kn = n * math.pi / a

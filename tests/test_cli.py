@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from saext import cli
 from saext.core import GridFunction
-from saext.errors import IndeterminateError
+from saext.errors import IndeterminateError, SaextError
 from saext.geometry import commutator_preservation_check, radial_symmetry_defect
 from saext.spectral import reflection_coefficient, reflection_phase
 from test_classical import _mp_singular_time
@@ -544,6 +544,11 @@ def test_writer_csv_keeps_an_explicit_header():
     ["scatter", "--sweep", "k=-1:1:5", "--sweep", "alpha=-2:2:3"],
     # k = alpha = 0 is indeterminate: an error record, and exit 1
     ["scatter", "--alpha", "0", "--sweep", "k=0:1:2"],
+    # runner targets with failed points: alpha >= 0 has no bound state,
+    # g < 0 falls to q = 0, lam = 0 is no probe scale
+    ["anomaly", "--sweep", "alpha=-3:1:9"],
+    ["classical", "--s", "-2", "--sweep", "g=-1:1:5"],
+    ["deficiency", "--op", "momentum", "--sweep", "lam=0:2:5"],
 ])
 def test_sweep_output_is_the_reference_encoding(argv):
     code, text = run_cli(["sweep", *argv])
@@ -661,6 +666,45 @@ def test_sweep_across_chunks_of_two_shapes_is_the_reference_encoding(axis, chang
     code, text = run_cli(argv + ["--csv"])
     assert code == 0
     assert text == reference_csv([{"param.alpha": a, **r} for a, r in zip(alphas, results)])
+
+
+def _one_shot_point(argv):
+    """("result", result) of a one-shot argv, or ("error", {code, message})."""
+    parser = cli.build_parser()
+    ns = parser.parse_args(argv)
+    cli._finalize(ns, argv[0], parser.commands[argv[0]])
+    try:
+        return "result", cli._COMMANDS[argv[0]]["run"](ns)
+    except SaextError as exc:
+        return "error", {"code": exc.code, "message": str(exc)}
+
+
+@pytest.mark.parametrize("chunk", [2, 3])
+@pytest.mark.parametrize("target, axis", [
+    # the bound state appears at point 4: between chunks of 2, inside one of 3
+    ("boundstate", "alpha=1:-1:7"),
+    # points 2 to 4 (alpha >= 0) fail: a failed point opens a chunk of 2
+    # and closes one of 3
+    ("anomaly", "alpha=-1:1:5"),
+])
+def test_runner_sweep_across_small_chunks_is_the_reference_encoding(target, axis, chunk):
+    # a runner's chunk is walked point by point; its runs of one shape, and
+    # its failed points, are framed with the matching swept values
+    _, start, stop, count = cli._parse_sweep(axis)
+    points, rows = [], []
+    for alpha in np.linspace(start, stop, count).tolist():
+        kind, value = _one_shot_point([target, f"--alpha={alpha!r}"])
+        points.append({"params": {"alpha": alpha}, kind: value})
+        rows.append({"param.alpha": alpha, **(value if kind == "result" else {"error": value})})
+    failed = any("error" in point for point in points)
+    argv = ["sweep", target, "--sweep", axis]
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        code, text = run_cli(argv)
+        assert code == (1 if failed else 0)
+        payload = json.loads(text)
+        payload["result"]["points"] = points
+        assert reference_json(payload) == text
+        assert run_cli(argv + ["--csv"]) == (code, reference_csv(rows))
 
 
 _WALL_TIME = re.compile(r'"wall_time_s": [^\n]*')
@@ -1284,13 +1328,14 @@ def test_classical_work_is_bounded(argv):
     ["deficiency", "--op", "momentum", "--interval", "0,1e300", "--lam", "1e300"],
     ["boundstate", "--alpha", "-1", "--x-max", "-1e300"],
     ["boundstate", "--alpha", "-1e100", "--x-max", "1e300"],
+    ["spectrum", "--op", "well", "--a", "1e-300"],
 ])
 def test_overflow_is_a_structured_error_not_a_nan(argv):
     # the first two printed RuntimeWarnings and exited 0, with an
     # adjoint_residual of 0.0 behind nan residuals, and a defect of
     # {"re": "nan", "im": "nan"}; the others printed RuntimeWarnings from
     # the derivative, the deficiency basis and the Robin state before
-    # their error
+    # their error; the well exited 0 with "inf" levels
     proc = _run_process(argv)
     assert proc.returncode == 1
     assert proc.stderr == ""
@@ -1407,11 +1452,16 @@ def test_fuzzed_argv_ends_in_exit_0_1_or_2(argv):
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:
-            code, _ = run_cli(argv)
+            code, text = run_cli(argv)
         except SystemExit as exc:
             assert exc.code == 2, argv
             assert err.getvalue().startswith("usage: saext"), argv
         else:
             assert code in (0, 1), argv
             assert err.getvalue() == "", argv
+            if argv[-1] != "--csv":
+                # an error envelope, a sweep's points or the subcommand's result
+                payload = json.loads(text)
+                name = "error" if "error" in payload else argv[0]
+                jsonschema.validate(payload, cli.load_schema(name))
     assert not caught, (argv, [f"{w.filename}:{w.lineno}: {w.message}" for w in caught])

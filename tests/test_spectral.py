@@ -183,6 +183,10 @@ def test_well_rejects_bad_labels_and_width():
         well_spectrum(1.0, [-2])
     with pytest.raises(PreconditionError):
         well_spectrum(-1.0, [1])
+    # a level past the float range is refused, not reported as inf
+    with pytest.raises(PreconditionError):
+        well_spectrum(1e-300, [1, 2])
+    assert well_spectrum(1e-300, []).discrete == ()
 
 
 def test_well_eigenfunction_ode_residual():
