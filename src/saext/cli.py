@@ -35,9 +35,6 @@ __all__ = ["main", "load_schema"]
 
 _SWEEP_LIMIT = 1_000_000
 
-#: The manifest's tolerances.tol of a subcommand that reads no tolerance.
-_UNREAD_TOL = 1e-6
-
 
 # ---------------------------------------------------------------------------
 # Flag value parsers (argparse ``type=`` callables; errors become exit 2)
@@ -473,22 +470,25 @@ def load_schema(name: str) -> dict:
 # ---------------------------------------------------------------------------
 # Subcommand runners
 # ---------------------------------------------------------------------------
+#
+# A runner reads only the flags of its variant (see _COMMANDS), each set by
+# _finalize to its given value or its default.
 
 def _run_deficiency(args) -> dict:
-    from .core import Interval, OperatorSpec
+    from .core import HALF_LINE, OperatorSpec
     from .deficiency import solve_deficiency, verify_deficiency_numerically
 
+    iv = args.interval
     if args.op == "momentum":
-        iv = args.interval or Interval.finite(0.0, 1.0)
         spec = OperatorSpec.momentum(iv)
     elif args.op == "hamiltonian":
-        iv = args.interval or Interval.half_line()
         spec = OperatorSpec.free_hamiltonian(iv)
-    else:
-        iv = args.interval or Interval.half_line()
+    elif iv.kind == HALF_LINE:
         spec = OperatorSpec.time_operator(iv.a)
-    report = solve_deficiency(spec, lam=args.lam,
-                              n=10_001 if args.grid_n is None else args.grid_n)
+    else:
+        raise PreconditionError("the time operator acts on a half line E0,inf; "
+                                "got the interval %r,%r" % (iv.a, iv.b))
+    report = solve_deficiency(spec, lam=args.lam, n=args.grid_n)
     return {
         "op": args.op,
         "interval": _interval_dict(spec.interval),
@@ -518,24 +518,14 @@ def _run_extend(args) -> dict:
 def _run_spectrum(args) -> dict:
     import numpy as np
 
-    from .core import Interval
     from .spectral import halfline_robin_spectrum, momentum_spectrum, well_spectrum
 
     if args.op == "momentum":
-        iv = args.interval or Interval.finite(0.0, 1.0)
-        n_min = -5 if args.n_min is None else args.n_min
-        n_max = 5 if args.n_max is None else args.n_max
-        res = momentum_spectrum(args.theta, iv, range(n_min, n_max + 1))
-        params = {"op": "momentum", "theta": args.theta,
-                  "interval": _interval_dict(iv), "n_min": n_min, "n_max": n_max}
+        res = momentum_spectrum(args.theta, args.interval, range(args.n_min, args.n_max + 1))
     elif args.op == "well":
-        n_min = 1 if args.n_min is None else args.n_min
-        n_max = 5 if args.n_max is None else args.n_max
-        res = well_spectrum(args.a, range(n_min, n_max + 1))
-        params = {"op": "well", "a": args.a, "n_min": n_min, "n_max": n_max}
+        res = well_spectrum(args.a, range(args.n_min, args.n_max + 1))
     else:
         res = halfline_robin_spectrum(_robin_alpha(args.alpha))
-        params = {"op": "robin", "alpha": args.alpha}
     out = res.to_json_dict()
     if res.continuous is not None:
         ks = np.linspace(0.1, 5.0, 25)
@@ -543,7 +533,7 @@ def _run_spectrum(args) -> dict:
             {"k": float(k), "phase": res.continuous.reflection_phase(float(k))}
             for k in ks
         ]
-    return {"params": params, **out}
+    return out
 
 
 def _robin_alpha(alpha: float) -> float:
@@ -623,20 +613,15 @@ def _run_paradox(args) -> dict:
         trace_commutator_check,
     )
 
-    n = args.n
     if args.id == 1:
-        report = eigenvector_commutator_demo(
-            args.theta, 256 if n is None else n, mode=args.mode, units=args.units)
+        report = eigenvector_commutator_demo(args.theta, args.n, mode=args.mode,
+                                             units=args.units)
     elif args.id == 2:
-        report = trace_commutator_check(
-            8 if n is None else n, args.trials,
-            seed=0 if args.seed is None else args.seed, units=args.units)
+        report = trace_commutator_check(args.n, args.trials, seed=args.seed, units=args.units)
     elif args.id == 3:
-        report = commuting_observables_demo(
-            args.a, 3 if n is None else n,
-            grid_n=10_001 if args.grid_n is None else args.grid_n)
+        report = commuting_observables_demo(args.a, args.n, grid_n=args.grid_n)
     else:
-        report = hermiticity_defect_demo(args.l, 8 if n is None else n)
+        report = hermiticity_defect_demo(args.l, args.n)
     return report.to_json_dict()
 
 
@@ -690,7 +675,7 @@ def _run_geometry(args) -> dict:
 
     a, b = args.probe["a"], args.probe["b"]
     far_end = b + max(0.5 * (b - a), 0.25)
-    xs = np.linspace(0.0, far_end, 4001 if args.grid_n is None else args.grid_n)
+    xs = np.linspace(0.0, far_end, args.grid_n)
     f = GridFunction(xs, _bump_values(xs, 0.5 * (a + b), 0.5 * (b - a)), weight="r")
     defect = radial_symmetry_defect(omega, f, f)
     flat = GridFunction(xs, f.values, weight="1")
@@ -708,106 +693,105 @@ def _run_geometry(args) -> dict:
 # Command table
 # ---------------------------------------------------------------------------
 
-#: Flags that more than one subcommand could take, by dest.  A subcommand
-#: declares one in its "shared" entry only where its runner reads it, so a
-#: flag that would change nothing is a usage error; one that declares
-#: "tol" gives its default as "tol".
+#: Flags that more than one subcommand reads, by dest.  A subcommand takes
+#: one only where a variant of it declares it.
 _SHARED = {
-    "units": (("--units",), dict(type=_parse_units, default="hbar=1,two_m=1",
-                                 metavar="hbar=<v>,two_m=<v>",
-                                 help="unit system (default %(default)s)")),
-    "tol": (("--tol",), dict(type=float, default=None,
-                             help="tolerance override (default: SAEXT_TOL or the "
-                                  "subcommand default)")),
-    "grid_n": (("--grid-n",), dict(type=int, default=None,
-                                   help="grid size override")),
-    "seed": (("--seed",), dict(type=int, default=None,
-                               help="RNG seed where randomness is used")),
+    "units": (("--units",), dict(type=_parse_units, metavar="hbar=<v>,two_m=<v>",
+                                 help="unit system")),
+    "tol": (("--tol",), dict(type=float, help="tolerance; SAEXT_TOL, where set, "
+                                              "replaces the default")),
+    "grid_n": (("--grid-n",), dict(type=int, help="grid size")),
+    "seed": (("--seed",), dict(type=int, help="RNG seed")),
 }
 
+#: The defaults of the flags that every deficiency operator reads.
+_DEFICIENCY = {"lam": 1.0, "grid_n": 10_001}
+
+#: Each subcommand's own flags and its variants.  The value of the "select"
+#: flag picks a variant; a subcommand without one has the single variant
+#: None.  A variant maps each flag it reads, own or shared, by dest to its
+#: default: ... where the flag must be given, None where the library picks
+#: it, and a string is read as the flag's text.  A flag that the variant
+#: does not declare is a usage error, so the manifest echoes no flag that
+#: nothing applied.
 _COMMANDS: Dict[str, dict] = {
     "deficiency": {
         "help": "deficiency indices and adjoint residual for a catalog operator",
         "args": [
             (("--op",), dict(choices=["momentum", "hamiltonian", "time"],
                              required=True, help="catalog operator")),
-            (("--interval",), dict(type=_parse_interval, default=None,
-                                   help="a,b with inf endpoints (default 0,1 "
-                                        "for momentum, 0,inf otherwise)")),
-            (("--lam",), dict(type=float, default=1.0,
-                              help="probe scale lambda > 0 (default 1)")),
+            (("--interval",), dict(type=_parse_interval,
+                                   help="a,b with inf endpoints; E0,inf for time")),
+            (("--lam",), dict(type=float, help="probe scale lambda > 0")),
         ],
+        "select": "op",
+        "variants": {
+            "momentum": {"interval": "0,1", **_DEFICIENCY},
+            "hamiltonian": {"interval": "0,inf", **_DEFICIENCY},
+            "time": {"interval": "0,inf", **_DEFICIENCY},
+        },
         "run": _run_deficiency,
-        "shared": ("grid_n",),
     },
     "extend": {
         "help": "map a von Neumann phase gamma to its boundary condition",
         "args": [
             (("--operator",), dict(choices=["momentum", "hamiltonian"],
                                    required=True, help="extension family")),
-            (("--gamma",), dict(type=float, required=True,
-                                help="unitary phase in radians")),
+            (("--gamma",), dict(type=float, help="unitary phase in radians")),
         ],
+        "variants": {None: {"operator": ..., "gamma": ...}},
         "run": _run_extend,
-        "shared": (),
     },
     "spectrum": {
         "help": "discrete/continuous spectrum of a chosen operator",
         "args": [
             (("--op",), dict(choices=["momentum", "well", "robin"],
                              required=True, help="which spectrum")),
-            (("--theta",), dict(type=float, default=0.0,
-                                help="boundary phase for op=momentum")),
-            (("--interval",), dict(type=_parse_interval, default=None,
-                                   help="finite box for op=momentum (default 0,1)")),
-            (("--n-min",), dict(type=int, default=None,
-                                help="lowest level index (default -5 / 1)")),
-            (("--n-max",), dict(type=int, default=None,
-                                help="highest level index (default 5)")),
-            (("--a",), dict(type=float, default=1.0,
-                            help="well width for op=well (default 1)")),
-            (("--alpha",), dict(type=float, default=-1.0,
-                                help="Robin slope for op=robin (default -1)")),
+            (("--theta",), dict(type=float, help="boundary phase")),
+            (("--interval",), dict(type=_parse_interval, help="finite box a,b")),
+            (("--n-min",), dict(type=int, help="lowest level index")),
+            (("--n-max",), dict(type=int, help="highest level index")),
+            (("--a",), dict(type=float, help="well width")),
+            (("--alpha",), dict(type=float, help="Robin slope")),
         ],
+        "select": "op",
+        "variants": {
+            "momentum": {"theta": 0.0, "interval": "0,1", "n_min": -5, "n_max": 5},
+            "well": {"a": 1.0, "n_min": 1, "n_max": 5},
+            "robin": {"alpha": -1.0},
+        },
         "run": _run_spectrum,
-        "shared": (),
         "rows": operator.itemgetter("discrete"),
         "csv_header": ["n", "value"],
     },
     "boundstate": {
         "help": "Robin half-line bound state (absent for alpha >= 0)",
         "args": [
-            (("--alpha",), dict(type=float, required=True,
-                                help="Robin slope psi'(0) = alpha psi(0)")),
-            (("--x-max",), dict(type=float, default=None,
-                                help="grid cutoff (default 35/|alpha|)")),
+            (("--alpha",), dict(type=float, help="Robin slope psi'(0) = alpha psi(0)")),
+            (("--x-max",), dict(type=float, help="grid cutoff, 35/|alpha| by default")),
         ],
+        "variants": {None: {"alpha": ..., "x_max": None, "grid_n": None}},
         "run": _run_boundstate,
-        "shared": ("grid_n",),
     },
     "scatter": {
         "help": "reflection coefficient of the Robin half line",
         "args": [
-            (("--k",), dict(type=float, required=True, help="wave number k > 0")),
-            (("--alpha",), dict(type=float, required=True,
-                                help="Robin slope (inf = Dirichlet)")),
+            (("--k",), dict(type=float, help="wave number k > 0")),
+            (("--alpha",), dict(type=float, help="Robin slope (inf = Dirichlet)")),
         ],
+        "variants": {None: {"k": ..., "alpha": ...}},
         "run": _run_scatter,
-        "shared": (),
         # a sweep evaluates its points a chunk at a time
         "columns": _scatter_columns,
     },
     "anomaly": {
         "help": "dilatation anomaly on the Robin bound state",
         "args": [
-            (("--alpha",), dict(type=float, required=True,
-                                help="Robin slope, alpha < 0")),
-            (("--t",), dict(type=float, default=0.0,
-                            help="explicit time in the dilatation (default 0)")),
+            (("--alpha",), dict(type=float, help="Robin slope, alpha < 0")),
+            (("--t",), dict(type=float, help="explicit time in the dilatation")),
         ],
+        "variants": {None: {"alpha": ..., "t": 0.0, "tol": 1e-6}},
         "run": _run_anomaly,
-        "shared": ("tol",),
-        "tol": 1e-6,
     },
     "paradox": {
         "help": "numerical demonstration of a textbook operator paradox",
@@ -815,54 +799,45 @@ _COMMANDS: Dict[str, dict] = {
             (("--id",), dict(type=int, choices=[1, 2, 3, 4], required=True,
                              help="1 eigenvector, 2 trace, 3 commuting, "
                                   "4 hermiticity")),
-            (("--n",), dict(type=int, default=None,
-                            help="size parameter (default 256/8/3/8 by id)")),
-            (("--l",), dict(type=float, default=1.0,
-                            help="interval length for id=4 (default 1)")),
-            (("--theta",), dict(type=float, default=0.0,
-                                help="boundary phase for id=1 (default 0)")),
-            (("--mode",), dict(type=int, default=1,
-                               help="eigenvector label for id=1 (default 1)")),
-            (("--trials",), dict(type=int, default=100,
-                                 help="random pairs for id=2 (default 100)")),
-            (("--a",), dict(type=float, default=1.0,
-                            help="box width for id=3 (default 1)")),
+            (("--n",), dict(type=int, help="size parameter")),
+            (("--l",), dict(type=float, help="interval length")),
+            (("--theta",), dict(type=float, help="boundary phase")),
+            (("--mode",), dict(type=int, help="eigenvector label")),
+            (("--trials",), dict(type=int, help="random pairs")),
+            (("--a",), dict(type=float, help="box width")),
         ],
+        "select": "id",
+        "variants": {
+            1: {"n": 256, "theta": 0.0, "mode": 1, "units": "hbar=1,two_m=1"},
+            2: {"n": 8, "trials": 100, "seed": 0, "units": "hbar=1,two_m=1"},
+            3: {"n": 3, "a": 1.0, "grid_n": 10_001},
+            4: {"n": 8, "l": 1.0},
+        },
         "run": _run_paradox,
-        # --units is read by ids 1 and 2, --seed by id 2, --grid-n by id 3
-        "shared": ("units", "seed", "grid_n"),
     },
     "classical": {
         "help": "dilatation drift along a power-law Hamiltonian flow",
         "args": [
-            (("--s",), dict(type=float, required=True,
-                            help="integer potential exponent")),
-            (("--g",), dict(type=float, default=1.0,
-                            help="coupling (default 1)")),
-            (("--q0",), dict(type=float, default=1.0,
-                             help="initial position (default 1)")),
-            (("--p0",), dict(type=float, default=0.25,
-                             help="initial momentum (default 0.25)")),
-            (("--t-end",), dict(type=float, default=5.0,
-                                help="integration horizon (default 5)")),
-            (("--samples",), dict(type=int, default=4001,
-                                  help="output samples (default 4001)")),
+            (("--s",), dict(type=float, help="integer potential exponent")),
+            (("--g",), dict(type=float, help="coupling")),
+            (("--q0",), dict(type=float, help="initial position")),
+            (("--p0",), dict(type=float, help="initial momentum")),
+            (("--t-end",), dict(type=float, help="integration horizon")),
+            (("--samples",), dict(type=int, help="output samples")),
         ],
+        "variants": {None: {"s": ..., "g": 1.0, "q0": 1.0, "p0": 0.25, "t_end": 5.0,
+                            "samples": 4001}},
         "run": _run_classical,
-        "shared": (),
     },
     "geometry": {
         "help": "radial symmetry defect and commutator check for a metric",
         "args": [
             (("--metric",), dict(choices=["polar", "spherical", "flat"],
                                  required=True, help="which measure")),
-            (("--probe",), dict(type=_parse_probe,
-                                default={"kind": "bump", "a": 1.0, "b": 2.0},
-                                help="probe function bump:<a>,<b> (default "
-                                     "bump:1,2)")),
+            (("--probe",), dict(type=_parse_probe, help="probe function bump:<a>,<b>")),
         ],
+        "variants": {None: {"metric": ..., "probe": "bump:1,2", "grid_n": 4001}},
         "run": _run_geometry,
-        "shared": ("grid_n",),
     },
 }
 
@@ -873,20 +848,25 @@ def _dest_of(flags: tuple, kwargs: dict) -> str:
     return flags[0].lstrip("-").replace("-", "_")
 
 
-def _command_params(name: str, ns: argparse.Namespace) -> dict:
-    from .core import Interval
+def _flags_of(name: str) -> dict:
+    """(flags, kwargs) by dest of each flag of name: its own, then the shared ones it reads."""
+    spec = _COMMANDS[name]
+    found = {_dest_of(flags, kwargs): (flags, kwargs) for flags, kwargs in spec["args"]}
+    for dest, flag in _SHARED.items():
+        if any(dest in variant for variant in spec["variants"].values()):
+            found[dest] = flag
+    return found
 
-    params = {}
-    for flags, kwargs in _COMMANDS[name]["args"]:
-        dest = _dest_of(flags, kwargs)
-        value = getattr(ns, dest)
-        if isinstance(value, Interval):
-            value = _interval_dict(value)
-        params[dest] = value
-    for dest in ("grid_n", "seed"):  # echoed only when given
-        if getattr(ns, dest, None) is not None:
-            params[dest] = getattr(ns, dest)
-    return params
+
+def _help(spec: dict, dest: str, text: str) -> str:
+    """text, then the default of dest in each variant that reads it and sets one."""
+    said = []
+    for key, variant in spec["variants"].items():
+        default = variant.get(dest)
+        if default is not None:
+            said.append(("" if key is None else f"--{spec['select']} {key}: ")
+                        + ("required" if default is ... else f"default {default}"))
+    return f"{text} ({'; '.join(said)})" if said else text
 
 
 # ---------------------------------------------------------------------------
@@ -908,8 +888,8 @@ class _Parser(argparse.ArgumentParser):
             r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf(inity)?))$")
 
 
-def _common_parser(name: str) -> argparse.ArgumentParser:
-    """The flags every subcommand takes, and the shared flags it declares."""
+def _common_parser() -> argparse.ArgumentParser:
+    """The flags every subcommand takes."""
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
@@ -917,24 +897,23 @@ def _common_parser(name: str) -> argparse.ArgumentParser:
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv",
                      help="emit a flat CSV projection instead")
     common.set_defaults(fmt="json")
-    for dest in _COMMANDS[name]["shared"]:
-        flags, kwargs = _SHARED[dest]
-        common.add_argument(*flags, **kwargs)
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
     return common
 
 
+def _add_flags(parser: argparse.ArgumentParser, name: str) -> None:
+    """Add every flag of name's variants; each is None unless given (see _finalize)."""
+    spec = _COMMANDS[name]
+    for dest, (flags, kwargs) in _flags_of(name).items():
+        parser.add_argument(*flags, **dict(kwargs, help=_help(spec, dest, kwargs["help"])))
+
+
 def _target_parser(name: str) -> argparse.ArgumentParser:
-    parser = _Parser(prog=f"saext sweep {name}", parents=[_common_parser(name)])
-    for flags, kwargs in _COMMANDS[name]["args"]:
-        # a required flag may be supplied by the sweep axis instead;
-        # _run_sweep re-checks that nothing is left unset
-        relaxed = dict(kwargs, required=False) if kwargs.get("required") \
-            else kwargs
-        parser.add_argument(*flags, **relaxed)
-    parser.add_argument("--sweep", action="append", type=_parse_sweep,
-                        default=[], metavar="param=start:stop:count",
+    parser = _Parser(prog=f"saext sweep {name}", parents=[_common_parser()])
+    _add_flags(parser, name)
+    parser.add_argument("--sweep", action="append", type=_parse_sweep, required=True,
+                        metavar="param=start:stop:count",
                         help="axis of the parameter grid (repeatable)")
     return parser
 
@@ -951,10 +930,9 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"saext {__version__}")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="subcommand")
+    common = _common_parser()
     for name, spec in _COMMANDS.items():
-        p = sub.add_parser(name, help=spec["help"], parents=[_common_parser(name)])
-        for flags, kwargs in spec["args"]:
-            p.add_argument(*flags, **kwargs)
+        _add_flags(sub.add_parser(name, help=spec["help"], parents=[common]), name)
     # each subcommand's own parser, whose usage a usage error shows
     parser.commands = sub.choices
     p_sweep = sub.add_parser(
@@ -966,42 +944,75 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finalize(ns: argparse.Namespace, command: str,
-              parser: argparse.ArgumentParser) -> None:
-    spec = _COMMANDS[command]
-    shared = spec["shared"]
-    # a float flag may not be nan, nor +-inf but on --alpha (+inf is Dirichlet)
-    for flags, kwargs in [*map(_SHARED.get, shared), *spec["args"]]:
-        value = getattr(ns, _dest_of(flags, kwargs))
+def _finalize(ns: argparse.Namespace, command: str, parser: argparse.ArgumentParser,
+              axes: Optional[list] = None) -> dict:
+    """Set each flag of ns's variant of command; return the params the manifest echoes.
+
+    axes are a sweep's --sweep specs.  These are usage errors, found before
+    numpy or a library module is loaded: a float flag given nan, or +-inf
+    anywhere but --alpha (+inf is Dirichlet); a flag given, or an axis,
+    that the variant does not declare; and a declared flag without a
+    default that is neither given nor swept.  Each other declared flag that
+    is not swept gets its default.  The echo holds each declared flag but
+    units and tol, which the manifest holds apart, and null for a swept one.
+    """
+    spec, flags = _COMMANDS[command], _flags_of(command)
+    select = spec.get("select")
+    key = None if select is None else getattr(ns, select)
+    variant = spec["variants"][key]
+    chosen = command if select is None else f"{command} --{select} {key}"
+    swept = [name.replace("-", "_") for name, _, _, _ in axes or ()]
+    if len(set(swept)) < len(swept):
+        parser.error("each parameter may be swept by one --sweep only")
+    for dest in swept:
+        if dest not in variant or dest in _SHARED:
+            parser.error(f"{dest!r} is not a sweep parameter of {chosen}")
+        option, kwargs = flags[dest]
+        # only a plain number can be laid on a linspace grid
+        if kwargs.get("type") not in (int, float) or "choices" in kwargs:
+            parser.error(f"{option[0]} is not a numeric range and cannot be swept")
+    for dest, (option, kwargs) in flags.items():
+        value = getattr(ns, dest)
         if kwargs.get("type") is float and value is not None and not (
-                math.isfinite(value) or math.isinf(value) and flags[0] == "--alpha"):
-            parser.error(f"argument {flags[0]}: {value!r} is not a finite number")
-    if "tol" not in shared:
-        return
+                math.isfinite(value) or math.isinf(value) and option[0] == "--alpha"):
+            parser.error(f"argument {option[0]}: {value!r} is not a finite number")
+        if value is not None and dest != select and dest not in variant:
+            parser.error(f"unrecognized arguments: {option[0]} (not read by {chosen})")
+        if variant.get(dest) is ... and value is None and dest not in swept:
+            parser.error(f"{option[0]} must be given{'' if axes is None else ' or swept'} "
+                         f"for {chosen}")
     source = "argument --tol"
-    if ns.tol is None:
-        env = os.environ.get("SAEXT_TOL")
-        if env is None:
-            ns.tol = spec["tol"]
-        else:
-            source = "SAEXT_TOL"
-            try:
-                ns.tol = float(env)
-            except ValueError:
-                parser.error(f"SAEXT_TOL is not a number: {env!r}")
+    if "tol" in variant and ns.tol is None and "SAEXT_TOL" in os.environ:
+        source, env = "SAEXT_TOL", os.environ["SAEXT_TOL"]
+        try:
+            ns.tol = float(env)
+        except ValueError:
+            parser.error(f"SAEXT_TOL is not a number: {env!r}")
     # a tolerance is a finite number > 0, from the flag or the environment
-    if not 0.0 < ns.tol < math.inf:
+    if "tol" in variant and ns.tol is not None and not 0.0 < ns.tol < math.inf:
         parser.error(f"{source}: {ns.tol!r} is not a finite number > 0")
 
+    from .core import Interval
 
-def _manifest_settings(ns: argparse.Namespace, command: str) -> dict:
-    """The manifest's units and tolerances; natural units and _UNREAD_TOL where unread."""
-    from .core import UnitSystem
+    params = {} if select is None else {select: key}
+    for dest, default in variant.items():
+        if getattr(ns, dest) is None and dest not in swept:
+            kind = flags[dest][1].get("type")
+            setattr(ns, dest, kind(default) if type(default) is str else default)
+        value = None if dest in swept else getattr(ns, dest)
+        if dest not in ("units", "tol"):
+            params[dest] = _interval_dict(value) if isinstance(value, Interval) else value
+    return params
 
-    shared = _COMMANDS[command]["shared"]
-    units = ns.units if "units" in shared else UnitSystem()
-    return {"units": {"hbar": units.hbar, "two_m": units.two_m},
-            "tolerances": {"tol": ns.tol if "tol" in shared else _UNREAD_TOL}}
+
+def _manifest_settings(ns: argparse.Namespace) -> dict:
+    """The manifest's units, natural where none are read, and its tolerance where one is."""
+    units = getattr(ns, "units", None)
+    settings = {"units": {"hbar": units.hbar, "two_m": units.two_m} if units
+                else {"hbar": 1.0, "two_m": 1.0}}
+    if getattr(ns, "tol", None) is not None:
+        settings["tolerances"] = {"tol": ns.tol}
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -1102,40 +1113,20 @@ def _run_sweep(target: str, tns: argparse.Namespace,
     """The sweep's result; its points are computed as they are written."""
     import numpy as np
 
-    specs = tns.sweep
-    if not specs:
-        tparser.error("sweep needs at least one --sweep param=start:stop:count")
-    args_of = {_dest_of(flags, kwargs): (flags, kwargs)
-               for flags, kwargs in _COMMANDS[target]["args"]}
+    specs, flags = tns.sweep, _flags_of(target)
     dests = [name.replace("-", "_") for name, _, _, _ in specs]
-    swept = set(dests)
-    if len(swept) < len(dests):
-        tparser.error("each parameter may be swept by one --sweep only")
-    for name in swept:
-        if name not in args_of:
-            tparser.error(f"unknown sweep parameter {name!r} for {target}")
-        flags, kwargs = args_of[name]
-        # only a plain number can be laid on a linspace grid
-        if kwargs.get("type") not in (int, float) or "choices" in kwargs:
-            tparser.error(f"{flags[0]} is not a numeric range and cannot "
-                          f"be swept")
-    for flags, kwargs in _COMMANDS[target]["args"]:
-        dest = _dest_of(flags, kwargs)
-        if kwargs.get("required") and dest not in swept \
-                and getattr(tns, dest) is None:
-            tparser.error(f"{flags[0]} must be given or swept for {target}")
     total = math.prod(count for _, _, _, count in specs)
     if total > _SWEEP_LIMIT:
         raise SweepSizeError(
             f"sweep would evaluate {total} points (limit {_SWEEP_LIMIT})")
     grids = []
     for dest, (name, start, stop, count) in zip(dests, specs):
-        flags, kwargs = args_of[dest]
+        option, kwargs = flags[dest]
         cast = kwargs["type"]
         grid = np.linspace(start, stop, count)
         if cast is int and not np.all(grid == np.round(grid)):
             tparser.error(f"sweep {name}={start:g}:{stop:g}:{count} has "
-                          f"non-integer points, but {flags[0]} takes an "
+                          f"non-integer points, but {option[0]} takes an "
                           f"integer")
         grids.append((grid, cast))
     command = _COMMANDS[target]
@@ -1167,19 +1158,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             tparser = _target_parser(ns.target)
             tns = tparser.parse_args(ns.rest)
             out_path = tns.out
-            _finalize(tns, ns.target, tparser)
-            # read before the sweep sets its axis values on tns
             params = {"target": ns.target,
                       "sweep": ["%s=%g:%g:%d" % spec for spec in tns.sweep],
-                      **_command_params(ns.target, tns)}
+                      **_finalize(tns, ns.target, tparser, tns.sweep)}
             result = _run_sweep(ns.target, tns, tparser)
             out_ns = tns
         else:
             out_path = ns.out
-            _finalize(ns, command, parser.commands[command])
+            params = _finalize(ns, command, parser.commands[command])
             result = _COMMANDS[command]["run"](ns)
             out_ns = ns
-            params = _command_params(command, ns)
     except _COMPUTE_ERRORS as exc:
         error = {"error": {**_error_fields(exc), "context": {"command": command}}}
         return _emit(out_path, lambda out: _write_json(error, out), 1)
@@ -1204,7 +1192,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "argv": list(argv),
                 "command": command,
                 "params": params,
-                **_manifest_settings(out_ns, ns.target if command == "sweep" else command),
+                **_manifest_settings(out_ns),
                 "version": __version__,
                 "wall_time_s": time.perf_counter() - t0,
             },

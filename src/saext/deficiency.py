@@ -2,8 +2,7 @@ r"""Deficiency indices: count L2 solutions of T* psi = +/- i lambda psi.
 
 For each catalog operator the adjoint equation has elementary solutions, so
 they are written down in closed form and sampled; the generic machinery here
-is the *verification* layer: a tail-integrability probe that decides square
-integrability numerically, and a finite-difference residual check that guards
+is the *verification* layer: a finite-difference residual check that guards
 against transcription errors in the closed forms.
 
 Catalog (lambda = 1 shown; general lambda rescales the exponents):
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,9 +36,8 @@ from .core import (
     Interval,
     OperatorSpec,
     derivative_values,
-    quadrature_weights,
 )
-from .errors import InvalidScheduleError, PreconditionError, UnsupportedOperatorError
+from .errors import PreconditionError, UnsupportedOperatorError
 
 __all__ = [
     "ESSENTIALLY_SELF_ADJOINT",
@@ -49,9 +47,7 @@ __all__ = [
     "DeficiencyReport",
     "classify",
     "solve_deficiency",
-    "tail_integrability",
     "verify_deficiency_numerically",
-    "report_to_json_dict",
 ]
 
 ESSENTIALLY_SELF_ADJOINT = "essentially_self_adjoint"
@@ -196,42 +192,6 @@ def solve_deficiency(op: OperatorSpec, lam: float = 1.0,
                             tuple(basis_minus), classification, param_dim)
 
 
-def tail_integrability(f: DeficiencySolution | Callable[[np.ndarray], np.ndarray],
-                       cutoffs: Sequence[float],
-                       interval: Interval | None = None,
-                       points_per_unit: float = 200.0) -> bool:
-    """Do the partial norms int_a^X |f|^2 stabilize along the cutoff schedule?
-
-    True iff the relative increment between the last two cutoffs is below
-    1e-8; a finite-interval function trivially stabilizes once the cutoffs
-    pass the right endpoint.  ``f`` is a catalog solution (which carries its
-    closed form and interval) or a bare callable with ``interval`` supplied.
-    """
-    if len(cutoffs) < 3:
-        raise InvalidScheduleError("need at least 3 cutoffs")
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise InvalidScheduleError("cutoffs must be strictly increasing")
-    if isinstance(f, DeficiencySolution):
-        closed_form, iv = f.closed_form, f.interval
-    else:
-        closed_form, iv = f, interval or Interval.half_line(0.0)
-    a = iv.a if math.isfinite(iv.a) else 0.0
-    norms = []
-    for cutoff in cutoffs:
-        upper = min(cutoff, iv.b) if math.isfinite(iv.b) else cutoff
-        if upper <= a:
-            norms.append(0.0)
-            continue
-        npts = max(int((upper - a) * points_per_unit), 100) // 2 * 2 + 1
-        xs = np.linspace(a, upper, npts)
-        vals = np.asarray(closed_form(xs))
-        norms.append(float(np.dot(quadrature_weights(xs), np.abs(vals) ** 2)))
-    last, prev = norms[-1], norms[-2]
-    if last == 0.0:
-        return True
-    return (last - prev) / last < 1e-8
-
-
 def _adjoint_apply(kind: str, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply the adjoint catalog operator by finite differences."""
     if kind in (MOMENTUM, TIME_OPERATOR):
@@ -265,22 +225,3 @@ def verify_deficiency_numerically(op: OperatorSpec,
     if not math.isfinite(worst):
         raise PreconditionError(out_of_range)
     return worst
-
-
-def report_to_json_dict(report: DeficiencyReport) -> dict:
-    return {
-        "n_plus": report.n_plus,
-        "n_minus": report.n_minus,
-        "lambda": report.lam,
-        "classification": report.classification,
-        "param_dim": report.param_dim,
-        "basis": [
-            {
-                "tag": sol.tag,
-                "xs": [float(x) for x in sol.fn.xs],
-                "re": [float(v.real) for v in sol.fn.values],
-                "im": [float(v.imag) for v in sol.fn.values],
-            }
-            for sol in report.basis()
-        ],
-    }

@@ -22,7 +22,6 @@ __all__ = [
     "ParadoxReport",
     "Quantity",
     "commuting_observables_demo",
-    "cosine_basis_momentum_entry",
     "cosine_basis_momentum_matrix",
     "eigenvector_commutator_demo",
     "hermiticity_defect_demo",
@@ -152,11 +151,6 @@ def _cosine_basis_im(l: float, m, n) -> np.ndarray:
     m, n = np.asarray(m), np.asarray(n)
     odd = (m + n) % 2 == 1
     return np.where(odd, 4.0 * n * n / (l * np.where(odd, n * n - m * m, 1)), 0.0)
-
-
-def cosine_basis_momentum_entry(l: float, m: int, n: int) -> complex:
-    """Closed form for (e_m, -i d/dx e_n) in the cosine basis on [0, l]."""
-    return complex(0.0, float(_cosine_basis_im(l, m, n)))
 
 
 class CosineBasisResult(NamedTuple):

@@ -14,7 +14,6 @@ __all__ = [
     "IndeterminateError",
     "InvalidIndexError",
     "InvalidMetricError",
-    "InvalidScheduleError",
     "NoBoundStateError",
     "NoRootError",
     "PreconditionError",
@@ -57,12 +56,6 @@ class UnsupportedOperatorError(SaextError):
     """Operator/interval combination outside the built-in catalog."""
 
     code = "unsupported-operator"
-
-
-class InvalidScheduleError(SaextError):
-    """Cutoff schedule unusable for the tail-integrability probe."""
-
-    code = "invalid-schedule"
 
 
 class UnsupportedExtensionError(SaextError):

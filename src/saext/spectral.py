@@ -26,10 +26,8 @@ __all__ = [
     "SpectrumResult",
     "bound_state",
     "bound_state_shooting",
-    "dirichlet_fd_eigenvalues",
     "discretized_momentum_eigpair",
     "discretized_momentum_eigs",
-    "discretized_momentum_matrix",
     "halfline_robin_spectrum",
     "momentum_spectrum",
     "reflection_coefficient",
@@ -91,7 +89,7 @@ def momentum_spectrum(
 
     Eigenfunctions are the unit-norm twisted exponentials
     exp(i p_n x)/sqrt(L), which pick up the phase exp(i*theta) from end
-    to end.
+    to end.  A level or a length L past the float range is refused.
     """
     if interval.kind != FINITE:
         raise UnsupportedOperatorError(
@@ -102,6 +100,9 @@ def momentum_spectrum(
     levels = []
     for n in sorted(int(n) for n in n_range):
         p = (math.tau * n + theta) / length
+        if not (math.isfinite(p) and length < math.inf):
+            raise PreconditionError("the level (2*pi*n + theta)/L leaves the float range "
+                                    "at n=%d, theta=%r, L=%r" % (n, theta, length))
         levels.append(DiscreteLevel(n, p, _plane_wave(p, length)))
     return SpectrumResult(tuple(levels))
 
@@ -272,27 +273,10 @@ def halfline_robin_spectrum(alpha: float) -> SpectrumResult:
     return SpectrumResult(discrete, branch)
 
 
-def discretized_momentum_matrix(theta: float, n: int):
-    """One-sided difference matrix for -i d/dx on a theta-twisted ring.
-
-    Row j holds (-i/h)(psi_{j+1} - psi_j) with h = 1/n; the last row
-    wraps around with the twist factor exp(i*theta).
-    """
-    if n < 64:
-        raise TooCoarseError("twisted ring needs n >= 64, got n=%d" % n)
-    scale = 1j * n  # i/h
-    mat = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(mat, scale)
-    idx = np.arange(n - 1)
-    mat[idx, idx + 1] = -scale
-    mat[n - 1, 0] = -scale * cmath.exp(1j * theta)
-    return mat
-
-
 def _twisted_difference(theta: float, vec: np.ndarray) -> np.ndarray:
-    """Apply discretized_momentum_matrix(theta, len(vec)) to ``vec``.
+    """Apply the one-sided difference -i d/dx on a theta-twisted ring to ``vec``.
 
-    (P v)_j = i*n*(v_j - v_{j+1}), with v_n = exp(i*theta) v_0.
+    (P v)_j = i*n*(v_j - v_{j+1}), with h = 1/n and v_n = exp(i*theta) v_0.
     """
     ahead = np.roll(vec, -1)
     ahead[-1] *= cmath.exp(1j * theta)
@@ -341,22 +325,3 @@ def discretized_momentum_eigs(
     phi = (math.tau * modes + theta) / n
     vals = -1j * n * (np.exp(1j * phi) - 1.0)
     return [complex(v) for v in vals]
-
-
-def dirichlet_fd_eigenvalues(a: float, n_grid: int, count: int) -> List[float]:
-    """Lowest eigenvalues of the three-point Dirichlet Laplacian on [0, a].
-
-    Second-order cross-check for the closed-form well levels: the
-    discrete values (2/h^2)(1 - cos(m*pi/n_grid)), h = a/n_grid and
-    m = 1..count, converge to (m*pi/a)^2 like h^2.  They are evaluated as
-    (4/h^2) sin^2(m*pi/(2*n_grid)), which does not cancel at small m.
-    """
-    if not a > 0.0:
-        raise PreconditionError("well width must be positive, got %r" % (a,))
-    if n_grid < 8:
-        raise TooCoarseError("need at least 8 interior cells, got %d" % n_grid)
-    if not 1 <= count <= n_grid - 1:
-        raise PreconditionError("count must lie in 1..%d, got %r" % (n_grid - 1, count))
-    h = a / n_grid
-    half_angles = np.arange(1, count + 1) * (0.5 * math.pi / n_grid)
-    return [float(v) for v in (4.0 / (h * h)) * np.sin(half_angles) ** 2]

@@ -35,12 +35,12 @@ from saext.geometry import commutator_preservation_check, radial_symmetry_defect
 from saext.spectral import (
     bound_state,
     bound_state_shooting,
-    dirichlet_fd_eigenvalues,
     discretized_momentum_eigs,
     momentum_spectrum,
     reflection_coefficient,
     well_spectrum,
 )
+from test_spectral import _dirichlet_fd_eigenvalues
 
 
 def report(ok: bool, label: str) -> None:
@@ -249,7 +249,7 @@ def test_well_spectrum_convergence():
     for level in (1, 2, 3):
         errs = []
         for n_grid in (400, 800):
-            eig = dirichlet_fd_eigenvalues(1.0, n_grid, level)[level - 1]
+            eig = _dirichlet_fd_eigenvalues(1.0, n_grid, level)[level - 1]
             errs.append(abs(eig - (level * math.pi) ** 2))
         orders.append(math.log2(errs[0] / errs[1]))
     ok &= all(1.8 <= order <= 2.2 for order in orders)

@@ -120,6 +120,19 @@ def test_deficiency_catalog_via_cli():
         assert result["adjoint_residual"] <= 1e-4
 
 
+@pytest.mark.parametrize("interval", ["0,5", "-inf,inf"])
+def test_deficiency_time_refuses_an_interval_that_is_not_a_half_line(interval):
+    # it read the left end alone and reported the half line 0,inf
+    code, text = run_cli(["deficiency", "--op", "time", f"--interval={interval}"])
+    assert code == 1
+    payload = json.loads(text)
+    jsonschema.validate(payload, cli.load_schema("error"))
+    assert payload["error"]["code"] == "precondition"
+    assert "half line E0,inf" in payload["error"]["message"]
+    result = run_json(["deficiency", "--op", "time", "--interval", "2,inf"])["result"]
+    assert result["interval"] == {"kind": "half_line", "a": 2.0, "b": "inf"}
+
+
 def test_extend_dirichlet_limit_serializes_inf():
     result = run_json(["extend", "--operator", "hamiltonian",
                        "--gamma", repr(math.pi)])["result"]
@@ -836,12 +849,12 @@ def test_tol_resolution_order(monkeypatch):
 
 @pytest.mark.parametrize("argv", [["boundstate", "--alpha", "-1"],
                                   ["sweep", "scatter", "--k", "1", "--sweep", "alpha=-2:-1:2"]])
-def test_a_subcommand_that_reads_no_tolerance_echoes_the_fixed_one(argv, monkeypatch):
+def test_a_subcommand_that_reads_no_tolerance_echoes_none(argv, monkeypatch):
     # and the natural units it computes in; SAEXT_TOL, a number or not, changes nothing
     for env in ("1e-8", "tight"):
         monkeypatch.setenv("SAEXT_TOL", env)
         manifest = run_json(argv)["manifest"]
-        assert manifest["tolerances"] == {"tol": 1e-6}
+        assert "tolerances" not in manifest
         assert manifest["units"] == {"hbar": 1.0, "two_m": 1.0}
 
 
@@ -854,12 +867,12 @@ def test_a_tolerance_is_a_finite_number_above_zero(argv, source, value, monkeypa
     # from either source; SAEXT_TOL=nan was echoed as "nan", -1 from either
     # gave a negative tolerance, and --tol 0 ran after scipy clipped it.
     # classical reads no tolerance since its flow is no longer integrated
-    # by DOP853: its --tol is refused, and SAEXT_TOL leaves its fixed one
-    reads = "tol" in cli._COMMANDS[argv[0]]["shared"]
+    # by DOP853: its --tol is refused, and SAEXT_TOL is not read
+    reads = "tol" in cli._COMMANDS[argv[0]]["variants"][None]
     if source == "env":
         monkeypatch.setenv("SAEXT_TOL", value)
         if not reads:
-            assert run_json(argv)["manifest"]["tolerances"] == {"tol": 1e-6}
+            assert "tolerances" not in run_json(argv)["manifest"]
             return
     else:
         monkeypatch.delenv("SAEXT_TOL", raising=False)
@@ -945,11 +958,32 @@ _CASES = {
 #: A value of each shared flag other than its default.
 _SHARED_VALUES = {"units": "hbar=2,two_m=3", "tol": "1e-3", "grid_n": "2001", "seed": "7"}
 
+#: A value of each flag that a variant needs given.
+_GIVEN = {"operator": "hamiltonian", "gamma": "1", "alpha": "-1", "k": "2", "s": "-2",
+          "metric": "polar"}
+
+
+def _variant_argv(name, key):
+    """argv of the variant key of name, with a value for each flag it needs given."""
+    spec = cli._COMMANDS[name]
+    argv = [name] if key is None else [name, f"--{spec['select']}", str(key)]
+    for dest, default in spec["variants"][key].items():
+        if default is ...:
+            argv += ["--" + dest.replace("_", "-"), _GIVEN[dest]]
+    return argv
+
+
+def _variant_of(argv):
+    """(subcommand, variant key) that a one-shot argv selects."""
+    spec = cli._COMMANDS[argv[0]]
+    ns = cli.build_parser().parse_args(argv)
+    return argv[0], getattr(ns, spec["select"]) if "select" in spec else None
+
 
 def _undeclared(flags):
-    """(case, flag) of each shared flag in flags that the case's subcommand does not declare."""
+    """(case, flag) of each shared flag in flags that the case's variant does not declare."""
     return [(case, flag) for case, (argv, _) in sorted(_CASES.items()) for flag in flags
-            if flag not in cli._COMMANDS[argv[0]]["shared"]]
+            if flag not in cli._COMMANDS[argv[0]]["variants"][_variant_of(argv)[1]]]
 
 
 def _assert_refused(case, flag, capsys):
@@ -982,44 +1016,184 @@ def test_shared_flag_is_a_usage_error_where_no_runner_reads_it(case, flag, capsy
     _assert_refused(case, flag, capsys)
 
 
-#: argv of each subcommand, and the extra argv under which its runner reads
-#: each shared flag that it declares
+#: Each flag that a variant declares, by subcommand and dest: the argv of
+#: the subcommand, the extra argv of each variant that declares the flag,
+#: and a value of the flag other than its default there.
 _DECLARED = {
-    ("deficiency", "grid_n"): (["deficiency", "--op", "momentum"], []),
-    ("boundstate", "grid_n"): (["boundstate", "--alpha", "-1"], []),
-    ("paradox", "grid_n"): (["paradox", "--id", "3"], []),
-    ("geometry", "grid_n"): (["geometry", "--metric", "polar"], []),
-    ("paradox", "units"): (["paradox", "--n", "64"], [["--id", "1"], ["--id", "2"]]),
-    ("paradox", "seed"): (["paradox", "--id", "2"], []),
-    ("anomaly", "tol"): (["anomaly", "--alpha", "-2"], []),
+    ("deficiency", "grid_n"): (["deficiency"], [["--op", op] for op in
+                                                ("momentum", "hamiltonian", "time")], "2001"),
+    ("boundstate", "grid_n"): (["boundstate", "--alpha", "-1"], [[]], "2001"),
+    ("paradox", "grid_n"): (["paradox"], [["--id", "3"]], "2001"),
+    ("geometry", "grid_n"): (["geometry", "--metric", "polar"], [[]], "2001"),
+    ("paradox", "units"): (["paradox", "--n", "64"], [["--id", "1"], ["--id", "2"]],
+                           "hbar=2,two_m=3"),
+    ("paradox", "seed"): (["paradox"], [["--id", "2"]], "7"),
+    ("anomaly", "tol"): (["anomaly", "--alpha", "-2"], [[]], "1e-3"),
+    ("deficiency", "interval"): (["deficiency"], [["--op", op] for op in
+                                                  ("momentum", "hamiltonian", "time")], "2,inf"),
+    ("deficiency", "lam"): (["deficiency"], [["--op", op] for op in
+                                             ("momentum", "hamiltonian", "time")], "2"),
+    ("extend", "operator"): (["extend", "--operator", "hamiltonian", "--gamma", "1"], [[]],
+                             "momentum"),
+    ("extend", "gamma"): (["extend", "--operator", "hamiltonian", "--gamma", "1"], [[]], "2"),
+    ("spectrum", "theta"): (["spectrum"], [["--op", "momentum"]], "0.5"),
+    ("spectrum", "interval"): (["spectrum"], [["--op", "momentum"]], "0,2"),
+    ("spectrum", "n_min"): (["spectrum"], [["--op", "momentum"], ["--op", "well"]], "2"),
+    ("spectrum", "n_max"): (["spectrum"], [["--op", "momentum"], ["--op", "well"]], "3"),
+    ("spectrum", "a"): (["spectrum"], [["--op", "well"]], "2"),
+    ("spectrum", "alpha"): (["spectrum"], [["--op", "robin"]], "-2"),
+    ("boundstate", "alpha"): (["boundstate", "--alpha", "-1"], [[]], "-2"),
+    ("boundstate", "x_max"): (["boundstate", "--alpha", "-1"], [[]], "30"),
+    ("scatter", "k"): (["scatter", "--k", "2", "--alpha", "-1"], [[]], "3"),
+    ("scatter", "alpha"): (["scatter", "--k", "2", "--alpha", "-1"], [[]], "-2"),
+    ("anomaly", "alpha"): (["anomaly", "--alpha", "-2"], [[]], "-3"),
+    ("anomaly", "t"): (["anomaly", "--alpha", "-2"], [[]], "1"),
+    ("paradox", "n"): (["paradox"], [["--id", str(i)] for i in (1, 2, 3, 4)], "64"),
+    ("paradox", "theta"): (["paradox"], [["--id", "1"]], "0.5"),
+    ("paradox", "mode"): (["paradox"], [["--id", "1"]], "2"),
+    ("paradox", "trials"): (["paradox"], [["--id", "2"]], "10"),
+    ("paradox", "a"): (["paradox"], [["--id", "3"]], "2"),
+    ("paradox", "l"): (["paradox"], [["--id", "4"]], "2"),
+    ("classical", "s"): (["classical", "--s", "-2"], [[]], "2"),
+    ("classical", "g"): (["classical", "--s", "-2"], [[]], "2"),
+    ("classical", "q0"): (["classical", "--s", "-2"], [[]], "2"),
+    ("classical", "p0"): (["classical", "--s", "-2"], [[]], "0.5"),
+    ("classical", "t_end"): (["classical", "--s", "-2"], [[]], "2"),
+    ("classical", "samples"): (["classical", "--s", "-2"], [[]], "101"),
+    ("geometry", "metric"): (["geometry", "--metric", "polar"], [[]], "flat"),
+    ("geometry", "probe"): (["geometry", "--metric", "polar"], [[]], "bump:0.5,1.5"),
 }
 
 
+def _declared_pairs(shared):
+    """The (subcommand, variant, dest) triples of the shared flags, or of the own ones,
+    in the table and in _DECLARED."""
+    table = {(name, key, dest) for name, spec in cli._COMMANDS.items()
+             for key, variant in spec["variants"].items() for dest in variant
+             if (dest in cli._SHARED) is shared}
+    cases = {(*_variant_of(argv + extra), dest)
+             for (_, dest), (argv, variants, _) in _DECLARED.items()
+             if (dest in cli._SHARED) is shared for extra in variants}
+    return table, cases
+
+
 def test_every_declared_shared_flag_has_a_case():
-    declared = {(name, flag) for name, spec in cli._COMMANDS.items() for flag in spec["shared"]}
-    assert declared == set(_DECLARED)
+    table, cases = _declared_pairs(shared=True)
+    assert table == cases
 
 
-@pytest.mark.parametrize("name, flag", sorted(_DECLARED))
+def test_every_declared_flag_of_its_own_has_a_case():
+    table, cases = _declared_pairs(shared=False)
+    assert table == cases
+    # and each value of a selector is a variant
+    for name, spec in cli._COMMANDS.items():
+        if "select" in spec:
+            assert cli._flags_of(name)[spec["select"]][1]["choices"] == list(spec["variants"])
+
+
+def _outcome(argv):
+    """The exit code of argv and its result or its error."""
+    code, text = run_cli(argv)
+    payload = json.loads(text)
+    return code, payload.get("result", payload.get("error"))
+
+
+@pytest.mark.parametrize("name, flag", sorted(key for key in _DECLARED if key[1] in cli._SHARED))
 def test_a_declared_shared_flag_changes_the_result(name, flag):
-    argv, variants = _DECLARED[name, flag]
-    option = ["--" + flag.replace("_", "-"), _SHARED_VALUES[flag]]
-    for extra in variants or [[]]:
+    argv, variants, value = _DECLARED[name, flag]
+    option = ["--" + flag.replace("_", "-"), value]
+    for extra in variants:
         assert run_json(argv + extra + option)["result"] != run_json(argv + extra)["result"]
 
 
-@pytest.mark.parametrize("argv, axis", [
-    (["deficiency", "--op", "momentum"], "lam=1:2:2"),
-    (["boundstate", "--alpha", "-1"], "x_max=30:35:2"),
-    (["paradox", "--id", "3"], "a=1:2:2"),
-    (["geometry", "--metric", "polar"], None),  # no flag of geometry is numeric
+@pytest.mark.parametrize("name, flag",
+                         sorted(key for key in _DECLARED if key[1] not in cli._SHARED))
+def test_a_declared_flag_of_its_own_changes_the_result_or_the_error(name, flag):
+    # a flag that a variant declares is applied: none is echoed and ignored
+    argv, variants, value = _DECLARED[name, flag]
+    option = ["--" + flag.replace("_", "-"), value]
+    for extra in variants:
+        assert _outcome(argv + extra + option) != _outcome(argv + extra)
+
+
+@pytest.mark.parametrize("argv, axis, applied", [
+    (["deficiency", "--op", "momentum"], "lam=1:2:2", 10_001),
+    (["boundstate", "--alpha", "-1"], "x_max=30:35:2", None),
+    (["paradox", "--id", "3"], "a=1:2:2", 10_001),
+    (["geometry", "--metric", "polar"], None, 4001),  # no flag of geometry is numeric
 ])
-def test_grid_n_is_echoed_only_when_given(argv, axis):
-    assert "grid_n" not in run_json(argv)["manifest"]["params"]
+def test_grid_n_is_echoed_as_applied(argv, axis, applied):
+    # null where the library picks the grid
+    assert run_json(argv)["manifest"]["params"]["grid_n"] == applied
     assert run_json(argv + ["--grid-n", "2001"])["manifest"]["params"]["grid_n"] == 2001
     if axis is not None:
         sweep = ["sweep", *argv, "--grid-n", "2001", "--sweep", axis]
         assert run_json(sweep)["manifest"]["params"]["grid_n"] == 2001
+
+
+_VARIANTS = [(name, key) for name, spec in sorted(cli._COMMANDS.items())
+             for key in spec["variants"]]
+
+
+@pytest.mark.parametrize("name, key", _VARIANTS)
+def test_manifest_params_echo_the_variants_flags_as_applied(name, key):
+    # units and tol have their own manifest fields; a string default is
+    # echoed as its flag's text reads
+    spec = cli._COMMANDS[name]
+    variant = spec["variants"][key]
+    payload = run_json(_variant_argv(name, key))
+    params = payload["manifest"]["params"]
+    selector = set() if key is None else {spec["select"]}
+    assert set(params) == set(variant) - {"units", "tol"} | selector
+    for dest, default in variant.items():
+        if dest in params and default is not ...:
+            if isinstance(default, str):
+                default = cli._flags_of(name)[dest][1]["type"](default)
+            applied = cli._interval_dict(default) if dest == "interval" else default
+            assert params[dest] == _reference_sanitize(applied)
+    assert ("tolerances" in payload["manifest"]) is ("tol" in variant)
+
+
+@st.composite
+def _foreign_flag(draw):
+    """A variant, and a flag of its subcommand, or a shared one, that it does not read."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    spec = cli._COMMANDS[name]
+    key = draw(st.sampled_from(list(spec["variants"])))
+    variant = spec["variants"][key]
+    known = {**cli._flags_of(name), **cli._SHARED}
+    dest = draw(st.sampled_from([dest for dest in known
+                                 if dest not in variant and dest != spec.get("select")]))
+    # a value of the flag that another variant, or a shared flag, would take
+    values = [str(other[dest]) for other in spec["variants"].values()
+              if other.get(dest) not in (None, ...)]
+    return name, key, dest, _SHARED_VALUES.get(dest) or draw(st.sampled_from(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_foreign_flag())
+def test_a_flag_outside_the_chosen_variant_is_a_usage_error(case):
+    name, key, dest, value = case
+    argv = _variant_argv(name, key)
+    variant, flags = cli._COMMANDS[name]["variants"][key], cli._flags_of(name)
+    option = ["--" + dest.replace("_", "-"), value]
+    numeric = [own for own in variant if own not in cli._SHARED
+               and flags[own][1].get("type") in (int, float)]
+    runs = [(argv + option, "unrecognized arguments: " + option[0]),
+            (["sweep", *argv, "--sweep", f"{dest}=1:2:2"],
+             f"{dest!r} is not a sweep parameter")]
+    if numeric:  # beside an axis of the variant's own
+        axis = f"{numeric[0]}=1:2:2"
+        runs.append((["sweep", *argv, *option, "--sweep", axis],
+                     "unrecognized arguments: " + option[0]))
+        runs.append((["sweep", *argv, "--sweep", axis, "--sweep", f"{dest}=1:2:2"],
+                     f"{dest!r} is not a sweep parameter"))
+    for bad, message in runs:
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+            run_cli(bad)
+        assert exc.value.code == 2, bad
+        assert message in err.getvalue(), (bad, err.getvalue())
 
 
 @pytest.mark.parametrize("units", ["hbar=inf", "two_m=inf", "hbar=1,two_m=-inf",
@@ -1149,9 +1323,12 @@ def test_alpha_keeps_its_infinite_values(argv):
 
 @pytest.mark.parametrize("name, flag", _FLOAT_FLAGS)
 def test_every_float_flag_stays_sweepable(name, flag):
+    # in the first variant that reads it
     dest = flag.lstrip("-").replace("-", "_")
     value = {"alpha": -1.0, "s": -2.0, "x_max": 35.0}.get(dest, 1.0)
-    payload = run_json(["sweep", name, *_REQUIRED[name],
+    key = next(key for key, variant in cli._COMMANDS[name]["variants"].items()
+               if dest in variant)
+    payload = run_json(["sweep", *_variant_argv(name, key),
                         "--sweep", f"{dest}={value}:{value}:1"])
     point = payload["result"]["points"][0]
     assert point["params"] == {dest: value}
@@ -1178,8 +1355,10 @@ def test_robin_energy_consumers_refuse_an_underflowing_energy(name, flags, alpha
     points = json.loads(text)["result"]["points"]
     assert points[0]["error"]["code"] == "precondition"
     assert "result" in points[1]
-    # a spectrum of another op does not read --alpha
-    assert run_json(["spectrum", "--op", "well", f"--alpha={alpha}"])["result"]["discrete"]
+    # a spectrum of another op does not read --alpha, so it is refused
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["spectrum", "--op", "well", f"--alpha={alpha}"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("name, flags", [
@@ -1329,13 +1508,17 @@ def test_classical_work_is_bounded(argv):
     ["boundstate", "--alpha", "-1", "--x-max", "-1e300"],
     ["boundstate", "--alpha", "-1e100", "--x-max", "1e300"],
     ["spectrum", "--op", "well", "--a", "1e-300"],
+    ["spectrum", "--op", "momentum", "--interval", "0,1e-310", "--n-min", "-1", "--n-max", "1"],
+    ["spectrum", "--op", "momentum", "--interval=-1.7e308,1.7e308"],
 ])
 def test_overflow_is_a_structured_error_not_a_nan(argv):
     # the first two printed RuntimeWarnings and exited 0, with an
     # adjoint_residual of 0.0 behind nan residuals, and a defect of
     # {"re": "nan", "im": "nan"}; the others printed RuntimeWarnings from
     # the derivative, the deficiency basis and the Robin state before
-    # their error; the well exited 0 with "inf" levels
+    # their error; the well exited 0 with "inf" levels, the momentum box
+    # of length 1e-310 with levels "-inf" and "inf", and the box whose
+    # length overflows with every level 0.0
     proc = _run_process(argv)
     assert proc.returncode == 1
     assert proc.stderr == ""
@@ -1406,7 +1589,8 @@ _FUZZ_FLOATS = ["0", "-0.0", "1", "-1", "2.5", "1e-300", "-1e-300", "1e300", "-1
 _FUZZ_INTS = ["-1", "0", "1", "2", "64"]
 #: Values of the flags that take neither a float nor an int.
 _FUZZ_TEXTS = {
-    "--interval": ["0,1", "0,inf", "-inf,inf", "1,0", "0,1e300", "1e-300,1", "-1e300,0", "a"],
+    "--interval": ["0,1", "0,inf", "-inf,inf", "1,0", "0,1e300", "1e-300,1", "-1e300,0",
+                   "0,1e-310", "a"],
     "--probe": ["bump:1,2", "bump:0.5,1.5", "bump:2,1", "bump:1e-300,1e300", "box:1,2"],
     "--units": ["hbar=2,two_m=3", "hbar=0", "two_m=1e300", "hbar=1e-300", "planck=1"],
 }
@@ -1424,17 +1608,26 @@ def _fuzz_values(flags, kwargs):
 
 @st.composite
 def _fuzz_argv(draw):
-    """A subcommand or a sweep of one, its required flags, and some more of its flags."""
+    """A variant of a subcommand or a sweep of one, its required flags, and some more flags.
+
+    The more flags are mostly the variant's own; now and then one is a
+    flag of another variant.
+    """
     name = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    spec = cli._COMMANDS[name]
-    declared = [*map(cli._SHARED.get, spec["shared"]), *spec["args"]]
-    chosen = [flag for flag in spec["args"] if flag[1].get("required")]
-    chosen += draw(st.lists(st.sampled_from(declared), max_size=3))  # repeats included
-    argv = [name] + [f"{flags[0]}={draw(st.sampled_from(_fuzz_values(flags, kwargs)))}"
-                     for flags, kwargs in chosen]
+    spec, flags_of = cli._COMMANDS[name], cli._flags_of(name)
+    key = draw(st.sampled_from(list(spec["variants"])))
+    variant = spec["variants"][key]
+    read = [dest for dest in flags_of if dest in variant]
+    chosen = [dest for dest in read if variant[dest] is ...]
+    chosen += draw(st.lists(st.sampled_from(read), max_size=3))  # repeats included
+    chosen += draw(st.lists(st.sampled_from(list(flags_of)), max_size=1))
+    argv = [name] if key is None else [name, f"--{spec['select']}={key}"]
+    argv += [f"{flags[0]}={draw(st.sampled_from(_fuzz_values(flags, kwargs)))}"
+             for flags, kwargs in map(flags_of.get, chosen)]
     if draw(st.booleans()):
-        numeric = [(flags, kwargs) for flags, kwargs in spec["args"]
-                   if kwargs.get("type") in (int, float) and "choices" not in kwargs]
+        numeric = [flags_of[dest] for dest in variant if dest not in cli._SHARED
+                   and flags_of[dest][1].get("type") in (int, float)
+                   and "choices" not in flags_of[dest][1]]
         for flags, kwargs in draw(st.lists(st.sampled_from(numeric), max_size=2)) if numeric else []:
             start, stop = (draw(st.sampled_from(_fuzz_values(flags, kwargs))) for _ in "ab")
             axis = f"{cli._dest_of(flags, kwargs)}={start}:{stop}:{draw(st.integers(0, 4))}"
@@ -1465,3 +1658,22 @@ def test_fuzzed_argv_ends_in_exit_0_1_or_2(argv):
                 name = "error" if "error" in payload else argv[0]
                 jsonschema.validate(payload, cli.load_schema(name))
     assert not caught, (argv, [f"{w.filename}:{w.lineno}: {w.message}" for w in caught])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_fuzz_argv())
+def test_fuzzed_argv_against_a_closed_reader_ends_in_exit_0_1_or_2(argv):
+    # as `saext ... | head -c 10`: a reader that closes stdout early gives
+    # exit 1 with an empty stderr, or exit 0 where all was written before
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen([sys.executable, "-m", "saext.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.read(10)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    code = proc.wait(timeout=60)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in stderr, argv
+    if code != 2:
+        assert stderr == "", argv

@@ -9,7 +9,6 @@ from saext.discrete import (
     _commutator_trace,
     _hermitian_pair,
     commuting_observables_demo,
-    cosine_basis_momentum_entry,
     cosine_basis_momentum_matrix,
     eigenvector_commutator_demo,
     hermiticity_defect_demo,
@@ -144,12 +143,17 @@ def test_entrywise_trace_matches_the_matrix_products(n):
 # cosine-basis momentum matrix
 # ---------------------------------------------------------------------------
 
+def _cosine_entry(l, m, n):
+    """Closed form of (e_m, -i d/dx e_n): 4i n^2/(l(n^2 - m^2)) for m+n odd, else 0."""
+    return 4j * n * n / (l * (n * n - m * m)) if (m + n) % 2 else 0j
+
+
 def test_cosine_matrix_matches_closed_form():
     for l in (1.0, 2.0, 4.0):
         result = cosine_basis_momentum_matrix(l, 8)
         for m in range(1, 9):
             for n in range(1, 9):
-                expected = cosine_basis_momentum_entry(l, m, n)
+                expected = _cosine_entry(l, m, n)
                 assert abs(result.p[m - 1, n - 1] - expected) < 1e-12
 
 
@@ -190,7 +194,7 @@ def test_defect_sublattice_pattern_larger_block():
 def test_cosine_matrix_matches_closed_form_at_large_blocks(m_basis):
     result = cosine_basis_momentum_matrix(1.0, m_basis)
     expected = np.array([
-        [cosine_basis_momentum_entry(1.0, m, n) for n in range(1, m_basis + 1)]
+        [_cosine_entry(1.0, m, n) for n in range(1, m_basis + 1)]
         for m in range(1, m_basis + 1)
     ])
     assert np.max(np.abs(result.p - expected)) <= 1e-10

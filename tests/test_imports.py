@@ -85,13 +85,11 @@ _SCIPY_FREE_ARGV = {
 }
 
 #: Library calls that need numpy alone: the closed forms of the twisted
-#: ring, the three-point Dirichlet Laplacian, the well levels and the
-#: cosine-basis matrix, and the random commutator traces.  A dotted name is
-#: looked up from ``saext``.
+#: ring, the well levels and the cosine-basis matrix, and the random
+#: commutator traces.  A dotted name is looked up from ``saext``.
 _SCIPY_FREE_CALLS = {
     "eigs-1025": ("discretized_momentum_eigs", [0.7, 1025, 16]),
     "eigvec-2048": ("eigenvector_commutator_demo", [0.7, 2048, 1]),
-    "dirichlet-fd": ("spectral.dirichlet_fd_eigenvalues", [1.0, 400, 3]),
     "well-spectrum": ("well_spectrum", [1.0, [1, 2, 3]]),
     "cosine-matrix": ("cosine_basis_momentum_matrix", [1.0, 256]),
     "trace-commutator": ("trace_commutator_check", [64, 100]),
@@ -174,6 +172,11 @@ _LOADS = {
     "version": (["--version"], 0, ["errors"]),
     "help": (["--help"], 0, ["errors"]),
     "usage-error": (["boundstate"], 2, ["errors"]),
+    # a flag that the chosen variant does not read
+    "foreign-flag-spectrum": (["spectrum", "--op", "robin", "--theta", "1"], 2, ["errors"]),
+    "foreign-flag-paradox": (["paradox", "--id", "4", "--seed", "1"], 2, ["errors"]),
+    "foreign-sweep-axis": (["sweep", "spectrum", "--op", "robin", "--sweep", "theta=0:1:3"], 2,
+                           ["errors"]),
     "scatter": (GOLDEN["scatter"], 0, _SPECTRAL),
     "spectrum-robin": (GOLDEN["spectrum"], 0, _SPECTRAL),
     "boundstate": (GOLDEN["boundstate"], 0, _SPECTRAL),

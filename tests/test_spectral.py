@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -19,10 +20,8 @@ from saext.spectral import (
     _twisted_difference,
     bound_state,
     bound_state_shooting,
-    dirichlet_fd_eigenvalues,
     discretized_momentum_eigpair,
     discretized_momentum_eigs,
-    discretized_momentum_matrix,
     halfline_robin_spectrum,
     momentum_spectrum,
     reflection_coefficient,
@@ -32,6 +31,42 @@ from saext.spectral import (
 )
 
 BOX = Interval.finite(0.0, 1.0)
+
+
+def _dirichlet_fd_eigenvalues(a, n_grid, count):
+    """Lowest eigenvalues of the three-point Dirichlet Laplacian on [0, a].
+
+    Second-order cross-check for the closed-form well levels: the
+    discrete values (2/h^2)(1 - cos(m*pi/n_grid)), h = a/n_grid and
+    m = 1..count, converge to (m*pi/a)^2 like h^2.  They are evaluated as
+    (4/h^2) sin^2(m*pi/(2*n_grid)), which does not cancel at small m.
+    """
+    if not a > 0.0:
+        raise PreconditionError("well width must be positive, got %r" % (a,))
+    if n_grid < 8:
+        raise TooCoarseError("need at least 8 interior cells, got %d" % n_grid)
+    if not 1 <= count <= n_grid - 1:
+        raise PreconditionError("count must lie in 1..%d, got %r" % (n_grid - 1, count))
+    h = a / n_grid
+    half_angles = np.arange(1, count + 1) * (0.5 * math.pi / n_grid)
+    return [float(v) for v in (4.0 / (h * h)) * np.sin(half_angles) ** 2]
+
+
+def _twisted_matrix(theta, n):
+    """One-sided difference matrix for -i d/dx on a theta-twisted ring.
+
+    Row j holds (-i/h)(psi_{j+1} - psi_j) with h = 1/n; the last row
+    wraps around with the twist factor exp(i*theta).
+    """
+    if n < 64:
+        raise TooCoarseError("twisted ring needs n >= 64, got n=%d" % n)
+    scale = 1j * n  # i/h
+    mat = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(mat, scale)
+    idx = np.arange(n - 1)
+    mat[idx, idx + 1] = -scale
+    mat[n - 1, 0] = -scale * cmath.exp(1j * theta)
+    return mat
 
 
 def _sampled(level, a, b, grid_n=2001):
@@ -123,16 +158,16 @@ def test_well_ground_state_unit_width():
 def test_well_second_level_width_pi_against_fd_oracle():
     assert well_spectrum(math.pi, [2]).discrete[0].value == pytest.approx(4.0, rel=1e-14)
     # Richardson-extrapolated three-point Laplacian agrees
-    coarse = dirichlet_fd_eigenvalues(math.pi, 400, 2)[1]
-    fine = dirichlet_fd_eigenvalues(math.pi, 800, 2)[1]
+    coarse = _dirichlet_fd_eigenvalues(math.pi, 400, 2)[1]
+    fine = _dirichlet_fd_eigenvalues(math.pi, 800, 2)[1]
     extrapolated = (4.0 * fine - coarse) / 3.0
     assert extrapolated == pytest.approx(4.0, abs=1e-8)
 
 
 def test_well_fd_convergence_is_second_order():
     targets = [(n * math.pi / 2.0) ** 2 for n in (1, 2, 3)]
-    err_h = [abs(v - t) for v, t in zip(dirichlet_fd_eigenvalues(2.0, 200, 3), targets)]
-    err_h2 = [abs(v - t) for v, t in zip(dirichlet_fd_eigenvalues(2.0, 400, 3), targets)]
+    err_h = [abs(v - t) for v, t in zip(_dirichlet_fd_eigenvalues(2.0, 200, 3), targets)]
+    err_h2 = [abs(v - t) for v, t in zip(_dirichlet_fd_eigenvalues(2.0, 400, 3), targets)]
     for eh, eh2 in zip(err_h, err_h2):
         order = math.log2(eh / eh2)
         assert order == pytest.approx(2.0, abs=0.2)
@@ -153,7 +188,7 @@ def _dirichlet_lapack_reference(a, n_grid, count):
     (1.0, 8, 7), (2.0, 200, 3), (math.pi, 800, 2), (0.3, 1000, 40), (5.0, 4096, 16),
 ])
 def test_dirichlet_fd_closed_form_matches_lapack(a, n_grid, count):
-    values = dirichlet_fd_eigenvalues(a, n_grid, count)
+    values = _dirichlet_fd_eigenvalues(a, n_grid, count)
     reference = _dirichlet_lapack_reference(a, n_grid, count)
     assert len(values) == count
     # LAPACK resolves eigenvalues to rounding of the matrix norm, 4/h^2
@@ -164,7 +199,7 @@ def test_dirichlet_fd_closed_form_matches_lapack(a, n_grid, count):
 @pytest.mark.parametrize("count", [0, -1, 400])
 def test_dirichlet_fd_count_outside_range_is_rejected(count):
     with pytest.raises(PreconditionError):
-        dirichlet_fd_eigenvalues(1.0, 400, count)
+        _dirichlet_fd_eigenvalues(1.0, 400, count)
 
 
 def test_well_eigenfunctions_orthonormal():
@@ -425,7 +460,7 @@ def test_twisted_matrix_matches_closed_form_spectrum():
     for n in (64, 128, 256):
         for theta in (0.0, 0.9, math.pi):
             computed = np.array(discretized_momentum_eigs(theta, n))
-            dense = np.linalg.eigvals(discretized_momentum_matrix(theta, n))
+            dense = np.linalg.eigvals(_twisted_matrix(theta, n))
             assert len(computed) == n
             gap = np.abs(computed[:, None] - dense[None, :])
             assert np.max(np.min(gap, axis=1)) <= 1e-9 * n
@@ -441,13 +476,13 @@ def test_twisted_stencil_matches_the_matrix(theta):
     n = 96
     rng = np.random.default_rng(3)
     vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    expected = discretized_momentum_matrix(theta, n) @ vec
+    expected = _twisted_matrix(theta, n) @ vec
     assert np.max(np.abs(_twisted_difference(theta, vec) - expected)) <= 1e-12 * n
 
 
 def test_twisted_eigpair_is_exact_for_the_matrix():
     n, theta = 128, math.pi / 3
-    mat = discretized_momentum_matrix(theta, n)
+    mat = _twisted_matrix(theta, n)
     lam, vec = discretized_momentum_eigpair(theta, n, 2)
     assert np.max(np.abs(mat @ vec - lam * vec)) < 1e-10 * n
 
@@ -476,7 +511,7 @@ def test_twisted_large_n_uses_arnoldi_and_matches():
     # shift-invert Arnoldi near 0 finds the same eight smallest moduli
     rng = np.random.default_rng(12345)
     arnoldi = eigs(
-        csc_matrix(discretized_momentum_matrix(theta, n)),
+        csc_matrix(_twisted_matrix(theta, n)),
         k=8,
         sigma=-0.5j,
         which="LM",
@@ -529,7 +564,7 @@ def test_twisted_rejects_coarse_rings():
     with pytest.raises(TooCoarseError):
         discretized_momentum_eigs(0.0, 63)
     with pytest.raises(TooCoarseError):
-        discretized_momentum_matrix(0.0, 32)
+        _twisted_matrix(0.0, 32)
 
 
 def test_spectrum_result_json_shape():
