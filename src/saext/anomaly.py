@@ -42,12 +42,6 @@ class AnomalyReport:
     residual: float
     tolerance: float
 
-    def to_json_dict(self) -> dict:
-        out = dict(vars(self))  # every field is a number: no deep copy needed
-        for key in ("term_Hpsi_Dpsi", "term_psi_HDpsi"):
-            out[key] = {"re": out[key].real, "im": out[key].imag}
-        return out
-
 
 def _dilatation_pieces(psi: GridFunction, with_h: bool = True, d1=None):
     """(H psi or None, G psi) by 4th-order FD; G = (x p + p x)/4 = -(i/4)(2x d/dx + 1).

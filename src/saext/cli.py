@@ -123,23 +123,25 @@ def _parse_sweep(text: str) -> tuple:
 # Serialization
 # ---------------------------------------------------------------------------
 #
-# JSON output is the text of json.dumps(sort_keys=True, indent=2) + "\n" for
-# the payload with string keys, numpy scalars unwrapped, complex numbers as
+# This is the one place that decides how a value is written; runners hand
+# over report fields as they are.  JSON output is the text of
+# json.dumps(sort_keys=True, indent=2) + "\n" for the payload with string
+# keys, numpy scalars as the Python numbers they hold, complex numbers as
 # {"re", "im"} and non-finite floats as "nan"/"inf"/"-inf".  CSV output is
-# the dot-path projection of each row onto scalar columns.  Both work from a
-# record's shape (keys in insertion order, list lengths, complex numbers,
-# empty containers) and its scalar leaves, not from its tree.  A list of
-# records is read _CHUNK records at a time; each record is walked once, and
-# a run of records of one shape becomes one block of leaf columns.  Each
-# distinct shape is compiled once: to a %-template at its indent depth for
-# JSON, to its columns for CSV.  Each column of a block is encoded once, in
-# one call of the C json encoder (or of float repr), which the pure-Python
-# encoder behind indent= cannot match.
+# the dot-path projection of each row onto scalar columns, so a complex
+# number is the columns <path>.re and <path>.im, and a number's cell is the
+# text of its JSON value.  Both work from a record's shape (keys in
+# insertion order, list lengths, empty containers) and its scalar leaves,
+# not from its tree.  A list of records is read _CHUNK records at a time;
+# each record is walked once, and a run of records of one shape becomes one
+# block of leaf columns.  Each distinct shape is compiled once: to a
+# %-template at its indent depth for JSON, to its columns for CSV.  Each
+# column of a block is encoded once, in one call of the C json encoder (or
+# of float repr), which the pure-Python encoder behind indent= cannot match.
 
 _LEAF = None
 _SCALARS = frozenset({float, int, str, bool, type(None)})
-#: A complex number is walked as two leaves, real then imaginary part.
-_COMPLEX = "complex"
+#: A complex number is walked as the dict {"re": real part, "im": imaginary part}.
 _COMPLEX_DICT = ("{", "re", _LEAF, "im", _LEAF)
 _CHUNK = 4096
 #: JSON text of a non-finite float, from the encoder's token or from repr.
@@ -170,7 +172,7 @@ def _walk(obj, leaves: list):
     if isinstance(obj, complex):
         leaves.append(obj.real)
         leaves.append(obj.imag)
-        return _COMPLEX
+        return _COMPLEX_DICT
     leaves.append(obj)
     return _LEAF
 
@@ -235,8 +237,6 @@ def _json_template(shape, depth: int, base: int, order: list) -> tuple:
     if shape is _LEAF:
         order.append(base)
         return "%s", 1
-    if shape == _COMPLEX:
-        shape = _COMPLEX_DICT
     is_dict = shape[0] == "{"
     entries, count = {}, 0
     for key, child in _children(shape):
@@ -293,15 +293,11 @@ def _json_tokens(leaves) -> list:
 def _csv_columns(shape, prefix: str, base: int, columns: dict) -> int:
     """Map each leaf's dot path in shape to its walk index; return the leaf count.
 
-    A complex number is one column holding (real, imaginary) indices.  A
-    repeated path keeps its first position and its last leaf.
+    A repeated path keeps its first position and its last leaf.
     """
     if shape is _LEAF:
         columns[prefix[:-1]] = base
         return 1
-    if shape == _COMPLEX:
-        columns[prefix[:-1]] = (base, base + 1)
-        return 2
     count = 0
     for key, child in _children(shape):
         count += _csv_columns(child, f"{prefix}{key}.", base + count, columns)
@@ -309,10 +305,13 @@ def _csv_columns(shape, prefix: str, base: int, columns: dict) -> int:
 
 
 def _cell(value) -> str:
+    """The CSV text of a leaf; a number's is the text of its JSON value."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if type(value) not in _SCALARS:  # a numpy scalar, as the JSON encoder reads it
+        value = _json_default(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -389,16 +388,8 @@ class _Records:
             layout = layouts[shape]
             cells = _encoded(columns, _cells)
             blank = [""] * count
-            row_cells = []
-            for name in header:
-                pick = layout.get(name)
-                if pick is None:
-                    row_cells.append(blank)
-                elif type(pick) is int:
-                    row_cells.append(cells[pick])
-                else:
-                    row_cells.append([_cell(complex(re, im)) for re, im
-                                      in zip(columns[pick[0]], columns[pick[1]])])
+            row_cells = [cells[layout[name]] if name in layout else blank
+                         for name in header]
             # a row of two or more cells of these types needs no quoting;
             # csv quotes the lone empty cell of a one-column row
             if len(header) > 1 and all(set(map(type, column)) <= _PLAIN_CELLS
@@ -526,13 +517,15 @@ def _run_spectrum(args) -> dict:
         res = well_spectrum(args.a, range(args.n_min, args.n_max + 1))
     else:
         res = halfline_robin_spectrum(_robin_alpha(args.alpha))
-    out = res.to_json_dict()
+    out = {"discrete": [{"n": level.n, "value": level.value} for level in res.discrete],
+           "continuous": None}
     if res.continuous is not None:
-        ks = np.linspace(0.1, 5.0, 25)
-        out["continuous"]["phase_samples"] = [
-            {"k": float(k), "phase": res.continuous.reflection_phase(float(k))}
-            for k in ks
-        ]
+        phase = res.continuous.reflection_phase
+        out["continuous"] = {
+            "threshold": res.continuous.threshold,
+            "phase_samples": [{"k": k, "phase": phase(k)}
+                              for k in np.linspace(0.1, 5.0, 25).tolist()],
+        }
     return out
 
 
@@ -602,7 +595,7 @@ def _run_anomaly(args) -> dict:
     if not math.isfinite(report.anomaly):
         raise PreconditionError("the anomaly needs (H psi, H psi) = alpha^4 and "
                                 "t*alpha^4 finite, got alpha=%r, t=%r" % (args.alpha, args.t))
-    return report.to_json_dict()
+    return dict(vars(report))
 
 
 def _run_paradox(args) -> dict:
@@ -622,7 +615,9 @@ def _run_paradox(args) -> dict:
         report = commuting_observables_demo(args.a, args.n, grid_n=args.grid_n)
     else:
         report = hermiticity_defect_demo(args.l, args.n)
-    return report.to_json_dict()
+    return {"id": report.id, "verdict": report.verdict,
+            "quantities": {name: {"value": q.value, "tolerance": q.tolerance}
+                           for name, q in sorted(report.quantities.items())}}
 
 
 def _run_classical(args) -> dict:
@@ -683,7 +678,7 @@ def _run_geometry(args) -> dict:
         "metric": args.metric,
         "connection": label,
         "probe": dict(args.probe),
-        "defect": {"re": defect.real, "im": defect.imag},
+        "defect": defect,
         "commutator_sup": commutator_preservation_check(omega, f),
         "overlap_flat": inner_product(flat, flat).real,
     }
@@ -902,16 +897,23 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
-def _add_flags(parser: argparse.ArgumentParser, name: str) -> None:
-    """Add every flag of name's variants; each is None unless given (see _finalize)."""
+def _add_flags(parser: argparse.ArgumentParser, name: str, one_shot: bool = True) -> None:
+    """Add every flag of name's variants; each is None unless given (see _finalize).
+
+    A one-shot requires, so its usage line shows unbracketed, a flag that
+    every variant must be given; in a sweep an axis may stand in for it.
+    """
     spec = _COMMANDS[name]
     for dest, (flags, kwargs) in _flags_of(name).items():
-        parser.add_argument(*flags, **dict(kwargs, help=_help(spec, dest, kwargs["help"])))
+        required = one_shot and all(variant.get(dest) is ...
+                                    for variant in spec["variants"].values())
+        parser.add_argument(*flags, **dict(kwargs, help=_help(spec, dest, kwargs["help"]),
+                                           required=kwargs.get("required", required)))
 
 
 def _target_parser(name: str) -> argparse.ArgumentParser:
     parser = _Parser(prog=f"saext sweep {name}", parents=[_common_parser()])
-    _add_flags(parser, name)
+    _add_flags(parser, name, one_shot=False)
     parser.add_argument("--sweep", action="append", type=_parse_sweep, required=True,
                         metavar="param=start:stop:count",
                         help="axis of the parameter grid (repeatable)")
@@ -951,9 +953,9 @@ def _finalize(ns: argparse.Namespace, command: str, parser: argparse.ArgumentPar
     axes are a sweep's --sweep specs.  These are usage errors, found before
     numpy or a library module is loaded: a float flag given nan, or +-inf
     anywhere but --alpha (+inf is Dirichlet); a flag given, or an axis,
-    that the variant does not declare; and a declared flag without a
-    default that is neither given nor swept.  Each other declared flag that
-    is not swept gets its default.  The echo holds each declared flag but
+    that the variant does not declare; a declared flag without a default
+    that is neither given nor swept; and a flag both given and swept.  Each
+    other declared flag that is not swept gets its default.  The echo holds each declared flag but
     units and tol, which the manifest holds apart, and null for a swept one.
     """
     spec, flags = _COMMANDS[command], _flags_of(command)
@@ -981,6 +983,9 @@ def _finalize(ns: argparse.Namespace, command: str, parser: argparse.ArgumentPar
         if variant.get(dest) is ... and value is None and dest not in swept:
             parser.error(f"{option[0]} must be given{'' if axes is None else ' or swept'} "
                          f"for {chosen}")
+    for dest in swept:
+        if getattr(ns, dest) is not None:
+            parser.error(f"{flags[dest][0][0]} is given and also swept; give one of them")
     source = "argument --tol"
     if "tol" in variant and ns.tol is None and "SAEXT_TOL" in os.environ:
         source, env = "SAEXT_TOL", os.environ["SAEXT_TOL"]

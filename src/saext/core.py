@@ -31,9 +31,7 @@ energies and momenta.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -78,8 +76,7 @@ MOMENTUM = "momentum"
 FREE_HAMILTONIAN = "free_hamiltonian"
 TIME_OPERATOR = "time_operator"
 
-#: Registry of measure-weight descriptors.  Serialized files carry the id, not
-#: the samples, so adding an entry here extends the file format.
+#: Registry of measure-weight descriptors, by the id a GridFunction carries.
 WEIGHTS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "1": lambda x: np.ones_like(x, dtype=float),
     "r": lambda x: np.asarray(x, dtype=float).copy(),
@@ -299,65 +296,6 @@ class GridFunction:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self, path: str) -> None:
-        """Write columns x, re, im, w (repr round-trips doubles exactly)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "re", "im", "w"])
-            for x, v, wv in zip(self.xs, self.values, self.w):
-                writer.writerow([repr(float(x)), repr(float(v.real)),
-                                 repr(float(v.imag)), repr(float(wv))])
-
-    @classmethod
-    def from_csv(cls, path: str, weight: str | None = None) -> "GridFunction":
-        """Read a CSV written by :meth:`to_csv`.
-
-        The weight descriptor is not stored in CSV; if ``weight`` is not given
-        it is recovered by matching the w column against the registry.
-        """
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [h.strip() for h in header] != ["x", "re", "im", "w"]:
-                raise ValueError(f"unexpected CSV header {header!r}")
-            rows = [[float(c) for c in row] for row in reader if row]
-        xs = np.array([r[0] for r in rows])
-        values = np.array([complex(r[1], r[2]) for r in rows])
-        ws = np.array([r[3] for r in rows])
-        if weight is None:
-            for wid, fn in WEIGHTS.items():
-                if np.allclose(fn(xs), ws, rtol=1e-12, atol=1e-12):
-                    weight = wid
-                    break
-            else:
-                raise ValueError("w column matches no registered weight descriptor")
-        return cls(xs, values, weight)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "xs": [float(x) for x in self.xs],
-            "re": [float(v.real) for v in self.values],
-            "im": [float(v.imag) for v in self.values],
-            "weight": self.weight,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GridFunction":
-        xs = np.asarray(d["xs"], dtype=float)
-        values = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-        return cls(xs, values, d.get("weight", "1"))
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def from_json(cls, path: str) -> "GridFunction":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _require_same_grid(f: GridFunction, g: GridFunction) -> None:

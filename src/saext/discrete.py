@@ -53,17 +53,6 @@ class ParadoxReport:
     quantities: Dict[str, Quantity]
     verdict: str
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"id": self.id, "verdict": self.verdict, "quantities": {}}
-        for name, q in sorted(self.quantities.items()):
-            v = q.value
-            if isinstance(v, complex):
-                encoded: object = {"re": v.real, "im": v.imag}
-            else:
-                encoded = float(v)
-            out["quantities"][name] = {"value": encoded, "tolerance": q.tolerance}
-        return out
-
 
 def _hermitian_pair(rng: np.random.Generator, n: int, upper: np.ndarray) -> np.ndarray:
     """An (X, P) pair, shape (2, n, n), from the law of (A + A^H)/2.

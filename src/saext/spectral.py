@@ -66,19 +66,6 @@ class SpectrumResult:
     discrete: Tuple[DiscreteLevel, ...]
     continuous: Optional[ContinuousSpectrum] = None
 
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "discrete": [
-                {"n": level.n, "value": level.value} for level in self.discrete
-            ]
-        }
-        out["continuous"] = (
-            None
-            if self.continuous is None
-            else {"threshold": self.continuous.threshold}
-        )
-        return out
-
 
 def momentum_spectrum(
     theta: float,

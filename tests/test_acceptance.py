@@ -348,6 +348,9 @@ def test_radial_geometry():
 
 # -- 11: CLI determinism ----------------------------------------------------
 
+#: Golden-run suite: one representative invocation per subcommand.  The
+#: other test modules import it as GOLDEN; perfbench/inputs.py builds the
+#: same argv shapes, and its tests read this literal.
 _GOLDEN = {
     "deficiency": ["deficiency", "--op", "momentum", "--interval", "0,1"],
     "extend": ["extend", "--operator", "hamiltonian", "--gamma", "1.0"],

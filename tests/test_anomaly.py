@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saext import cli
 from saext.anomaly import (
     AnomalyReport,
     _dilatation_pieces,
@@ -278,7 +280,7 @@ def test_classical_symmetry_is_exact():
 
 
 def test_anomaly_report_json_round_shape():
-    out = anomaly_quadrature(-1.0, t=1.5).to_json_dict()
+    out = cli._run_anomaly(argparse.Namespace(alpha=-1.0, t=1.5, tol=1e-6))
     assert out["alpha"] == -1.0
     assert out["t"] == 1.5
     assert set(out) == {
@@ -291,4 +293,4 @@ def test_anomaly_report_json_round_shape():
         "residual",
         "tolerance",
     }
-    assert out["term_psi_HDpsi"]["im"] == pytest.approx(-1.0, abs=1e-6)
+    assert out["term_psi_HDpsi"].imag == pytest.approx(-1.0, abs=1e-6)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saext.classical import (
@@ -208,10 +208,20 @@ def test_inverse_square_drift_is_rounding_alone():
 
 def _dop853(g, s, q0, p0, t_end, samples):
     """(q, p) of qdot = 2p, pdot = -g s q^(s-1) at the samples, by DOP853 at rtol 1e-12."""
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import DOP853, solve_ivp
+
+    class _DOP853(DOP853):
+        # scipy's error norm is |h| e5^2 / sqrt(e5^2 + e3^2 / 100); when e5^2
+        # underflows to 0 and e3^2 / 100 does too (p0 ~ 1e-158, s = 0), it
+        # is 0/0 = nan, every step is rejected and the solver gives up. The
+        # numerator is 0, so the norm is 0.
+        def _estimate_error_norm(self, K, h, scale):
+            with np.errstate(invalid="ignore"):
+                norm = super()._estimate_error_norm(K, h, scale)
+            return 0.0 if np.isnan(norm) and np.all(np.isfinite(K)) else norm
 
     sol = solve_ivp(lambda _t, y: (2.0 * y[1], -g * s * y[0] ** (s - 1)), (0.0, t_end),
-                    (q0, p0), method="DOP853", rtol=1e-12, atol=1e-14,
+                    (q0, p0), method=_DOP853, rtol=1e-12, atol=1e-14,
                     t_eval=np.linspace(0.0, t_end, samples))
     assert sol.success, sol.message
     return sol.y
@@ -284,6 +294,7 @@ def test_inverse_square_closed_form_matches_dop853(g, q0, p0, t_end):
        p0=st.floats(-3.0, 3.0),
        t_end=st.floats(-2.0, 0.5).map(lambda e: 10.0 ** e))
 @settings(max_examples=120, deadline=None)
+@example(s=0, g=-1.0, q0=1.0, p0=8.898382898024412e-159, t_end=1.0)
 def test_polynomial_flows_match_dop853(s, g, q0, p0, t_end):
     # s = 2 with g = -10^3 grows like e^(2 sqrt(-g) t), e^200 at most here
     traj = integrate_flow(PowerLawPotential(g, s), (q0, p0), t_end, 1e-10, samples=201)

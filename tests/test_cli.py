@@ -29,21 +29,8 @@ from saext.core import GridFunction
 from saext.errors import IndeterminateError, SaextError
 from saext.geometry import commutator_preservation_check, radial_symmetry_defect
 from saext.spectral import reflection_coefficient, reflection_phase
+from test_acceptance import _GOLDEN as GOLDEN
 from test_classical import _mp_singular_time
-
-#: Golden-run suite: one representative invocation per subcommand.
-GOLDEN = {
-    "deficiency": ["deficiency", "--op", "momentum", "--interval", "0,1"],
-    "extend": ["extend", "--operator", "hamiltonian", "--gamma", "1.0"],
-    "spectrum": ["spectrum", "--op", "robin", "--alpha", "-1"],
-    "boundstate": ["boundstate", "--alpha", "-1"],
-    "scatter": ["scatter", "--k", "2", "--alpha", "inf"],
-    "anomaly": ["anomaly", "--alpha", "-2"],
-    "paradox": ["paradox", "--id", "2", "--n", "8", "--seed", "7"],
-    "classical": ["classical", "--s", "-2"],
-    "geometry": ["geometry", "--metric", "polar", "--probe", "bump:1,2"],
-    "sweep": ["sweep", "scatter", "--alpha", "-1", "--sweep", "k=0.5:2:4"],
-}
 
 
 def run_cli(argv):
@@ -416,6 +403,8 @@ def reference_json(payload):
 def _reference_flatten(obj, prefix="", out=None):
     if out is None:
         out = {}
+    if isinstance(obj, complex):
+        obj = {"re": obj.real, "im": obj.imag}
     if isinstance(obj, dict):
         for key in obj:
             _reference_flatten(obj[key], prefix + str(key) + ".", out)
@@ -433,6 +422,11 @@ def _reference_cell(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    # a numpy scalar's cell is the Python number it holds, as in JSON
+    if isinstance(value, np.integer):
+        value = int(value)
+    if isinstance(value, np.floating):
+        value = float(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -483,10 +477,9 @@ def _trees(scalars):
         max_leaves=12)
 
 
-_JSON_TREES = _trees(_SCALARS | _COMPLEX | _COMPLEX.map(np.complex128))
-# CSV cells of numpy complex values follow numpy's str(), which the writer
-# does not promise to keep; Python complex numbers are covered
-_CSV_TREES = _trees(_SCALARS | _COMPLEX)
+#: Trees for both formats: a complex number, Python or numpy, is written as
+#: {"re", "im"} in JSON and as .re/.im columns in CSV.
+_TREES = _trees(_SCALARS | _COMPLEX | _COMPLEX.map(np.complex128))
 
 
 @pytest.mark.parametrize("argv", [GOLDEN[name] for name in sorted(GOLDEN) if name != "sweep"] + [
@@ -509,14 +502,14 @@ def test_one_shot_lists_are_written_as_the_reference_encodes_them(argv):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(_KEYS, _JSON_TREES, max_size=5))
+@given(st.dictionaries(_KEYS, _TREES, max_size=5))
 def test_writer_json_matches_the_reference_encoder(payload):
     assert written_json(payload) == reference_json(payload)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_JSON_TREES, max_size=6), st.lists(_JSON_TREES, max_size=2),
-       _JSON_TREES, st.lists(_KEYS, min_size=1, max_size=3))
+@given(st.lists(_TREES, max_size=6), st.lists(_TREES, max_size=2),
+       _TREES, st.lists(_KEYS, min_size=1, max_size=3))
 def test_writer_streams_records_like_a_list(items, others, sibling, path):
     def nest(wrap):
         payload = wrap(items)
@@ -531,9 +524,24 @@ def test_writer_streams_records_like_a_list(items, others, sibling, path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.dictionaries(_KEYS, _CSV_TREES, max_size=4), max_size=6))
+@given(st.lists(st.dictionaries(_KEYS, _TREES, max_size=4), max_size=6))
 def test_writer_csv_matches_the_reference_flattening(rows):
     assert written_csv(rows) == reference_csv(rows)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.1), np.float32(0.1), np.int64(-3),
+                                   np.float64("nan"), np.float32("-inf")])
+def test_a_numpy_scalars_csv_cell_is_the_text_of_its_json_value(value):
+    # both formats write the Python number a numpy scalar holds
+    token = json.loads(written_json({"b": value}))["b"]
+    assert written_csv([{"b": value}]) == f"b\n{token}\n"
+
+
+def test_a_complex_number_is_written_as_its_re_and_im():
+    z = {"z": np.complex128(1.5 - 2j), "w": [0.5j]}
+    assert json.loads(written_json(z)) == {"z": {"re": 1.5, "im": -2.0},
+                                           "w": [{"re": 0.0, "im": 0.5}]}
+    assert written_csv([z]) == "z.re,z.im,w.0.re,w.0.im\n1.5,-2.0,0.0,0.5\n"
 
 
 def test_writer_csv_keeps_an_explicit_header():
@@ -640,7 +648,7 @@ def test_scatter_sweep_across_chunks_is_the_scalar_reference(flags, axes):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.dictionaries(_KEYS, _CSV_TREES, max_size=3), min_size=1, max_size=3),
+@given(st.lists(st.dictionaries(_KEYS, _TREES, max_size=3), min_size=1, max_size=3),
        st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=12),
        st.integers(1, 4))
 # two columns that start with the same object and then part
@@ -973,6 +981,15 @@ def _variant_argv(name, key):
     return argv
 
 
+def _sweep_of(argv, axis):
+    """The sweep of a one-shot argv over axis; the flag that the axis sets is dropped."""
+    flag = "--" + axis.partition("=")[0].replace("_", "-")
+    if flag in argv:
+        i = argv.index(flag)
+        argv = argv[:i] + argv[i + 2:]
+    return ["sweep", *argv, "--sweep", axis]
+
+
 def _variant_of(argv):
     """(subcommand, variant key) that a one-shot argv selects."""
     spec = cli._COMMANDS[argv[0]]
@@ -991,7 +1008,7 @@ def _assert_refused(case, flag, capsys):
     option = ["--" + flag.replace("_", "-"), _SHARED_VALUES[flag]]
     runs = [argv + option]
     if axis is not None:
-        sweep = ["sweep", *argv, "--sweep", axis]
+        sweep = _sweep_of(argv, axis)
         run_json(sweep)
         runs.append(sweep + option)
     for bad in runs:
@@ -1133,6 +1150,27 @@ def test_grid_n_is_echoed_as_applied(argv, axis, applied):
 
 _VARIANTS = [(name, key) for name, spec in sorted(cli._COMMANDS.items())
              for key in spec["variants"]]
+
+#: Each (subcommand, variant, dest) that a sweep axis may set: a numeric
+#: flag of the subcommand's own that the variant reads.
+_SWEEPABLE = [(name, key, dest) for name, key in _VARIANTS
+              for dest in cli._COMMANDS[name]["variants"][key]
+              if dest not in cli._SHARED
+              and cli._flags_of(name)[dest][1].get("type") in (int, float)
+              and "choices" not in cli._flags_of(name)[dest][1]]
+
+
+@pytest.mark.parametrize("name, key, dest", _SWEEPABLE)
+def test_a_flag_given_and_also_swept_is_a_usage_error(name, key, dest, capsys):
+    # the axis would replace the given value, which the manifest could not echo
+    flag = "--" + dest.replace("_", "-")
+    argv = _variant_argv(name, key)
+    if flag not in argv:
+        argv += [flag, "2"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", *argv, "--sweep", f"{dest}=1:2:2"])
+    assert exc.value.code == 2
+    assert f"{flag} is given and also swept" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, key", _VARIANTS)
@@ -1328,8 +1366,7 @@ def test_every_float_flag_stays_sweepable(name, flag):
     value = {"alpha": -1.0, "s": -2.0, "x_max": 35.0}.get(dest, 1.0)
     key = next(key for key, variant in cli._COMMANDS[name]["variants"].items()
                if dest in variant)
-    payload = run_json(["sweep", *_variant_argv(name, key),
-                        "--sweep", f"{dest}={value}:{value}:1"])
+    payload = run_json(_sweep_of(_variant_argv(name, key), f"{dest}={value}:{value}:1"))
     point = payload["result"]["points"][0]
     assert point["params"] == {dest: value}
     assert "result" in point
@@ -1538,6 +1575,27 @@ def test_a_usage_error_shows_the_subcommands_usage(argv, capsys):
         run_cli(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: saext {argv[0]} ")
+
+
+#: (subcommand, flag) of each flag that every variant of its subcommand must be given.
+_MUST_GIVE = [(name, flags[0]) for name, spec in sorted(cli._COMMANDS.items())
+              for dest, (flags, _) in cli._flags_of(name).items()
+              if all(variant.get(dest) is ... for variant in spec["variants"].values())]
+
+
+@pytest.mark.parametrize("name, flag", _MUST_GIVE)
+def test_a_flag_that_must_be_given_shows_without_brackets_in_the_usage(name, flag, capsys):
+    usage = cli.build_parser().commands[name].format_usage()
+    assert re.search(rf"\s{flag}\s", usage) and f"[{flag} " not in usage
+    argv = _variant_argv(name, None)
+    i = argv.index(flag)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv[:i] + argv[i + 2:])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    # in a sweep an axis may stand in for a numeric one
+    if "required" not in cli._flags_of(name)[flag.lstrip("-").replace("-", "_")][1]:
+        assert f"[{flag} " in cli._target_parser(name).format_usage()
 
 
 def test_an_unknown_flag_before_the_subcommand_shows_the_top_level_usage(capsys):

@@ -107,42 +107,6 @@ def test_grid_function_weight_samples():
     np.testing.assert_allclose(f.w, f.xs)
 
 
-def test_csv_round_trip(tmp_path):
-    """repr-based CSV writing round-trips every double exactly."""
-    xs = np.linspace(0.0, 1.0, 37)
-    f = GridFunction(xs, np.exp((1j - 0.3) * xs), weight="1")
-    path = tmp_path / "f.csv"
-    f.to_csv(str(path))
-    g = GridFunction.from_csv(str(path))
-    assert g.weight == "1"
-    np.testing.assert_array_equal(f.xs, g.xs)
-    np.testing.assert_array_equal(f.values, g.values)
-
-
-def test_csv_weight_inference(tmp_path):
-    f = GridFunction.uniform(lambda x: np.sin(x), 0.5, 2.0, 21, weight="r")
-    path = tmp_path / "f.csv"
-    f.to_csv(str(path))
-    assert GridFunction.from_csv(str(path)).weight == "r"
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
-        GridFunction.from_csv(str(path))
-
-
-def test_json_round_trip(tmp_path):
-    f = GridFunction.uniform(lambda x: np.cos(x) + 0.25j * x, 0.0, 2.0, 13, weight="r")
-    path = tmp_path / "f.json"
-    f.to_json(str(path))
-    g = GridFunction.from_json(str(path))
-    assert g.weight == "r"
-    np.testing.assert_array_equal(f.xs, g.xs)
-    np.testing.assert_array_equal(f.values, g.values)
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------

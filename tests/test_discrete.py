@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saext import cli
+from saext.core import UnitSystem
 from saext.discrete import (
     _commutator_trace,
     _hermitian_pair,
@@ -343,15 +346,14 @@ def test_box_demo_guards():
 
 
 # ---------------------------------------------------------------------------
-# report serialization
+# the CLI's report record
 # ---------------------------------------------------------------------------
 
 def test_report_json_encodes_complex_and_tolerance():
-    report = trace_commutator_check(8, 3)
-    out = report.to_json_dict()
+    out = cli._run_paradox(argparse.Namespace(id=2, n=8, trials=3, seed=0, units=UnitSystem()))
     assert out["id"] == 2
     naive = out["quantities"]["naive_canonical_trace"]
-    assert naive["value"] == {"re": 0.0, "im": 8.0}
+    assert naive["value"] == complex(0.0, 8.0)
     assert naive["tolerance"] == 0.0
     assert isinstance(out["quantities"]["max_scaled_trace"]["value"], float)
     assert list(out["quantities"]) == sorted(out["quantities"])

@@ -177,6 +177,9 @@ _LOADS = {
     "foreign-flag-paradox": (["paradox", "--id", "4", "--seed", "1"], 2, ["errors"]),
     "foreign-sweep-axis": (["sweep", "spectrum", "--op", "robin", "--sweep", "theta=0:1:3"], 2,
                            ["errors"]),
+    # a flag given and also swept
+    "given-and-swept": (["sweep", "scatter", "--k", "1", "--alpha", "-1", "--sweep", "k=1:2:2"],
+                        2, ["errors"]),
     "scatter": (GOLDEN["scatter"], 0, _SPECTRAL),
     "spectrum-robin": (GOLDEN["spectrum"], 0, _SPECTRAL),
     "boundstate": (GOLDEN["boundstate"], 0, _SPECTRAL),

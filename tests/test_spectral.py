@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saext import cli
 from saext.core import GridFunction, Interval, derivative_values, inner_product, norm
 from saext.errors import (
     IndeterminateError,
@@ -568,10 +570,10 @@ def test_twisted_rejects_coarse_rings():
 
 
 def test_spectrum_result_json_shape():
-    res = momentum_spectrum(0.0, BOX, [0, 1])
-    out = res.to_json_dict()
+    out = cli._run_spectrum(argparse.Namespace(op="momentum", theta=0.0, interval=BOX,
+                                               n_min=0, n_max=1))
     assert out["continuous"] is None
     assert out["discrete"][1] == {"n": 1, "value": pytest.approx(2 * math.pi)}
-    out2 = halfline_robin_spectrum(-2.0).to_json_dict()
-    assert out2["continuous"] == {"threshold": 0.0}
+    out2 = cli._run_spectrum(argparse.Namespace(op="robin", alpha=-2.0))
+    assert out2["continuous"]["threshold"] == 0.0
     assert out2["discrete"] == [{"n": 0, "value": -4.0}]
