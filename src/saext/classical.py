@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
+from .core import _SAMPLE_BYTES, _check_budget
 from .errors import PreconditionError, SingularityError
 
 __all__ = [
@@ -41,13 +41,6 @@ Coeff = Union[int, float, Fraction]
 RawTerm = Tuple[Coeff, int, int, int]
 
 
-def _to_fraction(value: Coeff) -> Fraction:
-    if isinstance(value, Rational):
-        return Fraction(value)
-    # binary floats convert exactly, keeping the algebra closed
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class MonomialObservable:
     """Sum of monomials (coeff, q_pow, p_pow, t_pow), canonically ordered.
@@ -63,7 +56,7 @@ class MonomialObservable:
         merged: dict = {}
         for coeff, q_pow, p_pow, t_pow in self.terms:
             key = (int(q_pow), int(p_pow), int(t_pow))
-            merged[key] = merged.get(key, Fraction(0)) + _to_fraction(coeff)
+            merged[key] = merged.get(key, Fraction(0)) + Fraction(coeff)
         canonical = tuple(
             (c, k[0], k[1], k[2]) for k, c in sorted(merged.items()) if c != 0
         )
@@ -102,7 +95,7 @@ class MonomialObservable:
                 for c2, a2, b2, t2 in other.terms
             )
             return MonomialObservable(raw)
-        coeff = _to_fraction(other)
+        coeff = Fraction(other)
         return MonomialObservable(
             tuple((coeff * c, a, b, t) for c, a, b, t in self.terms)
         )
@@ -207,7 +200,7 @@ def dilatation(state: Sequence[float], h_value: float) -> float:
 def scale_condition_residual(v: PowerLawPotential) -> MonomialObservable:
     """(q/2) V' + V = g (1 + s/2) q^s; the zero observable iff s = -2."""
     s = _integer_exponent(v)
-    coeff = _to_fraction(v.g) * (1 + Fraction(s, 2))
+    coeff = Fraction(v.g) * (1 + Fraction(s, 2))
     return MonomialObservable.single(coeff, q_pow=s)
 
 
@@ -270,6 +263,7 @@ def _closed_flow(v: PowerLawPotential, state0: Sequence[float], t_end: float, sa
     """
     if not samples >= 2:
         raise PreconditionError("need at least 2 samples, got %r" % (samples,))
+    _check_budget(_SAMPLE_BYTES * samples, "a flow of %d samples" % samples)
     q0, p0 = float(state0[0]), float(state0[1])
     if not q0 > 0.0:
         raise PreconditionError("flow starts on the q > 0 side, got q0=%r" % (q0,))
@@ -299,10 +293,12 @@ def _closed_samples(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
     s = -2: with qdot = 2p, d(qp)/dt = 2H, so qp = q0 p0 + 2Ht and
     q^2 = q0^2 + 4t(q0 p0 + Ht).  s = 1: constant force, p = p0 - g t and
     q = q0 + 2 p0 t - g t^2.  s = 2 with g > 0: w = 2 sqrt(g),
-    q = q0 cos wt + (2 p0/w) sin wt and p = p0 cos wt - (w q0/2) sin wt;
-    with g < 0 the same with cosh, sinh and w = 2 sqrt(-g), the sign of
-    the p term flipped.  s = 0, or s = 2 with g = 0: free flight,
-    q = q0 + 2 p0 t.
+    q = q0 cos wt + (2 p0/w) sin wt and p = p0 cos wt - (w q0/2) sin wt.
+    s = 2 with g < 0: w = 2 sqrt(-g) and a = q0 + 2 p0/w, the growing
+    mode's amplitude, q = q0 e^(-wt) + a sinh wt and p = p0 e^(-wt) +
+    (w a/2) sinh wt; unlike q0 cosh wt + (2 p0/w) sinh wt these do not
+    cancel on the stable manifold a = 0, and for small w a sinh wt is
+    about 2 p0 t.  s = 0, or s = 2 with g = 0: free flight, q = q0 + 2 p0 t.
     """
     if s == -2.0:
         b, q0_sq = q0 * p0, q0 * q0
@@ -311,13 +307,14 @@ def _closed_samples(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
         return qs, (b + 2.0 * h * ts) / qs
     if s == 1.0:
         return q0 + 2.0 * p0 * ts - g * ts * ts, p0 - g * ts
-    if s == 2.0 and g != 0.0:
-        w = 2.0 * math.sqrt(abs(g))
-        if g > 0.0:
-            c, sn, sign = np.cos(w * ts), np.sin(w * ts), -1.0
-        else:
-            c, sn, sign = np.cosh(w * ts), np.sinh(w * ts), 1.0
-        return q0 * c + (2.0 * p0 / w) * sn, p0 * c + sign * (0.5 * w * q0) * sn
+    if s == 2.0 and g > 0.0:
+        w = 2.0 * math.sqrt(g)
+        c, sn = np.cos(w * ts), np.sin(w * ts)
+        return q0 * c + (2.0 * p0 / w) * sn, p0 * c - (0.5 * w * q0) * sn
+    if s == 2.0 and g < 0.0:
+        w = 2.0 * math.sqrt(-g)
+        a, decay, sn = q0 + 2.0 * p0 / w, np.exp(-w * ts), np.sinh(w * ts)
+        return q0 * decay + a * sn, p0 * decay + (0.5 * w * a) * sn
     return q0 + 2.0 * p0 * ts, np.full_like(ts, p0)
 
 
@@ -327,8 +324,10 @@ def _closed_prediction(g: float, s: float, q0: float, p0: float, ts: np.ndarray)
     On the flows of :func:`_closed_samples`: 0 at s = -2 (and at s = 2 with
     g = 0), g t at s = 0, and 1.5 g (q0 t + p0 t^2 - g t^3/3) at s = 1.  At
     s = 2 with g > 0, w = 2 sqrt(g) and x = 2wt, it is
-    2g [q0^2 (x + sin x)/(4w) + p0^2 (x - sin x)/w^3 + 2 q0 p0 sin^2(wt)/w^2];
-    with g < 0 the same with sinh, w = 2 sqrt(-g) and sinh x - x.
+    2g [q0^2 (x + sin x)/(4w) + p0^2 (x - sin x)/w^3 + 2 q0 p0 sin^2(wt)/w^2].
+    With g < 0, in the modes of :func:`_closed_samples`, it is
+    2g [-q0^2 expm1(-x)/(2w) + q0 a (x + expm1(-x))/(2w) + a^2 (sinh x - x)/(4w)],
+    a sum whose terms do not cancel on the stable manifold or for small w.
     """
     if s == -2.0 or (s == 2.0 and g == 0.0):
         return np.zeros_like(ts)
@@ -338,12 +337,14 @@ def _closed_prediction(g: float, s: float, q0: float, p0: float, ts: np.ndarray)
         return 1.5 * g * (q0 * ts + p0 * ts * ts - g * ts * ts * ts / 3.0)
     w = 2.0 * math.sqrt(abs(g))
     x = 2.0 * w * ts
-    if g > 0.0:
-        even, odd, half = x + np.sin(x), _odd_tail(x, -1.0), np.sin(0.5 * x)
-    else:
-        even, odd, half = x + np.sinh(x), _odd_tail(x, 1.0), np.sinh(0.5 * x)
-    return 2.0 * g * (q0 * q0 * even / (4.0 * w) + p0 * p0 * odd / w**3
-                      + 2.0 * q0 * p0 * (half / w) ** 2)
+    if g < 0.0:
+        a, odd = q0 + 2.0 * p0 / w, _odd_tail(x, 1.0)
+        # x + expm1(-x) = 2 sinh^2(x/2) - (sinh x - x), whose terms do not cancel below x = 1
+        ramp = np.where(x < 1.0, 2.0 * np.sinh(0.5 * x) ** 2 - odd, x + np.expm1(-x))
+        return 2.0 * g * (-q0 * q0 * np.expm1(-x) / (2.0 * w) + q0 * a * ramp / (2.0 * w)
+                          + a * a * odd / (4.0 * w))
+    return 2.0 * g * (q0 * q0 * (x + np.sin(x)) / (4.0 * w) + p0 * p0 * _odd_tail(x, -1.0) / w**3
+                      + 2.0 * q0 * p0 * (np.sin(0.5 * x) / w) ** 2)
 
 
 def _odd_tail(x: np.ndarray, sign: float) -> np.ndarray:
@@ -551,7 +552,16 @@ def dilatation_drift_report(
     exponents V = H - p^2 turns it into (1 + s/2)(H t - int p^2 dt), whose
     last term comes from the same energy integral as the flow.  ``tol`` is
     accepted but not used.
+
+    Each rounding of q changes V = g q^s by |s| 2^-53 of itself, and the
+    factor 1 + s/2 multiplies that again, so the deviation grows like
+    s^2 2^-53: about 1e-6 at s = 1e5 and 1.4 at s = 1e8 (from q0 = 1,
+    p0 = 0.25, g = 1).  An exponent past |s| = 2^17 raises
+    PreconditionError.
     """
+    if not abs(v.s) <= 2.0**17:
+        raise PreconditionError("at s=%r rounding swamps the dilatation drift: the "
+                                "report needs |s| <= 2^17" % (v.s,))
     traj, work = _closed_flow(v, state0, t_end, samples)
     with np.errstate(over="ignore", invalid="ignore"):
         d_vals = traj.energies * traj.ts - 0.5 * traj.qs * traj.ps

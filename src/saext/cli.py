@@ -100,6 +100,7 @@ def _parse_probe(text: str) -> dict:
 
 
 def _parse_sweep(text: str) -> tuple:
+    """(name, start, stop, count, text): the axis, and the value as given, which is echoed."""
     name, sep, grid = text.partition("=")
     parts = grid.split(":")
     if not sep or len(parts) != 3:
@@ -116,7 +117,7 @@ def _parse_sweep(text: str) -> tuple:
             "sweep start and stop must be finite; got %r" % (text,))
     if count < 0:
         raise argparse.ArgumentTypeError("sweep count must be >= 0")
-    return (name, start, stop, count)
+    return (name, start, stop, count, text)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +653,7 @@ def _bump_values(xs: np.ndarray, center: float, width: float) -> np.ndarray:
 def _run_geometry(args) -> dict:
     import numpy as np
 
-    from .core import GridFunction, inner_product
+    from .core import _SAMPLE_BYTES, GridFunction, _check_budget, inner_product
     from .geometry import (
         commutator_preservation_check,
         connection_condition,
@@ -670,6 +671,7 @@ def _run_geometry(args) -> dict:
 
     a, b = args.probe["a"], args.probe["b"]
     far_end = b + max(0.5 * (b - a), 0.25)
+    _check_budget(_SAMPLE_BYTES * args.grid_n, "a grid of %d samples" % args.grid_n)
     xs = np.linspace(0.0, far_end, args.grid_n)
     f = GridFunction(xs, _bump_values(xs, 0.5 * (a + b), 0.5 * (b - a)), weight="r")
     defect = radial_symmetry_defect(omega, f, f)
@@ -693,8 +695,7 @@ def _run_geometry(args) -> dict:
 _SHARED = {
     "units": (("--units",), dict(type=_parse_units, metavar="hbar=<v>,two_m=<v>",
                                  help="unit system")),
-    "tol": (("--tol",), dict(type=float, help="tolerance; SAEXT_TOL, where set, "
-                                              "replaces the default")),
+    "tol": (("--tol",), dict(type=float, help="tolerance")),
     "grid_n": (("--grid-n",), dict(type=int, help="grid size")),
     "seed": (("--seed",), dict(type=int, help="RNG seed")),
 }
@@ -837,16 +838,14 @@ _COMMANDS: Dict[str, dict] = {
 }
 
 
-def _dest_of(flags: tuple, kwargs: dict) -> str:
-    if "dest" in kwargs:
-        return kwargs["dest"]
+def _dest_of(flags: tuple) -> str:
     return flags[0].lstrip("-").replace("-", "_")
 
 
 def _flags_of(name: str) -> dict:
     """(flags, kwargs) by dest of each flag of name: its own, then the shared ones it reads."""
     spec = _COMMANDS[name]
-    found = {_dest_of(flags, kwargs): (flags, kwargs) for flags, kwargs in spec["args"]}
+    found = {_dest_of(flags): (flags, kwargs) for flags, kwargs in spec["args"]}
     for dest, flag in _SHARED.items():
         if any(dest in variant for variant in spec["variants"].values()):
             found[dest] = flag
@@ -869,18 +868,20 @@ def _help(spec: dict, dest: str, text: str) -> str:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads ``-1e-3`` and ``-inf`` as numbers, not flags.
+    """ArgumentParser that reads ``-1e-3``, ``-inf`` and ``-1,1`` as values, not flags.
 
     Python 3.11's argparse matches ``-1`` and ``-0.5`` only and takes
-    ``-1e-3`` or ``-inf`` for an option string, so ``--alpha -1e-3`` would
-    be a usage error.  ``-inf`` and ``-infinity`` match in any case, as
-    float() reads them.  Subparsers inherit the class.
+    ``-1e-3``, ``-inf`` or the interval ``-1,1`` for an option string, so
+    ``--alpha -1e-3`` or ``--interval -1,1`` would be a usage error.  A
+    negative number, alone or followed by a comma and a number, is a value.
+    Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf(inity)?))$")
+        # a number as float() reads it, unsigned; inf and infinity in any case
+        number = r"((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf(inity)?))"
+        self._negative_number_matcher = re.compile(rf"^-{number}(,[-+]?{number})?$")
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -963,7 +964,7 @@ def _finalize(ns: argparse.Namespace, command: str, parser: argparse.ArgumentPar
     key = None if select is None else getattr(ns, select)
     variant = spec["variants"][key]
     chosen = command if select is None else f"{command} --{select} {key}"
-    swept = [name.replace("-", "_") for name, _, _, _ in axes or ()]
+    swept = [name.replace("-", "_") for name, *_ in axes or ()]
     if len(set(swept)) < len(swept):
         parser.error("each parameter may be swept by one --sweep only")
     for dest in swept:
@@ -986,16 +987,8 @@ def _finalize(ns: argparse.Namespace, command: str, parser: argparse.ArgumentPar
     for dest in swept:
         if getattr(ns, dest) is not None:
             parser.error(f"{flags[dest][0][0]} is given and also swept; give one of them")
-    source = "argument --tol"
-    if "tol" in variant and ns.tol is None and "SAEXT_TOL" in os.environ:
-        source, env = "SAEXT_TOL", os.environ["SAEXT_TOL"]
-        try:
-            ns.tol = float(env)
-        except ValueError:
-            parser.error(f"SAEXT_TOL is not a number: {env!r}")
-    # a tolerance is a finite number > 0, from the flag or the environment
     if "tol" in variant and ns.tol is not None and not 0.0 < ns.tol < math.inf:
-        parser.error(f"{source}: {ns.tol!r} is not a finite number > 0")
+        parser.error(f"argument --tol: {ns.tol!r} is not a finite number > 0")
 
     from .core import Interval
 
@@ -1119,24 +1112,23 @@ def _run_sweep(target: str, tns: argparse.Namespace,
     import numpy as np
 
     specs, flags = tns.sweep, _flags_of(target)
-    dests = [name.replace("-", "_") for name, _, _, _ in specs]
-    total = math.prod(count for _, _, _, count in specs)
+    dests = [name.replace("-", "_") for name, *_ in specs]
+    total = math.prod(count for _, _, _, count, _ in specs)
     if total > _SWEEP_LIMIT:
         raise SweepSizeError(
             f"sweep would evaluate {total} points (limit {_SWEEP_LIMIT})")
     grids = []
-    for dest, (name, start, stop, count) in zip(dests, specs):
+    for dest, (_, start, stop, count, text) in zip(dests, specs):
         option, kwargs = flags[dest]
         cast = kwargs["type"]
         grid = np.linspace(start, stop, count)
         if cast is int and not np.all(grid == np.round(grid)):
-            tparser.error(f"sweep {name}={start:g}:{stop:g}:{count} has "
-                          f"non-integer points, but {option[0]} takes an "
-                          f"integer")
+            tparser.error(f"sweep {text} has non-integer points, but {option[0]} "
+                          f"takes an integer")
         grids.append((grid, cast))
     command = _COMMANDS[target]
     points = _SweepPoints(command["run"], command.get("columns"), tns,
-                          [name for name, _, _, _ in specs], dests, grids,
+                          [name for name, *_ in specs], dests, grids,
                           tns.fmt == "csv")
     return {"target": target, "count": total, "points": points}
 
@@ -1164,7 +1156,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             tns = tparser.parse_args(ns.rest)
             out_path = tns.out
             params = {"target": ns.target,
-                      "sweep": ["%s=%g:%g:%d" % spec for spec in tns.sweep],
+                      "sweep": [text for *_, text in tns.sweep],
                       **_finalize(tns, ns.target, tparser, tns.sweep)}
             result = _run_sweep(ns.target, tns, tparser)
             out_ns = tns

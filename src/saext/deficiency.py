@@ -32,9 +32,11 @@ from .core import (
     HALF_LINE,
     MOMENTUM,
     TIME_OPERATOR,
+    _SAMPLE_BYTES,
     GridFunction,
     Interval,
     OperatorSpec,
+    _check_budget,
     derivative_values,
 )
 from .errors import PreconditionError, UnsupportedOperatorError
@@ -104,6 +106,24 @@ def _exp_tag(rate: float, var: str = "x") -> str:
     return f"exp({rate}*{var})"  # a float prints in full, as its repr
 
 
+def _sampled_exponential(tag: str, c: float, rate: complex, iv: Interval, end: float,
+                         n: int) -> DeficiencySolution:
+    """c e^{rate (x-a)} on [a, inf) or [a, b], sampled on n points of [a, end]."""
+    a = iv.a
+
+    def closed_form(x: np.ndarray) -> np.ndarray:
+        return (c * np.exp(rate * (np.asarray(x, dtype=float) - a))).astype(complex, copy=False)
+
+    xs = np.linspace(a, end, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = closed_form(xs)
+    if not np.all(np.isfinite(values)):
+        # 2 rate (b - a) past the float range leaves c = 0 times e^inf
+        raise PreconditionError("the solution e^(%r (x - a)) leaves the float range on [%r, %r]"
+                                % (rate, a, iv.b))
+    return DeficiencySolution(tag, GridFunction(xs, values), closed_form, iv, rate)
+
+
 def _normalized_exponential(rate: float, iv: Interval, n: int,
                             var: str = "x") -> DeficiencySolution:
     """C e^{rate (x-a)} on [a,b] with unit L2 norm (exact constant)."""
@@ -111,45 +131,26 @@ def _normalized_exponential(rate: float, iv: Interval, n: int,
     if math.isinf(b):
         # int_a^inf e^{2 rate (x-a)} dx = -1/(2 rate), rate < 0
         c = math.sqrt(-2.0 * rate)
-        span = 30.0 / abs(rate)
-        xs = np.linspace(a, a + span, n)
+        end = a + 30.0 / abs(rate)
     else:
         # int_a^b e^{2 rate (x-a)} dx = (e^{2 rate (b-a)} - 1)/(2 rate), the
         # difference from expm1, which does not cancel for small rate (b-a)
         c = math.sqrt(2.0 * rate / math.expm1(2.0 * rate * (b - a)))
-        xs = np.linspace(a, b, n)
-
-    def closed_form(x: np.ndarray) -> np.ndarray:
-        return c * np.exp(rate * (np.asarray(x, dtype=float) - a)) + 0.0j
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = closed_form(xs)
-    if not np.all(np.isfinite(values)):
-        # 2 rate (b - a) past the float range leaves c = 0 times e^inf
-        raise PreconditionError("the solution e^(%r (x - a)) leaves the float range on [%r, %r]"
-                                % (rate, a, b))
-    return DeficiencySolution(_exp_tag(rate, var), GridFunction(xs, values),
-                              closed_form, iv, rate)
+        end = b
+    return _sampled_exponential(_exp_tag(rate, var), c, rate, iv, end, n)
 
 
 def _hamiltonian_solution(sign: int, lam: float, iv: Interval, n: int) -> DeficiencySolution:
     """Decaying solution of -psi'' = sign * i lam psi on [a, inf)."""
     root = math.sqrt(lam)
     mu = root * (sign * 1j - 1.0) / math.sqrt(2.0)   # Re mu < 0
-    c = 2.0**0.25 * lam**0.25
-    span = 30.0 * math.sqrt(2.0) / root
-
-    def closed_form(x: np.ndarray) -> np.ndarray:
-        return c * np.exp(mu * (np.asarray(x, dtype=float) - iv.a))
-
-    xs = np.linspace(iv.a, iv.a + span, n)
     sig = "+i" if sign > 0 else "-i"
     # floats print in full, as their repr ('+' with no type adds the sign)
     scale = "" if lam == 1.0 else f"{root}*"
     x = "x" if iv.a == 0.0 else f"(x{-iv.a:+})"
     tag = f"2^(1/4){'' if lam == 1.0 else f'*{lam}^(1/4)'}*exp({scale}({sig}-1){x}/sqrt2)"
-    return DeficiencySolution(tag, GridFunction(xs, closed_form(xs)),
-                              closed_form, iv, mu)
+    return _sampled_exponential(tag, 2.0**0.25 * lam**0.25, mu, iv,
+                                iv.a + 30.0 * math.sqrt(2.0) / root, n)
 
 
 def solve_deficiency(op: OperatorSpec, lam: float = 1.0,
@@ -161,6 +162,7 @@ def solve_deficiency(op: OperatorSpec, lam: float = 1.0,
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    _check_budget(_SAMPLE_BYTES * n, "a deficiency basis on n=%d samples" % n)
     iv = op.interval
     basis_plus: list[DeficiencySolution] = []
     basis_minus: list[DeficiencySolution] = []

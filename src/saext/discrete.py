@@ -13,7 +13,16 @@ from typing import Dict, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .core import GridFunction, UnitSystem, derivative_values, inner_product, norm
+from .core import (
+    _LEVEL_BYTES,
+    _SAMPLE_BYTES,
+    GridFunction,
+    UnitSystem,
+    _check_budget,
+    derivative_values,
+    inner_product,
+    norm,
+)
 from .errors import PreconditionError
 from .spectral import _twisted_difference, discretized_momentum_eigpair, well_spectrum
 
@@ -27,18 +36,6 @@ __all__ = [
     "hermiticity_defect_demo",
     "trace_commutator_check",
 ]
-
-#: Largest set of arrays, in bytes, that one demonstration may allocate
-#: (1 GiB).  A size that needs more is refused before anything is allocated.
-_MEMORY_BUDGET = 1 << 30
-
-
-def _check_budget(nbytes: int, what: str) -> None:
-    if nbytes > _MEMORY_BUDGET:
-        raise PreconditionError(
-            "%s needs about %.3g GiB of arrays, over the %d GiB memory budget"
-            % (what, nbytes / 2**30, _MEMORY_BUDGET >> 30))
-
 
 class Quantity(NamedTuple):
     """A reported number together with the tolerance it was established at."""
@@ -207,6 +204,7 @@ def eigenvector_commutator_demo(
     the eigenvalue times the same position expectation, so the
     commutator expectation vanishes instead of producing i*hbar.
     """
+    _check_budget(_SAMPLE_BYTES * n, "a twisted ring of n=%d" % n)
     lam, vec = discretized_momentum_eigpair(theta, n, mode)
     xs = np.arange(n) / n
     p_vec = _twisted_difference(theta, vec)
@@ -238,6 +236,8 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
     """
     if n_max < 1:
         raise PreconditionError("need n_max >= 1, got %d" % n_max)
+    _check_budget(_LEVEL_BYTES * n_max + _SAMPLE_BYTES * grid_n,
+                  "a range of %d levels on a grid of %d samples" % (n_max, grid_n))
     levels = well_spectrum(a, range(1, n_max + 1)).discrete
     xs = np.linspace(0.0, a, grid_n)
     quantities = {}

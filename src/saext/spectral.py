@@ -9,7 +9,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import FINITE, GridFunction, Interval
+from .core import FINITE, _LEVEL_BYTES, _SAMPLE_BYTES, GridFunction, Interval, _check_budget
 from .errors import (
     IndeterminateError,
     InvalidIndexError,
@@ -83,7 +83,8 @@ def momentum_spectrum(
             "the momentum operator has no self-adjoint version on an "
             "unbounded interval, so there is no spectrum to report"
         )
-    length = interval.b - interval.a
+    length = interval.length
+    _check_budget(_LEVEL_BYTES * len(n_range), "a range of %d levels" % len(n_range))
     levels = []
     for n in sorted(int(n) for n in n_range):
         p = (math.tau * n + theta) / length
@@ -102,6 +103,7 @@ def well_spectrum(a: float, n_range: Sequence[int]) -> SpectrumResult:
     """Dirichlet levels E_n = (n*pi/a)^2 with psi_n = sqrt(2/a) sin(n*pi*x/a)."""
     if not a > 0.0:
         raise PreconditionError("well width must be positive, got %r" % (a,))
+    _check_budget(_LEVEL_BYTES * len(n_range), "a range of %d levels" % len(n_range))
     ns = sorted(int(n) for n in n_range)
     for n in ns:
         if n <= 0:
@@ -151,6 +153,7 @@ def bound_state(
         raise PreconditionError("the grid cutoff x_max must be positive, got %r" % (x_max,))
     if grid_n is None:
         grid_n = 3501
+    _check_budget(_SAMPLE_BYTES * grid_n, "a bound state on %d samples" % grid_n)
     xs = np.linspace(0.0, x_max, grid_n)
     return BoundState(-alpha * alpha, GridFunction(xs, _robin_state(alpha)(xs)))
 

@@ -367,6 +367,7 @@ def test_drift_linear_potential_crosses_origin():
        q0=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
        p0=st.floats(-3.0, 3.0))
 @settings(max_examples=150, deadline=None)
+@example(s=2, g=-1.0, q0=1.0, p0=-1.0)  # the stable manifold, where cosh - sinh cancelled
 def test_closed_prediction_matches_simpson(s, g, q0, p0):
     # Simpson's rule on the default 4001 samples to t = 5 is the reference.
     # Its own error grows like (w h)^4 for q^2 ~ e^(2wt), w = 2 sqrt|g|,
@@ -380,6 +381,42 @@ def test_closed_prediction_matches_simpson(s, g, q0, p0):
                                    initial=0.0)
     got = _closed_prediction(g, s, q0, p0, traj.ts)
     assert np.max(np.abs(got - reference)) <= 1e-8 * np.max(np.abs(reference))
+
+
+def _mp_inverted_oscillator(g, q0, p0, t):
+    """q, p and int_0^t 2g q^2 dt of the s = 2, g < 0 flow, by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        g, q0, p0, t = (mpmath.mpf(x) for x in (g, q0, p0, t))
+        w = 2 * mpmath.sqrt(-g)
+        c, sn, x = mpmath.cosh(w * t), mpmath.sinh(w * t), 4 * mpmath.sqrt(-g) * t
+        integral = (q0**2 * (x + mpmath.sinh(x)) / (4 * w) + p0**2 * (mpmath.sinh(x) - x) / w**3
+                    + 2 * q0 * p0 * sn**2 / w**2)
+        return float(q0 * c + 2 * p0 / w * sn), float(p0 * c + w * q0 / 2 * sn), float(2 * g * integral)
+
+
+@pytest.mark.parametrize("g, q0, p0, t_end", [
+    (-1.0, 1.0, -1.0, 15.0),    # the stable manifold p0 = -sqrt(-g) q0: q decays as e^(-2t)
+    (-4.0, 2.0, -4.0, 5.0),
+    (-0.25, 3.0, -1.5, 15.0),
+    (-1.0, 1.0, 0.5, 5.0),
+    (-1e-6, 1.0, 0.3, 5.0),     # small |g|, where the e^(+-wt) modes cancel to free flight
+    (-1e-6, 10.0, -0.3, 5.0),
+    (-1e-12, 0.5, 2.0, 5.0),
+])
+def test_inverted_oscillator_matches_mpmath(g, q0, p0, t_end):
+    # q0 cosh wt + (2 p0/w) sinh wt and the prediction's cosh/sinh terms
+    # cancelled on the manifold: at t_end = 15 the CLI printed a predicted
+    # drift of 4294967296.0 against a measured 0.5
+    ts = np.linspace(0.0, t_end, 51)
+    traj = integrate_flow(PowerLawPotential(g, 2), (q0, p0), t_end, 1e-10, samples=51)
+    got = np.array([traj.qs, traj.ps, _closed_prediction(g, 2, q0, p0, ts)])
+    ref = np.array([_mp_inverted_oscillator(g, q0, p0, t) for t in ts]).T
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+    if (g, q0, p0, t_end) == (-1.0, 1.0, -1.0, 15.0):
+        report = dilatation_drift_report(PowerLawPotential(g, 2), (q0, p0), t_end)
+        assert report.max_drift == pytest.approx(0.5, rel=1e-15)
+        assert report.predicted_drift == pytest.approx(0.5, rel=1e-15)
+        assert report.max_deviation <= 1e-15
 
 
 def _mp_singular_time(g, s, p0):
@@ -460,6 +497,15 @@ def test_flows_that_took_a_nan_first_step_run(g, s, q0, p0, tol):
     assert traj.energy_drift <= 1e-15
     if g == 0.0:
         np.testing.assert_allclose(traj.qs, q0 + 2.0 * p0 * traj.ts, rtol=1e-15)
+
+
+def test_drift_report_refuses_an_exponent_that_rounding_swamps():
+    # at s = 1e300 (g = 1e-300) the report gave an energy drift of 6.2e298
+    report = dilatation_drift_report(PowerLawPotential(1.0, 2.0**17), (1.0, 0.25), 5.0)
+    assert report.max_deviation <= 1e-6 * report.max_drift
+    for s in (2.0**17 + 1.0, -2.0**17 - 1.0, 1e300):
+        with pytest.raises(PreconditionError, match=r"needs \|s\| <= 2\^17"):
+            dilatation_drift_report(PowerLawPotential(1.0, s), (1.0, 0.25), 5.0)
 
 
 #: Exponents outside {-2, 0, 1, 2}, whose flows come from the energy integral.

@@ -259,6 +259,19 @@ def test_sweep_cartesian_product_order():
     assert combos == [(1.0, -1.0), (1.0, -2.0), (2.0, -1.0), (2.0, -2.0)]
 
 
+def test_sweep_echo_is_each_axis_as_given():
+    # "%g" rounded each bound to 6 digits: k=0.123456789:2.000000123:3 was
+    # echoed as "k=0.123457:2:3"
+    axes = ["k=0.123456789:2.000000123:3", "alpha=-1.2345678901e-3:-7.00000001:2"]
+    payload = run_json(["sweep", "scatter", *[x for axis in axes for x in ("--sweep", axis)]])
+    echo = payload["manifest"]["params"]["sweep"]
+    assert echo == axes
+    grids = [np.linspace(start, stop, count).tolist()
+             for _, start, stop, count, _ in map(cli._parse_sweep, echo)]
+    assert [[p["params"]["k"], p["params"]["alpha"]] for p in payload["result"]["points"]] \
+        == list(map(list, itertools.product(*grids)))
+
+
 def test_sweep_empty_grid_exits_zero():
     payload = run_json(["sweep", "scatter", "--alpha", "-1",
                         "--sweep", "k=0.1:10:0"])
@@ -629,11 +642,11 @@ def test_scatter_sweep_across_chunks_is_the_scalar_reference(flags, axes):
     # reflection_coefficient, abs and reflection_phase give, to the bit
     argv = ["sweep", "scatter", *flags, *[x for axis in axes for x in ("--sweep", axis)]]
     specs = list(map(cli._parse_sweep, axes))
-    grids = [np.linspace(start, stop, count).tolist() for _, start, stop, count in specs]
+    grids = [np.linspace(start, stop, count).tolist() for _, start, stop, count, _ in specs]
     fixed = {flag.lstrip("-"): float(value) for flag, value in zip(flags[::2], flags[1::2])}
     points, rows = [], []
     for combo in itertools.product(*grids):
-        params = dict(zip([name for name, _, _, _ in specs], combo))
+        params = dict(zip([name for name, *_ in specs], combo))
         kind, value = _scalar_scatter(**fixed, **params)
         points.append({"params": params, kind: value})
         rows.append({**{f"param.{name}": v for name, v in params.items()},
@@ -672,7 +685,7 @@ def test_writer_chunks_give_the_reference_bytes(distinct, picks, chunk):
 ])
 def test_sweep_across_chunks_of_two_shapes_is_the_reference_encoding(axis, change):
     argv = ["sweep", "boundstate", "--grid-n", "8", "--sweep", axis]
-    _, start, stop, count = cli._parse_sweep(axis)
+    _, start, stop, count, _ = cli._parse_sweep(axis)
     alphas = np.linspace(start, stop, count).tolist()
     results = [cli._run_boundstate(argparse.Namespace(alpha=a, x_max=None, grid_n=8))
                for a in alphas]
@@ -711,7 +724,7 @@ def _one_shot_point(argv):
 def test_runner_sweep_across_small_chunks_is_the_reference_encoding(target, axis, chunk):
     # a runner's chunk is walked point by point; its runs of one shape, and
     # its failed points, are framed with the matching swept values
-    _, start, stop, count = cli._parse_sweep(axis)
+    _, start, stop, count, _ = cli._parse_sweep(axis)
     points, rows = [], []
     for alpha in np.linspace(start, stop, count).tolist():
         kind, value = _one_shot_point([target, f"--alpha={alpha!r}"])
@@ -796,6 +809,41 @@ def test_inverse_square_flow_stays_below_50mb():
     assert maxrss_kib / 1024 < 50
 
 
+#: Runs argv[2:] through the CLI with its address space capped at argv[1] bytes.
+_CAPPED = """
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+os.execv(sys.executable, [sys.executable, "-m", "saext.cli", *sys.argv[2:]])
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "--metric", "polar", "--grid-n", "100000000"],
+    ["deficiency", "--op", "hamiltonian", "--grid-n", "100000000"],
+    ["boundstate", "--alpha", "-1", "--grid-n", "100000000"],
+    ["paradox", "--id", "3", "--grid-n", "100000000"],
+    ["classical", "--s", "2", "--samples", "100000000"],
+    ["spectrum", "--op", "well", "--n-max", "1000000000"],
+    ["spectrum", "--op", "momentum", "--n-min", "-1000000000"],
+    ["paradox", "--id", "1", "--n", "100000000"],
+    ["paradox", "--id", "3", "--n", "100000000"],
+])
+def test_an_array_past_the_memory_budget_is_refused_before_it_is_made(argv):
+    # geometry --grid-n 4000000 took 613 MB and spectrum --op well --n-max
+    # 1000000 704 MB; 1e8 ran for over a minute.  Under a 512 MiB cap a
+    # size that is not checked first ends in a MemoryError, not in a
+    # machine out of memory
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED, str(512 << 20), *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error["code"] == "precondition"
+    assert "memory budget" in error["message"]
+
+
 def test_json_sweep_memory_is_flat_in_the_number_of_points():
     # JSON points are written and dropped a chunk at a time; what still grows
     # is the axis grid, 8 bytes a point (1.6 MB from 1e5 to 3e5 points)
@@ -844,15 +892,26 @@ def test_unknown_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_tol_resolution_order(monkeypatch):
-    monkeypatch.setenv("SAEXT_TOL", "1e-8")
-    from_env = run_json(["anomaly", "--alpha", "-1"])
-    assert from_env["manifest"]["tolerances"]["tol"] == 1e-8
+def test_tol_resolution_order():
     from_flag = run_json(["anomaly", "--alpha", "-1", "--tol", "1e-5"])
     assert from_flag["manifest"]["tolerances"]["tol"] == 1e-5
-    monkeypatch.delenv("SAEXT_TOL")
     default = run_json(["anomaly", "--alpha", "-1"])
     assert default["manifest"]["tolerances"]["tol"] == 1e-6
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_saext_tol_in_the_environment_changes_no_byte(fmt):
+    # SAEXT_TOL=1e-3 printed tol 1e-3 under the same manifest argv as the
+    # default 1e-6; the program reads no environment variable
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k != "SAEXT_TOL"}
+    argv = [sys.executable, "-m", "saext.cli", "anomaly", "--alpha", "-1", *fmt]
+    texts = [subprocess.run(argv, env=dict(base, PYTHONPATH=src, **extra), capture_output=True,
+                            text=True, check=True, timeout=60).stdout
+             for extra in ({}, {"SAEXT_TOL": "1e-3"})]
+    if not fmt:
+        texts = list(map(without_wall_time, texts))
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("argv", [["boundstate", "--alpha", "-1"],
@@ -872,27 +931,22 @@ def test_a_subcommand_that_reads_no_tolerance_echoes_none(argv, monkeypatch):
                                   ["classical", "--s", "3", "--t-end", "1"]],
                          ids=operator.itemgetter(0))
 def test_a_tolerance_is_a_finite_number_above_zero(argv, source, value, monkeypatch, capsys):
-    # from either source; SAEXT_TOL=nan was echoed as "nan", -1 from either
-    # gave a negative tolerance, and --tol 0 ran after scipy clipped it.
-    # classical reads no tolerance since its flow is no longer integrated
-    # by DOP853: its --tol is refused, and SAEXT_TOL is not read
+    # --tol -1 gave a negative tolerance and --tol 0 ran after scipy clipped
+    # it.  classical reads no tolerance since its flow is no longer
+    # integrated by DOP853: its --tol is refused.  The environment is not
+    # read: SAEXT_TOL, once a second source, changes no output
     reads = "tol" in cli._COMMANDS[argv[0]]["variants"][None]
     if source == "env":
         monkeypatch.setenv("SAEXT_TOL", value)
-        if not reads:
-            assert "tolerances" not in run_json(argv)["manifest"]
-            return
-    else:
-        monkeypatch.delenv("SAEXT_TOL", raising=False)
-        argv = [*argv, f"--tol={value}"]
+        with_env = without_wall_time(run_cli(argv)[1])
+        monkeypatch.delenv("SAEXT_TOL")
+        assert with_env == without_wall_time(run_cli(argv)[1])
+        return
     with pytest.raises(SystemExit) as exc:
-        run_cli(argv)
+        run_cli([*argv, f"--tol={value}"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    if source == "env":
-        assert "SAEXT_TOL" in err
-    else:
-        assert ("argument --tol" if reads else "unrecognized arguments: --tol") in err
+    assert ("argument --tol" if reads else "unrecognized arguments: --tol") in err
     assert "Traceback" not in err
 
 
@@ -1151,6 +1205,32 @@ def test_grid_n_is_echoed_as_applied(argv, axis, applied):
 _VARIANTS = [(name, key) for name, spec in sorted(cli._COMMANDS.items())
              for key in spec["variants"]]
 
+def _readme_variant_flags() -> dict:
+    """README's per-variant flag bullets: (subcommand, variant) -> the flags listed."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("takes only the flags it\nreads", 1)[1].split("\n\nAny other flag", 1)[0]
+    listed = {}
+    for bullet in block.split("\n- ")[1:]:
+        head, _, flags = bullet.partition("`: ")
+        name, *select = head.lstrip("`").split()
+        keys = [None] if not select else select[1].split("|")
+        for key in keys:
+            assert (name, key) not in listed, bullet
+            listed[name, key] = sorted(set(re.findall(r"`(--[a-z0-9-]+)`", flags)))
+    return listed
+
+
+def test_readme_lists_each_variants_flags():
+    # the README bullets are written by hand; the table is what the parser reads
+    table = {}
+    for name, key in _VARIANTS:
+        spec = cli._COMMANDS[name]
+        flags = cli._flags_of(name)
+        key_text = None if key is None else str(key)
+        table[name, key_text] = sorted(flags[dest][0][0] for dest in spec["variants"][key])
+    assert _readme_variant_flags() == table
+
+
 #: Each (subcommand, variant, dest) that a sweep axis may set: a numeric
 #: flag of the subcommand's own that the variant reads.
 _SWEEPABLE = [(name, key, dest) for name, key in _VARIANTS
@@ -1284,6 +1364,29 @@ def test_negative_infinity_is_a_value_not_a_flag(argv, code, value):
         assert spaced["manifest"]["params"]["alpha"] == "-inf"
     else:
         assert spaced["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("argv", [
+    ["deficiency", "--op", "momentum", "--interval", "-inf,inf"],
+    ["spectrum", "--op", "momentum", "--interval", "-1,1"],
+    ["deficiency", "--op", "hamiltonian", "--interval", "-2.5e-3,inf"],
+    ["sweep", "spectrum", "--op", "momentum", "--interval", "-1,1", "--sweep", "theta=0:1:2"],
+])
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_an_interval_that_starts_negative_is_a_value_not_a_flag(argv, fmt):
+    # `--interval -1,1` was a usage error ("expected one argument"); only
+    # `--interval=-1,1` was read
+    at = argv.index("--interval")
+    spaced = run_cli(argv + fmt)
+    joined = run_cli(argv[:at] + [f"--interval={argv[at + 1]}"] + argv[at + 2:] + fmt)
+    assert spaced[0] == joined[0] == 0
+    if fmt:
+        assert spaced[1] == joined[1]
+    else:
+        spaced, joined = json.loads(spaced[1]), json.loads(joined[1])
+        for payload in (spaced, joined):
+            del payload["manifest"]["wall_time_s"], payload["manifest"]["argv"]
+        assert spaced == joined
 
 
 @pytest.mark.parametrize("fmt", [[], ["--csv"]])
@@ -1547,6 +1650,8 @@ def test_classical_work_is_bounded(argv):
     ["spectrum", "--op", "well", "--a", "1e-300"],
     ["spectrum", "--op", "momentum", "--interval", "0,1e-310", "--n-min", "-1", "--n-max", "1"],
     ["spectrum", "--op", "momentum", "--interval=-1.7e308,1.7e308"],
+    ["classical", "--s", "1e300", "--g", "1e-300"],
+    ["classical", "--s", "-1e300", "--q0", "1e300", "--g", "2.5", "--t-end", "1e5"],
 ])
 def test_overflow_is_a_structured_error_not_a_nan(argv):
     # the first two printed RuntimeWarnings and exited 0, with an
@@ -1555,7 +1660,10 @@ def test_overflow_is_a_structured_error_not_a_nan(argv):
     # the derivative, the deficiency basis and the Robin state before
     # their error; the well exited 0 with "inf" levels, the momentum box
     # of length 1e-310 with levels "-inf" and "inf", and the box whose
-    # length overflows with every level 0.0
+    # length overflows with every level 0.0.  The classical flows exited 0
+    # with an energy drift of 6.2e298 (V is a wall whose turning point
+    # rounds onto q0 = 1) and a deviation of 1.4e288 (1 + s/2 multiplies
+    # rounding by 5e299)
     proc = _run_process(argv)
     assert proc.returncode == 1
     assert proc.stderr == ""
@@ -1688,7 +1796,7 @@ def _fuzz_argv(draw):
                    and "choices" not in flags_of[dest][1]]
         for flags, kwargs in draw(st.lists(st.sampled_from(numeric), max_size=2)) if numeric else []:
             start, stop = (draw(st.sampled_from(_fuzz_values(flags, kwargs))) for _ in "ab")
-            axis = f"{cli._dest_of(flags, kwargs)}={start}:{stop}:{draw(st.integers(0, 4))}"
+            axis = f"{cli._dest_of(flags)}={start}:{stop}:{draw(st.integers(0, 4))}"
             argv += ["--sweep", axis]
         argv = ["sweep", *argv]
     return argv + draw(st.sampled_from([[], ["--csv"]]))
