@@ -313,7 +313,10 @@ def _closed_samples(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
         return q0 * c + (2.0 * p0 / w) * sn, p0 * c - (0.5 * w * q0) * sn
     if s == 2.0 and g < 0.0:
         w = 2.0 * math.sqrt(-g)
-        a, decay, sn = q0 + 2.0 * p0 / w, np.exp(-w * ts), np.sinh(w * ts)
+        a, decay = q0 + 2.0 * p0 / w, np.exp(-w * ts)
+        if a == 0.0:  # the stable manifold, where a sinh wt is 0 also past sinh's range
+            return q0 * decay, p0 * decay
+        sn = np.sinh(w * ts)
         return q0 * decay + a * sn, p0 * decay + (0.5 * w * a) * sn
     return q0 + 2.0 * p0 * ts, np.full_like(ts, p0)
 
@@ -338,11 +341,13 @@ def _closed_prediction(g: float, s: float, q0: float, p0: float, ts: np.ndarray)
     w = 2.0 * math.sqrt(abs(g))
     x = 2.0 * w * ts
     if g < 0.0:
-        a, odd = q0 + 2.0 * p0 / w, _odd_tail(x, 1.0)
-        # x + expm1(-x) = 2 sinh^2(x/2) - (sinh x - x), whose terms do not cancel below x = 1
-        ramp = np.where(x < 1.0, 2.0 * np.sinh(0.5 * x) ** 2 - odd, x + np.expm1(-x))
-        return 2.0 * g * (-q0 * q0 * np.expm1(-x) / (2.0 * w) + q0 * a * ramp / (2.0 * w)
-                          + a * a * odd / (4.0 * w))
+        a, total = q0 + 2.0 * p0 / w, -q0 * q0 * np.expm1(-x) / (2.0 * w)
+        if a != 0.0:  # on the stable manifold both terms are 0, also past sinh's range
+            odd = _odd_tail(x, 1.0)
+            # x + expm1(-x) = 2 sinh^2(x/2) - (sinh x - x), whose terms do not cancel below x = 1
+            ramp = np.where(x < 1.0, 2.0 * np.sinh(0.5 * x) ** 2 - odd, x + np.expm1(-x))
+            total = total + q0 * a * ramp / (2.0 * w) + a * a * odd / (4.0 * w)
+        return 2.0 * g * total
     return 2.0 * g * (q0 * q0 * (x + np.sin(x)) / (4.0 * w) + p0 * p0 * _odd_tail(x, -1.0) / w**3
                       + 2.0 * q0 * p0 * (np.sin(0.5 * x) / w) ** 2)
 

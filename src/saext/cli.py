@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -181,23 +182,19 @@ def _walk(obj, leaves: list):
 def _blocks(records):
     """(shape, count, leaf columns in walk order) of each run of records of one shape.
 
-    Records are read _CHUNK at a time and each is walked; a run ends where
-    a record's shape differs from the one before it, or with its chunk.
+    Each record is walked; a run ends where a record's shape differs from
+    the one before it.
     """
-    records = iter(records)
-    while True:
-        chunk = list(itertools.islice(records, _CHUNK))
-        if not chunk:
-            return
-        shape, run = _LEAF, []  # an empty run is not yielded, whatever its shape
-        for record in chunk:
-            leaves: list = []
-            own = _walk(record, leaves)
-            if own != shape:
-                if run:
-                    yield shape, len(run), list(zip(*run))
-                shape, run = own, []
-            run.append(leaves)
+    shape, run = _LEAF, []  # an empty run is not yielded, whatever its shape
+    for record in records:
+        leaves: list = []
+        own = _walk(record, leaves)
+        if own != shape:
+            if run:
+                yield shape, len(run), list(zip(*run))
+            shape, run = own, []
+        run.append(leaves)
+    if run:
         yield shape, len(run), list(zip(*run))
 
 
@@ -333,71 +330,98 @@ def _csv_layout(shape) -> dict:
 
 
 class _Records:
-    """Records written as a JSON list or as CSV rows, one block of one shape at a time.
+    """Records written as a JSON list or as CSV rows, _CHUNK records at a time.
 
-    records is read once, _CHUNK records at a time (see _blocks), so the
-    records of a generator are made as they are written.  Each shape is
-    compiled once and each column of a block encoded once (see _encoded).
+    The chunks are computed and encoded by up to one process per CPU and
+    written in order (see _chunks).  Each process compiles each shape once
+    and encodes each column of a block once (see _encoded).
     """
+
+    #: Records that failed; a sweep counts its failed points here.
+    failed = 0
 
     def __init__(self, records=()):
         self.records = records
 
-    def blocks(self):
-        """(shape, count, leaf columns) of each run of records of one shape."""
-        return _blocks(self.records)
+    def chunks(self) -> int:
+        return -(-len(self.records) // _CHUNK)
+
+    def blocks(self, i: int):
+        """(shape, count, leaf columns) of each run of one shape in chunk i."""
+        return _blocks(self.records[i * _CHUNK:(i + 1) * _CHUNK])
 
     def write_json(self, out, depth: int) -> None:
         """Write the records as a JSON list whose items sit at indent depth."""
+        from ._chunks import write_in_order
+
         compiled: dict = {}
         sep = ",\n" + "  " * depth
-        opened = False
-        for shape, count, columns in self.blocks():
-            if shape not in compiled:
-                order: list = []
-                compiled[shape] = _json_template(shape, depth, 0, order)[0], order
-            template, order = compiled[shape]
-            tokens = _encoded(columns, _json_tokens)
-            rows = zip(*map(tokens.__getitem__, order)) if order \
-                else itertools.repeat((), count)
-            out.write((sep if opened else "[\n" + "  " * depth)
-                      + sep.join(map(template.__mod__, rows)))
-            opened = True
-        out.write("\n" + "  " * (depth - 1) + "]" if opened else "[]")
+
+        def compute(i):
+            texts = []
+            for shape, count, columns in self.blocks(i):
+                if shape not in compiled:
+                    order: list = []
+                    compiled[shape] = _json_template(shape, depth, 0, order)[0], order
+                template, order = compiled[shape]
+                tokens = _encoded(columns, _json_tokens)
+                rows = zip(*map(tokens.__getitem__, order)) if order \
+                    else itertools.repeat((), count)
+                texts.append(sep.join(map(template.__mod__, rows)))
+            return sep.join(texts), None
+
+        heads = itertools.chain(["[\n" + "  " * depth], itertools.repeat(sep))
+        write_in_order(self, compute, lambda text, _: text,
+                       lambda text: out.write(next(heads) + text))
+        out.write("\n" + "  " * (depth - 1) + "]" if self.chunks() else "[]")
 
     def write_csv(self, out, header: Optional[List[str]] = None) -> None:
         """Write one CSV row per record.
 
         The columns are header or, by default, every record's dot paths in
         first-seen order; a record lacking a column leaves its cell empty.
-        Without a header every block is held until the last record is read.
+        Without a header every chunk is held until the last one is computed.
         """
-        blocks = self.blocks()
+        from ._chunks import write_in_order
+
         layouts: dict = {}
-        if header is None:
-            blocks = list(blocks)
-            for shape, _, _ in blocks:
-                if shape not in layouts:
-                    layouts[shape] = _csv_layout(shape)
-            header = list(dict.fromkeys(name for cols in layouts.values() for name in cols))
-        writer = csv.writer(out, lineterminator="\n")
-        if header:
-            writer.writerow(header)
-        for shape, count, columns in blocks:
+
+        def layout(shape) -> dict:
             if shape not in layouts:
                 layouts[shape] = _csv_layout(shape)
-            layout = layouts[shape]
-            cells = _encoded(columns, _cells)
-            blank = [""] * count
-            row_cells = [cells[layout[name]] if name in layout else blank
-                         for name in header]
-            # a row of two or more cells of these types needs no quoting;
-            # csv quotes the lone empty cell of a one-column row
-            if len(header) > 1 and all(set(map(type, column)) <= _PLAIN_CELLS
-                                       for column in columns):
-                out.write("\n".join(map(",".join, zip(*row_cells))) + "\n")
-            else:
-                writer.writerows(zip(*row_cells) if header else itertools.repeat((), count))
+            return layouts[shape]
+
+        def compute(i):
+            blocks = list(self.blocks(i))
+            return blocks, [shape for shape, _, _ in blocks]
+
+        def settle(notes):
+            names = header
+            if names is None:
+                for shape in itertools.chain.from_iterable(notes):
+                    layout(shape)
+                names = list(dict.fromkeys(name for cols in layouts.values() for name in cols))
+            if names:
+                csv.writer(out, lineterminator="\n").writerow(names)
+            return names
+
+        def render(blocks, names):
+            text = io.StringIO()
+            for shape, count, columns in blocks:
+                cells = _encoded(columns, _cells)
+                own, blank = layout(shape), [""] * count
+                row_cells = [cells[own[name]] if name in own else blank for name in names]
+                # a row of two or more cells of these types needs no quoting;
+                # csv quotes the lone empty cell of a one-column row
+                if len(names) > 1 and all(set(map(type, column)) <= _PLAIN_CELLS
+                                          for column in columns):
+                    text.write("\n".join(map(",".join, zip(*row_cells))) + "\n")
+                else:
+                    csv.writer(text, lineterminator="\n").writerows(
+                        zip(*row_cells) if names else itertools.repeat((), count))
+            return text.getvalue()
+
+        write_in_order(self, compute, render, out.write, settle)
 
 
 def _write_json(payload: dict, out) -> None:
@@ -1045,23 +1069,24 @@ class _SweepPoints(_Records):
 
     def __init__(self, runner, columns, tns: argparse.Namespace, names: list,
                  dests: list, grids: list, as_rows: bool):
-        self.failed = 0
         self._runner, self._columns = runner, columns
         self._tns, self._dests, self._grids = tns, dests, grids
         self._as_rows = as_rows
         # the keys of the swept values, which come before the tail's
         self._keys = ["param." + name for name in names] if as_rows else names
 
-    def _axis_values(self):
-        """For each chunk of the grid, in itertools.product order, each axis's values."""
+    def chunks(self) -> int:
+        return -(-math.prod(len(grid) for grid, _ in self._grids) // _CHUNK)
+
+    def _axis_values(self, i: int) -> list:
+        """Each axis's values at the points of chunk i, in itertools.product order."""
         import numpy as np
 
         shape = tuple(len(grid) for grid, _ in self._grids)
-        total = math.prod(shape)
-        for start in range(0, total, _CHUNK):
-            index = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
-            yield [[cast(v) for v in grid[i].tolist()]
-                   for (grid, cast), i in zip(self._grids, index)]
+        start = i * _CHUNK
+        index = np.unravel_index(np.arange(start, min(start + _CHUNK, math.prod(shape))), shape)
+        return [[cast(v) for v in grid[at].tolist()]
+                for (grid, cast), at in zip(self._grids, index)]
 
     def _frame(self, shape) -> tuple:
         """The shape of a point whose tail has this dict shape."""
@@ -1070,40 +1095,39 @@ class _SweepPoints(_Records):
             return ("{", *params, *shape[1:])
         return ("{", "params", ("{", *params), *shape[1:])
 
-    def blocks(self):
-        """(shape, count, leaf columns) of each run of points of one shape.
+    def blocks(self, i: int):
+        """(shape, count, leaf columns) of each run of points of one shape in chunk i.
 
         The swept values are columns already; they are framed with the
         columns of the target or with those of each run of tails.
         """
-        tns, runner, dests = self._tns, self._runner, self._dests
-        where = vars(tns)
-        for values in self._axis_values():
-            count = len(values[0])
-            if self._columns is not None:
-                try:
-                    shape, columns = self._columns(tns, dict(zip(dests, values)), count)
-                except _COMPUTE_ERRORS:
-                    pass  # each point is run alone below, and only the bad ones fail
-                else:
-                    tail = shape if self._as_rows else ("{", "result", shape)
-                    yield self._frame(tail), count, [*values, *columns]
-                    continue
-            tails = []
-            for combo in zip(*values):
-                where.update(zip(dests, combo))
-                try:
-                    result = runner(tns)
-                except _COMPUTE_ERRORS as exc:
-                    self.failed += 1
-                    tails.append({"error": _error_fields(exc)})
-                else:
-                    tails.append(result if self._as_rows else {"result": result})
-            start = 0
-            for shape, run, columns in _blocks(tails):
-                yield (self._frame(shape), run,
-                       [*(axis[start:start + run] for axis in values), *columns])
-                start += run
+        tns, dests = self._tns, self._dests
+        values = self._axis_values(i)
+        count = len(values[0])
+        if self._columns is not None:
+            try:
+                shape, columns = self._columns(tns, dict(zip(dests, values)), count)
+            except _COMPUTE_ERRORS:
+                pass  # each point is run alone below, and only the bad ones fail
+            else:
+                tail = shape if self._as_rows else ("{", "result", shape)
+                yield self._frame(tail), count, [*values, *columns]
+                return
+        tails, where = [], vars(tns)
+        for combo in zip(*values):
+            where.update(zip(dests, combo))
+            try:
+                result = self._runner(tns)
+            except _COMPUTE_ERRORS as exc:
+                self.failed += 1
+                tails.append({"error": _error_fields(exc)})
+            else:
+                tails.append(result if self._as_rows else {"result": result})
+        start = 0
+        for shape, run, columns in _blocks(tails):
+            yield (self._frame(shape), run,
+                   [*(axis[start:start + run] for axis in values), *columns])
+            start += run
 
 
 def _run_sweep(target: str, tns: argparse.Namespace,

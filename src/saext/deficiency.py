@@ -135,7 +135,13 @@ def _normalized_exponential(rate: float, iv: Interval, n: int,
     else:
         # int_a^b e^{2 rate (x-a)} dx = (e^{2 rate (b-a)} - 1)/(2 rate), the
         # difference from expm1, which does not cancel for small rate (b-a)
-        c = math.sqrt(2.0 * rate / math.expm1(2.0 * rate * (b - a)))
+        try:
+            c = math.sqrt(2.0 * rate / math.expm1(2.0 * rate * (b - a)))
+        except OverflowError:
+            # past 2 rate (b-a) = 709.8 the difference is e^{2 rate (b-a)}, whose
+            # root is taken as e^{-rate (b-a)}; where the samples then leave the
+            # float range, they are refused below
+            c = math.sqrt(2.0 * rate) * math.exp(-rate * (b - a))
         end = b
     return _sampled_exponential(_exp_tag(rate, var), c, rate, iv, end, n)
 

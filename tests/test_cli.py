@@ -11,6 +11,7 @@ import math
 import operator
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -863,7 +864,9 @@ def test_json_sweep_memory_is_flat_in_the_number_of_points():
 
 def test_a_clean_scatter_sweep_computes_no_point_alone(monkeypatch):
     # the columns of a chunk come from one array evaluation; a chunk falls
-    # back to the per-point runner only where a point fails
+    # back to the per-point runner only where a point fails.  The calls are
+    # counted in this process, so it computes every chunk
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
     run = cli._COMMANDS["scatter"]["run"]
     monkeypatch.setitem(cli._COMMANDS["scatter"], "run",
@@ -882,6 +885,157 @@ def test_a_clean_scatter_sweep_computes_no_point_alone(monkeypatch):
     assert points[4999]["params"] == {"k": 0.0, "alpha": 0.0}
     assert points[4999]["error"]["code"] == "indeterminate"
     assert len(calls) == cli._CHUNK
+
+
+# -- chunks on every CPU ----------------------------------------------------
+
+#: A sweep of 6 chunks of 64 points; alpha >= 0 fails from point 325 on, in
+#: chunk 5 only, which a child computes with 2 processes and with 3.
+_FAILING_SWEEP = ["sweep", "anomaly", "--sweep", "alpha=-3:0.05:331"]
+
+
+def _on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_every_process_count_writes_the_bytes_of_one(fmt, to_file, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK", 64)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    target = tmp_path / "sweep.out"
+    argv = _FAILING_SWEEP + fmt + (["--out", str(target)] if to_file else [])
+    written = []
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        code, text = run_cli(argv)
+        written.append((code, _WALL_TIME.sub("", target.read_text() if to_file else text)))
+    assert len(forks) == 0 + 1 + 2
+    assert written[0][0] == 1
+    assert written[0][1].count("no-bound-state") == 331 - 325
+    assert written[1:] == written[:1] * 2
+    _no_child_is_left()
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_a_closed_reader_ends_the_sweep_and_its_children(fmt, monkeypatch):
+    # as `saext sweep ... | head -c 10`, in this process, so that its
+    # children are its own
+    _on_cpus(monkeypatch, 2)
+    read, write = os.pipe()
+    os.close(read)
+    err = io.StringIO()
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep did not end")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with open(write, "w") as pipe, contextlib.redirect_stdout(pipe), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["sweep", "scatter", "--alpha", "-1.3",
+                             "--sweep", "k=0.1:10:100000", *fmt])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert err.getvalue() == ""
+    _no_child_is_left()
+
+
+def _ended_in_a_child(monkeypatch, owner, name):
+    """Make owner.name end the process that calls it, if that is a child of this one."""
+    parent, real = os.getpid(), getattr(owner, name)
+
+    def ending(*args):
+        if os.getpid() != parent:
+            os._exit(0)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, ending)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+@pytest.mark.parametrize("ending", [
+    "computing",  # ends in its first chunk: CSV before it sends a note
+    "encoding",   # ends in its first encoding: CSV once the header is settled
+    "no fork",
+    "fork fails",
+])
+def test_a_child_that_ends_early_leaves_its_chunks_to_the_parent(fmt, ending, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK", 64)
+    argv = _FAILING_SWEEP + fmt
+    _on_cpus(monkeypatch, 1)
+    expected = run_cli(argv)
+    _on_cpus(monkeypatch, 3)
+    if ending == "computing":
+        _ended_in_a_child(monkeypatch, cli._SweepPoints, "blocks")
+    elif ending == "encoding":
+        _ended_in_a_child(monkeypatch, cli, "_encoded")
+    elif ending == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError("no process left")))
+    code, text = run_cli(argv)
+    assert (code, _WALL_TIME.sub("", text)) == (expected[0], _WALL_TIME.sub("", expected[1]))
+    _no_child_is_left()
+
+
+def test_the_fork_warning_of_newer_pythons_is_not_raised(monkeypatch):
+    # Python 3.12 and later warn when a process with more than one thread
+    # forks; under -W error the warning would raise after the fork
+    monkeypatch.setattr(cli, "_CHUNK", 64)
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may lead "
+                          "to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    _on_cpus(monkeypatch, 1)
+    expected = run_cli(_FAILING_SWEEP)
+    _on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(_FAILING_SWEEP)
+    assert (code, _WALL_TIME.sub("", text)) == (expected[0], _WALL_TIME.sub("", expected[1]))
+    _no_child_is_left()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_a_golden_run_forks_no_process(name, fmt, monkeypatch):
+    # a one-shot's lists and the golden 4-point sweep are one chunk each
+    _on_cpus(monkeypatch, 8)
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    assert run_cli(GOLDEN[name] + fmt)[0] == 0
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_a_forked_sweep_runs_clean_in_dev_mode_with_warnings_as_errors(fmt):
+    # -X dev shows a pipe left open (ResourceWarning) and -W error makes any
+    # warning fatal, such as the fork warning of Python 3.12 and later, which
+    # numpy's BLAS thread pool would raise without OPENBLAS_NUM_THREADS=1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "saext.cli", "sweep", "scatter",
+            "--alpha", "-1.3", "--sweep", "k=0.1:10:100000", *fmt]
+    proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 # -- plumbing ---------------------------------------------------------------
@@ -1645,6 +1799,7 @@ def test_classical_work_is_bounded(argv):
     ["geometry", "--metric", "polar", "--probe", "bump:1e300,1e301"],
     ["paradox", "--id", "3", "--a", "1e-300"],
     ["deficiency", "--op", "momentum", "--interval", "0,1e300", "--lam", "1e300"],
+    ["deficiency", "--op", "momentum", "--interval", "-1e300,0"],
     ["boundstate", "--alpha", "-1", "--x-max", "-1e300"],
     ["boundstate", "--alpha", "-1e100", "--x-max", "1e300"],
     ["spectrum", "--op", "well", "--a", "1e-300"],
@@ -1663,13 +1818,17 @@ def test_overflow_is_a_structured_error_not_a_nan(argv):
     # length overflows with every level 0.0.  The classical flows exited 0
     # with an energy drift of 6.2e298 (V is a wall whose turning point
     # rounds onto q0 = 1) and a deviation of 1.4e288 (1 + s/2 multiplies
-    # rounding by 5e299)
+    # rounding by 5e299).  The box [-1e300, 0] ended in an invalid-value
+    # error, "math range error", from the norm's expm1
     proc = _run_process(argv)
     assert proc.returncode == 1
     assert proc.stderr == ""
     payload = json.loads(proc.stdout)
     jsonschema.validate(payload, cli.load_schema("error"))
     assert payload["error"]["code"] == "precondition"
+    if argv[0] == "deficiency" and "--interval" in argv:
+        a, b = map(float, argv[argv.index("--interval") + 1].split(","))
+        assert f"[{a!r}, {b!r}]" in payload["error"]["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -1722,17 +1881,20 @@ def test_an_unknown_flag_before_the_subcommand_shows_the_top_level_usage(capsys)
 ])
 def test_out_of_range_numbers_are_a_structured_error(argv, capsys):
     # an OverflowError or ZeroDivisionError from the arithmetic ended in a
-    # traceback; a sweep records the point and goes on
+    # traceback; a sweep records the point and goes on.  A momentum
+    # solution whose norm overflows expm1 is a precondition refusal that
+    # names the interval, as a solution past the float range is
+    expected = "precondition" if "deficiency" in argv else "invalid-value"
     code, text = run_cli(argv)
     assert code == 1
     payload = json.loads(text)
     if argv[0] == "sweep":
         jsonschema.validate(payload, cli.load_schema("sweep"))
         first, last = payload["result"]["points"]
-        assert "result" in first and last["error"]["code"] == "invalid-value"
+        assert "result" in first and last["error"]["code"] == expected
     else:
         jsonschema.validate(payload, cli.load_schema("error"))
-        assert payload["error"]["code"] == "invalid-value"
+        assert payload["error"]["code"] == expected
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -161,6 +161,18 @@ def test_momentum_basis_keeps_unit_norm_for_small_lambda(exponent):
         assert abs(norm(sol.fn) - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("length", [355.0, 400.0, 700.0])
+def test_growing_momentum_solution_past_the_range_of_its_norms_expm1(length):
+    # from 2L = 709.8 on, e^{2L} - 1 overflows while the constant
+    # sqrt(2/(e^{2L} - 1)) and the samples do not: [0, 400] ended in
+    # OverflowError, "math range error".  At x = L the solution is
+    # sqrt(2/(1 - e^{-2L})), which is sqrt(2) in floats for these L
+    r = solve_deficiency(OperatorSpec.momentum(Interval.finite(0.0, length)))
+    at_end = r.basis_minus[0].closed_form(np.array([length]))[0]
+    assert at_end.real == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert np.all(np.isfinite(r.basis_minus[0].fn.values))
+
+
 # ---------------------------------------------------------------------------
 # tail integrability
 # ---------------------------------------------------------------------------

@@ -167,7 +167,8 @@ _SPECTRAL = ["core", "errors", "spectral"]
 _DEFICIENCY = ["core", "deficiency", "errors"]
 
 #: (argv, exit code, the saext modules it loads); each one-shot loads
-#: numpy as well, and nothing else.
+#: numpy as well, and nothing else.  A run that writes a list, such as a
+#: spectrum's levels or a sweep's points, loads the chunk writer _chunks.
 _LOADS = {
     "version": (["--version"], 0, ["errors"]),
     "help": (["--help"], 0, ["errors"]),
@@ -181,10 +182,10 @@ _LOADS = {
     "given-and-swept": (["sweep", "scatter", "--k", "1", "--alpha", "-1", "--sweep", "k=1:2:2"],
                         2, ["errors"]),
     "scatter": (GOLDEN["scatter"], 0, _SPECTRAL),
-    "spectrum-robin": (GOLDEN["spectrum"], 0, _SPECTRAL),
+    "spectrum-robin": (GOLDEN["spectrum"], 0, ["_chunks", *_SPECTRAL]),
     "boundstate": (GOLDEN["boundstate"], 0, _SPECTRAL),
-    "sweep-scatter": (GOLDEN["sweep"], 0, _SPECTRAL),
-    "deficiency": (GOLDEN["deficiency"], 0, _DEFICIENCY),
+    "sweep-scatter": (GOLDEN["sweep"], 0, ["_chunks", *_SPECTRAL]),
+    "deficiency": (GOLDEN["deficiency"], 0, ["_chunks", *_DEFICIENCY]),
     "extend": (GOLDEN["extend"], 0, sorted([*_DEFICIENCY, "extension"])),
     "anomaly": (GOLDEN["anomaly"], 0, ["anomaly", "core", "errors", "spectral"]),
     "paradox": (GOLDEN["paradox"], 0, ["core", "discrete", "errors", "spectral"]),
