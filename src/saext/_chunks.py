@@ -18,48 +18,34 @@ import warnings
 
 
 def _processes(count: int) -> int:
-    try:
-        return max(1, min(len(os.sched_getaffinity(0)), count)) if hasattr(os, "fork") else 1
-    except AttributeError:
-        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), count)) \
+        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
 
 
 def _send(fd: int, message) -> None:
-    data = marshal.dumps(message)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
+    # marshal frames it; a buffered writer's rest would be lost at os._exit
+    view = memoryview(marshal.dumps(message))
     while view:
         view = view[os.write(fd, view):]
-
-
-def _receive(reader):
-    """The next message on reader, or None where its writer ended first."""
-    head = reader.read(8)
-    if len(head) < 8:
-        return None
-    size = int.from_bytes(head, "little")
-    data = reader.read(size)
-    return marshal.loads(data) if len(data) == size else None
 
 
 def _serve(records, compute, render, mine: range, texts: int, feed) -> None:
     """A child's work: (failed points, text) of each chunk in mine, sent on texts.
 
-    With a feed, the child first sends each chunk's note, then renders
-    with what the parent feeds it once the notes are settled.
+    A chunk with a note sends it first and is rendered with what the parent feeds.
     """
-    kept = {}
+    kept = []
     for i in mine:
         before = records.failed
         chunk, note = compute(i)
-        if feed is None:
+        if note is None:
             _send(texts, (records.failed - before, render(chunk, None)))
         else:
-            kept[i] = chunk, records.failed - before
+            kept.append((chunk, records.failed - before))
             _send(texts, note)
-    shared = None if feed is None else _receive(feed)
-    if shared is not None:
-        for i in mine:
-            chunk, failed = kept.pop(i)
+    if kept:
+        shared = marshal.load(feed)
+        for chunk, failed in kept:
             _send(texts, (failed, render(chunk, shared)))
 
 
@@ -67,76 +53,66 @@ def write_in_order(records, compute, render, write, settle=None) -> None:
     """write(text) of each of records.chunks() chunks, in order.
 
     compute(i) computes chunk i as (kept, note), and render(kept, shared) is
-    its text.  Without settle, shared is None.  With it, the parent runs
-    settle on every chunk's note, in chunk order, before any text is
-    rendered, and its value is shared; neither a note nor that value may be
-    None, which marks a child that has ended.  The failed points that a
-    child counts in records.failed are added to the parent's.
+    its text.  Without settle, every note and shared are None.  With it,
+    the parent runs settle on every chunk's note, in chunk order, before
+    any text is rendered, and its value is shared; no note may then be
+    None.  The failed points that a child counts in records.failed are
+    added to the parent's.
     """
     count = records.chunks()
     procs = _processes(count)
-    pids, readers, feeds = [], {}, {}  # readers and feeds by the child's j
+    children = {}  # (pid, reader, feed) of each child, by its j
+    kept = {}  # compute(i) of each chunk i that the parent computes
+
+    def received(i):
+        """The next message of chunk i's child, or None where the parent computes chunk i."""
+        child = children.get(i % procs)
+        if child is not None:
+            try:
+                return marshal.load(child[1])
+            except (EOFError, ValueError):  # the child has ended, mid-message perhaps
+                _end(*children.pop(i % procs))
+        if i not in kept:
+            kept[i] = compute(i)
+        return None
+
     try:
         for j in range(1, procs):
-            _fork(records, compute, render, range(j, count, procs), settle is not None,
-                  pids, readers, feeds)
-        kept = {}
-
-        def own(i):
-            kept[i], note = compute(i)
-            return note
-
-        def received(i):
-            """The next message of chunk i's owner; None where that is the parent.
-
-            A child that has ended sends None, so the parent computes its chunks.
-            """
-            reader = readers.get(i % procs)
-            return None if reader is None else _receive(reader)
-
+            _fork(records, compute, render, range(j, count, procs), children)
         shared = None
         if settle is not None:
-            notes = []
-            for i in range(count):
-                note = received(i)
-                notes.append(own(i) if note is None else note)
-            shared = settle(notes)
-            for fd in feeds.values():
+            notes = [received(i) for i in range(count)]
+            shared = settle([kept[i][1] if note is None else note for i, note in enumerate(notes)])
+            for _, _, feed in children.values():
                 try:
-                    _send(fd, shared)
+                    _send(feed, shared)
                 except OSError:
                     pass  # the child has ended
         for i in range(count):
-            message = None if i in kept else received(i)
-            if message is None:
-                if i not in kept:
-                    own(i)
-                text = render(kept.pop(i), shared)
-            else:
-                records.failed += message[0]
-                text = message[1]
+            failed, text = received(i) or (0, render(kept.pop(i)[0], shared))
+            records.failed += failed
             write(text)
     finally:
-        # a child blocked on a pipe ends once the parent's end is closed
-        for reader in readers.values():
-            reader.close()
-        for fd in feeds.values():
-            os.close(fd)
-        for pid in pids:
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass  # reaped already, as under SIGCHLD = SIG_IGN
+        for child in children.values():
+            _end(*child)
 
 
-def _fork(records, compute, render, mine: range, exchange: bool,
-          pids: list, readers: dict, feeds: dict) -> None:
-    """Fork the child that computes the chunks in mine; if that fails, they stay the parent's."""
-    fds = []
+def _end(pid: int, reader, feed: int) -> None:
+    # a child blocked on a pipe ends once the parent's end is closed
+    reader.close()
+    os.close(feed)
     try:
-        fds += os.pipe()
-        if exchange:
-            fds += os.pipe()
+        os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass  # reaped already, as under SIGCHLD = SIG_IGN
+
+
+def _fork(records, compute, render, mine: range, children: dict) -> None:
+    """Fork the child that computes the chunks in mine; if that fails, they stay the parent's."""
+    texts = feed = ()
+    try:
+        texts = os.pipe()
+        feed = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12 and later warn (DeprecationWarning) when a process
             # with more than one thread forks, since a lock that another
@@ -149,23 +125,21 @@ def _fork(records, compute, render, mine: range, exchange: bool,
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:
-        for fd in fds:
+        for fd in (*texts, *feed):
             os.close(fd)
         return
     if pid == 0:
         try:
             # the child holds no pipe end but its own two
-            for reader in readers.values():
+            for _, reader, fd in children.values():
                 reader.close()
-            for fd in [*feeds.values(), *fds[::3]]:
                 os.close(fd)
-            feed = open(fds[2], "rb") if exchange else None
-            _serve(records, compute, render, mine, fds[1], feed)
+            os.close(texts[0])
+            os.close(feed[1])
+            with open(feed[0], "rb") as reader:
+                _serve(records, compute, render, mine, texts[1], reader)
         finally:
             os._exit(0)
-    pids.append(pid)
-    for fd in fds[1:3]:
-        os.close(fd)
-    readers[mine.start] = open(fds[0], "rb")
-    if exchange:
-        feeds[mine.start] = fds[3]
+    os.close(texts[1])
+    os.close(feed[0])
+    children[mine.start] = pid, open(texts[0], "rb"), feed[1]

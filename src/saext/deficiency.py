@@ -39,7 +39,7 @@ from .core import (
     _check_budget,
     derivative_values,
 )
-from .errors import PreconditionError, UnsupportedOperatorError
+from .errors import DegenerateGridError, PreconditionError, UnsupportedOperatorError
 
 __all__ = [
     "ESSENTIALLY_SELF_ADJOINT",
@@ -200,6 +200,11 @@ def solve_deficiency(op: OperatorSpec, lam: float = 1.0,
                             tuple(basis_minus), classification, param_dim)
 
 
+#: Samples at each end of a basis grid that the adjoint residual check skips:
+#: the one-sided edge stencils are lower order, so only the interior is judged.
+_EDGE = 3
+
+
 def _adjoint_apply(kind: str, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply the adjoint catalog operator by finite differences."""
     if kind in (MOMENTUM, TIME_OPERATOR):
@@ -213,7 +218,8 @@ def verify_deficiency_numerically(op: OperatorSpec,
 
     Uses second-order interior finite differences on the report's own sample
     grids; small residuals certify the closed forms solve the adjoint
-    equation, large ones flag a corrupted basis.
+    equation, large ones flag a corrupted basis.  A grid of fewer than 7
+    samples has no interior to judge and is refused (DegenerateGridError).
     """
     lam = report.lam
     out_of_range = "the adjoint residual at lam=%r leaves the float range" % (lam,)
@@ -221,14 +227,16 @@ def verify_deficiency_numerically(op: OperatorSpec,
     for sign, basis in ((+1, report.basis_plus), (-1, report.basis_minus)):
         for sol in basis:
             xs, vals = sol.fn.xs, sol.fn.values
+            if len(xs) < 2 * _EDGE + 1:
+                raise DegenerateGridError("the adjoint residual check needs at least %d grid "
+                                          "points, got %d" % (2 * _EDGE + 1, len(xs)))
             try:
                 applied = _adjoint_apply(op.kind, xs, vals)
             except PreconditionError:  # a derivative that left the float range
                 raise PreconditionError(out_of_range) from None
             with np.errstate(over="ignore", invalid="ignore"):
                 resid = applied - sign * 1j * lam * vals
-            # one-sided edge stencils are lower order; judge the interior
-            interior = np.abs(resid[3:-3])
+            interior = np.abs(resid[_EDGE:-_EDGE])
             worst = float(np.max(interior, initial=worst))
     if not math.isfinite(worst):
         raise PreconditionError(out_of_range)

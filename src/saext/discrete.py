@@ -37,6 +37,20 @@ __all__ = [
     "trace_commutator_check",
 ]
 
+#: The largest |theta| of eigenvector_commutator_demo.  At theta = 1e8 the
+#: eigenpair residual of a 64-site ring is 1.6 times its tolerance; at 1e6
+#: the worst quantity is 1.4% (n = 64) to 21% (n = 2**20) of its tolerance.
+_THETA_MAX = 1e6
+
+#: The work bound of commuting_observables_demo, in grid samples.  A level
+#: costs ~0.2 us per sample plus ~0.4 ms of its own, counted as _LEVEL_WORK
+#: samples.  The largest accepted ranges took 6.9 s (4,999 levels on the
+#: default 10,001 samples) to 14.7 s (29 levels on 2,000,001 samples;
+#: 29,895 on 7 took 14.1 s) on one core of a 2-CPU Xeon.
+_LEVEL_WORK = 2_000
+_WORK_MAX = 60_000_000
+
+
 class Quantity(NamedTuple):
     """A reported number together with the tolerance it was established at."""
 
@@ -202,8 +216,13 @@ def eigenvector_commutator_demo(
 
     On the twisted ring the product rule collapses: both orderings give
     the eigenvalue times the same position expectation, so the
-    commutator expectation vanishes instead of producing i*hbar.
+    commutator expectation vanishes instead of producing i*hbar.  A twist
+    |theta| past _THETA_MAX is refused: phi*j loses the digits that the
+    printed tolerances need.
     """
+    if not abs(theta) <= _THETA_MAX:
+        raise PreconditionError("the twist needs |theta| <= %g to meet the printed "
+                                "tolerances, got theta=%r" % (_THETA_MAX, theta))
     _check_budget(_SAMPLE_BYTES * n, "a twisted ring of n=%d" % n)
     lam, vec = discretized_momentum_eigpair(theta, n, mode)
     xs = np.arange(n) / n
@@ -238,6 +257,11 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
         raise PreconditionError("need n_max >= 1, got %d" % n_max)
     _check_budget(_LEVEL_BYTES * n_max + _SAMPLE_BYTES * grid_n,
                   "a range of %d levels on a grid of %d samples" % (n_max, grid_n))
+    work = n_max * (grid_n + _LEVEL_WORK)
+    if work > _WORK_MAX:
+        raise PreconditionError("a range of %d levels on a grid of %d samples is %d samples "
+                                "of work, past the bound of %d (a level counts its grid plus "
+                                "%d)" % (n_max, grid_n, work, _WORK_MAX, _LEVEL_WORK))
     levels = well_spectrum(a, range(1, n_max + 1)).discrete
     xs = np.linspace(0.0, a, grid_n)
     quantities = {}

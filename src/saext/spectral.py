@@ -277,10 +277,13 @@ def discretized_momentum_eigpair(theta: float, n: int, mode: int):
     """Closed-form eigenpair of the twisted difference matrix.
 
     The vector exp(i*phi*j)/sqrt(n) with phi = (2*pi*mode + theta)/n is
-    an exact eigenvector with eigenvalue -i*n*(exp(i*phi) - 1).
+    an exact eigenvector with eigenvalue -i*n*(exp(i*phi) - 1).  Modes m
+    and m + n give the same eigenpair, so mode is taken modulo n, centred
+    on 0 as in discretized_momentum_eigs; phi keeps its digits that way.
     """
     if n < 64:
         raise TooCoarseError("twisted ring needs n >= 64, got n=%d" % n)
+    mode = (mode + n // 2) % n - n // 2
     phi = (math.tau * mode + theta) / n
     lam = -1j * n * (cmath.exp(1j * phi) - 1.0)
     vec = np.exp(1j * phi * np.arange(n)) / math.sqrt(n)

@@ -7,6 +7,7 @@ import csv
 import io
 import itertools
 import json
+import marshal
 import math
 import operator
 import os
@@ -963,10 +964,25 @@ def _ended_in_a_child(monkeypatch, owner, name):
     monkeypatch.setattr(owner, name, ending)
 
 
+def _cut_in_a_child(monkeypatch, kind):
+    """Make a child write half of its first message of type kind, then end."""
+    parent, real = os.getpid(), os.write
+
+    def cut(fd, data):
+        if os.getpid() != parent and isinstance(marshal.loads(data), kind):
+            real(fd, bytes(data[:len(data) // 2]))
+            os._exit(0)
+        return real(fd, data)
+
+    monkeypatch.setattr(os, "write", cut)
+
+
 @pytest.mark.parametrize("fmt", [[], ["--csv"]])
 @pytest.mark.parametrize("ending", [
     "computing",  # ends in its first chunk: CSV before it sends a note
     "encoding",   # ends in its first encoding: CSV once the header is settled
+    "mid-message",  # ends halfway through its first message: a note in CSV
+    "mid-text",     # ends halfway through its first text: CSV's second round
     "no fork",
     "fork fails",
 ])
@@ -980,6 +996,9 @@ def test_a_child_that_ends_early_leaves_its_chunks_to_the_parent(fmt, ending, mo
         _ended_in_a_child(monkeypatch, cli._SweepPoints, "blocks")
     elif ending == "encoding":
         _ended_in_a_child(monkeypatch, cli, "_encoded")
+    elif ending.startswith("mid-"):
+        # a note is a list of shapes and a text is sent as (failed, text)
+        _cut_in_a_child(monkeypatch, object if ending == "mid-message" else tuple)
     elif ending == "no fork":
         monkeypatch.delattr(os, "fork")
     else:
@@ -1030,12 +1049,18 @@ def test_a_forked_sweep_runs_clean_in_dev_mode_with_warnings_as_errors(fmt):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("OPENBLAS_NUM_THREADS", None)
-    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "saext.cli", "sweep", "scatter",
-            "--alpha", "-1.3", "--sweep", "k=0.1:10:100000", *fmt]
-    proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          text=True, timeout=120)
-    assert proc.returncode == 0
-    assert proc.stderr == ""
+    runs = [
+        (["sweep", "scatter", "--alpha", "-1.3", "--sweep", "k=0.1:10:100000"], 0),
+        # a one-shot list of 3 chunks; in CSV its header is given
+        (["spectrum", "--op", "well", "--n-max", "10000"], 0),
+        # points 4096-8191 fail, all in chunk 1, which a child computes
+        (["sweep", "anomaly", "--sweep", "alpha=-1:1:8192"], 1),
+    ]
+    for argv, code in runs:
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "saext.cli",
+                               *argv, *fmt], env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        assert (argv, proc.returncode, proc.stderr) == (argv, code, "")
 
 
 # -- plumbing ---------------------------------------------------------------
@@ -1154,6 +1179,43 @@ def test_explicit_zero_is_not_replaced_by_the_default(argv):
     code, text = run_cli(argv)
     assert code == 1
     jsonschema.validate(json.loads(text), cli.load_schema("error"))
+
+
+@pytest.mark.parametrize("mode", ["100000000", "1" + "0" * 20])
+def test_paradox_one_meets_its_tolerances_at_any_mode(mode):
+    # mode 1e8 printed a residual 7 times its tolerance under the verdict
+    quantities = run_json(["paradox", "--id", "1", "--mode", mode])["result"]["quantities"]
+    for name in ("eigenpair_residual", "eigenvector_expectation"):
+        value = quantities[name]["value"]
+        assert abs(complex(value["re"], value["im"]) if isinstance(value, dict) else value) \
+            <= quantities[name]["tolerance"]
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # phi*j kept no digit of the twist: the residual printed 30.0
+    (["paradox", "--id", "1", "--theta", "1e300"], "|theta| <= 1e+06"),
+    # the memory budget admitted ~520,000 levels, 11-20 minutes of work
+    (["paradox", "--id", "3", "--n", "5000"], "past the bound of 60000000"),
+])
+def test_paradox_refuses_an_input_past_its_bound_naming_it(argv, bound):
+    code, text = run_cli(argv)
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["code"] == "precondition"
+    assert bound in error["message"]
+
+
+@pytest.mark.parametrize("op, grid_n", [("momentum", 3), ("time", 3), ("hamiltonian", 5)])
+def test_deficiency_refuses_a_basis_grid_with_no_interior_to_check(op, grid_n):
+    # the smallest grid of each op that printed an adjoint residual of 0.0,
+    # since the check judged an empty interior; 7 samples are checked
+    code, text = run_cli(["deficiency", "--op", op, "--grid-n", str(grid_n)])
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["code"] == "degenerate-grid"
+    assert "at least 7 grid points" in error["message"]
+    checked = run_json(["deficiency", "--op", op, "--grid-n", "7"])["result"]
+    assert checked["adjoint_residual"] > 0
 
 
 #: argv and a sweep axis of each subcommand (of each op of spectrum)

@@ -18,6 +18,7 @@ from saext.deficiency import (
     solve_deficiency,
     verify_deficiency_numerically,
 )
+from saext.errors import DegenerateGridError
 
 MOMENTUM_01 = OperatorSpec.momentum(Interval.finite(0.0, 1.0))
 MOMENTUM_HALF = OperatorSpec.momentum(Interval.half_line(0.0))
@@ -283,6 +284,16 @@ def test_residual_flags_corrupted_basis():
     corrupted = DeficiencyReport(1, 1, 1.0, (fake,), r.basis_minus,
                                  r.classification, r.param_dim)
     assert verify_deficiency_numerically(MOMENTUM_01, corrupted) > 0.5
+
+
+@pytest.mark.parametrize("op", [MOMENTUM_01, MOMENTUM_HALF, HAMILTONIAN, TIME_OP])
+def test_residual_check_refuses_a_grid_with_no_interior(op):
+    # the check judges resid[3:-3], which is empty below 7 samples
+    with pytest.raises(DegenerateGridError, match="at least 7 grid points, got 6"):
+        verify_deficiency_numerically(op, solve_deficiency(op, n=6))
+    assert verify_deficiency_numerically(op, solve_deficiency(op, n=7)) > 0
+    # the full line has no basis, so there is nothing to check on any grid
+    assert verify_deficiency_numerically(MOMENTUM_LINE, solve_deficiency(MOMENTUM_LINE, n=3)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import argparse
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saext import cli
+from saext import cli, discrete
 from saext.core import UnitSystem
 from saext.discrete import (
     _commutator_trace,
@@ -316,6 +317,28 @@ def test_eigenvector_expectation_does_not_converge_to_target():
         assert report.quantities["eigenpair_residual"].value <= 1e-9 * n
 
 
+@given(
+    st.integers(min_value=-10**20, max_value=10**20),
+    st.floats(min_value=-1e7, max_value=1e7),
+    st.sampled_from([64, 256, 1000, 2048]),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_eigenvector_quantity_meets_its_tolerance_or_is_refused(mode, theta, n):
+    # 2*pi*mode + theta kept no digits of phi once mode or theta was large
+    try:
+        report = eigenvector_commutator_demo(theta, n, mode=mode)
+    except PreconditionError as exc:
+        assert abs(theta) > 1e6
+        assert "|theta| <= 1e+06" in str(exc)
+        return
+    for name, q in report.quantities.items():
+        if name != "canonical_target":
+            assert abs(q.value) <= q.tolerance, name
+    # modes m and m + n are one eigenpair
+    same = eigenvector_commutator_demo(theta, n, mode=mode + n)
+    assert report.quantities == same.quantities
+
+
 def test_eigenvector_demo_deterministic():
     a = eigenvector_commutator_demo(0.3, 256, mode=1)
     b = eigenvector_commutator_demo(0.3, 256, mode=1)
@@ -343,6 +366,16 @@ def test_box_demo_guards():
         commuting_observables_demo(0.0, 3)
     with pytest.raises(PreconditionError):
         commuting_observables_demo(1.0, 0)
+
+
+@pytest.mark.parametrize("n_max, grid_n", [(5_000, 10_001), (29_896, 7), (60, 1_000_001)])
+def test_box_demo_refuses_a_range_past_its_work_bound_at_once(n_max, grid_n, monkeypatch):
+    # --n 2000 took 5 s, and the memory budget admitted ~520,000 levels;
+    # one level fewer than each of these is accepted
+    monkeypatch.setattr(discrete, "well_spectrum", mock.Mock(side_effect=AssertionError("ran")))
+    with pytest.raises(PreconditionError, match="past the bound of 60000000"):
+        commuting_observables_demo(1.0, n_max, grid_n=grid_n)
+    assert (n_max - 1) * (grid_n + discrete._LEVEL_WORK) <= discrete._WORK_MAX
 
 
 # ---------------------------------------------------------------------------
