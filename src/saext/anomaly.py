@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import GridFunction, derivative_values, inner_product
 from .errors import (
-    DegenerateGridError,
     DomainViolationError,
     NoBoundStateError,
     PreconditionError,
@@ -59,13 +58,8 @@ def apply_dilatation(psi: GridFunction, t: float) -> GridFunction:
     """t * H psi - G psi by interior 4th-order finite differences.
 
     The Hamiltonian term needs a 7-point stencil, the first-derivative
-    part only 5; grids below that are rejected.
+    part only 5; derivative_values rejects grids below that.
     """
-    needed = 5 if t == 0.0 else 7
-    if len(psi) < needed:
-        raise DegenerateGridError(
-            "dilatation needs at least %d grid points, got %d" % (needed, len(psi))
-        )
     h_psi, g_psi = _dilatation_pieces(psi, with_h=t != 0.0)
     values = -g_psi if h_psi is None else t * h_psi - g_psi
     return GridFunction(psi.xs, values, weight=psi.weight)
@@ -132,18 +126,15 @@ def heisenberg_correction(psi: GridFunction, alpha: float, t: float = 0.0) -> co
     if psi.weight != "1":
         raise PreconditionError("the boundary correction is defined for the dx "
                                 "measure (weight '1'), got weight %r" % (psi.weight,))
-    if len(psi) < 7:
-        raise DegenerateGridError(
-            "boundary correction needs at least 7 grid points, got %d" % len(psi)
-        )
     d1 = derivative_values(psi.xs, psi.values, 1, acc=4)
+    # raises DegenerateGridError below the 7 samples that H psi's stencil needs
+    h_values, g_values = _dilatation_pieces(psi, d1=d1)
     amp = float(np.max(np.abs(psi.values)))
     violation = abs(d1[0] - alpha * psi.values[0]) / ((1.0 + abs(alpha)) * max(amp, 1e-300))
     if violation > _ROBIN_TOL:
         raise DomainViolationError(
             "psi'(0) = alpha psi(0) violated at scaled level %.3e" % violation
         )
-    h_values, g_values = _dilatation_pieces(psi, d1=d1)
     d_psi = GridFunction(psi.xs, -g_values if t == 0.0 else t * h_values - g_values)
     h_psi = GridFunction(psi.xs, h_values)
     h_d_psi = GridFunction(psi.xs, -derivative_values(psi.xs, d_psi.values, 2, acc=4))

@@ -6,6 +6,10 @@ the inner product is the weighted L2 pairing
 
     (f, g) = int conj(f(x)) g(x) w(x) dx.
 
+The values may be a stack of functions on one grid, samples on the last axis:
+derivatives, inner products and norms then go row by row, each row to the bits
+of a call on that row alone.
+
 The two boundary forms are the endpoint expressions whose vanishing
 characterises symmetric domains:
 
@@ -235,7 +239,8 @@ class BoundaryCondition:
 class GridFunction:
     """Complex samples on a strictly increasing grid with a measure weight.
 
-    Arrays are locked after construction; all operations build new instances.
+    values is one function or a stack, samples on the last axis.  Arrays are
+    locked after construction; all operations build new instances.
     """
 
     xs: np.ndarray
@@ -245,8 +250,7 @@ class GridFunction:
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
         values = np.asarray(self.values, dtype=complex)
-        if xs.ndim != 1 or values.ndim != 1 or len(xs) != len(values):
-            raise ValueError("xs and values must be 1D arrays of equal length")
+        _check_samples(xs, values)
         if len(xs) < 2:
             raise DegenerateGridError("grid needs at least 2 points")
         if not np.all(np.diff(xs) > 0):
@@ -255,25 +259,18 @@ class GridFunction:
             raise ValueError(f"unknown weight descriptor {self.weight!r}")
         if np.any(WEIGHTS[self.weight](xs) < 0):
             raise ValueError("measure weight negative on the grid")
-        xs = xs.copy()
-        values = values.copy()
-        xs.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "values", values)
+        for name, array in (("xs", xs), ("values", values)):
+            array = array.copy()
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray],
-                      xs: np.ndarray, weight: str = "1") -> "GridFunction":
-        xs = np.asarray(xs, dtype=float)
-        return cls(xs, np.asarray(fn(xs), dtype=complex), weight)
-
-    @classmethod
     def uniform(cls, fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                 n: int, weight: str = "1") -> "GridFunction":
-        return cls.from_callable(fn, np.linspace(a, b, n), weight)
+        xs = np.linspace(a, b, n)
+        return cls(xs, fn(xs), weight)
 
     # -- basics -------------------------------------------------------------
 
@@ -287,6 +284,11 @@ class GridFunction:
 
     def __len__(self) -> int:
         return len(self.xs)
+
+
+def _check_samples(xs: np.ndarray, values: np.ndarray) -> None:
+    if xs.ndim != 1 or values.ndim not in (1, 2) or values.shape[-1] != len(xs):
+        raise ValueError("values must be 1D or 2D, the samples of the 1D xs on the last axis")
 
 
 def _require_same_grid(f: GridFunction, g: GridFunction) -> None:
@@ -325,7 +327,7 @@ def quadrature_weights(xs: np.ndarray) -> np.ndarray:
     return w
 
 
-def inner_product(f: GridFunction, g: GridFunction) -> complex:
+def inner_product(f: GridFunction, g: GridFunction) -> complex | np.ndarray:
     """Weighted L2 inner product (f,g) = int conj(f) g w dx by quadrature.
 
     Conjugate-symmetric to the last bit, and Im (f,f) is exactly zero.  The
@@ -333,23 +335,27 @@ def inner_product(f: GridFunction, g: GridFunction) -> complex:
     real arithmetic: swapping f and g replaces each elementary product by its
     commuted twin and negates the imaginary accumulator, both of which are
     exact in IEEE arithmetic.  (numpy's vectorized complex multiply uses FMA,
-    which would leave O(eps) residue in conj(z)*z.)
+    which would leave O(eps) residue in conj(z)*z.)  A stack gives an array.
     """
     _require_same_grid(f, g)
     with np.errstate(over="ignore", invalid="ignore"):
         c = quadrature_weights(f.xs) * f.w
         fr, fi = f.values.real, f.values.imag
         gr, gi = g.values.real, g.values.imag
-        re = float(np.sum(c * (fr * gr + fi * gi)))
-        im = float(np.sum(c * (fr * gi - fi * gr)))
-    if not (math.isfinite(re) and math.isfinite(im)):
+        re = np.sum(c * (fr * gr + fi * gi), axis=-1)
+        im = np.sum(c * (fr * gi - fi * gr), axis=-1)
+    # re + 1j*im would turn a -0.0 imaginary part into +0.0
+    out = np.asarray(re, dtype=complex)
+    out.imag = im
+    if not np.isfinite(out).all():
         raise PreconditionError("the inner product leaves the float range")
-    return complex(re, im)
+    return complex(out) if out.ndim == 0 else out
 
 
-def norm(f: GridFunction) -> float:
-    """L2 norm sqrt((f,f))."""
-    return math.sqrt(max(inner_product(f, f).real, 0.0))
+def norm(f: GridFunction) -> float | np.ndarray:
+    """L2 norm sqrt((f,f)), one a row for a stack."""
+    out = np.sqrt(np.maximum(inner_product(f, f).real, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -403,27 +409,31 @@ def _unit_stencil(w: int, i: int, order: int) -> np.ndarray:
     return weights
 
 
-def _stencil_dot(xs: np.ndarray, values: np.ndarray, i: int, w: int,
-                 order: int, step: float | None):
-    """The derivative at xs[i] from the w-point window that holds it, clamped to the grid."""
+def _stencil_dot(xs: np.ndarray, rows: Iterable[np.ndarray], i: int, w: int,
+                 order: int, step: float | None) -> list:
+    """The derivative at xs[i] of each row, from the w-point window that holds it, clamped.
+
+    One np.dot a row: a matrix product or einsum rounds some rows differently.
+    """
     start = min(max(i - w // 2, 0), len(xs) - w)
     if step is None:
         weights = fd_weights(xs[i], xs[start:start + w], order)
     else:
         weights = _unit_stencil(w, i - start, order) / step**order
-    return np.dot(weights, values[start:start + w])
+    return [np.dot(weights, row[start:start + w]) for row in rows]
 
 
 def derivative_values(xs: np.ndarray, values: np.ndarray,
                       order: int = 1, acc: int = 4) -> np.ndarray:
     """m-th derivative samples by finite differences of accuracy >= acc.
 
-    Centred stencils in the interior; one-sided stencils of the same window
-    at the edges.  Non-uniform grids fall back to per-point Fornberg weights.
-    A result that is not finite raises PreconditionError.
+    Centred stencils in the interior, one-sided ones of the same window at
+    the edges, per-point Fornberg weights on a non-uniform grid; a stack goes
+    row by row.  A result that is not finite raises PreconditionError.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values)
+    _check_samples(xs, values)
     n = len(xs)
     w = _window_size(order, acc)
     if n < w:
@@ -431,27 +441,24 @@ def derivative_values(xs: np.ndarray, values: np.ndarray,
             f"order-{order} derivative at accuracy {acc} needs >= {w} points")
     h = np.diff(xs)
     step = h[0] if _is_uniform(h) else None
-    out = np.empty(n, dtype=complex if np.iscomplexobj(values) else float)
+    rows = np.atleast_2d(values)
+    out = np.zeros(rows.shape, dtype=complex if np.iscomplexobj(values) else float)
     c = w // 2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if step is None:
-            for i in range(n):
-                out[i] = _stencil_dot(xs, values, i, w, order, None)
-        else:
+        if step is not None:
             centre = _unit_stencil(w, c, order) / step**order
-            mid = np.zeros(n - w + 1, dtype=out.dtype)
+            mid = out[:, c:c + n - w + 1]
             for j, sj in enumerate(centre):
-                mid += sj * values[j:j + n - w + 1]
-            out[c:c + n - w + 1] = mid
-            for i in (*range(c), *range(n - c, n)):
-                out[i] = _stencil_dot(xs, values, i, w, order, step)
+                mid += sj * rows[:, j:j + n - w + 1]
+        for i in range(n) if step is None else (*range(c), *range(n - c, n)):
+            out[:, i] = _stencil_dot(xs, rows, i, w, order, step)
     if not np.all(np.isfinite(out)):
         raise PreconditionError("the derivative leaves the float range")
-    return out
+    return out.reshape(values.shape)
 
 
 def derivative(f: GridFunction, order: int = 1, acc: int = 4) -> GridFunction:
-    """Derivative of a grid function (same grid and weight)."""
+    """Derivative of a grid function or stack (same grid and weight)."""
     return f.with_values(derivative_values(f.xs, f.values, order, acc))
 
 
@@ -506,6 +513,5 @@ def boundary_form_hamiltonian(xi: GridFunction, eta: GridFunction,
     if len(xi) < w:
         raise DegenerateGridError(
             f"boundary derivative at accuracy {acc} needs >= {w} points")
-    d_xi0 = _stencil_dot(xi.xs, xi.values, 0, w, 1, None)
-    d_eta0 = _stencil_dot(eta.xs, eta.values, 0, w, 1, None)
+    d_xi0, d_eta0 = _stencil_dot(xi.xs, (xi.values, eta.values), 0, w, 1, None)
     return complex(np.conj(xi.values[0]) * d_eta0 - np.conj(d_xi0) * eta.values[0])

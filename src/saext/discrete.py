@@ -42,13 +42,21 @@ __all__ = [
 #: the worst quantity is 1.4% (n = 64) to 21% (n = 2**20) of its tolerance.
 _THETA_MAX = 1e6
 
+#: eigenvector_commutator_demo's expectation rounds to about
+#: n*eps*(1 + phi), phi = |2*pi*mode + theta|/n; the largest ratio in a scan
+#: of n = 2**6 ... 2**22, edge modes and |theta| <= 1e6 was 9.3, so its
+#: tolerance is the larger of 1e-8 and this many times that scale.
+_EXPECTATION_ROUNDING = 32
+
 #: The work bound of commuting_observables_demo, in grid samples.  A level
-#: costs ~0.2 us per sample plus ~0.4 ms of its own, counted as _LEVEL_WORK
-#: samples.  The largest accepted ranges took 6.9 s (4,999 levels on the
-#: default 10,001 samples) to 14.7 s (29 levels on 2,000,001 samples;
-#: 29,895 on 7 took 14.1 s) on one core of a 2-CPU Xeon.
+#: costs ~0.2 us per sample plus ~15 us of its own in a stack (~0.4 ms
+#: alone), still counted as _LEVEL_WORK samples.  The largest accepted
+#: ranges took 0.6 s (29,895 levels on 7 samples), 5.0 s (14,996 on 2,001),
+#: 6.7 s (4,999 on the default 10,001) and 12-17 s (588 on 100,001 to 29
+#: on 2,000,001) on one core of a 2-CPU Xeon.
 _LEVEL_WORK = 2_000
 _WORK_MAX = 60_000_000
+_STACK = 1 << 16  # samples in a stack of levels: 2**14 would hold one level of 10,001
 
 
 class Quantity(NamedTuple):
@@ -218,13 +226,16 @@ def eigenvector_commutator_demo(
     the eigenvalue times the same position expectation, so the
     commutator expectation vanishes instead of producing i*hbar.  A twist
     |theta| past _THETA_MAX is refused: phi*j loses the digits that the
-    printed tolerances need.
+    printed tolerances need.  The expectation's tolerance grows with n and
+    phi = |2*pi*mode + theta|/n, the mode centred as the eigenpair takes it.
     """
     if not abs(theta) <= _THETA_MAX:
         raise PreconditionError("the twist needs |theta| <= %g to meet the printed "
                                 "tolerances, got theta=%r" % (_THETA_MAX, theta))
     _check_budget(_SAMPLE_BYTES * n, "a twisted ring of n=%d" % n)
     lam, vec = discretized_momentum_eigpair(theta, n, mode)
+    phi = abs(math.tau * ((mode + n // 2) % n - n // 2) + theta) / n
+    expectation_tol = max(1e-8, _EXPECTATION_ROUNDING * n * np.finfo(float).eps * (1.0 + phi))
     xs = np.arange(n) / n
     p_vec = _twisted_difference(theta, vec)
     commutator_expect = complex(
@@ -234,7 +245,7 @@ def eigenvector_commutator_demo(
     return ParadoxReport(
         id=1,
         quantities={
-            "eigenvector_expectation": Quantity(commutator_expect, 1e-8),
+            "eigenvector_expectation": Quantity(commutator_expect, expectation_tol),
             "canonical_target": Quantity(complex(0.0, units.hbar), 0.0),
             "eigenpair_residual": Quantity(residual, 1e-9 * n),
         },
@@ -265,13 +276,16 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
     levels = well_spectrum(a, range(1, n_max + 1)).discrete
     xs = np.linspace(0.0, a, grid_n)
     quantities = {}
-    for level in levels:
-        psi = GridFunction(xs, level.eigenfunction(xs))
+    per_stack = max(1, _STACK // grid_n)
+    for stack in (levels[i:i + per_stack] for i in range(0, n_max, per_stack)):
+        psi = GridFunction(xs, [level.eigenfunction(xs) for level in stack])
         p_psi = GridFunction(xs, -1j * derivative_values(xs, psi.values, 1, acc=4))
-        coeff = inner_product(psi, p_psi) / inner_product(psi, psi)
-        residual_fn = GridFunction(xs, p_psi.values - coeff * psi.values)
-        r = norm(residual_fn) / norm(p_psi)
-        quantities["r_%d" % level.n] = Quantity(r, 1e-10)
+        # Python divides each level: numpy rounds some quotients apart, raises no ZeroDivisionError
+        coeffs = [complex(num) / complex(den) for num, den in
+                  zip(inner_product(psi, p_psi), inner_product(psi, psi))]
+        residual_fn = GridFunction(xs, p_psi.values - np.array(coeffs)[:, None] * psi.values)
+        for level, num, den in zip(stack, norm(residual_fn), norm(p_psi)):
+            quantities["r_%d" % level.n] = Quantity(float(num) / float(den), 1e-10)
     return ParadoxReport(
         id=3,
         quantities=quantities,

@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import WEIGHTS, GridFunction, derivative_values, inner_product
 from .errors import (
-    GridMismatchError,
     InvalidMetricError,
     PreconditionError,
     SingularSupportError,
@@ -125,8 +124,6 @@ def radial_symmetry_defect(
     """
     if f.weight != "r" or g.weight != "r":
         raise PreconditionError("radial defect is defined for the r dr measure")
-    if len(f) != len(g) or not np.array_equal(f.xs, g.xs):
-        raise GridMismatchError("f and g must share one grid")
     _check_interior_support(f)
     _check_interior_support(g)
     p_g = GridFunction(g.xs, _radial_momentum(omega_re, g), weight="r")

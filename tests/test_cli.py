@@ -1063,6 +1063,20 @@ def test_a_forked_sweep_runs_clean_in_dev_mode_with_warnings_as_errors(fmt):
         assert (argv, proc.returncode, proc.stderr) == (argv, code, "")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_paradox_three_runs_its_stacks_clean_in_dev_mode_with_warnings_as_errors(fmt):
+    # --n 13 is three stacks of levels; at a = 1e300 the levels' norms underflow
+    # to 0, which must stay the invalid-value error, not an inf or a warning
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv, code in ((["paradox", "--id", "3", "--n", "13"], 0),
+                       (["paradox", "--id", "3", "--a", "1e300"], 1)):
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "saext.cli",
+                               *argv, *fmt], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert (argv, proc.returncode, proc.stderr) == (argv, code, "")
+        assert ("invalid-value" in proc.stdout) == (code == 1)
+
+
 # -- plumbing ---------------------------------------------------------------
 
 def test_unknown_subcommand_is_usage_error():

@@ -419,3 +419,73 @@ def test_hamiltonian_form_vanishes_for_shared_robin_condition(alpha, c2, c3):
 def test_norm_helper():
     f = GridFunction.uniform(lambda x: 2.0 * np.ones_like(x), 0.0, 1.0, 101)
     assert norm(f) == pytest.approx(2.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacks: several functions on one grid
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _stacks(draw):
+    """A grid, uniform or not, and two stacks of real or complex rows on it.
+
+    A fifth of the samples are 0.0 and a fifth -0.0, and a row may be all
+    -0.0, so that a sign of zero lost by the stacked path shows.
+    """
+    order, acc = draw(st.sampled_from([(1, 2), (1, 4), (2, 2), (2, 4)]))
+    n = _window_size(order, acc) + draw(st.integers(0, 30))
+    rows = draw(st.integers(1, 5))
+    t = np.linspace(0.0, 1.0, n)
+    xs = 0.5 + draw(st.floats(1e-2, 1e2)) * (t * t if draw(st.booleans()) else t)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((2, 2, rows, n))
+    pick = rng.random(parts.shape)
+    parts[pick < 0.4] = -0.0
+    parts[pick < 0.2] = 0.0
+    if draw(st.booleans()):
+        parts[:, :, 0] = -0.0
+    if draw(st.booleans()):
+        stacks = parts[:, 0]
+    else:
+        stacks = np.empty((2, rows, n), dtype=complex)
+        stacks.real, stacks.imag = parts[:, 0], parts[:, 1]
+    return xs, stacks[0], stacks[1], order, acc
+
+
+def _bits(values):
+    return np.asarray(values).tobytes()
+
+
+@given(_stacks(), st.sampled_from(["1", "r", "r^2"]))
+@settings(max_examples=150, deadline=None)
+def test_a_stack_gets_the_bits_of_each_row_alone(data, weight):
+    xs, u, v, order, acc = data
+    stacked = derivative_values(xs, u, order, acc)
+    alone = [derivative_values(xs, row, order, acc) for row in u]
+    assert stacked.dtype == alone[0].dtype
+    assert _bits(stacked) == _bits(alone)
+    f, g = GridFunction(xs, u, weight), GridFunction(xs, v, weight)
+    rows = [(GridFunction(xs, a, weight), GridFunction(xs, b, weight)) for a, b in zip(u, v)]
+    assert _bits(inner_product(f, g)) == _bits([inner_product(a, b) for a, b in rows])
+    assert _bits(norm(f)) == _bits([norm(a) for a, _ in rows])
+    df = derivative(f, order, acc)
+    assert (df.weight, _bits(df.xs)) == (weight, _bits(xs))
+    assert _bits(df.values) == _bits([derivative(a, order, acc).values for a, _ in rows])
+
+
+def test_one_function_keeps_its_python_types():
+    f = GridFunction.uniform(lambda x: np.exp(1j * x), 0.0, 1.0, 11)
+    assert type(inner_product(f, f)) is complex
+    assert type(norm(f)) is float
+    assert derivative_values(f.xs, f.values).shape == (11,)
+    stack = GridFunction(f.xs, [f.values, 2 * f.values])
+    assert inner_product(stack, stack).shape == norm(stack).shape == (2,)
+
+
+def test_values_not_one_or_a_stack_of_functions_on_the_grid_are_refused():
+    xs = np.linspace(0.0, 1.0, 11)
+    for values in (np.zeros((2, 2, 11)), np.zeros((2, 10)), np.zeros(12)):
+        with pytest.raises(ValueError):
+            GridFunction(xs, values)
+        with pytest.raises(ValueError):
+            derivative_values(xs, values)

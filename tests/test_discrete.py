@@ -339,6 +339,31 @@ def test_every_eigenvector_quantity_meets_its_tolerance_or_is_refused(mode, thet
     assert report.quantities == same.quantities
 
 
+@pytest.mark.parametrize("n, mode, theta", [
+    (2**22, 2097151, 0.0), (2**22, 2097151, 3.0), (2**22, -2097152, -1e6), (2**21, 524288, 3.0),
+])
+def test_eigenvector_expectation_meets_its_tolerance_on_a_large_ring(n, mode, theta):
+    # each printed 1.1e-8 to 3.3e-8 under a fixed tolerance of 1e-8
+    q = eigenvector_commutator_demo(theta, n, mode=mode).quantities
+    for name in ("eigenvector_expectation", "eigenpair_residual"):
+        assert abs(q[name].value) <= q[name].tolerance, name
+
+
+@st.composite
+def _ring(draw):
+    n = draw(st.integers(64, 2**16))
+    return n, draw(st.integers(-n, n)), draw(st.floats(-1e6, 1e6))
+
+
+@given(_ring())
+@settings(max_examples=60, deadline=None)
+def test_every_eigenvector_quantity_meets_its_tolerance_on_any_ring(ring):
+    n, mode, theta = ring
+    q = eigenvector_commutator_demo(theta, n, mode=mode).quantities
+    for name in ("eigenvector_expectation", "eigenpair_residual"):
+        assert abs(q[name].value) <= q[name].tolerance, name
+
+
 def test_eigenvector_demo_deterministic():
     a = eigenvector_commutator_demo(0.3, 256, mode=1)
     b = eigenvector_commutator_demo(0.3, 256, mode=1)
@@ -376,6 +401,21 @@ def test_box_demo_refuses_a_range_past_its_work_bound_at_once(n_max, grid_n, mon
     with pytest.raises(PreconditionError, match="past the bound of 60000000"):
         commuting_observables_demo(1.0, n_max, grid_n=grid_n)
     assert (n_max - 1) * (grid_n + discrete._LEVEL_WORK) <= discrete._WORK_MAX
+
+
+def test_box_demo_builds_its_grid_functions_per_stack_not_per_level(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return grid_function(*args, **kwargs)
+
+    grid_function = discrete.GridFunction
+    monkeypatch.setattr(discrete, "GridFunction", counted)
+    report = commuting_observables_demo(1.0, 20_000, grid_n=7)
+    stacks = -(-20_000 // (discrete._STACK // 7))
+    assert len(report.quantities) == 20_000
+    assert stacks <= 3 and len(built) <= 3 * stacks
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ _ARGV = {
     "sweep-spectrum-robin": ["sweep", "spectrum", "--op", "robin", "--sweep", "alpha=-2:1:4"],
     "paradox-1": ["paradox", "--id", "1"],
     "paradox-3": ["paradox", "--id", "3"],
+    "paradox-3-stacks": ["paradox", "--id", "3", "--n", "13"],
+    "paradox-3-short-rows": ["paradox", "--id", "3", "--n", "40", "--grid-n", "7"],
     "paradox-4": ["paradox", "--id", "4"],
     "spectrum-well": ["spectrum", "--op", "well"],
     "spectrum-momentum": ["spectrum", "--op", "momentum"],
