@@ -34,6 +34,7 @@ __all__ = [
     "poisson_bracket",
     "potential_observable",
     "scale_condition_residual",
+    "scale_symmetry_exact",
     "total_time_derivative",
 ]
 
@@ -204,6 +205,15 @@ def scale_condition_residual(v: PowerLawPotential) -> MonomialObservable:
     return MonomialObservable.single(coeff, q_pow=s)
 
 
+def scale_symmetry_exact(v: PowerLawPotential) -> bool:
+    """Whether the residual's coefficient g (1 + s/2) is exactly 0: g = 0 or s = -2.
+
+    For an integer s this is ``scale_condition_residual(v).is_zero``; it
+    also holds for the exponents that have no symbolic form.
+    """
+    return v.g == 0.0 or v.s == -2.0
+
+
 class FlowTrajectory(NamedTuple):
     ts: np.ndarray
     qs: np.ndarray
@@ -229,37 +239,27 @@ def integrate_flow(
     """The flow qdot = 2p, pdot = -V'(q) at ``samples`` equally spaced times.
 
     For s in {-2, 0, 1, 2} the flow is sampled from its closed form (see
-    :func:`_closed_samples`), and for every other exponent from its energy
+    :func:`_closed`), and for every other exponent from its energy
     integral (see :func:`_energy_flow`); both are exact up to rounding, and
     ``tol`` is accepted but not used.  Trajectories that reach the origin,
     or run to q = +-inf in finite time, stop with a singularity error that
     gives the exact time instead of silently producing garbage.
     """
-    return _closed_flow(v, state0, t_end, samples)[0]
-
-
-def _trajectory(v: PowerLawPotential, ts, qs, ps) -> FlowTrajectory:
-    potential = v.value(qs)
-    energies = ps * ps + potential
-    # relative to p0^2 + |V(q0)|: that is |H0| when V(q0) >= 0, and it
-    # stays away from 0 when an attractive H0 cancels to 0
-    scale = ps[0] * ps[0] + abs(potential[0])
-    drift = float(np.max(np.abs(energies - energies[0])) / max(scale, 1e-300))
-    return FlowTrajectory(ts, qs, ps, energies, drift)
+    return _flow(v, state0, t_end, samples)[0]
 
 
 #: Exponents whose flow :func:`integrate_flow` samples from its closed form.
 _CLOSED_EXPONENTS = (-2.0, 0.0, 1.0, 2.0)
 
 
-def _closed_flow(v: PowerLawPotential, state0: Sequence[float], t_end: float, samples: int):
-    """The trajectory of :func:`integrate_flow`, and int_0^t p^2 dt at its times.
+def _flow(v: PowerLawPotential, state0: Sequence[float], t_end: float, samples: int):
+    """The trajectory of :func:`integrate_flow`, and int_0^t g (1 + s/2) q^s dt at its times.
 
-    Exponents in _CLOSED_EXPONENTS are sampled by :func:`_closed_samples`
-    (the integral is then None: their drift prediction is closed), every
-    other one by :func:`_energy_flow`.  A flow that leaves the float range
-    by t_end, or at s = -2 comes within rounding of q = 0, raises
-    PreconditionError.
+    Exponents in _CLOSED_EXPONENTS take both from :func:`_closed`, every
+    other one from :func:`_energy_flow`, where V = H - p^2 turns the
+    integral into (1 + s/2)(H t - int p^2 dt).  A flow that leaves the
+    float range by t_end, or at s = -2 comes within rounding of q = 0,
+    raises PreconditionError.
     """
     if not samples >= 2:
         raise PreconditionError("need at least 2 samples, got %r" % (samples,))
@@ -270,86 +270,80 @@ def _closed_flow(v: PowerLawPotential, state0: Sequence[float], t_end: float, sa
     if not t_end > 0.0:
         raise PreconditionError("t_end must be positive, got %r" % (t_end,))
     g, s = v.g, v.s
-    if s == -2.0:
-        _inverse_square_fall(g, q0, p0, t_end)
+    closed = s in _CLOSED_EXPONENTS
     ts = np.linspace(0.0, t_end, samples)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if s in _CLOSED_EXPONENTS:
-            (qs, ps), work = _closed_samples(g, s, q0, p0, ts), None
-        else:
-            qs, ps, work = _energy_flow(v, q0, p0, ts)
-        traj = _trajectory(v, ts, qs, ps)
-    if np.all(np.isfinite(traj.energies)) and (s != -2.0 or np.all(traj.qs > 0.0)) and (
-            work is None or np.all(np.isfinite(work))):
-        return traj, work
+        qs, ps, rest = _closed(g, s, q0, p0, ts) if closed else _energy_flow(v, q0, p0, ts)
+        potential = v.value(qs)
+        energies = ps * ps + potential
+        # relative to p0^2 + |V(q0)|: that is |H0| when V(q0) >= 0, and it
+        # stays away from 0 when an attractive H0 cancels to 0
+        scale = ps[0] * ps[0] + abs(potential[0])
+        drift = float(np.max(np.abs(energies - energies[0])) / max(scale, 1e-300))
+        predicted = rest if closed else (1.0 + 0.5 * s) * (energies[0] * ts - rest)
+    if np.all(np.isfinite(energies)) and (s != -2.0 or np.all(qs > 0.0)) and (
+            closed or np.all(np.isfinite(rest))):
+        return FlowTrajectory(ts, qs, ps, energies, drift), predicted
     lost = "comes within rounding of q = 0 or leaves" if s == -2.0 else "leaves"
     raise PreconditionError("the s=%g flow from q0=%r, p0=%r, g=%r %s the float range "
                             "by t_end=%r" % (s, q0, p0, g, lost, t_end))
 
 
-def _closed_samples(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
-    """(q, p) at the times ts for s in _CLOSED_EXPONENTS.
+def _closed(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
+    """q, p and int_0^t g (1 + s/2) q^s dt at the times ts, for s in _CLOSED_EXPONENTS.
 
     s = -2: with qdot = 2p, d(qp)/dt = 2H, so qp = q0 p0 + 2Ht and
-    q^2 = q0^2 + 4t(q0 p0 + Ht).  s = 1: constant force, p = p0 - g t and
-    q = q0 + 2 p0 t - g t^2.  s = 2 with g > 0: w = 2 sqrt(g),
-    q = q0 cos wt + (2 p0/w) sin wt and p = p0 cos wt - (w q0/2) sin wt.
+    q^2 = q0^2 + 4t(q0 p0 + Ht); the integral is 0.  A fall to q = 0 by
+    ts[-1] raises SingularityError.  s = 1: constant force, p = p0 - g t,
+    q = q0 + 2 p0 t - g t^2 and the integral is 1.5 g (q0 t + p0 t^2 - g t^3/3).
+    s = 2 with g > 0: w = 2 sqrt(g), q = q0 cos wt + (2 p0/w) sin wt,
+    p = p0 cos wt - (w q0/2) sin wt and, with x = 2wt, the integral is
+    2g [q0^2 (x + sin x)/(4w) + p0^2 (x - sin x)/w^3 + 2 q0 p0 sin^2(wt)/w^2].
     s = 2 with g < 0: w = 2 sqrt(-g) and a = q0 + 2 p0/w, the growing
-    mode's amplitude, q = q0 e^(-wt) + a sinh wt and p = p0 e^(-wt) +
-    (w a/2) sinh wt; unlike q0 cosh wt + (2 p0/w) sinh wt these do not
-    cancel on the stable manifold a = 0, and for small w a sinh wt is
-    about 2 p0 t.  s = 0, or s = 2 with g = 0: free flight, q = q0 + 2 p0 t.
+    mode's amplitude, q = q0 e^(-wt) + a sinh wt, p = p0 e^(-wt) +
+    (w a/2) sinh wt and the integral is 2g [-q0^2 expm1(-x)/(2w) +
+    q0 a (x + expm1(-x))/(2w) + a^2 (sinh x - x)/(4w)]; unlike
+    q0 cosh wt + (2 p0/w) sinh wt these terms do not cancel on the stable
+    manifold a = 0, and for small w a sinh wt is about 2 p0 t.  s = 0, or
+    s = 2 with g = 0: free flight, q = q0 + 2 p0 t, and the integral is g t.
     """
     if s == -2.0:
         b, q0_sq = q0 * p0, q0 * q0
+        if not q0_sq > 0.0:
+            raise PreconditionError("q0^2 underflows, got q0=%r" % (q0,))
+        # q^2 = q0^2 + 4t(b + Ht) has discriminant 16(b^2 - H q0^2) = -16g, so
+        # it reaches 0 only for g <= 0 (a double root at g = 0).  Its roots in
+        # the form without cancellation are q0^2 / (2(+-sqrt(-g) - b)), and
+        # the first positive one is q0^2 / (2(sqrt(-g) - b)) if sqrt(-g) > b.
+        if g <= 0.0:
+            closing = math.sqrt(-g) - b
+            fall = 0.5 * q0_sq / closing if closing > 0.0 else math.inf
+            if fall <= ts[-1]:
+                raise SingularityError("trajectory reaches the origin at t=%r" % (fall,))
         h = p0 * p0 + g / q0_sq
         qs = np.sqrt(q0_sq + 4.0 * ts * (b + h * ts))
-        return qs, (b + 2.0 * h * ts) / qs
+        return qs, (b + 2.0 * h * ts) / qs, np.zeros_like(ts)
     if s == 1.0:
-        return q0 + 2.0 * p0 * ts - g * ts * ts, p0 - g * ts
+        return (q0 + 2.0 * p0 * ts - g * ts * ts, p0 - g * ts,
+                1.5 * g * (q0 * ts + p0 * ts * ts - g * ts * ts * ts / 3.0))
     if s == 2.0 and g > 0.0:
         w = 2.0 * math.sqrt(g)
-        c, sn = np.cos(w * ts), np.sin(w * ts)
-        return q0 * c + (2.0 * p0 / w) * sn, p0 * c - (0.5 * w * q0) * sn
+        c, sn, x = np.cos(w * ts), np.sin(w * ts), 2.0 * w * ts
+        return (q0 * c + (2.0 * p0 / w) * sn, p0 * c - (0.5 * w * q0) * sn,
+                2.0 * g * (q0 * q0 * (x + np.sin(x)) / (4.0 * w) + p0 * p0 * _odd_tail(x, -1.0) / w**3
+                           + 2.0 * q0 * p0 * (np.sin(0.5 * x) / w) ** 2))
     if s == 2.0 and g < 0.0:
         w = 2.0 * math.sqrt(-g)
-        a, decay = q0 + 2.0 * p0 / w, np.exp(-w * ts)
-        if a == 0.0:  # the stable manifold, where a sinh wt is 0 also past sinh's range
-            return q0 * decay, p0 * decay
-        sn = np.sinh(w * ts)
-        return q0 * decay + a * sn, p0 * decay + (0.5 * w * a) * sn
-    return q0 + 2.0 * p0 * ts, np.full_like(ts, p0)
-
-
-def _closed_prediction(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
-    """The integral of g (1 + s/2) q(t)^s from 0 to each t in ts, s in _CLOSED_EXPONENTS.
-
-    On the flows of :func:`_closed_samples`: 0 at s = -2 (and at s = 2 with
-    g = 0), g t at s = 0, and 1.5 g (q0 t + p0 t^2 - g t^3/3) at s = 1.  At
-    s = 2 with g > 0, w = 2 sqrt(g) and x = 2wt, it is
-    2g [q0^2 (x + sin x)/(4w) + p0^2 (x - sin x)/w^3 + 2 q0 p0 sin^2(wt)/w^2].
-    With g < 0, in the modes of :func:`_closed_samples`, it is
-    2g [-q0^2 expm1(-x)/(2w) + q0 a (x + expm1(-x))/(2w) + a^2 (sinh x - x)/(4w)],
-    a sum whose terms do not cancel on the stable manifold or for small w.
-    """
-    if s == -2.0 or (s == 2.0 and g == 0.0):
-        return np.zeros_like(ts)
-    if s == 0.0:
-        return g * ts
-    if s == 1.0:
-        return 1.5 * g * (q0 * ts + p0 * ts * ts - g * ts * ts * ts / 3.0)
-    w = 2.0 * math.sqrt(abs(g))
-    x = 2.0 * w * ts
-    if g < 0.0:
-        a, total = q0 + 2.0 * p0 / w, -q0 * q0 * np.expm1(-x) / (2.0 * w)
-        if a != 0.0:  # on the stable manifold both terms are 0, also past sinh's range
-            odd = _odd_tail(x, 1.0)
-            # x + expm1(-x) = 2 sinh^2(x/2) - (sinh x - x), whose terms do not cancel below x = 1
-            ramp = np.where(x < 1.0, 2.0 * np.sinh(0.5 * x) ** 2 - odd, x + np.expm1(-x))
-            total = total + q0 * a * ramp / (2.0 * w) + a * a * odd / (4.0 * w)
-        return 2.0 * g * total
-    return 2.0 * g * (q0 * q0 * (x + np.sin(x)) / (4.0 * w) + p0 * p0 * _odd_tail(x, -1.0) / w**3
-                      + 2.0 * q0 * p0 * (np.sin(0.5 * x) / w) ** 2)
+        a, decay, x = q0 + 2.0 * p0 / w, np.exp(-w * ts), 2.0 * w * ts
+        total = -q0 * q0 * np.expm1(-x) / (2.0 * w)
+        if a == 0.0:  # the stable manifold, where every term in a is 0, also past sinh's range
+            return q0 * decay, p0 * decay, 2.0 * g * total
+        sn, odd = np.sinh(w * ts), _odd_tail(x, 1.0)
+        # x + expm1(-x) = 2 sinh^2(x/2) - (sinh x - x), whose terms do not cancel below x = 1
+        ramp = np.where(x < 1.0, 2.0 * np.sinh(0.5 * x) ** 2 - odd, x + np.expm1(-x))
+        total = total + q0 * a * ramp / (2.0 * w) + a * a * odd / (4.0 * w)
+        return q0 * decay + a * sn, p0 * decay + (0.5 * w * a) * sn, 2.0 * g * total
+    return q0 + 2.0 * p0 * ts, np.full_like(ts, p0), g * ts if s == 0.0 else np.zeros_like(ts)
 
 
 def _odd_tail(x: np.ndarray, sign: float) -> np.ndarray:
@@ -525,22 +519,6 @@ def _energy_flow(v: PowerLawPotential, q0: float, p0: float, ts: np.ndarray):
     return qs, ps, works + (laps * period[1] if period else 0.0)
 
 
-def _inverse_square_fall(g: float, q0: float, p0: float, t_end: float) -> None:
-    """Raise SingularityError if the s = -2 flow reaches q = 0 by t_end."""
-    b, q0_sq = q0 * p0, q0 * q0
-    if not q0_sq > 0.0:
-        raise PreconditionError("q0^2 underflows, got q0=%r" % (q0,))
-    # q^2 = q0^2 + 4t(b + Ht) has discriminant 16(b^2 - H q0^2) = -16g, so
-    # it reaches 0 only for g <= 0 (a double root at g = 0).  Its roots in
-    # the form without cancellation are q0^2 / (2(+-sqrt(-g) - b)), and
-    # the first positive one is q0^2 / (2(sqrt(-g) - b)) if sqrt(-g) > b.
-    if g <= 0.0:
-        closing = math.sqrt(-g) - b
-        fall = 0.5 * q0_sq / closing if closing > 0.0 else math.inf
-        if fall <= t_end:
-            raise SingularityError("trajectory reaches the origin at t=%r" % (fall,))
-
-
 def dilatation_drift_report(
     v: PowerLawPotential,
     state0: Sequence[float],
@@ -551,8 +529,8 @@ def dilatation_drift_report(
     """Measure D(t) - D(0) along a trajectory and compare to the predicted rate.
 
     The prediction integrates the rate g (1 + s/2) q(t)^s from 0 to each
-    sample time.  For s in {-2, 0, 1, 2} that integral is closed (see
-    :func:`_closed_prediction`); at s = -2 the rate vanishes identically,
+    sample time.  For s in {-2, 0, 1, 2} that integral is closed and comes
+    from the same case as the flow (see :func:`_closed`); at s = -2 the rate vanishes identically,
     and the deviation from the prediction is rounding alone.  For other
     exponents V = H - p^2 turns it into (1 + s/2)(H t - int p^2 dt), whose
     last term comes from the same energy integral as the flow.  ``tol`` is
@@ -567,14 +545,10 @@ def dilatation_drift_report(
     if not abs(v.s) <= 2.0**17:
         raise PreconditionError("at s=%r rounding swamps the dilatation drift: the "
                                 "report needs |s| <= 2^17" % (v.s,))
-    traj, work = _closed_flow(v, state0, t_end, samples)
+    traj, predicted = _flow(v, state0, t_end, samples)
     with np.errstate(over="ignore", invalid="ignore"):
         d_vals = traj.energies * traj.ts - 0.5 * traj.qs * traj.ps
         measured = d_vals - d_vals[0]
-        if work is None:
-            predicted = _closed_prediction(v.g, v.s, float(state0[0]), float(state0[1]), traj.ts)
-        else:
-            predicted = (1.0 + 0.5 * v.s) * (traj.energies[0] * traj.ts - work)
         deviation = np.abs(measured - predicted)
     if not np.all(np.isfinite(deviation)):
         raise PreconditionError("the dilatation of the s=%g flow leaves the float range by "

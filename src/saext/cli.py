@@ -646,7 +646,7 @@ def _run_paradox(args) -> dict:
 
 
 def _run_classical(args) -> dict:
-    from .classical import PowerLawPotential, dilatation_drift_report, scale_condition_residual
+    from .classical import PowerLawPotential, dilatation_drift_report, scale_symmetry_exact
 
     v = PowerLawPotential(args.g, args.s)
     report = dilatation_drift_report(v, (args.q0, args.p0), args.t_end, samples=args.samples)
@@ -660,7 +660,7 @@ def _run_classical(args) -> dict:
         "predicted_drift": report.predicted_drift,
         "deviation": report.max_deviation,
         "energy_drift": report.energy_drift,
-        "symmetry_exact": scale_condition_residual(v).is_zero,
+        "symmetry_exact": scale_symmetry_exact(v),
     }
 
 
@@ -838,7 +838,7 @@ _COMMANDS: Dict[str, dict] = {
     "classical": {
         "help": "dilatation drift along a power-law Hamiltonian flow",
         "args": [
-            (("--s",), dict(type=float, help="integer potential exponent")),
+            (("--s",), dict(type=float, help="potential exponent")),
             (("--g",), dict(type=float, help="coupling")),
             (("--q0",), dict(type=float, help="initial position")),
             (("--p0",), dict(type=float, help="initial momentum")),

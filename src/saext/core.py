@@ -470,6 +470,11 @@ def derivative(f: GridFunction, order: int = 1, acc: int = 4) -> GridFunction:
 _DECAY_TOL = 1e-8
 
 
+def _require_single(xi: GridFunction, eta: GridFunction) -> None:
+    if xi.values.ndim != 1 or eta.values.ndim != 1:
+        raise ValueError("a boundary form takes one function each, not a stack")
+
+
 def _decayed(value: complex, scale: float) -> bool:
     return abs(value) <= _DECAY_TOL * max(scale, 1e-300)
 
@@ -483,6 +488,7 @@ def boundary_form_momentum(xi: GridFunction, eta: GridFunction,
     unbounded intervals the corresponding endpoint term must have decayed on
     the grid, otherwise the form is not defined.
     """
+    _require_single(xi, eta)
     _require_same_grid(xi, eta)
     scale = float(max(np.max(np.abs(xi.values)), np.max(np.abs(eta.values)), 1e-300))
     term_a = np.conj(xi.values[0]) * eta.values[0]
@@ -508,6 +514,7 @@ def boundary_form_hamiltonian(xi: GridFunction, eta: GridFunction,
     Endpoint derivatives come from one-sided stencils of accuracy ``acc``
     (default 4); the grid must start at the boundary point.
     """
+    _require_single(xi, eta)
     _require_same_grid(xi, eta)
     w = _window_size(1, acc)
     if len(xi) < w:

@@ -85,7 +85,8 @@ def _hermitian_pair(rng: np.random.Generator, n: int, upper: np.ndarray) -> np.n
     each matrix is the exact conjugate of the upper.
     """
     z = rng.standard_normal((2, n, n))
-    diagonal = z.diagonal(axis1=1, axis2=2).copy()
+    # every (n + 1)-th entry of a flattened matrix is on its diagonal
+    diagonal = z.reshape(2, n * n)[:, ::n + 1].copy()
     z *= math.sqrt(0.5)
     zt = z.swapaxes(1, 2)
     x = np.empty(z.shape, dtype=complex)
@@ -93,8 +94,7 @@ def _hermitian_pair(rng: np.random.Generator, n: int, upper: np.ndarray) -> np.n
     np.copyto(x.real, z, where=upper)
     np.negative(z, out=x.imag)
     np.copyto(x.imag, zt, where=upper)
-    i = np.arange(n)
-    x[:, i, i] = diagonal
+    x.reshape(2, n * n)[:, ::n + 1] = diagonal
     return x
 
 

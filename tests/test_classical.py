@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from saext.classical import (
     MonomialObservable,
-    _closed_prediction,
+    _closed,
     P,
     PowerLawPotential,
     Q,
@@ -24,6 +24,7 @@ from saext.classical import (
     poisson_bracket,
     potential_observable,
     scale_condition_residual,
+    scale_symmetry_exact,
     total_time_derivative,
 )
 from saext.errors import PreconditionError, SingularityError
@@ -134,6 +135,18 @@ def test_residual_closed_forms():
 def test_residual_needs_integer_exponent():
     with pytest.raises(PreconditionError):
         scale_condition_residual(PowerLawPotential(1.0, 0.5))
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-300, -1e-300, 1.0, -1.0])
+@pytest.mark.parametrize("s", range(-6, 7))
+def test_exact_symmetry_is_the_residual_vanishing(s, g):
+    v = PowerLawPotential(g, s)
+    assert scale_symmetry_exact(v) is scale_condition_residual(v).is_zero
+
+
+def test_exact_symmetry_needs_no_integer_exponent():
+    assert not scale_symmetry_exact(PowerLawPotential(1.0, 2.5))
+    assert scale_symmetry_exact(PowerLawPotential(0.0, 0.5))
 
 
 def test_noether_consistency_all_power_laws():
@@ -379,7 +392,7 @@ def test_closed_prediction_matches_simpson(s, g, q0, p0):
     traj = integrate_flow(v, (q0, p0), 5.0, 1e-10, samples=4001)
     reference = cumulative_simpson((1.0 + 0.5 * s) * v.value(traj.qs), x=traj.ts,
                                    initial=0.0)
-    got = _closed_prediction(g, s, q0, p0, traj.ts)
+    got = _closed(g, s, q0, p0, traj.ts)[2]
     assert np.max(np.abs(got - reference)) <= 1e-8 * np.max(np.abs(reference))
 
 
@@ -416,7 +429,7 @@ def test_inverted_oscillator_matches_mpmath(g, q0, p0, t_end):
     # 0 * inf = nan there once sinh overflowed, and the report was refused
     ts = np.linspace(0.0, t_end, 51)
     traj = integrate_flow(PowerLawPotential(g, 2), (q0, p0), t_end, 1e-10, samples=51)
-    got = np.array([traj.qs, traj.ps, _closed_prediction(g, 2, q0, p0, ts)])
+    got = np.array([traj.qs, traj.ps, _closed(g, 2, q0, p0, ts)[2]])
     ref = np.array([_mp_inverted_oscillator(g, q0, p0, t) for t in ts]).T
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
     if (g, q0, p0) == (-1.0, 1.0, -1.0):

@@ -201,6 +201,21 @@ def test_classical_symmetry_flag_tracks_exponent():
     assert linear["drift"] > 1e-3
 
 
+@pytest.mark.parametrize("argv", [["--s", "2.5", "--t-end", "0.5"],
+                                  ["--s", "0.5", "--t-end", "1"]])
+def test_a_non_integer_exponent_runs_to_its_report(argv):
+    # the symbolic residual takes integer exponents only, so symmetry_exact
+    # comes from its coefficient g (1 + s/2), which every exponent has;
+    # at --t-end 1 the s = 2.5 flow reaches the origin first (t = 0.829)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "saext.cli",
+                           "classical", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"]["symmetry_exact"] is False
+
+
 def test_geometry_defect_by_metric():
     polar = run_json(["geometry", "--metric", "polar"])["result"]
     assert abs(complex(polar["defect"]["re"], polar["defect"]["im"])) <= 1e-8
@@ -1075,6 +1090,21 @@ def test_paradox_three_runs_its_stacks_clean_in_dev_mode_with_warnings_as_errors
                               capture_output=True, text=True, timeout=120)
         assert (argv, proc.returncode, proc.stderr) == (argv, code, "")
         assert ("invalid-value" in proc.stdout) == (code == 1)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_classical_flows_run_clean_in_dev_mode_with_warnings_as_errors(fmt):
+    # one errstate scope holds each flow and its drift prediction: past
+    # t = 355 the stable manifold's q is subnormal and sinh wt overflows,
+    # and the s = 2.5 flow reaches the origin at t = 0.829
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    manifold = ["--s", "2", "--g", "-1", "--q0", "1", "--p0", "-1", "--t-end"]
+    for argv, code in ((["--s", "2"], 0), (manifold + ["15"], 0), (manifold + ["400"], 0),
+                       (["--s", "3", "--t-end", "1"], 0), (["--s", "2.5", "--t-end", "1"], 1)):
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "saext.cli",
+                               "classical", *argv, *fmt], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert (argv, proc.returncode, proc.stderr) == (argv, code, "")
 
 
 # -- plumbing ---------------------------------------------------------------

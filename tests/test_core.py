@@ -396,6 +396,17 @@ def test_hamiltonian_form_two_exponentials():
     assert boundary_form_hamiltonian(xi, eta) == pytest.approx(-1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("form", [lambda f, g: boundary_form_momentum(f, g, Interval.finite(0, 1)),
+                                  boundary_form_hamiltonian])
+def test_boundary_forms_refuse_a_stack_by_name(form):
+    # numpy's own errors were a TypeError (momentum) and a shapes error (hamiltonian)
+    xs = np.linspace(0.0, 1.0, 11)
+    stack, single = GridFunction(xs, np.ones((2, 11))), GridFunction(xs, np.ones(11))
+    for xi, eta in ((stack, stack), (stack, single), (single, stack)):
+        with pytest.raises(ValueError, match="not a stack"):
+            form(xi, eta)
+
+
 def test_hamiltonian_form_needs_five_points():
     f = GridFunction(np.linspace(0, 1, 4), np.ones(4))
     with pytest.raises(DegenerateGridError):

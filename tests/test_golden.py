@@ -32,6 +32,10 @@ _ARGV = {
     "spectrum-well": ["spectrum", "--op", "well"],
     "spectrum-momentum": ["spectrum", "--op", "momentum"],
     "geometry-flat": ["geometry", "--metric", "flat"],
+    "classical-harmonic": ["classical", "--s", "2"],
+    "classical-inverted": ["classical", "--s", "2", "--g", "-1", "--q0", "1", "--p0", "-1",
+                           "--t-end", "15"],
+    "classical-engine": ["classical", "--s", "3", "--t-end", "1"],
 }
 
 #: Exit codes other than 0: a sweep with a failed point exits 1.
