@@ -8,6 +8,7 @@ throughout, so H = p^2 + V(q) and qdot = 2p.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -367,9 +368,13 @@ def _odd_tail(x: np.ndarray, sign: float) -> np.ndarray:
 #: Fractions 0, 1/(1 + exp(-pi sinh u)) at u = -4 .. 4 in steps of 1/16, and 1: the
 #: tanh-sinh nodes, which come within 1e-37 of either end.
 _TS_X = np.r_[0.0, 1.0 / (1.0 + np.exp(-math.pi * np.sinh(np.arange(-64, 65) / 16.0))), 1.0]
-#: 12-point Gauss-Legendre rule on (0, 1), for a stretch between two such fractions.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
-_GL_X, _GL_W = (_GL_X + 1.0) / 2.0, _GL_W / 2.0
+
+
+@functools.cache
+def _gauss_legendre():
+    """The 12-point Gauss-Legendre rule on (0, 1), for a stretch between two such fractions."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 class _Leg:
@@ -425,19 +430,21 @@ class _Leg:
     def quad(self, a, b):
         """The time int dr/(2|p|) and int p^2 dt = int |p| dr/2 over u from a to each b."""
         span = b - a
-        p = np.sqrt(self.p2(self.sign * (a + np.multiply.outer(_GL_X, span))))
-        w = np.multiply.outer(_GL_W, span) / 2.0
+        gl_x, gl_w = _gauss_legendre()  # built on first use: a closed flow needs none
+        p = np.sqrt(self.p2(self.sign * (a + np.multiply.outer(gl_x, span))))
+        w = np.multiply.outer(gl_w, span) / 2.0
         return np.where(span == 0.0, 0.0, [(w / p).sum(axis=0), (w * p).sum(axis=0)])
 
     def tail(self, r):
         """The time from r to inf, for s > 2 and c < 0.  With r' = r v^(-2/(s-2)) it is
         int_0^1 r/(s-2) / sqrt(p(r)^2 w + |V(r)| (1 - w)) dv, w = v^(2s/(s-2)), whose
         integrand is regular at v = 0; x = 1 - v runs over the table of fractions."""
-        x = _TS_X[:-1] + np.multiply.outer(_GL_X, np.diff(_TS_X))
+        gl_x, gl_w = _gauss_legendre()
+        x = _TS_X[:-1] + np.multiply.outer(gl_x, np.diff(_TS_X))
         one_minus_w = -np.expm1(2.0 * self.s / (self.s - 2.0) * np.log1p(-x))
         den = np.sqrt(self.p2(r - self.ref) * (1.0 - one_minus_w)
                       - self.c * r ** self.s * one_minus_w)
-        return r / (self.s - 2.0) * np.sum(np.multiply.outer(_GL_W, np.diff(_TS_X)) / den)
+        return r / (self.s - 2.0) * np.sum(np.multiply.outer(gl_w, np.diff(_TS_X)) / den)
 
     def radius(self, dt):
         """r, |p| and int p^2 dt at the times dt after t0.

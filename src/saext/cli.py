@@ -12,10 +12,9 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import io
 import itertools
-import json
 import math
 import operator
 import os
@@ -32,7 +31,7 @@ if TYPE_CHECKING:  # for annotations; each function imports what it calls
 
     from .core import Interval, UnitSystem
 
-__all__ = ["main", "load_schema"]
+__all__ = ["main", "load_schema", "run"]
 
 _SWEEP_LIMIT = 1_000_000
 
@@ -232,6 +231,7 @@ def _json_template(shape, depth: int, base: int, order: list) -> tuple:
     out sorted and, as for a dict keyed by str(key), a repeated key keeps
     its last value; the leaves of a replaced value are not used.
     """
+    import json
     if shape is _LEAF:
         order.append(base)
         return "%s", 1
@@ -280,6 +280,7 @@ def _json_tokens(leaves) -> list:
         if not all(map(math.isfinite, leaves)):
             tokens = [_NON_FINITE.get(token, token) for token in tokens]
         return tokens
+    import json
     # a leaf's text holds no raw newline: strings escape it as \n
     text = json.dumps(leaves, separators=("\n", ":"), default=_json_default)
     tokens = text[1:-1].split("\n")
@@ -382,6 +383,8 @@ class _Records:
         first-seen order; a record lacking a column leaves its cell empty.
         Without a header every chunk is held until the last one is computed.
         """
+        import csv
+
         from ._chunks import write_in_order
 
         layouts: dict = {}
@@ -470,6 +473,7 @@ def _interval_dict(iv: Interval) -> dict:
 
 def load_schema(name: str) -> dict:
     """Load a shipped JSON schema by subcommand name; the manifest block is in manifest.json."""
+    import json
     from importlib import resources
 
     folder = resources.files("saext") / "schemas"
@@ -1224,5 +1228,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 1 if command == "sweep" and result["points"].failed else code
 
 
+def run() -> None:
+    """The process entry of ``saext`` and ``python -m saext.cli``: exit with main's code."""
+    try:
+        sys.exit(main())
+    finally:  # the output is written: the collections at interpreter exit skip a frozen heap
+        gc.freeze()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -1,9 +1,12 @@
 """End-to-end checks of the command-line interface."""
 
 import argparse
+import ast
 import contextlib
 import copy
 import csv
+import gc
+import importlib
 import io
 import itertools
 import json
@@ -1105,6 +1108,104 @@ def test_classical_flows_run_clean_in_dev_mode_with_warnings_as_errors(fmt):
                                "classical", *argv, *fmt], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert (argv, proc.returncode, proc.stderr) == (argv, code, "")
+
+
+# -- the process entry -------------------------------------------------------
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+#: -X dev reports a file or pipe left open and -W error makes any warning fatal.
+_DEV = ("-X", "dev", "-W", "error")
+
+#: (argv, exit code) of each outcome a process can end in.
+_ENDINGS = {
+    **{name: (argv, 0) for name, argv in GOLDEN.items()},
+    **{name + "-csv": (argv + ["--csv"], 0) for name, argv in GOLDEN.items()},
+    "compute-error": (["classical", "--s", "1e300", "--g", "1e-300"], 1),
+    "failed-point": (["sweep", "scatter", "--alpha", "0", "--sweep", "k=0:1:2"], 1),
+    "failed-point-csv": (["sweep", "scatter", "--alpha", "0", "--sweep", "k=0:1:2", "--csv"], 1),
+    "usage-error": (["boundstate"], 2),
+    "version": (["--version"], 0),
+}
+
+
+def _in_process(argv):
+    """cli.main(argv) in this process: (exit code, stdout, stderr), wall time dropped."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, _WALL_TIME.sub("", out.getvalue()), err.getvalue()
+
+
+def _process(argv, flags=()):
+    """``python -m saext.cli argv`` in a fresh interpreter: as _in_process."""
+    proc = subprocess.run([sys.executable, *flags, "-m", "saext.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True,
+                          text=True, timeout=120)
+    return proc.returncode, _WALL_TIME.sub("", proc.stdout), proc.stderr
+
+
+@pytest.mark.parametrize("flags", [(), _DEV])
+@pytest.mark.parametrize("name", sorted(_ENDINGS))
+def test_a_process_ends_as_main_does_in_process(name, flags):
+    argv, code = _ENDINGS[name]
+    ended = _process(argv, flags)
+    assert ended == _in_process(argv)
+    assert ended[0] == code
+    # stderr holds a usage error alone, with its subcommand's usage
+    assert ended[2].startswith("usage: saext boundstate") if code == 2 else ended[2] == ""
+    # exit 1 writes its error envelope, or the failed point's error
+    assert ("error" in ended[1]) is (code == 1)
+
+
+@pytest.mark.parametrize("flags", [(), _DEV])
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_a_process_writes_its_out_file_whole(tmp_path, fmt, flags):
+    argv = ["sweep", "boundstate", "--sweep", "alpha=1:-1:3", *fmt]
+    target = tmp_path / "sweep.out"
+    assert _process(argv + ["--out", str(target)], flags) == (0, "", "")
+    expected = _in_process(argv + ["--out", ""])  # an empty PATH means stdout
+    written = target.read_text().replace(json.dumps(str(target)), '""')
+    assert (0, _WALL_TIME.sub("", written), "") == expected
+
+
+def test_main_leaves_the_heap_to_the_collector():
+    # only the process entry freezes, once its output is written
+    frozen = gc.get_freeze_count()
+    assert _in_process(GOLDEN["sweep"])[0] == 0
+    assert _in_process(["boundstate"])[0] == 2
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_process_entry_freezes_the_heap_after_main():
+    probe = ("import gc, sys, saext.cli\n"
+             "sys.argv = ['saext', 'boundstate', '--alpha', '-1']\n"
+             "try:\n    saext.cli.run()\n"
+             "except SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=_SRC),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 True"
+
+
+def _main_block_callable(source: str) -> str:
+    """The name that the ``if __name__ == "__main__"`` block of source calls."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            (statement,) = node.body
+            return statement.value.func.id
+    raise AssertionError("no __main__ block")
+
+
+def test_the_installed_command_and_python_m_share_one_entry():
+    # read from pyproject.toml, so no installed saext command is needed
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["saext"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is getattr(cli, _main_block_callable(Path(cli.__file__).read_text()))
 
 
 # -- plumbing ---------------------------------------------------------------

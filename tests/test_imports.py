@@ -148,19 +148,23 @@ def test_scipy_library_calls_still_run(name):
 
 # -- what each subcommand loads ----------------------------------------------
 
-#: ``python -m saext.cli`` with argv: the saext modules it loaded, whether
-#: numpy is among them, and its exit code.
+#: ``python -m saext.cli`` with the arguments that follow: its exit code, the
+#: saext modules it loaded, and which of numpy, numpy.polynomial, json and
+#: csv are among what it loaded (json is imported after the run).
 _RUN_MAIN = """
-import contextlib, io, json, runpy, sys
-sys.argv = ["saext", *json.loads(sys.argv[1])]
+import contextlib, io, runpy, sys
+sys.argv = ["saext", *sys.argv[1:]]
 code = 0
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         runpy.run_module("saext.cli", run_name="__main__")
     except SystemExit as exc:
         code = exc.code
-saext = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("saext."))
-print(json.dumps({"code": code, "saext": saext, "numpy": "numpy" in sys.modules}))
+loaded = set(sys.modules)
+import json
+saext = sorted(m.split(".", 1)[1] for m in loaded if m.startswith("saext."))
+print(json.dumps({"code": code, "saext": saext,
+                  **{m: m in loaded for m in ("numpy", "numpy.polynomial", "json", "csv")}}))
 """
 
 _SPECTRAL = ["core", "errors", "spectral"]
@@ -196,7 +200,7 @@ _LOADS = {
 
 def _run_main(argv) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_MAIN, json.dumps(argv)],
+        [sys.executable, "-c", _RUN_MAIN, *argv],
         capture_output=True, text=True, env=_env(), timeout=120, check=True)
     return json.loads(proc.stdout)
 
@@ -207,8 +211,27 @@ def test_a_cli_process_loads_only_what_its_subcommand_runs(name):
     out = _run_main(argv)
     assert out["code"] == code
     assert out["saext"] == modules
-    # --version, --help and a usage error never reach a runner
-    assert out["numpy"] is (modules != ["errors"])
+    # --version, --help and a usage error never reach a runner or a writer;
+    # each of these one-shots writes JSON, which needs no csv
+    assert out["numpy"] is out["json"] is (modules != ["errors"])
+    assert out["csv"] is False
+
+
+@pytest.mark.parametrize("argv", [GOLDEN["scatter"], GOLDEN["sweep"]])
+def test_a_csv_run_loads_csv(argv):
+    out = _run_main([*argv, "--csv"])
+    assert (out["code"], out["csv"]) == (0, True)
+
+
+@pytest.mark.parametrize("argv, engine", [
+    (GOLDEN["classical"], False),
+    (["classical", "--s", "2", "--g", "-1", "--q0", "1", "--p0", "-1", "--t-end", "15"], False),
+    # s = 3 runs the energy-integral engine, whose legs use the Gauss-Legendre rule
+    (["classical", "--s", "3", "--t-end", "1"], True),
+])
+def test_only_the_flow_engine_loads_numpy_polynomial(argv, engine):
+    out = _run_main(argv)
+    assert (out["code"], out["numpy.polynomial"]) == (0, engine)
 
 
 # -- the lazy package ---------------------------------------------------------
