@@ -560,7 +560,7 @@ def _run_spectrum(args) -> dict:
 
 def _robin_alpha(alpha: float) -> float:
     """alpha, refused where the bound-state energy -alpha^2 is not a normal float."""
-    from .spectral import _ALPHA_NORMAL_MIN
+    from .core import _ALPHA_NORMAL_MIN
 
     # below 2^-511 -alpha^2 is subnormal or 0.0; from 2^512 on it overflows
     if alpha < 0.0 and not _ALPHA_NORMAL_MIN <= -alpha < 2.0**512:
@@ -912,44 +912,37 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(rf"^-{number}(,[-+]?{number})?$")
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    """The flags every subcommand takes."""
-    common = argparse.ArgumentParser(add_help=False)
-    fmt = common.add_mutually_exclusive_group()
+def _command_parser(name: str, sweep: bool = False) -> argparse.ArgumentParser:
+    """The parser of subcommand name's flags, or of a sweep of name.
+
+    Each flag of name's variants is None unless given (see _finalize).  A
+    one-shot requires, so its usage line shows unbracketed, a flag that
+    every variant must be given; in a sweep an axis may stand in for it.
+    """
+    spec = _COMMANDS[name]
+    parser = _Parser(prog=f"saext sweep {name}" if sweep else f"saext {name}")
+    fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
                      help="emit JSON with a manifest (default)")
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv",
                      help="emit a flat CSV projection instead")
-    common.set_defaults(fmt="json")
-    common.add_argument("--out", default=None, metavar="PATH",
+    parser.set_defaults(fmt="json")
+    parser.add_argument("--out", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
-    return common
-
-
-def _add_flags(parser: argparse.ArgumentParser, name: str, one_shot: bool = True) -> None:
-    """Add every flag of name's variants; each is None unless given (see _finalize).
-
-    A one-shot requires, so its usage line shows unbracketed, a flag that
-    every variant must be given; in a sweep an axis may stand in for it.
-    """
-    spec = _COMMANDS[name]
     for dest, (flags, kwargs) in _flags_of(name).items():
-        required = one_shot and all(variant.get(dest) is ...
-                                    for variant in spec["variants"].values())
+        required = not sweep and all(variant.get(dest) is ...
+                                     for variant in spec["variants"].values())
         parser.add_argument(*flags, **dict(kwargs, help=_help(spec, dest, kwargs["help"]),
                                            required=kwargs.get("required", required)))
-
-
-def _target_parser(name: str) -> argparse.ArgumentParser:
-    parser = _Parser(prog=f"saext sweep {name}", parents=[_common_parser()])
-    _add_flags(parser, name, one_shot=False)
-    parser.add_argument("--sweep", action="append", type=_parse_sweep, required=True,
-                        metavar="param=start:stop:count",
-                        help="axis of the parameter grid (repeatable)")
+    if sweep:
+        parser.add_argument("--sweep", action="append", type=_parse_sweep, required=True,
+                            metavar="param=start:stop:count",
+                            help="axis of the parameter grid (repeatable)")
     return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser that picks the subcommand; a one-shot's takes nothing and is here for --help."""
     parser = _Parser(
         prog="saext",
         description="Self-adjoint extensions of 1D quantum operators: "
@@ -961,11 +954,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"saext {__version__}")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="subcommand")
-    common = _common_parser()
     for name, spec in _COMMANDS.items():
-        _add_flags(sub.add_parser(name, help=spec["help"], parents=[common]), name)
-    # each subcommand's own parser, whose usage a usage error shows
-    parser.commands = sub.choices
+        sub.add_parser(name, help=spec["help"], add_help=False)
     p_sweep = sub.add_parser(
         "sweep", help="run a subcommand over a cartesian parameter grid")
     p_sweep.add_argument("target", choices=sorted(_COMMANDS),
@@ -983,9 +973,11 @@ def _finalize(ns: argparse.Namespace, command: str, parser: argparse.ArgumentPar
     numpy or a library module is loaded: a float flag given nan, or +-inf
     anywhere but --alpha (+inf is Dirichlet); a flag given, or an axis,
     that the variant does not declare; a declared flag without a default
-    that is neither given nor swept; and a flag both given and swept.  Each
-    other declared flag that is not swept gets its default.  The echo holds each declared flag but
-    units and tol, which the manifest holds apart, and null for a swept one.
+    that is neither given nor swept; a flag both given and swept; and an
+    --out PATH that cannot be opened for writing, which is left as it was.
+    Each other declared flag that is not swept gets its default.  The echo
+    holds each declared flag but units and tol, which the manifest holds
+    apart, and null for a swept one.
     """
     spec, flags = _COMMANDS[command], _flags_of(command)
     select = spec.get("select")
@@ -1017,6 +1009,14 @@ def _finalize(ns: argparse.Namespace, command: str, parser: argparse.ArgumentPar
             parser.error(f"{flags[dest][0][0]} is given and also swept; give one of them")
     if "tol" in variant and ns.tol is not None and not 0.0 < ns.tol < math.inf:
         parser.error(f"argument --tol: {ns.tol!r} is not a finite number > 0")
+    if ns.out:  # an empty PATH is stdout
+        existed = os.path.lexists(ns.out)
+        try:  # as _emit will open it, but in append mode, which truncates nothing
+            open(ns.out, "a").close()
+        except OSError as exc:
+            parser.error(f"argument --out: can't open '{ns.out}': {exc}")
+        if not existed:
+            os.remove(ns.out)
 
     from .core import Interval
 
@@ -1168,45 +1168,36 @@ def _run_sweep(target: str, tns: argparse.Namespace,
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    ns, extra = parser.parse_known_args(argv)
-    command = ns.command
-    if extra:
-        # what follows the subcommand's name is its parser's usage error
-        owner = parser.commands[command] if argv.index(extra[0]) >= argv.index(command) else parser
-        owner.error("unrecognized arguments: %s" % " ".join(extra))
-
-    out_path: Optional[str] = None
+    # the top level takes no value, so the first token that names a
+    # subcommand is the subcommand, and a token before it is a usage error
+    at = next((i for i, token in enumerate(argv) if token in _COMMANDS or token == "sweep"),
+              len(argv))
+    sweep = argv[at:at + 1] == ["sweep"]
+    top = build_parser().parse_args(argv if sweep else argv[:at + 1])
+    command = top.command
+    name = top.target if sweep else command
     t0 = time.perf_counter()
+    parser = _command_parser(name, sweep)
+    ns = parser.parse_args(top.rest if sweep else argv[at + 1:])
+    params = _finalize(ns, name, parser, ns.sweep if sweep else None)
+    if sweep:
+        params = {"target": name, "sweep": [text for *_, text in ns.sweep], **params}
     try:
-        if command == "sweep":
-            tparser = _target_parser(ns.target)
-            tns = tparser.parse_args(ns.rest)
-            out_path = tns.out
-            params = {"target": ns.target,
-                      "sweep": [text for *_, text in tns.sweep],
-                      **_finalize(tns, ns.target, tparser, tns.sweep)}
-            result = _run_sweep(ns.target, tns, tparser)
-            out_ns = tns
-        else:
-            out_path = ns.out
-            params = _finalize(ns, command, parser.commands[command])
-            result = _COMMANDS[command]["run"](ns)
-            out_ns = ns
+        result = _run_sweep(name, ns, parser) if sweep else _COMMANDS[name]["run"](ns)
     except _COMPUTE_ERRORS as exc:
         error = {"error": {**_error_fields(exc), "context": {"command": command}}}
-        return _emit(out_path, lambda out: _write_json(error, out), 1)
+        return _emit(ns.out, lambda out: _write_json(error, out), 1)
 
-    if out_ns.fmt == "csv":
-        if command == "sweep":
+    if ns.fmt == "csv":
+        if sweep:
             rows, header = result["points"], None
         else:
-            spec = _COMMANDS[command]
+            spec = _COMMANDS[name]
             rows = _Records(spec["rows"](result) if "rows" in spec else [result])
             header = spec.get("csv_header")
-        code = _emit(out_ns.out, lambda out: rows.write_csv(out, header), 0)
+        code = _emit(ns.out, lambda out: rows.write_csv(out, header), 0)
     else:
-        if command != "sweep":
+        if not sweep:
             # a list, such as a spectrum's levels, compiles one template per shape
             result = {key: _Records(value) if type(value) is list else value
                       for key, value in result.items()}
@@ -1217,22 +1208,27 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "argv": list(argv),
                 "command": command,
                 "params": params,
-                **_manifest_settings(out_ns),
+                **_manifest_settings(ns),
                 "version": __version__,
                 "wall_time_s": time.perf_counter() - t0,
             },
             "result": result,
         }
-        code = _emit(out_ns.out, lambda out: _write_json(payload, out), 0)
+        code = _emit(ns.out, lambda out: _write_json(payload, out), 0)
     # a sweep point that failed is recorded in the output and fails the run
-    return 1 if command == "sweep" and result["points"].failed else code
+    return 1 if sweep and result["points"].failed else code
 
 
 def run() -> None:
-    """The process entry of ``saext`` and ``python -m saext.cli``: exit with main's code."""
+    """The process entry of ``saext`` and ``python -m saext.cli``: exit with main's code.
+
+    main runs with the cyclic collector off, and once the output is written
+    the heap is frozen, so that the collections at interpreter exit skip it.
+    """
+    gc.disable()
     try:
         sys.exit(main())
-    finally:  # the output is written: the collections at interpreter exit skip a frozen heap
+    finally:
         gc.freeze()
 
 

@@ -95,6 +95,8 @@ _MEMORY_BUDGET = 1 << 30
 #: peak memory that each took through the CLI, at 1e6 samples and 3e5 levels.
 _SAMPLE_BYTES = 256
 _LEVEL_BYTES = 2048
+#: The smallest |alpha| whose Robin bound-state energy -alpha^2 is a normal float.
+_ALPHA_NORMAL_MIN = 2.0**-511
 
 
 def _check_budget(nbytes: int, what: str) -> None:

@@ -24,7 +24,6 @@ from .core import (
     norm,
 )
 from .errors import PreconditionError
-from .spectral import _twisted_difference, discretized_momentum_eigpair, well_spectrum
 
 __all__ = [
     "CosineBasisResult",
@@ -229,6 +228,8 @@ def eigenvector_commutator_demo(
     printed tolerances need.  The expectation's tolerance grows with n and
     phi = |2*pi*mode + theta|/n, the mode centred as the eigenpair takes it.
     """
+    from .spectral import _twisted_difference, discretized_momentum_eigpair
+
     if not abs(theta) <= _THETA_MAX:
         raise PreconditionError("the twist needs |theta| <= %g to meet the printed "
                                 "tolerances, got theta=%r" % (_THETA_MAX, theta))
@@ -264,6 +265,8 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
     multiple of psi_n is reported; since the derivative of a sine is a
     cosine, orthogonal to it, every residual sits at 1.
     """
+    from .spectral import well_spectrum
+
     if n_max < 1:
         raise PreconditionError("need n_max >= 1, got %d" % n_max)
     _check_budget(_LEVEL_BYTES * n_max + _SAMPLE_BYTES * grid_n,

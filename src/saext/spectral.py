@@ -9,7 +9,15 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import FINITE, _LEVEL_BYTES, _SAMPLE_BYTES, GridFunction, Interval, _check_budget
+from .core import (
+    _ALPHA_NORMAL_MIN,
+    FINITE,
+    _LEVEL_BYTES,
+    _SAMPLE_BYTES,
+    GridFunction,
+    Interval,
+    _check_budget,
+)
 from .errors import (
     IndeterminateError,
     InvalidIndexError,
@@ -35,9 +43,6 @@ __all__ = [
     "scattering_state",
     "well_spectrum",
 ]
-
-#: The smallest |alpha| whose bound-state energy -alpha^2 is a normal float.
-_ALPHA_NORMAL_MIN = 2.0**-511
 
 
 class DiscreteLevel(NamedTuple):

@@ -18,6 +18,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -526,8 +527,8 @@ def test_one_shot_lists_are_written_as_the_reference_encodes_them(argv):
     # through the records writer
     code, text = run_cli(argv)
     assert code == 0
-    parser = cli.build_parser()
-    ns = parser.parse_args(argv)
+    parser = cli._command_parser(argv[0])
+    ns = parser.parse_args(argv[1:])
     cli._finalize(ns, argv[0], parser)
     payload = json.loads(text)
     payload["result"] = cli._COMMANDS[argv[0]]["run"](ns)
@@ -724,9 +725,9 @@ def test_sweep_across_chunks_of_two_shapes_is_the_reference_encoding(axis, chang
 
 def _one_shot_point(argv):
     """("result", result) of a one-shot argv, or ("error", {code, message})."""
-    parser = cli.build_parser()
-    ns = parser.parse_args(argv)
-    cli._finalize(ns, argv[0], parser.commands[argv[0]])
+    parser = cli._command_parser(argv[0])
+    ns = parser.parse_args(argv[1:])
+    cli._finalize(ns, argv[0], parser)
     try:
         return "result", cli._COMMANDS[argv[0]]["run"](ns)
     except SaextError as exc:
@@ -1171,22 +1172,66 @@ def test_a_process_writes_its_out_file_whole(tmp_path, fmt, flags):
     assert (0, _WALL_TIME.sub("", written), "") == expected
 
 
+@pytest.mark.parametrize("where, reason", [
+    ("missing/x.json", "[Errno 2] No such file or directory"),
+    (".", "[Errno 21] Is a directory"),
+])
+@pytest.mark.parametrize("argv", [
+    ["anomaly", "--alpha", "-2"],
+    ["sweep", "scatter", "--alpha", "-1", "--sweep", "k=1:2:3", "--csv"],
+    # its error envelope would go to --out too
+    ["classical", "--s", "1e300", "--g", "1e-300"],
+])
+def test_an_out_that_cannot_be_opened_is_a_usage_error(argv, where, reason, tmp_path):
+    # it ended in a traceback from _emit, after a one-shot had computed
+    path = os.path.join(tmp_path, where)
+    code, out, err = _in_process(argv + ["--out", path])
+    prog = " ".join(argv[:2] if argv[0] == "sweep" else argv[:1])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (f"saext {prog}: error: argument --out: "
+                                    f"can't open '{path}': {reason}: '{path}'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["anomaly", "--alpha", "-2", "--tol", "0"],
+    # found after the --out check, once the grid is laid out
+    ["sweep", "paradox", "--id", "4", "--sweep", "n=1:2:3"],
+])
+def test_a_usage_error_leaves_the_out_file_as_it_was(argv, tmp_path):
+    kept, fresh = tmp_path / "kept.out", tmp_path / "fresh.out"
+    kept.write_text("kept\n")
+    assert _in_process(argv + ["--out", str(kept)])[0] == 2
+    assert _in_process(argv + ["--out", str(fresh)])[0] == 2
+    assert kept.read_text() == "kept\n"
+    assert not fresh.exists()
+
+
 def test_main_leaves_the_heap_to_the_collector():
-    # only the process entry freezes, once its output is written
-    frozen = gc.get_freeze_count()
-    assert _in_process(GOLDEN["sweep"])[0] == 0
-    assert _in_process(["boundstate"])[0] == 2
-    assert gc.get_freeze_count() == frozen
+    # only the process entry turns the collector off and freezes the heap
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            frozen = gc.get_freeze_count()
+            assert _in_process(GOLDEN["sweep"])[0] == 0
+            assert _in_process(["boundstate"])[0] == 2
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_the_process_entry_freezes_the_heap_after_main():
+    # main runs with the collector off
     probe = ("import gc, sys, saext.cli\n"
+             "main, seen = saext.cli.main, []\n"
+             "saext.cli.main = lambda: seen.append(gc.isenabled()) or main()\n"
              "sys.argv = ['saext', 'boundstate', '--alpha', '-1']\n"
              "try:\n    saext.cli.run()\n"
-             "except SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0)\n")
+             "except SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0, seen)\n")
     proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=_SRC),
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 True"
+    assert proc.stdout.splitlines()[-1] == "0 True [False]"
 
 
 def _main_block_callable(source: str) -> str:
@@ -1408,7 +1453,7 @@ def _sweep_of(argv, axis):
 def _variant_of(argv):
     """(subcommand, variant key) that a one-shot argv selects."""
     spec = cli._COMMANDS[argv[0]]
-    ns = cli.build_parser().parse_args(argv)
+    ns = cli._command_parser(argv[0]).parse_args(argv[1:])
     return argv[0], getattr(ns, spec["select"]) if "select" in spec else None
 
 
@@ -2059,7 +2104,7 @@ _MUST_GIVE = [(name, flags[0]) for name, spec in sorted(cli._COMMANDS.items())
 
 @pytest.mark.parametrize("name, flag", _MUST_GIVE)
 def test_a_flag_that_must_be_given_shows_without_brackets_in_the_usage(name, flag, capsys):
-    usage = cli.build_parser().commands[name].format_usage()
+    usage = cli._command_parser(name).format_usage()
     assert re.search(rf"\s{flag}\s", usage) and f"[{flag} " not in usage
     argv = _variant_argv(name, None)
     i = argv.index(flag)
@@ -2069,7 +2114,7 @@ def test_a_flag_that_must_be_given_shows_without_brackets_in_the_usage(name, fla
     assert flag in capsys.readouterr().err
     # in a sweep an axis may stand in for a numeric one
     if "required" not in cli._flags_of(name)[flag.lstrip("-").replace("-", "_")][1]:
-        assert f"[{flag} " in cli._target_parser(name).format_usage()
+        assert f"[{flag} " in cli._command_parser(name, sweep=True).format_usage()
 
 
 def test_an_unknown_flag_before_the_subcommand_shows_the_top_level_usage(capsys):
@@ -2077,6 +2122,49 @@ def test_an_unknown_flag_before_the_subcommand_shows_the_top_level_usage(capsys)
         run_cli(["--foo", "classical", "--s", "3"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("usage: saext [-h] [--version] subcommand")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--foo", "classical", "--s", "3", "--zzz"],
+    ["--foo", "sweep", "scatter", "--alpha", "-1", "--sweep", "k=1:2:2", "--zzz"],
+])
+def test_junk_on_both_sides_of_the_subcommand_names_the_tokens_before_it(argv, capsys):
+    # the top level takes no value, so what precedes the subcommand is its error alone
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: saext [-h] [--version] subcommand")
+    assert err.endswith("saext: error: unrecognized arguments: --foo\n")
+
+
+def test_the_top_level_parser_only_picks_the_subcommand():
+    (sub,) = [action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted([*cli._COMMANDS, "sweep"])
+    # a one-shot's flags are its _command_parser's alone
+    assert all(sub.choices[name]._actions == [] for name in cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (GOLDEN["classical"], [("classical", False)]),
+    (GOLDEN["sweep"], [("scatter", True)]),
+    (["boundstate"], [("boundstate", False)]),
+    (["sweep", "scatter", "--k", "1"], [("scatter", True)]),
+    (["--version"], []),
+    (["--foo", "classical", "--s", "3"], []),
+])
+def test_main_builds_one_command_parser_per_call(argv, built, monkeypatch):
+    calls = []
+    real = cli._command_parser
+
+    def counted(name, sweep=False):
+        calls.append((name, sweep))
+        return real(name, sweep)
+
+    monkeypatch.setattr(cli, "_command_parser", counted)
+    _in_process(argv)
+    assert calls == built
 
 
 @pytest.mark.parametrize("argv", [
@@ -2141,12 +2229,28 @@ def _fuzz_values(flags, kwargs):
     return _FUZZ_TEXTS[flags[0]]
 
 
+#: Where a fuzzed argv writes, {tmp} standing for a new folder: stdout, stdout
+#: by an empty PATH, a new file, and two paths that cannot be opened (under a
+#: missing folder, and the folder itself), which are usage errors.
+_FUZZ_OUTS = [None, "", "{tmp}/new.out", "{tmp}/missing/new.out", "{tmp}"]
+_UNOPENABLE = _FUZZ_OUTS[3:]
+
+
+@contextlib.contextmanager
+def _fuzz_folder(argv):
+    """(argv with {tmp} as a new folder, its --out PATH or ''); the folder goes after."""
+    with tempfile.TemporaryDirectory() as folder:
+        argv = [arg.replace("{tmp}", folder) for arg in argv]
+        yield argv, argv[argv.index("--out") + 1] if "--out" in argv else ""
+
+
 @st.composite
 def _fuzz_argv(draw):
     """A variant of a subcommand or a sweep of one, its required flags, and some more flags.
 
     The more flags are mostly the variant's own; now and then one is a
-    flag of another variant.
+    flag of another variant.  The argv ends with an optional --csv and an
+    optional --out (see _FUZZ_OUTS).
     """
     name = draw(st.sampled_from(sorted(cli._COMMANDS)))
     spec, flags_of = cli._COMMANDS[name], cli._flags_of(name)
@@ -2168,7 +2272,8 @@ def _fuzz_argv(draw):
             axis = f"{cli._dest_of(flags)}={start}:{stop}:{draw(st.integers(0, 4))}"
             argv += ["--sweep", axis]
         argv = ["sweep", *argv]
-    return argv + draw(st.sampled_from([[], ["--csv"]]))
+    out = draw(st.sampled_from(_FUZZ_OUTS))
+    return argv + draw(st.sampled_from([[], ["--csv"]])) + ([] if out is None else ["--out", out])
 
 
 @settings(max_examples=400, deadline=None)
@@ -2176,18 +2281,26 @@ def _fuzz_argv(draw):
 def test_fuzzed_argv_ends_in_exit_0_1_or_2(argv):
     # "always" records every warning, also one that an earlier example raised
     # at the same site; the only stderr is argparse's usage error
+    # an --out that cannot be opened is a usage error, and a usage error
+    # writes no file
     err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+    with _fuzz_folder(argv) as (run_argv, out), warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:
-            code, text = run_cli(argv)
+            code, text = run_cli(run_argv)
         except SystemExit as exc:
             assert exc.code == 2, argv
             assert err.getvalue().startswith("usage: saext"), argv
+            assert not os.path.isfile(out), argv
         else:
             assert code in (0, 1), argv
+            assert not set(argv) & set(_UNOPENABLE), argv
             assert err.getvalue() == "", argv
-            if argv[-1] != "--csv":
+            if out:
+                assert text == "", argv
+                text = Path(out).read_text()
+            if "--csv" not in argv:
                 # an error envelope, a sweep's points or the subcommand's result
                 payload = json.loads(text)
                 name = "error" if "error" in payload else argv[0]
@@ -2202,13 +2315,15 @@ def test_fuzzed_argv_against_a_closed_reader_ends_in_exit_0_1_or_2(argv):
     # exit 1 with an empty stderr, or exit 0 where all was written before
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.Popen([sys.executable, "-m", "saext.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.read(10)
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode()
-    code = proc.wait(timeout=60)
+    with _fuzz_folder(argv) as (run_argv, _):
+        proc = subprocess.Popen([sys.executable, "-m", "saext.cli", *run_argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.read(10)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
     assert code in (0, 1, 2), argv
+    assert code == 2 or not set(argv) & set(_UNOPENABLE), argv
     assert "Traceback" not in stderr, argv
     if code != 2:
         assert stderr == "", argv

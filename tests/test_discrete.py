@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saext import cli, discrete
+from saext import cli, discrete, spectral
 from saext.core import UnitSystem
 from saext.discrete import (
     _commutator_trace,
@@ -397,7 +397,8 @@ def test_box_demo_guards():
 def test_box_demo_refuses_a_range_past_its_work_bound_at_once(n_max, grid_n, monkeypatch):
     # --n 2000 took 5 s, and the memory budget admitted ~520,000 levels;
     # one level fewer than each of these is accepted
-    monkeypatch.setattr(discrete, "well_spectrum", mock.Mock(side_effect=AssertionError("ran")))
+    # the demo imports well_spectrum from spectral when it is called
+    monkeypatch.setattr(spectral, "well_spectrum", mock.Mock(side_effect=AssertionError("ran")))
     with pytest.raises(PreconditionError, match="past the bound of 60000000"):
         commuting_observables_demo(1.0, n_max, grid_n=grid_n)
     assert (n_max - 1) * (grid_n + discrete._LEVEL_WORK) <= discrete._WORK_MAX

@@ -185,14 +185,20 @@ _LOADS = {
     # a flag given and also swept
     "given-and-swept": (["sweep", "scatter", "--k", "1", "--alpha", "-1", "--sweep", "k=1:2:2"],
                         2, ["errors"]),
+    # an --out that cannot be opened, here under a file
+    "bad-out": (["anomaly", "--alpha", "-2", "--out", os.path.join(os.devnull, "x.json")], 2,
+                ["errors"]),
     "scatter": (GOLDEN["scatter"], 0, _SPECTRAL),
     "spectrum-robin": (GOLDEN["spectrum"], 0, ["_chunks", *_SPECTRAL]),
     "boundstate": (GOLDEN["boundstate"], 0, _SPECTRAL),
     "sweep-scatter": (GOLDEN["sweep"], 0, ["_chunks", *_SPECTRAL]),
     "deficiency": (GOLDEN["deficiency"], 0, ["_chunks", *_DEFICIENCY]),
     "extend": (GOLDEN["extend"], 0, sorted([*_DEFICIENCY, "extension"])),
-    "anomaly": (GOLDEN["anomaly"], 0, ["anomaly", "core", "errors", "spectral"]),
-    "paradox": (GOLDEN["paradox"], 0, ["core", "discrete", "errors", "spectral"]),
+    "anomaly": (GOLDEN["anomaly"], 0, ["anomaly", "core", "errors"]),
+    "paradox": (GOLDEN["paradox"], 0, ["core", "discrete", "errors"]),
+    "paradox-1": (["paradox", "--id", "1"], 0, ["core", "discrete", "errors", "spectral"]),
+    "paradox-3": (["paradox", "--id", "3"], 0, ["core", "discrete", "errors", "spectral"]),
+    "paradox-4": (["paradox", "--id", "4"], 0, ["core", "discrete", "errors"]),
     "classical": (GOLDEN["classical"], 0, ["classical", "core", "errors"]),
     "geometry": (GOLDEN["geometry"], 0, ["core", "errors", "geometry"]),
 }
