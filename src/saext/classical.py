@@ -330,8 +330,12 @@ def _closed(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
     if s == 2.0 and g > 0.0:
         w = 2.0 * math.sqrt(g)
         c, sn, x = np.cos(w * ts), np.sin(w * ts), 2.0 * w * ts
+        # numpy's w^3 overflows to inf, where a float's raises OverflowError;
+        # the term is then scaled by w first
+        w3, odd = np.float64(w) ** 3, _odd_tail(x, -1.0)
+        kinetic = p0 * p0 * odd / w3 if w3 < math.inf else np.float64(p0 / w) ** 2 * (odd / w)
         return (q0 * c + (2.0 * p0 / w) * sn, p0 * c - (0.5 * w * q0) * sn,
-                2.0 * g * (q0 * q0 * (x + np.sin(x)) / (4.0 * w) + p0 * p0 * _odd_tail(x, -1.0) / w**3
+                2.0 * g * (q0 * q0 * (x + np.sin(x)) / (4.0 * w) + kinetic
                            + 2.0 * q0 * p0 * (np.sin(0.5 * x) / w) ** 2))
     if s == 2.0 and g < 0.0:
         w = 2.0 * math.sqrt(-g)
@@ -384,16 +388,26 @@ class _Leg:
     direction d to a turning point, to 0 or to inf.  Its points are
     r = ref + sign * u, u >= 0, from ref: the turning point it ends or
     starts at, else r0.  A table of u that clusters at both ends holds the
-    time and int p^2 dt from ref, summed stretch by stretch.
+    time and int p^2 dt from ref, summed stretch by stretch.  A turning
+    point past the float range counts as none.  A leg from r0 > 0 that
+    does not start at a turning point and would end at one past 2 r0 ends
+    at half of it instead, measured from r0, and the next leg goes on from
+    there: from the turning point, r0 and the time from it would carry the
+    rounding of the turning point's scale.
     """
 
     def __init__(self, h, c, s, side, d, r0, at_turn, t0, work0):
         self.h, self.c, self.s, self.side, self.d = h, c, s if c else 0.0, side, d
         self.t0, self.work0 = t0, work0
-        self.turns = c * s * d > 0.0 and h / c > 0.0  # V rises to H on the way
-        end = np.float64(h / c) ** (1.0 / s) if self.turns else (0.0 if d < 0.0 else math.inf)
-        if self.turns and d * (end - r0) < 0.0:  # r0 is the turning point, to rounding
+        # V rises to H on the way
+        end = np.float64(h / c) ** (1.0 / s) if c * s * d > 0.0 and h / c > 0.0 else math.inf
+        self.turns = end < math.inf
+        if not self.turns:
+            end = 0.0 if d < 0.0 else math.inf
+        elif d * (end - r0) < 0.0:  # r0 is the turning point, to rounding
             end = r0
+        elif not at_turn and 0.0 < 2.0 * r0 < end:
+            end, self.turns = 0.5 * end, False
         self.end, self.ref = end, (end if self.turns else r0)
         far = r0 if self.turns else end
         self.sign = -1.0 if far < self.ref else 1.0
@@ -473,6 +487,11 @@ class _Leg:
                 self.works[-1] - work if self.turns else work)
 
 
+#: The largest share of its period that a sample's phase may carry as the
+#: rounding 2^-52 t_end of its time.
+_PHASE_ROUNDING = 1e-6
+
+
 def _energy_flow(v: PowerLawPotential, q0: float, p0: float, ts: np.ndarray):
     """(q, p, int_0^t p^2 dt) at the times ts, from the energy integral.
 
@@ -481,7 +500,9 @@ def _energy_flow(v: PowerLawPotential, q0: float, p0: float, ts: np.ndarray):
     of legs, along each of which t = int dr / (2 sqrt(H - c r^s)) (Landau,
     Lifshitz, Mechanics, sec. 11).  A leg that reaches 0 crosses it for an
     integer s > 0 with H > 0.  The one periodic flow, an even s with g > 0,
-    is sampled modulo its period, so the work does not grow with t_end.
+    is sampled modulo its period, so the work does not grow with t_end.  A
+    sample's phase there carries the rounding 2^-52 t_end of its time; a
+    period below 1e6 times that raises PreconditionError.
     """
     g, s = v.g, v.s
     h = p0 * p0 + float(v.value(q0))
@@ -490,13 +511,17 @@ def _energy_flow(v: PowerLawPotential, q0: float, p0: float, ts: np.ndarray):
     if p0 == 0.0 == g:  # at rest
         return np.full_like(ts, q0), np.zeros_like(ts), np.zeros_like(ts)
     crosses = s > 0.0 and s % 1.0 == 0.0
+    periodic = crosses and s % 2.0 == 0.0 and g > 0.0
     side, r, d = 1.0, q0, math.copysign(1.0, p0 if p0 else -g * s)
-    legs, t, work, period = [], 0.0, 0.0, None
+    legs, t, work, period, first = [], 0.0, 0.0, None, None
     while period is None:
-        # a leg starts at a turning point where the last one ended away
-        # from 0 (or where p0 = 0, when h - V(q0) is 0 exactly)
+        # a leg starts at a turning point where the last one ended at one
+        # (or where p0 = 0, when h - V(q0) is 0 exactly)
+        turned = bool(legs) and legs[-1].turns
+        if first is None and (turned or legs and r == 0.0):
+            first = len(legs)  # the first leg from a turning point or from 0
         legs.append(_Leg(h, g if side > 0.0 else g * (-1.0) ** s, s, side, d, r,
-                         bool(legs) and r > 0.0, t, work))
+                         turned, t, work))
         leg = legs[-1]
         if math.isnan(leg.duration):
             return (np.full_like(ts, np.nan),) * 3
@@ -508,13 +533,22 @@ def _energy_flow(v: PowerLawPotential, q0: float, p0: float, ts: np.ndarray):
                                    % ("-" if side < 0.0 else "+", t))
         if leg.end == 0.0 and not (crosses and h > 0.0):
             raise SingularityError("trajectory reaches the origin at t=%r" % (t,))
-        side, r, d = (-side, 0.0, 1.0) if leg.end == 0.0 else (side, leg.end, -d)
-        if len(legs) == 5 and crosses and s % 2.0 == 0.0 and g > 0.0:
-            period = (t - legs[1].t0, work - legs[1].work0)  # legs 1 to 4
+        side, r, d = (-side, 0.0, 1.0) if leg.end == 0.0 else (
+            side, leg.end, -d if leg.turns else d)
+        if periodic and first is not None and len(legs) == first + 4:
+            lap = legs[first]  # four legs from it are one period
+            period = (t - lap.t0, work - lap.work0)
     laps = 0.0
     if period is not None:
-        laps = np.maximum(np.floor((ts - legs[1].t0) / period[0]), 0.0)
-        ts = ts - laps * period[0]
+        # a sample's phase in its period carries the rounding of its time
+        if not 2.0**-52 * ts[-1] <= _PHASE_ROUNDING * period[0]:
+            raise PreconditionError(
+                "the s=%g flow from q0=%r, p0=%r, g=%r has period %r: the rounding "
+                "2^-52 t_end of a sample's time at t_end=%r is over %g of it"
+                % (s, q0, p0, g, period[0], float(ts[-1]), _PHASE_ROUNDING))
+        laps = np.maximum(np.floor((ts - lap.t0) / period[0]), 0.0)
+        # rounding may leave a reduced time before its period's start
+        ts = np.where(laps > 0.0, np.maximum(ts - laps * period[0], lap.t0), ts)
     which = np.searchsorted([leg.t0 for leg in legs], ts, side="right") - 1
     qs, ps, works = np.empty_like(ts), np.empty_like(ts), np.empty_like(ts)
     for i, leg in enumerate(legs):

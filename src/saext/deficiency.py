@@ -39,7 +39,8 @@ from .core import (
     _check_budget,
     derivative_values,
 )
-from .errors import DegenerateGridError, PreconditionError, UnsupportedOperatorError
+from .errors import (DegenerateGridError, PreconditionError, TooCoarseError,
+                     UnsupportedOperatorError)
 
 __all__ = [
     "ESSENTIALLY_SELF_ADJOINT",
@@ -204,10 +205,14 @@ def solve_deficiency(op: OperatorSpec, lam: float = 1.0,
 #: the one-sided edge stencils are lower order, so only the interior is judged.
 _EDGE = 3
 
+#: The largest share of |rate|^k max|psi| that the stencil's rounding may
+#: take: the residual's acceptance threshold at lam = 1.
+_ROUNDING_SHARE = 1e-4
 
-def _adjoint_apply(kind: str, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Apply the adjoint catalog operator by finite differences."""
-    if kind in (MOMENTUM, TIME_OPERATOR):
+
+def _adjoint_apply(order: int, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Apply the adjoint catalog operator, -i d/dx or -d2/dx2, by finite differences."""
+    if order == 1:
         return -1j * derivative_values(xs, values, order=1, acc=2)
     return -derivative_values(xs, values, order=2, acc=2)
 
@@ -220,8 +225,18 @@ def verify_deficiency_numerically(op: OperatorSpec,
     grids; small residuals certify the closed forms solve the adjoint
     equation, large ones flag a corrupted basis.  A grid of fewer than 7
     samples has no interior to judge and is refused (DegenerateGridError).
+
+    The order-k stencil divides sample differences by h^k, and each sample
+    carries a rounding of eps = 2^-52 of itself, so its value carries one of
+    about eps / (|rate| h)^k of the |rate|^k max|psi| it measures.  A grid on
+    which that share exceeds 1e-4 is refused (TooCoarseError): there the
+    residual is mostly rounding, not a check.  This happens on a finite
+    momentum interval where lam (b - a) is small against the grid size (on
+    the default 10001 samples of [0, 1], below lam = 2.2e-8); the other
+    bases scale their grid with lam.
     """
     lam = report.lam
+    order = 1 if op.kind in (MOMENTUM, TIME_OPERATOR) else 2
     out_of_range = "the adjoint residual at lam=%r leaves the float range" % (lam,)
     worst = 0.0
     for sign, basis in ((+1, report.basis_plus), (-1, report.basis_minus)):
@@ -230,8 +245,15 @@ def verify_deficiency_numerically(op: OperatorSpec,
             if len(xs) < 2 * _EDGE + 1:
                 raise DegenerateGridError("the adjoint residual check needs at least %d grid "
                                           "points, got %d" % (2 * _EDGE + 1, len(xs)))
+            with np.errstate(divide="ignore", over="ignore"):
+                share = np.finfo(float).eps / (abs(sol.rate) * (xs[1] - xs[0])) ** order
+            if not share <= _ROUNDING_SHARE:
+                raise TooCoarseError(
+                    "the adjoint residual check cannot resolve %s on its grid: the stencil's "
+                    "rounding 2^-52 / (|rate| h)^%d is %.3g of what it measures, above %g"
+                    % (sol.tag, order, share, _ROUNDING_SHARE))
             try:
-                applied = _adjoint_apply(op.kind, xs, vals)
+                applied = _adjoint_apply(order, xs, vals)
             except PreconditionError:  # a derivative that left the float range
                 raise PreconditionError(out_of_range) from None
             with np.errstate(over="ignore", invalid="ignore"):

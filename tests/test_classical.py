@@ -579,3 +579,68 @@ def test_constant_potential_drift_is_linear_in_time():
     report = dilatation_drift_report(PowerLawPotential(2.0, 0), (1.0, 0.5), 3.0)
     assert report.max_drift == pytest.approx(6.0, rel=1e-8)
     assert report.max_deviation / report.predicted_drift <= 1e-8
+
+
+def _mp_period(g, s, p0):
+    """The period 4 int_0^r* dr / (2 sqrt(H - g r^s)) of the even-s well from (1, p0), by mpmath."""
+    with mpmath.workdps(30):
+        g, s, p0 = (mpmath.mpf(x) for x in (g, s, p0))
+        h = p0 * p0 + g
+        turn = (h / g) ** (1 / s)
+        return float(mpmath.re(4 * mpmath.quad(lambda r: 1 / (2 * mpmath.sqrt(h - g * r ** s)),
+                                               [0, turn])))
+
+
+@pytest.mark.parametrize("t_end", [1.0, 5.0, 1e15])
+@pytest.mark.parametrize("p0", [0.25, 1e100])
+@pytest.mark.parametrize("g", [1.0, 1e-12, 1e250])
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 0.5, 2, 3, 4, 6])
+def test_drift_report_holds_or_names_its_cause(s, g, p0, t_end):
+    # the report exited 0 with a deviation of 1e15 (samples of a periodic
+    # flow left unwritten past 1e14), with a drift of 0.3125 against the
+    # 9.25e-12 of a flow measured from its turning point at 3.9e21, and
+    # named an overflow of (h/g)^(1/s) as the flow leaving the float range
+    v = PowerLawPotential(g, s)
+    try:
+        report = dilatation_drift_report(v, (1.0, p0), t_end, samples=401)
+    except SingularityError as exc:
+        # the energy integral's fall or blow-up, before t_end; mpmath's
+        # quadrature over spans up to 1e66 holds about 7 digits
+        t = float(re.search(r" at t=(\S+)$", str(exc)).group(1))
+        assert t <= t_end
+        assert t == pytest.approx(_mp_singular_time(g, s, p0), rel=1e-6)
+        return
+    except PreconditionError as exc:
+        # a period that the rounding of t_end swamps
+        period = float(re.search(r"has period (\S+):", str(exc)).group(1))
+        assert s % 2 == 0 and 2.0**-52 * t_end > 1e-6 * period
+        assert period == pytest.approx(_mp_period(g, s, p0), rel=1e-9)
+        return
+    traj = integrate_flow(v, (1.0, p0), t_end, 1e-10, samples=401)
+    terms = np.max(traj.ps ** 2 + np.abs(v.value(traj.qs)))
+    assert report.energy_drift * (p0 * p0 + g) <= 1e-10 * terms
+    scale = np.max(np.abs(traj.ts * traj.energies[0]) + np.abs(traj.qs * traj.ps) / 2.0)
+    assert report.max_deviation <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("s, g, t_end", [
+    (0.5, 1e-12, 5.0),  # the turning point is at 3.9e21
+    (1e-3, 1.0, 1.0),   # at 2e26
+    (1e-6, 1.0, 5.0),   # (h/g)^(1/s) overflows: there is none in the float range
+])
+def test_flows_toward_a_far_turning_point_match_dop853(s, g, t_end):
+    # measured from the turning point, q0 = 1 and the sample times carried
+    # its rounding: the report gave a drift of 0.3125 against DOP853's
+    # 9.25e-12, and of 1.0625 against DOP853's 1.00072 with a predicted
+    # 1.07e9; the last was refused as leaving the float range
+    v = PowerLawPotential(g, s)
+    report = dilatation_drift_report(v, (1.0, 0.25), t_end)
+    traj = integrate_flow(v, (1.0, 0.25), t_end, 1e-10, samples=4001)
+    qs, ps = _dop853(g, s, 1.0, 0.25, t_end, 4001)
+    for got, ref in zip((traj.qs, traj.ps), (qs, ps)):
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    d_vals = traj.ts * (0.0625 + g) - 0.5 * qs * ps
+    scale = np.max(np.abs(traj.ts * (0.0625 + g)) + np.abs(qs * ps) / 2.0)
+    assert abs(report.max_drift - np.max(np.abs(d_vals - d_vals[0]))) <= 1e-10 * scale
+    assert report.max_deviation <= 1e-10 * scale
+

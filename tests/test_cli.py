@@ -495,6 +495,8 @@ _KEYS = st.text(alphabet='01a.%"\u00e9\n\x00', max_size=3) | st.integers(0, 3)
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(),
     st.text(alphabet='ab%"\\\u00e9\u2028\n\x00', max_size=4),
+    # strings that spell a token the writer rewrites, or its rewrite
+    st.sampled_from(["null", "NaN", "Infinity", "-Infinity", "nan", "inf", ""]),
     st.integers(-2**63, 2**63 - 1).map(np.int64),
     st.floats().map(np.float64),
     st.floats(width=32).map(np.float32),
@@ -563,6 +565,17 @@ def test_writer_csv_matches_the_reference_flattening(rows):
     assert written_csv(rows) == reference_csv(rows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats() | st.floats().map(np.float64), min_size=1, max_size=6),
+       st.lists(_SCALARS, min_size=1, max_size=6))
+def test_a_float_column_with_a_numpy_float_is_written_as_the_reference(floats, others):
+    # a column of Python floats alone is written by float repr; one numpy
+    # float sends the column through the encoder's tokens and their rewrites
+    rows = [{"x": x, "y": y} for x, y in zip(floats, itertools.cycle(others))]
+    assert written_csv(rows) == reference_csv(rows)
+    assert written_json({"rows": cli._Records(rows)}) == reference_json({"rows": rows})
+
+
 @pytest.mark.parametrize("value", [np.float64(0.1), np.float32(0.1), np.int64(-3),
                                    np.float64("nan"), np.float32("-inf")])
 def test_a_numpy_scalars_csv_cell_is_the_text_of_its_json_value(value):
@@ -604,6 +617,8 @@ def test_writer_csv_keeps_an_explicit_header():
     ["anomaly", "--sweep", "alpha=-3:1:9"],
     ["classical", "--s", "-2", "--sweep", "g=-1:1:5"],
     ["deficiency", "--op", "momentum", "--sweep", "lam=0:2:5"],
+    # a hyphenated flag: its points are keyed by the dest t_end, as the manifest is
+    ["classical", "--s", "3", "--sweep", "t-end=0.5:1:2"],
 ])
 def test_sweep_output_is_the_reference_encoding(argv):
     code, text = run_cli(["sweep", *argv])
@@ -615,7 +630,7 @@ def test_sweep_output_is_the_reference_encoding(argv):
     assert code == (1 if any("error" in point for point in points) else 0)
     swept = [i + 1 for i, x in enumerate(argv) if x == "--sweep"]
     fixed = [x for i, x in enumerate(argv) if x != "--sweep" and i not in swept]
-    axes = [argv[i].partition("=")[0] for i in swept]
+    axes = [argv[i].partition("=")[0].replace("-", "_") for i in swept]
     rows = []
     for point in points:
         values = [point["params"][name] for name in axes]
@@ -1408,6 +1423,16 @@ def test_deficiency_refuses_a_basis_grid_with_no_interior_to_check(op, grid_n):
     assert checked["adjoint_residual"] > 0
 
 
+def test_deficiency_refuses_a_momentum_basis_its_grid_cannot_resolve():
+    # the samples of e^{-+lam x} round to one value, and the residual printed
+    # was lam max|psi| itself, 1.0000000000004994e-12
+    code, text = run_cli(["deficiency", "--op", "momentum", "--lam", "1e-12"])
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["code"] == "too-coarse"
+    assert "cannot resolve exp(-1e-12*x)" in error["message"]
+
+
 #: argv and a sweep axis of each subcommand (of each op of spectrum)
 _CASES = {
     "deficiency": (["deficiency", "--op", "momentum"], "lam=1:2:2"),
@@ -2000,14 +2025,14 @@ def test_classical_at_a_non_integer_exponent_names_the_origin():
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["classical", "--s", "2", "--g", "1e300"], "invalid-value"),
+    (["classical", "--s", "2", "--g", "1e300", "--p0", "1e300"], "precondition"),
     (["classical", "--s", "3", "--q0", "1e100", "--g", "-1"], "singularity-reached"),
     (["classical", "--s", "4", "--p0", "1e300"], "precondition"),
 ])
 def test_classical_out_of_range_input_keeps_stderr_empty(argv, code):
     # numpy overflow warnings from the series of x - sin x and from the
     # step-size norms of DOP853 reached stderr before the structured error;
-    # DOP853 ended the last two in "stiffness"
+    # DOP853 ended the last two in "stiffness".  H = p0^2 overflows in the first
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "saext.cli", *argv],
@@ -2017,6 +2042,20 @@ def test_classical_out_of_range_input_keeps_stderr_empty(argv, code):
     payload = json.loads(proc.stdout)
     jsonschema.validate(payload, cli.load_schema("error"))
     assert payload["error"]["code"] == code
+
+
+def test_a_harmonic_well_whose_cube_of_w_overflows_runs_clean():
+    # w = 2 sqrt(g) = 2e150, and w**3 on a float raised OverflowError: exit 1
+    # with the message "(34, 'Numerical result out of range')"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "saext.cli",
+                           "classical", "--s", "2", "--g", "1e300"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout)["result"]
+    assert result["energy_drift"] <= 1e-15
+    assert result["deviation"] <= 1e-15 * result["drift"]
 
 
 def _run_process(argv):
@@ -2171,15 +2210,16 @@ def test_main_builds_one_command_parser_per_call(argv, built, monkeypatch):
     ["deficiency", "--op", "momentum", "--lam", "1e300"],
     ["deficiency", "--op", "momentum", "--interval", "0,1e300"],
     ["paradox", "--id", "3", "--a", "1e300"],
-    ["classical", "--s", "2", "--g", "1e300"],
+    ["classical", "--s", "2", "--g", "1e300", "--p0", "1e300"],
     ["sweep", "deficiency", "--op", "momentum", "--sweep", "lam=1:1e300:2"],
 ])
 def test_out_of_range_numbers_are_a_structured_error(argv, capsys):
     # an OverflowError or ZeroDivisionError from the arithmetic ended in a
     # traceback; a sweep records the point and goes on.  A momentum
     # solution whose norm overflows expm1 is a precondition refusal that
-    # names the interval, as a solution past the float range is
-    expected = "precondition" if "deficiency" in argv else "invalid-value"
+    # names the interval, as a solution past the float range is, and so is
+    # a classical flow whose energy p0^2 overflows
+    expected = "invalid-value" if "paradox" in argv else "precondition"
     code, text = run_cli(argv)
     assert code == 1
     payload = json.loads(text)

@@ -18,7 +18,7 @@ from saext.deficiency import (
     solve_deficiency,
     verify_deficiency_numerically,
 )
-from saext.errors import DegenerateGridError
+from saext.errors import DegenerateGridError, TooCoarseError
 
 MOMENTUM_01 = OperatorSpec.momentum(Interval.finite(0.0, 1.0))
 MOMENTUM_HALF = OperatorSpec.momentum(Interval.half_line(0.0))
@@ -294,6 +294,27 @@ def test_residual_check_refuses_a_grid_with_no_interior(op):
     assert verify_deficiency_numerically(op, solve_deficiency(op, n=7)) > 0
     # the full line has no basis, so there is nothing to check on any grid
     assert verify_deficiency_numerically(MOMENTUM_LINE, solve_deficiency(MOMENTUM_LINE, n=3)) == 0
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-12, 1e-8])
+def test_residual_check_refuses_a_basis_its_grid_cannot_resolve(lam):
+    # e^{-+lam x} on the 10001 samples of [0, 1] all round to one value, so
+    # the derivative was 0 and the residual lam max|psi| itself: at
+    # lam = 1e-12 a relative miss of 1.0, and of 1.7e-4 at lam = 1e-8
+    r = solve_deficiency(MOMENTUM_01, lam=lam)
+    with pytest.raises(TooCoarseError, match=r"cannot resolve exp\(-.*above 0.0001"):
+        verify_deficiency_numerically(MOMENTUM_01, r)
+
+
+@pytest.mark.parametrize("lam", [2.3e-8, 1e-6, 1.0, 100.0])
+@pytest.mark.parametrize("op", [MOMENTUM_01, MOMENTUM_HALF, HAMILTONIAN, TIME_OP])
+def test_a_resolved_residual_is_within_the_share_of_its_scale(op, lam):
+    # where the stencil's rounding is at most 1e-4 of |rate|^k max|psi|,
+    # the residual is too; the bases on a half line scale their grid with lam
+    r = solve_deficiency(op, lam=lam)
+    order = 2 if op is HAMILTONIAN else 1
+    scale = max(abs(sol.rate) ** order * np.max(np.abs(sol.fn.values)) for sol in r.basis())
+    assert 0.0 < verify_deficiency_numerically(op, r) <= 1e-4 * scale
 
 
 # ---------------------------------------------------------------------------

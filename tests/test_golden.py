@@ -32,6 +32,8 @@ _ARGV = {
     "spectrum-well": ["spectrum", "--op", "well"],
     "spectrum-momentum": ["spectrum", "--op", "momentum"],
     "geometry-flat": ["geometry", "--metric", "flat"],
+    # gamma = pi: value inf and dirichlet_limit true
+    "extend-dirichlet": ["extend", "--operator", "hamiltonian", "--gamma", "3.141592653589793"],
     "classical-harmonic": ["classical", "--s", "2"],
     "classical-inverted": ["classical", "--s", "2", "--g", "-1", "--q0", "1", "--p0", "-1",
                            "--t-end", "15"],
