@@ -43,7 +43,7 @@ def main():
 
     theta = np.pi / 3
     result = momentum_spectrum(theta, Interval.finite(0.0, 1.0), range(-2, 3))
-    levels = ", ".join(f"{lv.value:+.4f}" for lv in result.discrete)
+    levels = ", ".join(f"{value:+.4f}" for value in result.discrete.values.tolist())
     print(f"spectrum at theta = pi/3: theta + 2 pi n = {levels}")
 
     print()

@@ -37,7 +37,8 @@ for alpha in (0.0, 1.0):
 print()
 print("--- full spectrum object ---")
 spec = halfline_robin_spectrum(-1.0)
-print(f"discrete levels: {[f'{lv.value:+.6f}' for lv in spec.discrete]}")
+print(f"discrete levels: {[f'{value:+.6f}' for value in spec.discrete.values.tolist()]}")
+print(f"their eigenfunctions at x = 0: {spec.discrete.eigenfunctions(0.0).ravel()}  (sqrt 2)")
 print(f"continuum threshold: {spec.continuous.threshold}")
 
 print()

@@ -330,10 +330,16 @@ def _closed(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
     if s == 2.0 and g > 0.0:
         w = 2.0 * math.sqrt(g)
         c, sn, x = np.cos(w * ts), np.sin(w * ts), 2.0 * w * ts
-        # numpy's w^3 overflows to inf, where a float's raises OverflowError;
-        # the term is then scaled by w first
-        w3, odd = np.float64(w) ** 3, _odd_tail(x, -1.0)
-        kinetic = p0 * p0 * odd / w3 if w3 < math.inf else np.float64(p0 / w) ** 2 * (odd / w)
+        w3 = np.float64(w) ** 3
+        if w3 < np.finfo(float).tiny:
+            # x - sin x underflows with w^3: (x - sin x)/w^3 = (2t)^3 (x - sin x)/x^3
+            kinetic = p0 * p0 * (2.0 * ts) ** 3 * _odd_tail(x, -1.0, over_cube=True)
+        elif w3 < math.inf:
+            kinetic = p0 * p0 * _odd_tail(x, -1.0) / w3
+        else:
+            # numpy's w^3 overflows to inf, where a float's raises OverflowError;
+            # the term is then scaled by w first
+            kinetic = np.float64(p0 / w) ** 2 * (_odd_tail(x, -1.0) / w)
         return (q0 * c + (2.0 * p0 / w) * sn, p0 * c - (0.5 * w * q0) * sn,
                 2.0 * g * (q0 * q0 * (x + np.sin(x)) / (4.0 * w) + kinetic
                            + 2.0 * q0 * p0 * (np.sin(0.5 * x) / w) ** 2))
@@ -351,12 +357,14 @@ def _closed(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
     return q0 + 2.0 * p0 * ts, np.full_like(ts, p0), g * ts if s == 0.0 else np.zeros_like(ts)
 
 
-def _odd_tail(x: np.ndarray, sign: float) -> np.ndarray:
+def _odd_tail(x: np.ndarray, sign: float, over_cube: bool = False) -> np.ndarray:
     """x - sin x (sign = -1) or sinh x - x (sign = +1), without cancellation.
 
     Below |x| = 1 the difference is summed from its series
     x^3/3! + sign x^5/5! + ..., whose terms after x^21/21! are below
-    rounding there.
+    rounding there.  ``over_cube`` divides it by x^3: below |x| = 1 that is
+    the series 1/3! + sign x^2/5! + ..., which does not underflow where x^3
+    does.
     """
     # the series is used below |x| = 1 only; above it may overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,8 +372,11 @@ def _odd_tail(x: np.ndarray, sign: float) -> np.ndarray:
         series = np.ones_like(x)
         for n in range(9, 0, -1):
             series = 1.0 + sign * x2 / ((2 * n + 2) * (2 * n + 3)) * series
-        series *= x * x2 / 6.0
+        series = series / 6.0 if over_cube else series * (x * x2 / 6.0)
     direct = np.sinh(x) - x if sign > 0.0 else x - np.sin(x)
+    if over_cube:
+        with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes the series
+            direct = direct / (x * x2)
     return np.where(np.abs(x) < 1.0, series, direct)
 
 

@@ -535,7 +535,8 @@ def _run_spectrum(args) -> dict:
         res = well_spectrum(args.a, range(args.n_min, args.n_max + 1))
     else:
         res = halfline_robin_spectrum(_robin_alpha(args.alpha))
-    out = {"discrete": [{"n": level.n, "value": level.value} for level in res.discrete],
+    levels = res.discrete
+    out = {"discrete": [{"n": n, "value": v} for n, v in zip(levels.n, levels.values.tolist())],
            "continuous": None}
     if res.continuous is not None:
         phase = res.continuous.reflection_phase

@@ -209,6 +209,9 @@ _EDGE = 3
 #: take: the residual's acceptance threshold at lam = 1.
 _ROUNDING_SHARE = 1e-4
 
+#: The least lam max|psi| whose rounding, 2^-52 of it, is a normal float.
+_SCALE_MIN = 2.0**-970
+
 
 def _adjoint_apply(order: int, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply the adjoint catalog operator, -i d/dx or -d2/dx2, by finite differences."""
@@ -234,6 +237,13 @@ def verify_deficiency_numerically(op: OperatorSpec,
     momentum interval where lam (b - a) is small against the grid size (on
     the default 10001 samples of [0, 1], below lam = 2.2e-8); the other
     bases scale their grid with lam.
+
+    The residual measures lam max|psi| (= |rate|^k max|psi|).  Below 2^-970
+    its rounding, 2^-52 of it, is no normal float: lam psi and the stencil's
+    differences underflow and the residual reads 0.0, so such a basis is
+    refused (PreconditionError).  On a half line that is lam < 2^-647
+    (1.7e-195) for momentum and the time operator, max|psi| = sqrt(2 lam),
+    and lam < 2^-776.2 (2.2e-234) for the Hamiltonian, max|psi| = (2 lam)^(1/4).
     """
     lam = report.lam
     order = 1 if op.kind in (MOMENTUM, TIME_OPERATOR) else 2
@@ -252,6 +262,12 @@ def verify_deficiency_numerically(op: OperatorSpec,
                     "the adjoint residual check cannot resolve %s on its grid: the stencil's "
                     "rounding 2^-52 / (|rate| h)^%d is %.3g of what it measures, above %g"
                     % (sol.tag, order, share, _ROUNDING_SHARE))
+            scale = lam * float(np.max(np.abs(vals)))
+            if not scale >= _SCALE_MIN:
+                raise PreconditionError(
+                    "the adjoint residual check at lam=%r measures lam max|psi| = %.3g, whose "
+                    "rounding is below the normal floats (it needs at least 2^-970)"
+                    % (lam, scale))
             try:
                 applied = _adjoint_apply(order, xs, vals)
             except PreconditionError:  # a derivative that left the float range

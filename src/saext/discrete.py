@@ -280,15 +280,15 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
     xs = np.linspace(0.0, a, grid_n)
     quantities = {}
     per_stack = max(1, _STACK // grid_n)
-    for stack in (levels[i:i + per_stack] for i in range(0, n_max, per_stack)):
-        psi = GridFunction(xs, [level.eigenfunction(xs) for level in stack])
+    for stack in (slice(i, i + per_stack) for i in range(0, n_max, per_stack)):
+        psi = GridFunction(xs, levels.eigenfunctions(xs, stack))
         p_psi = GridFunction(xs, -1j * derivative_values(xs, psi.values, 1, acc=4))
         # Python divides each level: numpy rounds some quotients apart, raises no ZeroDivisionError
         coeffs = [complex(num) / complex(den) for num, den in
                   zip(inner_product(psi, p_psi), inner_product(psi, psi))]
         residual_fn = GridFunction(xs, p_psi.values - np.array(coeffs)[:, None] * psi.values)
-        for level, num, den in zip(stack, norm(residual_fn), norm(p_psi)):
-            quantities["r_%d" % level.n] = Quantity(float(num) / float(den), 1e-10)
+        for n, num, den in zip(levels.n[stack], norm(residual_fn), norm(p_psi)):
+            quantities["r_%d" % n] = Quantity(float(num) / float(den), 1e-10)
     return ParadoxReport(
         id=3,
         quantities=quantities,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -30,7 +31,7 @@ from .errors import (
 __all__ = [
     "BoundState",
     "ContinuousSpectrum",
-    "DiscreteLevel",
+    "Levels",
     "SpectrumResult",
     "bound_state",
     "bound_state_shooting",
@@ -45,12 +46,20 @@ __all__ = [
 ]
 
 
-class DiscreteLevel(NamedTuple):
-    """One eigenvalue with its eigenfunction in closed form, x -> psi_n(x)."""
+@dataclass(frozen=True, eq=False)
+class Levels:
+    """Labels n (Python ints, increasing) and float64 values of a point spectrum.
 
-    n: int
-    value: float
-    eigenfunction: Callable[[np.ndarray], np.ndarray]
+    ``eigenfunctions(xs, rows=slice(None))`` samples the closed forms of the
+    levels ``rows`` at xs (1-D, or a scalar) as one (levels, samples) stack.
+    """
+
+    n: Tuple[int, ...]
+    values: np.ndarray
+    eigenfunctions: Callable[..., np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.n)
 
 
 class BoundState(NamedTuple):
@@ -68,8 +77,24 @@ class ContinuousSpectrum:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    discrete: Tuple[DiscreteLevel, ...]
+    discrete: Levels
     continuous: Optional[ContinuousSpectrum] = None
+
+
+def _labels(n_range: Sequence[int]) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """The labels n_range, sorted, as Python ints and as float64.
+
+    A label past the float range has no float and reads as the largest one;
+    each level formula multiplies it by more than 1, so its level leaves the
+    float range too and is refused by name.
+    """
+    _check_budget(_LEVEL_BYTES * len(n_range), "a range of %d levels" % len(n_range))
+    ns = tuple(sorted(map(int, n_range)))
+    try:
+        return ns, np.array(ns, dtype=float)
+    except OverflowError:
+        top = sys.float_info.max
+        return ns, np.array(ns, dtype=object).clip(-top, top).astype(float)
 
 
 def momentum_spectrum(
@@ -89,53 +114,43 @@ def momentum_spectrum(
             "unbounded interval, so there is no spectrum to report"
         )
     length = interval.length
-    _check_budget(_LEVEL_BYTES * len(n_range), "a range of %d levels" % len(n_range))
-    levels = []
-    for n in sorted(int(n) for n in n_range):
-        p = (math.tau * n + theta) / length
-        if not (math.isfinite(p) and length < math.inf):
-            raise PreconditionError("the level (2*pi*n + theta)/L leaves the float range "
-                                    "at n=%d, theta=%r, L=%r" % (n, theta, length))
-        levels.append(DiscreteLevel(n, p, _plane_wave(p, length)))
-    return SpectrumResult(tuple(levels))
-
-
-def _plane_wave(p: float, length: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: np.exp(1j * p * np.asarray(x, dtype=float)) / math.sqrt(length)
+    ns, nf = _labels(n_range)
+    with np.errstate(over="ignore"):
+        p = (math.tau * nf + theta) / length
+    lost = np.flatnonzero(~(np.isfinite(p) & (length < math.inf)))
+    if lost.size:
+        raise PreconditionError("the level (2*pi*n + theta)/L leaves the float range "
+                                "at n=%d, theta=%r, L=%r" % (ns[lost[0]], theta, length))
+    return SpectrumResult(Levels(ns, p, lambda xs, rows=slice(None): np.exp(
+        1j * p[rows, None] * np.asarray(xs, dtype=float)) / math.sqrt(length)))
 
 
 def well_spectrum(a: float, n_range: Sequence[int]) -> SpectrumResult:
     """Dirichlet levels E_n = (n*pi/a)^2 with psi_n = sqrt(2/a) sin(n*pi*x/a)."""
     if not a > 0.0:
         raise PreconditionError("well width must be positive, got %r" % (a,))
-    _check_budget(_LEVEL_BYTES * len(n_range), "a range of %d levels" % len(n_range))
-    ns = sorted(int(n) for n in n_range)
-    for n in ns:
-        if n <= 0:
-            raise InvalidIndexError(
-                "well levels are labelled n = 1, 2, ...; got n=%d" % n
-            )
-    top = ns[-1] * math.pi / a if ns else 0.0
-    if not top * top < math.inf:
-        raise PreconditionError("the level (n*pi/a)^2 overflows at n=%d, a=%r" % (ns[-1], a))
-    levels = []
-    for n in ns:
-        kn = n * math.pi / a
-        levels.append(DiscreteLevel(n, kn * kn, _sine_mode(kn, a)))
-    return SpectrumResult(tuple(levels))
+    ns, nf = _labels(n_range)
+    if ns and ns[0] <= 0:
+        raise InvalidIndexError("well levels are labelled n = 1, 2, ...; got n=%d" % ns[0])
+    with np.errstate(over="ignore"):
+        kn = nf * math.pi / a
+        values = kn * kn
+    if ns and not values[-1] < math.inf:
+        raise PreconditionError("the level (n*pi/a)^2 leaves the float range at n=%d, a=%r"
+                                % (ns[-1], a))
+    return SpectrumResult(Levels(ns, values, lambda xs, rows=slice(None): math.sqrt(2.0 / a)
+                                 * np.sin(kn[rows, None] * np.asarray(xs, dtype=float))))
 
 
-def _sine_mode(kn: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: math.sqrt(2.0 / a) * np.sin(kn * np.asarray(x, dtype=float))
+def _robin_levels(alpha: float) -> Levels:
+    """The Robin bound state, E = -alpha^2 with sqrt(2|alpha|) exp(alpha*x), if alpha < 0."""
+    rates = np.array([alpha] if alpha < 0.0 else [], dtype=float)
 
-
-def _robin_state(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The Robin bound state sqrt(2|alpha|) exp(alpha*x), alpha < 0."""
-    def psi(x):
+    def psi(xs, rows=slice(None)):
         # an alpha*x past the float range is -inf, whose exp is the 0 it stands for
         with np.errstate(over="ignore"):
-            return math.sqrt(2.0 * abs(alpha)) * np.exp(alpha * np.asarray(x, dtype=float))
-    return psi
+            return math.sqrt(2.0 * abs(alpha)) * np.exp(rates[rows, None] * np.asarray(xs, float))
+    return Levels((0,) * len(rates), -rates * rates, psi)
 
 
 def bound_state(
@@ -160,7 +175,7 @@ def bound_state(
         grid_n = 3501
     _check_budget(_SAMPLE_BYTES * grid_n, "a bound state on %d samples" % grid_n)
     xs = np.linspace(0.0, x_max, grid_n)
-    return BoundState(-alpha * alpha, GridFunction(xs, _robin_state(alpha)(xs)))
+    return BoundState(-alpha * alpha, GridFunction(xs, _robin_levels(alpha).eigenfunctions(xs)[0]))
 
 
 def bound_state_shooting(
@@ -263,9 +278,8 @@ def halfline_robin_spectrum(alpha: float) -> SpectrumResult:
     Discrete part: the single bound state when alpha < 0.  Continuous
     part: the scattering branch [0, inf) with its reflection phase.
     """
-    discrete = (DiscreteLevel(0, -alpha * alpha, _robin_state(alpha)),) if alpha < 0.0 else ()
     branch = ContinuousSpectrum(0.0, lambda k: reflection_phase(k, alpha))
-    return SpectrumResult(discrete, branch)
+    return SpectrumResult(_robin_levels(alpha), branch)
 
 
 def _twisted_difference(theta: float, vec: np.ndarray) -> np.ndarray:

@@ -115,8 +115,8 @@ def test_momentum_spectrum_discretization():
     ok = True
     for theta in (0.0, math.pi / 3.0, math.pi):
         res = momentum_spectrum(theta, Interval.finite(0.0, 1.0), range(-3, 4))
-        for lv in res.discrete:
-            ok &= lv.value == (math.tau * lv.n + theta)
+        for n, value in zip(res.discrete.n, res.discrete.values.tolist()):
+            ok &= value == (math.tau * n + theta)
         eigs = discretized_momentum_eigs(theta, 4096, count=16)
         for p in _lowest_modes(theta, 3):
             err = min(abs(lam - p) for lam in eigs)
@@ -254,8 +254,8 @@ def test_well_spectrum_convergence():
         orders.append(math.log2(errs[0] / errs[1]))
     ok &= all(1.8 <= order <= 2.2 for order in orders)
     xs = np.linspace(0.0, 1.0, 2001)
-    modes = [GridFunction(xs, lv.eigenfunction(xs))
-             for lv in well_spectrum(1.0, range(1, 6)).discrete]
+    modes = [GridFunction(xs, row)
+             for row in well_spectrum(1.0, range(1, 6)).discrete.eigenfunctions(xs)]
     gram_dev = 0.0
     for i, fi in enumerate(modes):
         for j, fj in enumerate(modes):

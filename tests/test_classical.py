@@ -623,6 +623,29 @@ def test_drift_report_holds_or_names_its_cause(s, g, p0, t_end):
     assert report.max_deviation <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("t_end", [1.0, 5.0, 1e15])
+@pytest.mark.parametrize("p0", [0.25, 1e100])
+def test_harmonic_drift_report_at_g_1e_300_matches_dop853(p0, t_end):
+    # the s = 2 points of the grid above at g = 1e-300, where w^3 and
+    # x - sin x underflow to 0: the kinetic term p0^2 (x - sin x)/w^3 was
+    # 0/0, and the report was refused as leaving the float range
+    from scipy.integrate import cumulative_simpson
+
+    g = 1e-300
+    report = dilatation_drift_report(PowerLawPotential(g, 2), (1.0, p0), t_end, samples=401)
+    ts = np.linspace(0.0, t_end, 401)
+    qs, ps = _dop853(g, 2, 1.0, p0, t_end, 401)
+    energy = p0 * p0 + g
+    assert report.energy_drift * energy <= 1e-10 * np.max(ps ** 2 + g * qs ** 2)
+    d_vals = ts * energy - 0.5 * qs * ps
+    scale = np.max(np.abs(ts * energy) + np.abs(qs * ps) / 2.0)
+    assert abs(report.max_drift - np.max(np.abs(d_vals - d_vals[0]))) <= 1e-10 * scale
+    assert report.max_deviation <= 1e-10 * scale
+    # q is linear in t to rounding, so Simpson's rule integrates the rate 2g q^2 exactly
+    predicted = cumulative_simpson(2.0 * g * qs ** 2, x=ts, initial=0.0)
+    assert report.predicted_drift == pytest.approx(np.max(np.abs(predicted)), rel=1e-9)
+
+
 @pytest.mark.parametrize("s, g, t_end", [
     (0.5, 1e-12, 5.0),  # the turning point is at 3.9e21
     (1e-3, 1.0, 1.0),   # at 2e26

@@ -819,7 +819,7 @@ def test_sweep_memory_stays_below_200mb_at_1e5_points(fmt):
 
 
 def test_spectrum_memory_stays_below_200mb_at_1e5_levels():
-    # each level carries its eigenfunction as a closed form; a 2001-point
+    # the levels keep their eigenfunctions as one closed form; a 2001-point
     # sample per level took 4.7 GB at 1e5 levels
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")

@@ -1,5 +1,6 @@
 import argparse
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from saext.deficiency import (
     solve_deficiency,
     verify_deficiency_numerically,
 )
-from saext.errors import DegenerateGridError, TooCoarseError
+from saext.errors import DegenerateGridError, PreconditionError, TooCoarseError
 
 MOMENTUM_01 = OperatorSpec.momentum(Interval.finite(0.0, 1.0))
 MOMENTUM_HALF = OperatorSpec.momentum(Interval.half_line(0.0))
@@ -311,6 +312,30 @@ def test_residual_check_refuses_a_basis_its_grid_cannot_resolve(lam):
 def test_a_resolved_residual_is_within_the_share_of_its_scale(op, lam):
     # where the stencil's rounding is at most 1e-4 of |rate|^k max|psi|,
     # the residual is too; the bases on a half line scale their grid with lam
+    r = solve_deficiency(op, lam=lam)
+    order = 2 if op is HAMILTONIAN else 1
+    scale = max(abs(sol.rate) ** order * np.max(np.abs(sol.fn.values)) for sol in r.basis())
+    assert 0.0 < verify_deficiency_numerically(op, r) <= 1e-4 * scale
+
+
+@pytest.mark.parametrize("op, lam", [
+    (MOMENTUM_HALF, 1e-300), (TIME_OP, 1e-300), (HAMILTONIAN, 1e-300),
+    # just below 2^-647 and 2^-776.2, where lam max|psi| falls under 2^-970
+    (MOMENTUM_HALF, 1.6e-195), (TIME_OP, 1.6e-195), (HAMILTONIAN, 2.1e-234),
+])
+def test_residual_check_refuses_a_scale_whose_rounding_underflows(op, lam):
+    # lam psi and the stencil's differences underflowed, and the check
+    # reported an adjoint_residual of 0.0 that checked nothing
+    r = solve_deficiency(op, lam=lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match=r"at lam=%r measures lam max\|psi\|" % lam):
+            verify_deficiency_numerically(op, r)
+
+
+@pytest.mark.parametrize("op, lam", [(MOMENTUM_HALF, 1.8e-195), (TIME_OP, 1.8e-195),
+                                     (HAMILTONIAN, 2.3e-234)])
+def test_a_scale_just_above_the_normal_floats_is_checked(op, lam):
     r = solve_deficiency(op, lam=lam)
     order = 2 if op is HAMILTONIAN else 1
     scale = max(abs(sol.rate) ** order * np.max(np.abs(sol.fn.values)) for sol in r.basis())

@@ -1,6 +1,7 @@
 import argparse
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,10 +72,10 @@ def _twisted_matrix(theta, n):
     return mat
 
 
-def _sampled(level, a, b, grid_n=2001):
-    """A level's closed-form eigenfunction on grid_n points of [a, b]."""
+def _sampled(levels, a, b, grid_n=2001):
+    """Each level's closed-form eigenfunction on grid_n points of [a, b]."""
     xs = np.linspace(a, b, grid_n)
-    return GridFunction(xs, level.eigenfunction(xs))
+    return [GridFunction(xs, row) for row in levels.eigenfunctions(xs)]
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ def _sampled(level, a, b, grid_n=2001):
 
 def test_momentum_levels_unit_box():
     res = momentum_spectrum(0.0, BOX, range(-2, 3))
-    values = [lv.value for lv in res.discrete]
+    values = res.discrete.values.tolist()
     assert values == pytest.approx(
         [-4 * math.pi, -2 * math.pi, 0.0, 2 * math.pi, 4 * math.pi]
     )
@@ -92,31 +93,30 @@ def test_momentum_levels_unit_box():
 
 def test_momentum_antiperiodic_lowest_level():
     res = momentum_spectrum(math.pi, BOX, [0])
-    assert res.discrete[0].value == pytest.approx(math.pi, abs=0.0)
+    assert res.discrete.values[0] == pytest.approx(math.pi, abs=0.0)
 
 
 def test_momentum_rescaled_box_by_residual():
     # length-2 box, n=1: p should be pi; verify against the ODE itself
     res = momentum_spectrum(0.0, Interval.finite(0.0, 2.0), [1])
-    level = res.discrete[0]
-    assert level.value == pytest.approx(math.pi)
-    f = _sampled(level, 0.0, 2.0, 4001)
+    value = res.discrete.values[0]
+    assert value == pytest.approx(math.pi)
+    (f,) = _sampled(res.discrete, 0.0, 2.0, 4001)
     dpsi = derivative_values(f.xs, f.values, 1, acc=4)
-    resid = -1j * dpsi - level.value * f.values
+    resid = -1j * dpsi - value * f.values
     assert np.max(np.abs(resid[3:-3])) < 1e-8
 
 
 def test_momentum_twist_across_box():
     for theta in (0.0, math.pi / 3, math.pi, 5.0):
         res = momentum_spectrum(theta, BOX, range(-3, 4))
-        for level in res.discrete:
-            f = _sampled(level, 0.0, 1.0)
+        for f in _sampled(res.discrete, 0.0, 1.0):
             assert abs(f.values[-1] - np.exp(1j * theta) * f.values[0]) < 1e-12
 
 
 def test_momentum_eigenfunctions_orthonormal():
     res = momentum_spectrum(0.7, BOX, range(-2, 3))
-    fns = [_sampled(lv, 0.0, 1.0) for lv in res.discrete]
+    fns = _sampled(res.discrete, 0.0, 1.0)
     for i, f in enumerate(fns):
         for j, g in enumerate(fns):
             target = 1.0 if i == j else 0.0
@@ -125,7 +125,7 @@ def test_momentum_eigenfunctions_orthonormal():
 
 def test_momentum_values_increase_with_n():
     res = momentum_spectrum(1.3, Interval.finite(-1.0, 3.0), range(-5, 6))
-    values = [lv.value for lv in res.discrete]
+    values = res.discrete.values.tolist()
     assert all(u < v for u, v in zip(values, values[1:]))
 
 
@@ -133,9 +133,9 @@ def test_momentum_shift_covariance_one_ulp():
     for theta in (0.0, 0.7, 2.0):
         shifted = momentum_spectrum(theta + math.tau, BOX, range(-3, 3))
         base = momentum_spectrum(theta, BOX, range(-2, 4))
-        for ls, lb in zip(shifted.discrete, base.discrete):
-            assert ls.n + 1 == lb.n
-            assert abs(ls.value - lb.value) <= 1e-15 * max(1.0, abs(lb.value))
+        assert [n + 1 for n in shifted.discrete.n] == list(base.discrete.n)
+        for vs, vb in zip(shifted.discrete.values.tolist(), base.discrete.values.tolist()):
+            assert abs(vs - vb) <= 1e-15 * max(1.0, abs(vb))
 
 
 def test_momentum_rejects_unbounded_intervals():
@@ -151,14 +151,13 @@ def test_momentum_rejects_unbounded_intervals():
 
 def test_well_ground_state_unit_width():
     res = well_spectrum(1.0, [1])
-    level = res.discrete[0]
-    assert level.value == pytest.approx(math.pi**2, rel=1e-15)
-    mid = _sampled(level, 0.0, 1.0).values[1000]  # x = 1/2
+    assert res.discrete.values[0] == pytest.approx(math.pi**2, rel=1e-15)
+    mid = _sampled(res.discrete, 0.0, 1.0)[0].values[1000]  # x = 1/2
     assert mid == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
 def test_well_second_level_width_pi_against_fd_oracle():
-    assert well_spectrum(math.pi, [2]).discrete[0].value == pytest.approx(4.0, rel=1e-14)
+    assert well_spectrum(math.pi, [2]).discrete.values[0] == pytest.approx(4.0, rel=1e-14)
     # Richardson-extrapolated three-point Laplacian agrees
     coarse = _dirichlet_fd_eigenvalues(math.pi, 400, 2)[1]
     fine = _dirichlet_fd_eigenvalues(math.pi, 800, 2)[1]
@@ -206,7 +205,7 @@ def test_dirichlet_fd_count_outside_range_is_rejected(count):
 
 def test_well_eigenfunctions_orthonormal():
     res = well_spectrum(1.0, [1, 2, 3])
-    fns = [_sampled(lv, 0.0, 1.0) for lv in res.discrete]
+    fns = _sampled(res.discrete, 0.0, 1.0)
     for i, f in enumerate(fns):
         for j, g in enumerate(fns):
             target = 1.0 if i == j else 0.0
@@ -223,15 +222,14 @@ def test_well_rejects_bad_labels_and_width():
     # a level past the float range is refused, not reported as inf
     with pytest.raises(PreconditionError):
         well_spectrum(1e-300, [1, 2])
-    assert well_spectrum(1e-300, []).discrete == ()
+    assert len(well_spectrum(1e-300, []).discrete) == 0
 
 
 def test_well_eigenfunction_ode_residual():
     res = well_spectrum(1.5, [1, 2, 4])
-    for level in res.discrete:
-        f = _sampled(level, 0.0, 1.5, 10_001)
+    for value, f in zip(res.discrete.values, _sampled(res.discrete, 0.0, 1.5, 10_001)):
         d2 = derivative_values(f.xs, f.values, 2, acc=4)
-        resid = -d2 - level.value * f.values
+        resid = -d2 - value * f.values
         assert np.max(np.abs(resid[4:-4])) < 1e-4
 
 
@@ -437,20 +435,124 @@ def test_scattering_state_satisfies_robin_and_ode():
 def test_halfline_spectrum_bundles_both_parts():
     res = halfline_robin_spectrum(-1.0)
     assert len(res.discrete) == 1
-    assert res.discrete[0].value == -1.0
+    assert res.discrete.n == (0,)
+    assert res.discrete.values.tolist() == [-1.0]
     assert res.continuous.threshold == 0.0
     assert res.continuous.reflection_phase(1.0) == pytest.approx(1.5 * math.pi)
-    assert halfline_robin_spectrum(2.0).discrete == ()
+    assert len(halfline_robin_spectrum(2.0).discrete) == 0
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -0.37, -12.5])
 def test_robin_level_is_the_sampled_bound_state(alpha):
     # one closed form serves the spectrum level and bound_state's samples
-    level = halfline_robin_spectrum(alpha).discrete[0]
+    levels = halfline_robin_spectrum(alpha).discrete
     state = bound_state(alpha)
-    assert level.value == state.energy
-    assert np.array_equal(level.eigenfunction(state.psi.xs), state.psi.values)
-    assert level.eigenfunction(0.0) == math.sqrt(2.0 * abs(alpha))
+    assert levels.values.tolist() == [state.energy]
+    assert np.array_equal(levels.eigenfunctions(state.psi.xs), [state.psi.values])
+    assert levels.eigenfunctions(0.0).tolist() == [[math.sqrt(2.0 * abs(alpha))]]
+
+
+# ---------------------------------------------------------------------------
+# level arrays
+# ---------------------------------------------------------------------------
+
+def _per_level(op, param, labels):
+    """The (n, value, x -> psi_n(x)) triples of each level, one closure per level.
+
+    These are the expressions each level carried before a spectrum became
+    one array value, in the same operation order: the reference whose bits
+    the stacks keep.
+    """
+    triples = []
+    for n in sorted(labels):
+        if op == "momentum":
+            theta, length = param
+            p = (math.tau * n + theta) / length
+            triples.append((n, p, lambda x, p=p: np.exp(1j * p * np.asarray(x, dtype=float))
+                            / math.sqrt(length)))
+        elif op == "well":
+            kn = n * math.pi / param
+            triples.append((n, kn * kn, lambda x, kn=kn: math.sqrt(2.0 / param)
+                            * np.sin(kn * np.asarray(x, dtype=float))))
+        else:
+            triples.append((n, -param * param, lambda x: math.sqrt(2.0 * abs(param))
+                            * np.exp(param * np.asarray(x, dtype=float))))
+    return triples
+
+
+_LEVEL_CASES = {
+    "momentum": ("momentum", (0.7, 3.75), range(-3, 4)),
+    "momentum-2^63": ("momentum", (0.7, 3.75), range(2**63 - 2, 2**63 + 3)),
+    "momentum--2^63": ("momentum", (-2.0, 3.75), range(-2**63 - 3, -2**63 + 2)),
+    "momentum-10^20": ("momentum", (0.7, 3.75), range(10**20, 10**20 + 5)),
+    "momentum-empty": ("momentum", (0.7, 3.75), range(4, 4)),
+    "well": ("well", 0.37, range(1, 8)),
+    "well-2^63": ("well", 0.37, range(2**63 - 2, 2**63 + 3)),
+    "well-10^20": ("well", 0.37, range(10**20, 10**20 + 5)),
+    "well-empty": ("well", 0.37, []),
+    "robin": ("robin", -0.37, [0]),
+    "robin-steep": ("robin", -12.5, [0]),
+    "robin-empty": ("robin", 2.0, []),
+}
+
+
+def _levels(op, param, labels):
+    if op == "momentum":
+        theta, length = param
+        return momentum_spectrum(theta, Interval.finite(-1.5, length - 1.5), labels).discrete
+    if op == "well":
+        return well_spectrum(param, labels).discrete
+    return halfline_robin_spectrum(param).discrete
+
+
+@pytest.mark.parametrize("case", sorted(_LEVEL_CASES))
+def test_levels_keep_the_bits_of_the_per_level_closed_forms(case):
+    levels = _levels(*_LEVEL_CASES[case])
+    reference = _per_level(*_LEVEL_CASES[case])
+    # a NamedTuple's len would count its three fields
+    assert len(levels) == len(reference)
+    assert levels.n == tuple(n for n, _, _ in reference)
+    assert all(type(n) is int for n in levels.n)
+    assert levels.values.dtype == np.float64
+    assert levels.values.tobytes() == np.array([v for _, v, _ in reference]).tobytes()
+    for xs in (np.linspace(-1.5, 2.25, 257), 0.3):
+        stack = levels.eigenfunctions(xs)
+        assert stack.shape == (len(reference), np.size(xs))
+        for row, (_, _, psi) in zip(stack, reference):
+            assert row.tobytes() == np.ravel(psi(xs)).tobytes()
+        for rows in (slice(None), slice(1, 3), slice(1, None, 2), slice(0, 0)):
+            assert levels.eigenfunctions(xs, rows).tobytes() == stack[rows].tobytes()
+
+
+@pytest.mark.parametrize("spectrum, named", [
+    # a momentum range names its first level past the float range
+    (lambda labels: momentum_spectrum(0.0, BOX, labels),
+     lambda labels: next(n for n in labels if n > 1e307)),
+    # a well range names its top level
+    (lambda labels: well_spectrum(1.0, labels), lambda labels: labels[-1]),
+], ids=["momentum", "well"])
+@pytest.mark.parametrize("labels", [[10**400], [10**308, 10**400], [3, 2**1024 - 2**970]])
+def test_a_label_past_the_float_range_is_refused_by_name(spectrum, named, labels):
+    # Python has no float for such an int: the error was an invalid-value
+    # "int too large to convert to float"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError,
+                           match=r"leaves the float range at n=%d," % named(labels)):
+            spectrum(labels)
+
+
+def test_a_negative_label_past_the_float_range_is_refused_by_name():
+    with pytest.raises(PreconditionError, match=r"float range at n=-1%s," % ("0" * 400)):
+        momentum_spectrum(0.0, BOX, [5, -10**400])
+
+
+def test_a_momentum_level_past_the_float_range_warns_of_nothing():
+    # the division by L = 1e-308 overflowed with a RuntimeWarning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match=r"at n=-5, theta=0.0, L=1e-308"):
+            momentum_spectrum(0.0, Interval.finite(0.0, 1e-308), range(-5, 6))
 
 
 # ---------------------------------------------------------------------------
