@@ -298,8 +298,9 @@ def _closed(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
     ts[-1] raises SingularityError.  s = 1: constant force, p = p0 - g t,
     q = q0 + 2 p0 t - g t^2 and the integral is 1.5 g (q0 t + p0 t^2 - g t^3/3).
     s = 2 with g > 0: w = 2 sqrt(g), q = q0 cos wt + (2 p0/w) sin wt,
-    p = p0 cos wt - (w q0/2) sin wt and, with x = 2wt, the integral is
-    2g [q0^2 (x + sin x)/(4w) + p0^2 (x - sin x)/w^3 + 2 q0 p0 sin^2(wt)/w^2].
+    p = p0 cos wt - (w q0/2) sin wt and, with x = 2wt and 2g = w^2/2 taken
+    into each term, so that no power of w past the first is formed, the
+    integral is q0^2 (x + sin x) w/8 + p0^2 (x - sin x)/(2w) + q0 p0 sin^2(x/2).
     s = 2 with g < 0: w = 2 sqrt(-g) and a = q0 + 2 p0/w, the growing
     mode's amplitude, q = q0 e^(-wt) + a sinh wt, p = p0 e^(-wt) +
     (w a/2) sinh wt and the integral is 2g [-q0^2 expm1(-x)/(2w) +
@@ -330,19 +331,14 @@ def _closed(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
     if s == 2.0 and g > 0.0:
         w = 2.0 * math.sqrt(g)
         c, sn, x = np.cos(w * ts), np.sin(w * ts), 2.0 * w * ts
-        w3 = np.float64(w) ** 3
-        if w3 < np.finfo(float).tiny:
-            # x - sin x underflows with w^3: (x - sin x)/w^3 = (2t)^3 (x - sin x)/x^3
-            kinetic = p0 * p0 * (2.0 * ts) ** 3 * _odd_tail(x, -1.0, over_cube=True)
-        elif w3 < math.inf:
-            kinetic = p0 * p0 * _odd_tail(x, -1.0) / w3
+        if w < _TINY_CUBE_ROOT:
+            # (x - sin x)/(2w) = t (x - sin x)/x, whose series does not underflow
+            kinetic = p0 * p0 * ts * _odd_tail(x, -1.0, over_x=True)
         else:
-            # numpy's w^3 overflows to inf, where a float's raises OverflowError;
-            # the term is then scaled by w first
-            kinetic = np.float64(p0 / w) ** 2 * (_odd_tail(x, -1.0) / w)
+            kinetic = p0 * (p0 / (2.0 * w)) * _odd_tail(x, -1.0)
         return (q0 * c + (2.0 * p0 / w) * sn, p0 * c - (0.5 * w * q0) * sn,
-                2.0 * g * (q0 * q0 * (x + np.sin(x)) / (4.0 * w) + kinetic
-                           + 2.0 * q0 * p0 * (np.sin(0.5 * x) / w) ** 2))
+                q0 * q0 * (x + np.sin(x)) * (0.125 * w) + kinetic
+                + q0 * p0 * np.sin(0.5 * x) ** 2)
     if s == 2.0 and g < 0.0:
         w = 2.0 * math.sqrt(-g)
         a, decay, x = q0 + 2.0 * p0 / w, np.exp(-w * ts), 2.0 * w * ts
@@ -357,13 +353,18 @@ def _closed(g: float, s: float, q0: float, p0: float, ts: np.ndarray):
     return q0 + 2.0 * p0 * ts, np.full_like(ts, p0), g * ts if s == 0.0 else np.zeros_like(ts)
 
 
-def _odd_tail(x: np.ndarray, sign: float, over_cube: bool = False) -> np.ndarray:
+#: The w below which x - sin x, about (2wt)^3/6, underflows by t = 1 though
+#: its quotient by 2w is still a normal float.
+_TINY_CUBE_ROOT = float(np.finfo(float).tiny) ** (1.0 / 3.0)
+
+
+def _odd_tail(x: np.ndarray, sign: float, over_x: bool = False) -> np.ndarray:
     """x - sin x (sign = -1) or sinh x - x (sign = +1), without cancellation.
 
     Below |x| = 1 the difference is summed from its series
     x^3/3! + sign x^5/5! + ..., whose terms after x^21/21! are below
-    rounding there.  ``over_cube`` divides it by x^3: below |x| = 1 that is
-    the series 1/3! + sign x^2/5! + ..., which does not underflow where x^3
+    rounding there.  ``over_x`` divides it by x: below |x| = 1 that is the
+    series x^2/3! + sign x^4/5! + ..., which does not underflow where x^3
     does.
     """
     # the series is used below |x| = 1 only; above it may overflow
@@ -372,11 +373,11 @@ def _odd_tail(x: np.ndarray, sign: float, over_cube: bool = False) -> np.ndarray
         series = np.ones_like(x)
         for n in range(9, 0, -1):
             series = 1.0 + sign * x2 / ((2 * n + 2) * (2 * n + 3)) * series
-        series = series / 6.0 if over_cube else series * (x * x2 / 6.0)
+        series = series * (x2 / 6.0) if over_x else series * (x * x2 / 6.0)
     direct = np.sinh(x) - x if sign > 0.0 else x - np.sin(x)
-    if over_cube:
+    if over_x:
         with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes the series
-            direct = direct / (x * x2)
+            direct = direct / x
     return np.where(np.abs(x) < 1.0, series, direct)
 
 

@@ -43,14 +43,14 @@ _SWEEP_LIMIT = 1_000_000
 def _parse_units(text: str) -> UnitSystem:
     from .core import UnitSystem
 
-    fields = {"hbar": 1.0, "two_m": 1.0}
+    fields = {"hbar": 1.0}
     for part in text.split(","):
         if not part:
             continue
         key, sep, value = part.partition("=")
         if not sep or key not in fields:
             raise argparse.ArgumentTypeError(
-                "units must look like hbar=<v>,two_m=<v>; got %r" % (text,)
+                "units must look like hbar=<v>; got %r" % (text,)
             )
         try:
             fields[key] = float(value)
@@ -691,6 +691,10 @@ def _run_geometry(args) -> dict:
     far_end = b + max(0.5 * (b - a), 0.25)
     _check_budget(_SAMPLE_BYTES * args.grid_n, "a grid of %d samples" % args.grid_n)
     xs = np.linspace(0.0, far_end, args.grid_n)
+    if not np.any((a < xs) & (xs < b)):
+        # the bump would be 0 on every sample, and each check would check nothing
+        raise PreconditionError("the probe bump:%r,%r has no sample inside its support "
+                                "on %d samples from 0 to %r" % (a, b, args.grid_n, far_end))
     f = GridFunction(xs, _bump_values(xs, 0.5 * (a + b), 0.5 * (b - a)), weight="r")
     defect = radial_symmetry_defect(omega, f, f)
     flat = GridFunction(xs, f.values, weight="1")
@@ -711,7 +715,7 @@ def _run_geometry(args) -> dict:
 #: Flags that more than one subcommand reads, by dest.  A subcommand takes
 #: one only where a variant of it declares it.
 _SHARED = {
-    "units": (("--units",), dict(type=_parse_units, metavar="hbar=<v>,two_m=<v>",
+    "units": (("--units",), dict(type=_parse_units, metavar="hbar=<v>",
                                  help="unit system")),
     "tol": (("--tol",), dict(type=float, help="tolerance")),
     "grid_n": (("--grid-n",), dict(type=int, help="grid size")),
@@ -822,8 +826,8 @@ _COMMANDS: Dict[str, dict] = {
         ],
         "select": "id",
         "variants": {
-            1: {"n": 256, "theta": 0.0, "mode": 1, "units": "hbar=1,two_m=1"},
-            2: {"n": 8, "trials": 100, "seed": 0, "units": "hbar=1,two_m=1"},
+            1: {"n": 256, "theta": 0.0, "mode": 1, "units": "hbar=1"},
+            2: {"n": 8, "trials": 100, "seed": 0, "units": "hbar=1"},
             3: {"n": 3, "a": 1.0, "grid_n": 10_001},
             4: {"n": 8, "l": 1.0},
         },
@@ -1024,8 +1028,8 @@ def _finalize(ns: argparse.Namespace, command: str, parser: argparse.ArgumentPar
 def _manifest_settings(ns: argparse.Namespace) -> dict:
     """The manifest's units, natural where none are read, and its tolerance where one is."""
     units = getattr(ns, "units", None)
-    settings = {"units": {"hbar": units.hbar, "two_m": units.two_m} if units
-                else {"hbar": 1.0, "two_m": 1.0}}
+    # every subcommand computes with 2m = 1
+    settings = {"units": {"hbar": units.hbar if units else 1.0, "two_m": 1.0}}
     if getattr(ns, "tol", None) is not None:
         settings["tolerances"] = {"tol": ns.tol}
     return settings

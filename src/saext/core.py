@@ -28,9 +28,9 @@ least the same order at the edges.  The default (order 4) is what the
 Hamiltonian boundary form needs to resolve endpoint derivatives more
 accurately than the quadrature error.
 
-Default units are hbar = 1 and 2m = 1, so the free Hamiltonian is exactly
--d2/dx2; :class:`UnitSystem` carries hbar and 2m where a demonstration
-reports a physical value.
+Units are hbar = 1 and 2m = 1 throughout, so the free Hamiltonian is exactly
+-d2/dx2; :class:`UnitSystem` carries hbar where a demonstration reports a
+physical value.
 """
 
 from __future__ import annotations
@@ -106,6 +106,15 @@ def _check_budget(nbytes: int, what: str) -> None:
             % (what, nbytes / 2**30, _MEMORY_BUDGET >> 30))
 
 
+def _sample_grid(a: float, b: float, n: int, what: str) -> np.ndarray:
+    """n evenly spaced samples from a to b, refused where floats repeat one."""
+    xs = np.linspace(a, b, n)
+    if not np.all(np.diff(xs) > 0):
+        raise PreconditionError("%s: %d evenly spaced samples from %r to %r repeat in floats"
+                                % (what, n, a, b))
+    return xs
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -153,23 +162,21 @@ class Interval:
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """hbar and 2m.  Defaults give H = -d2/dx2 and p = -i d/dx exactly."""
+    """hbar; 2m = 1 throughout.  The default gives p = -i d/dx exactly."""
 
     hbar: float = 1.0
-    two_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(0.0 < v < math.inf for v in (self.hbar, self.two_m)):
-            raise ValueError("hbar and two_m must be finite and positive")
+        if not 0.0 < self.hbar < math.inf:
+            raise ValueError("hbar must be finite and positive")
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Which catalog operator on which interval, with unit conventions."""
+    """Which catalog operator on which interval."""
 
     kind: str
     interval: Interval
-    units: UnitSystem = UnitSystem()
 
     def __post_init__(self) -> None:
         if self.kind not in (MOMENTUM, FREE_HAMILTONIAN, TIME_OPERATOR):
@@ -179,17 +186,16 @@ class OperatorSpec:
             raise ValueError("time operator requires a half-line interval [E0, inf)")
 
     @classmethod
-    def momentum(cls, interval: Interval, units: UnitSystem = UnitSystem()) -> "OperatorSpec":
-        return cls(MOMENTUM, interval, units)
+    def momentum(cls, interval: Interval) -> "OperatorSpec":
+        return cls(MOMENTUM, interval)
 
     @classmethod
-    def free_hamiltonian(cls, interval: Interval | None = None,
-                         units: UnitSystem = UnitSystem()) -> "OperatorSpec":
-        return cls(FREE_HAMILTONIAN, interval or Interval.half_line(), units)
+    def free_hamiltonian(cls, interval: Interval | None = None) -> "OperatorSpec":
+        return cls(FREE_HAMILTONIAN, interval or Interval.half_line())
 
     @classmethod
-    def time_operator(cls, e0: float = 0.0, units: UnitSystem = UnitSystem()) -> "OperatorSpec":
-        return cls(TIME_OPERATOR, Interval.half_line(e0), units)
+    def time_operator(cls, e0: float = 0.0) -> "OperatorSpec":
+        return cls(TIME_OPERATOR, Interval.half_line(e0))
 
 
 PHASE = "phase"

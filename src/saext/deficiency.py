@@ -37,6 +37,7 @@ from .core import (
     Interval,
     OperatorSpec,
     _check_budget,
+    _sample_grid,
     derivative_values,
 )
 from .errors import (DegenerateGridError, PreconditionError, TooCoarseError,
@@ -115,7 +116,7 @@ def _sampled_exponential(tag: str, c: float, rate: complex, iv: Interval, end: f
     def closed_form(x: np.ndarray) -> np.ndarray:
         return (c * np.exp(rate * (np.asarray(x, dtype=float) - a))).astype(complex, copy=False)
 
-    xs = np.linspace(a, end, n)
+    xs = _sample_grid(a, end, n, "the interval [%r, %r]" % (a, iv.b))
     with np.errstate(over="ignore", invalid="ignore"):
         values = closed_form(xs)
     if not np.all(np.isfinite(values)):

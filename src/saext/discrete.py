@@ -131,6 +131,8 @@ def trace_commutator_check(
         raise PreconditionError("need a matrix dimension of at least 2, got %d" % n)
     if trials < 1:
         raise PreconditionError("need at least one trial, got %d" % trials)
+    if seed < 0:
+        raise PreconditionError("the seed must be a non-negative integer, got %d" % seed)
     _check_budget(96 * n * n, "a trial at n=%d" % n)
     rng = np.random.default_rng(seed)
     upper = np.tri(n, k=-1, dtype=bool).T

@@ -38,9 +38,8 @@ _BUILTIN_METRICS = {
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Coordinate, quadrature weight descriptor, and metric determinant."""
+    """Quadrature weight descriptor and metric determinant."""
 
-    coordinate: str
     weight: str
     metric_det: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
@@ -54,17 +53,17 @@ class MeasureSpec:
     @classmethod
     def polar(cls) -> "MeasureSpec":
         g, w = _BUILTIN_METRICS["polar"]
-        return cls("r", w, g, name="polar")
+        return cls(w, g, name="polar")
 
     @classmethod
     def spherical_radial(cls) -> "MeasureSpec":
         g, w = _BUILTIN_METRICS["spherical_radial"]
-        return cls("r", w, g, name="spherical_radial")
+        return cls(w, g, name="spherical_radial")
 
     @classmethod
     def cartesian(cls) -> "MeasureSpec":
         g, w = _BUILTIN_METRICS["cartesian"]
-        return cls("x", w, g, name="cartesian")
+        return cls(w, g, name="cartesian")
 
     def consistency_defect(self, xs: np.ndarray) -> float:
         """max |sqrt(g) - w| over the sample grid (0 for the built-ins)."""
@@ -133,7 +132,6 @@ def radial_symmetry_defect(
 
 def connection_condition(
     metric_det: Union[str, Callable[[np.ndarray], np.ndarray]],
-    coordinate: str = "r",
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Connection term (1/2) d/dr log sqrt(g) = g'/(4g).
 

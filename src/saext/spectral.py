@@ -18,6 +18,7 @@ from .core import (
     GridFunction,
     Interval,
     _check_budget,
+    _sample_grid,
 )
 from .errors import (
     IndeterminateError,
@@ -163,10 +164,14 @@ def bound_state(
     Returns ``None`` when alpha >= 0 (the boundary condition binds
     nothing).  The wave function is sqrt(2|alpha|) exp(alpha*x), unit
     norm on [0, 35/|alpha|] to well below 1e-8 while -alpha^2 is a normal
-    float, |alpha| >= 2^-511; below that the window stops growing.
+    float, |alpha| >= 2^-511; below that the window stops growing.  An
+    infinite alpha is a ValueError, and a grid whose samples repeat in
+    floats (x_max near 0) a PreconditionError.
     """
     if not alpha < 0.0:
         return None
+    if math.isinf(alpha):
+        raise ValueError("the bound state needs a finite alpha, got %r" % (alpha,))
     if x_max is None:
         x_max = 35.0 / max(abs(alpha), _ALPHA_NORMAL_MIN)
     elif not x_max > 0.0:
@@ -174,7 +179,7 @@ def bound_state(
     if grid_n is None:
         grid_n = 3501
     _check_budget(_SAMPLE_BYTES * grid_n, "a bound state on %d samples" % grid_n)
-    xs = np.linspace(0.0, x_max, grid_n)
+    xs = _sample_grid(0.0, x_max, grid_n, "the bound state's grid")
     return BoundState(-alpha * alpha, GridFunction(xs, _robin_levels(alpha).eigenfunctions(xs)[0]))
 
 

@@ -368,6 +368,22 @@ def test_drift_matches_prediction_harmonic():
     assert report.max_deviation / report.predicted_drift <= 1e-5
 
 
+@pytest.mark.parametrize("g, t_end", [(1e-300, 1e200), (1e-210, 1e300)])
+def test_a_slow_harmonic_drift_forms_no_cube_of_w(g, t_end):
+    # w = 2e-150: the kinetic term p0^2 (x - sin x)/w^3, about 8e598, left
+    # the float range before 2g multiplied it, and the report was refused;
+    # at w = 2e-105 the small-w series' (2t)^3 did too
+    q0, p0 = 1.0, 0.25
+    report = dilatation_drift_report(PowerLawPotential(g, 2), (q0, p0), t_end)
+    with mpmath.workdps(50):
+        g, q0, p0, t = (mpmath.mpf(v) for v in (g, q0, p0, t_end))
+        w = 2 * mpmath.sqrt(g)
+        x = 2 * w * t
+        ref = 2 * g * (q0**2 * (x + mpmath.sin(x)) / (4 * w) + p0**2 * (x - mpmath.sin(x)) / w**3
+                       + 2 * q0 * p0 * mpmath.sin(w * t)**2 / w**2)
+    assert report.predicted_drift == pytest.approx(float(ref), rel=1e-12)
+
+
 def test_drift_linear_potential_crosses_origin():
     # constant force pushes through q = 0; only inverse powers guard it
     report = dilatation_drift_report(PowerLawPotential(1.0, 1), (1.0, 0.3), 5.0)

@@ -1363,7 +1363,7 @@ def test_csv_projection_spectrum_levels():
 
 def test_units_flag_is_recorded():
     payload = run_json(["paradox", "--id", "2", "--n", "8",
-                        "--units", "hbar=2,two_m=1"])
+                        "--units", "hbar=2"])
     assert payload["manifest"]["units"] == {"hbar": 2.0, "two_m": 1.0}
     target = payload["result"]["quantities"]["naive_canonical_trace"]["value"]
     assert target["im"] == pytest.approx(16.0)
@@ -1449,7 +1449,7 @@ _CASES = {
 }
 
 #: A value of each shared flag other than its default.
-_SHARED_VALUES = {"units": "hbar=2,two_m=3", "tol": "1e-3", "grid_n": "2001", "seed": "7"}
+_SHARED_VALUES = {"units": "hbar=2", "tol": "1e-3", "grid_n": "2001", "seed": "7"}
 
 #: A value of each flag that a variant needs given.
 _GIVEN = {"operator": "hamiltonian", "gamma": "1", "alpha": "-1", "k": "2", "s": "-2",
@@ -1528,7 +1528,7 @@ _DECLARED = {
     ("paradox", "grid_n"): (["paradox"], [["--id", "3"]], "2001"),
     ("geometry", "grid_n"): (["geometry", "--metric", "polar"], [[]], "2001"),
     ("paradox", "units"): (["paradox", "--n", "64"], [["--id", "1"], ["--id", "2"]],
-                           "hbar=2,two_m=3"),
+                           "hbar=2"),
     ("paradox", "seed"): (["paradox"], [["--id", "2"]], "7"),
     ("anomaly", "tol"): (["anomaly", "--alpha", "-2"], [[]], "1e-3"),
     ("deficiency", "interval"): (["deficiency"], [["--op", op] for op in
@@ -1745,7 +1745,7 @@ def test_a_flag_outside_the_chosen_variant_is_a_usage_error(case):
         assert message in err.getvalue(), (bad, err.getvalue())
 
 
-@pytest.mark.parametrize("units", ["hbar=inf", "two_m=inf", "hbar=1,two_m=-inf",
+@pytest.mark.parametrize("units", ["hbar=inf", "hbar=-inf", "hbar=2,hbar=-inf",
                                    "hbar=nan"])
 def test_non_finite_units_are_a_usage_error(units, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -1753,7 +1753,19 @@ def test_non_finite_units_are_a_usage_error(units, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "finite and positive" in err
+    assert "hbar must be finite and positive" in err
+
+
+@pytest.mark.parametrize("units", ["hbar=2,two_m=3", "two_m=inf", "hbar=1,two_m=-inf",
+                                   "planck=1"])
+def test_a_unit_other_than_hbar_is_a_usage_error(units, capsys):
+    # every subcommand computes with 2m = 1, so a two_m was echoed and changed nothing
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["paradox", "--id", "1", "--units", units])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: saext paradox ")
+    assert "units must look like hbar=<v>" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -2098,6 +2110,13 @@ def test_classical_work_is_bounded(argv):
     ["spectrum", "--op", "momentum", "--interval=-1.7e308,1.7e308"],
     ["classical", "--s", "1e300", "--g", "1e-300"],
     ["classical", "--s", "-1e300", "--q0", "1e300", "--g", "2.5", "--t-end", "1e5"],
+    ["deficiency", "--op", "time", "--interval", "1e300,inf"],
+    ["deficiency", "--op", "hamiltonian", "--interval", "1e300,inf"],
+    ["deficiency", "--op", "momentum", "--interval", "1e16,1.0000000000000002e16"],
+    ["boundstate", "--alpha", "-1", "--x-max", "1e-320"],
+    ["geometry", "--metric", "polar", "--probe", "bump:1e-300,2e-300"],
+    ["geometry", "--metric", "flat", "--probe", "bump:1e-320,2e-320"],
+    ["paradox", "--id", "2", "--seed", "-5"],
 ])
 def test_overflow_is_a_structured_error_not_a_nan(argv):
     # the first two printed RuntimeWarnings and exited 0, with an
@@ -2110,7 +2129,13 @@ def test_overflow_is_a_structured_error_not_a_nan(argv):
     # with an energy drift of 6.2e298 (V is a wall whose turning point
     # rounds onto q0 = 1) and a deviation of 1.4e288 (1 + s/2 multiplies
     # rounding by 5e299).  The box [-1e300, 0] ended in an invalid-value
-    # error, "math range error", from the norm's expm1
+    # error, "math range error", from the norm's expm1.  The grids of the
+    # deficiency bases on [1e300, inf) and on a box two ulps wide, and of a
+    # bound state cut off at 1e-320, repeated samples in floats, and ended
+    # in an invalid-value error, "xs must be strictly increasing"; the
+    # geometry probes with no sample inside their support exited 0 with
+    # every check 0.0 (the flat one after an overflow warning); and a
+    # negative seed ended in numpy's "expected non-negative integer"
     proc = _run_process(argv)
     assert proc.returncode == 1
     assert proc.stderr == ""
@@ -2255,7 +2280,7 @@ _FUZZ_TEXTS = {
     "--interval": ["0,1", "0,inf", "-inf,inf", "1,0", "0,1e300", "1e-300,1", "-1e300,0",
                    "0,1e-310", "a"],
     "--probe": ["bump:1,2", "bump:0.5,1.5", "bump:2,1", "bump:1e-300,1e300", "box:1,2"],
-    "--units": ["hbar=2,two_m=3", "hbar=0", "two_m=1e300", "hbar=1e-300", "planck=1"],
+    "--units": ["hbar=2,two_m=3", "hbar=0", "hbar=1e300", "hbar=1e-300", "planck=1"],
 }
 
 

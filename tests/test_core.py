@@ -49,16 +49,10 @@ def test_interval_kinds():
 
 
 def test_unit_system():
-    assert (UnitSystem().hbar, UnitSystem().two_m) == (1.0, 1.0)
-    with pytest.raises(ValueError):
-        UnitSystem(hbar=0.0)
-    with pytest.raises(ValueError):
-        UnitSystem(two_m=-1.0)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite and positive"):
+    assert UnitSystem().hbar == 1.0
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="hbar must be finite and positive"):
             UnitSystem(hbar=bad)
-        with pytest.raises(ValueError, match="finite and positive"):
-            UnitSystem(two_m=bad)
 
 
 def test_operator_spec_validation():

@@ -54,6 +54,9 @@ def test_trace_check_guards():
         trace_commutator_check(1, 10)
     with pytest.raises(PreconditionError):
         trace_commutator_check(4, 0)
+    # numpy's own "expected non-negative integer" came out as an invalid value
+    with pytest.raises(PreconditionError, match="seed .* got -5"):
+        trace_commutator_check(4, 10, seed=-5)
 
 
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10_000))

@@ -73,18 +73,18 @@ def test_builtin_measures_match_their_weights():
 
 def test_measure_spec_rejects_unknown_weight():
     with pytest.raises(InvalidMetricError):
-        MeasureSpec("r", "r^3", lambda r: r ** 6)
+        MeasureSpec("r^3", lambda r: r ** 6)
 
 
 def test_consistency_defect_rejects_nonpositive_metric():
-    spec = MeasureSpec("r", "r", lambda r: r ** 2 - 1.0)
+    spec = MeasureSpec("r", lambda r: r ** 2 - 1.0)
     with pytest.raises(InvalidMetricError):
         spec.consistency_defect(np.linspace(0.5, 2.0, 11))
 
 
 def test_custom_measure_reports_mismatch():
     # weight r but metric r^4: sqrt(g) - w = r^2 - r, maximal at r = 2
-    spec = MeasureSpec("r", "r", lambda r: np.asarray(r) ** 4)
+    spec = MeasureSpec("r", lambda r: np.asarray(r) ** 4)
     d = spec.consistency_defect(np.linspace(1.0, 2.0, 201))
     assert d == pytest.approx(2.0, abs=1e-12)
 
