@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GridFunction, derivative_values, inner_product
+from .core import GridFunction, _bound_energy, derivative_values, inner_product
 from .errors import (
     DomainViolationError,
     NoBoundStateError,
@@ -83,21 +83,24 @@ def anomaly_quadrature(alpha: float, t: float = 0.0, tol: float = 1e-6) -> Anoma
     the cancellation is structural; what survives is the boundary
     mismatch between moving H across the inner product, and it equals
     the bound-state energy.  The residual scales with the energy, so the
-    reported tolerance is relative: tol * |E|.
+    reported tolerance is relative: tol * |E|.  An alpha whose energy is not
+    a normal float, or whose alpha^4 or t * alpha^4 is not finite, raises
+    PreconditionError.
     """
     if not alpha < 0.0:
         raise NoBoundStateError(
             "no bound state for alpha=%r; the anomaly needs alpha < 0" % (alpha,)
         )
-    if math.isinf(alpha):
-        raise ValueError("the anomaly needs a finite alpha, got %r" % (alpha,))
-    energy = -alpha * alpha
+    energy = _bound_energy(alpha)
     psi, h_psi = [1.0], [energy]
     g_psi, hg_psi = [-0.25j, 0.25j], [-1.25j * energy, 0.25j * energy]
     c_h = _robin_inner(h_psi, h_psi)
     term_1 = t * c_h - _robin_inner(h_psi, g_psi)
     term_2 = t * c_h - _robin_inner(psi, hg_psi)
     anomaly_value = 1j * (term_1 - term_2)
+    if not math.isfinite(anomaly_value.real):
+        raise PreconditionError("the anomaly needs (H psi, H psi) = alpha^4 and "
+                                "t*alpha^4 finite, got alpha=%r, t=%r" % (alpha, t))
     return AnomalyReport(
         alpha=alpha,
         t=t,

@@ -534,7 +534,7 @@ def _run_spectrum(args) -> dict:
     elif args.op == "well":
         res = well_spectrum(args.a, range(args.n_min, args.n_max + 1))
     else:
-        res = halfline_robin_spectrum(_robin_alpha(args.alpha))
+        res = halfline_robin_spectrum(args.alpha)
     levels = res.discrete
     out = {"discrete": [{"n": n, "value": v} for n, v in zip(levels.n, levels.values.tolist())],
            "continuous": None}
@@ -548,22 +548,11 @@ def _run_spectrum(args) -> dict:
     return out
 
 
-def _robin_alpha(alpha: float) -> float:
-    """alpha, refused where the bound-state energy -alpha^2 is not a normal float."""
-    from .core import _ALPHA_NORMAL_MIN
-
-    # below 2^-511 -alpha^2 is subnormal or 0.0; from 2^512 on it overflows
-    if alpha < 0.0 and not _ALPHA_NORMAL_MIN <= -alpha < 2.0**512:
-        raise PreconditionError("the energy -alpha^2 is a normal float only for "
-                                "2^-511 <= |alpha| < 2^512, got alpha=%r" % (alpha,))
-    return alpha
-
-
 def _run_boundstate(args) -> dict:
     from .core import norm
     from .spectral import bound_state
 
-    state = bound_state(_robin_alpha(args.alpha), x_max=args.x_max, grid_n=args.grid_n)
+    state = bound_state(args.alpha, x_max=args.x_max, grid_n=args.grid_n)
     if state is None:
         return {"alpha": args.alpha, "E": None, "bound_state": None,
                 "reason": "alpha >= 0"}
@@ -610,11 +599,7 @@ def _run_scatter(args) -> dict:
 def _run_anomaly(args) -> dict:
     from .anomaly import anomaly_quadrature
 
-    report = anomaly_quadrature(_robin_alpha(args.alpha), t=args.t, tol=args.tol)
-    if not math.isfinite(report.anomaly):
-        raise PreconditionError("the anomaly needs (H psi, H psi) = alpha^4 and "
-                                "t*alpha^4 finite, got alpha=%r, t=%r" % (args.alpha, args.t))
-    return dict(vars(report))
+    return dict(vars(anomaly_quadrature(args.alpha, t=args.t, tol=args.tol)))
 
 
 def _run_paradox(args) -> dict:

@@ -95,8 +95,15 @@ _MEMORY_BUDGET = 1 << 30
 #: peak memory that each took through the CLI, at 1e6 samples and 3e5 levels.
 _SAMPLE_BYTES = 256
 _LEVEL_BYTES = 2048
-#: The smallest |alpha| whose Robin bound-state energy -alpha^2 is a normal float.
-_ALPHA_NORMAL_MIN = 2.0**-511
+
+
+def _bound_energy(alpha: float) -> float:
+    """-alpha^2, the Robin bound-state energy of an alpha < 0, refused where not a normal float."""
+    # below 2^-511 -alpha^2 is subnormal or 0.0; from 2^512 on it overflows
+    if not 2.0**-511 <= -alpha < 2.0**512:
+        raise PreconditionError("the energy -alpha^2 is a normal float only for "
+                                "2^-511 <= |alpha| < 2^512, got alpha=%r" % (alpha,))
+    return -alpha * alpha
 
 
 def _check_budget(nbytes: int, what: str) -> None:
@@ -107,7 +114,10 @@ def _check_budget(nbytes: int, what: str) -> None:
 
 
 def _sample_grid(a: float, b: float, n: int, what: str) -> np.ndarray:
-    """n evenly spaced samples from a to b, refused where floats repeat one."""
+    """n evenly spaced samples from a to b, refused where b - a overflows or floats repeat one."""
+    if not b - a < math.inf:
+        raise PreconditionError("%s: the length from %r to %r leaves the float range"
+                                % (what, a, b))
     xs = np.linspace(a, b, n)
     if not np.all(np.diff(xs) > 0):
         raise PreconditionError("%s: %d evenly spaced samples from %r to %r repeat in floats"

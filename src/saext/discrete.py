@@ -155,13 +155,6 @@ def trace_commutator_check(
     )
 
 
-def _cosine_basis_im(l: float, m, n) -> np.ndarray:
-    """Im (e_m, -i d/dx e_n): 4n^2/(l(n^2 - m^2)) for m+n odd, else 0; m, n broadcast."""
-    m, n = np.asarray(m), np.asarray(n)
-    odd = (m + n) % 2 == 1
-    return np.where(odd, 4.0 * n * n / (l * np.where(odd, n * n - m * m, 1)), 0.0)
-
-
 class CosineBasisResult(NamedTuple):
     p: np.ndarray
     defect: np.ndarray
@@ -178,7 +171,8 @@ def cosine_basis_momentum_matrix(l: float, m_basis: int) -> CosineBasisResult:
 
     p, its conjugate and the defect take 48 bytes per entry; an M over the
     1 GiB _MEMORY_BUDGET (M > 4729) raises PreconditionError before
-    anything is allocated.
+    anything is allocated.  So does an l at which an entry is not a normal
+    float: the defect then is not -4i/l to rounding.
     """
     if m_basis < 2:
         raise PreconditionError("need at least a 2x2 block, got M=%d" % m_basis)
@@ -186,7 +180,20 @@ def cosine_basis_momentum_matrix(l: float, m_basis: int) -> CosineBasisResult:
     if not l > 0.0:
         raise PreconditionError("interval length must be positive, got %r" % (l,))
     ns = np.arange(1, m_basis + 1)
-    p = 1j * _cosine_basis_im(l, ns[:, None], ns[None, :])
+    m, n = ns[:, None], ns[None, :]
+    odd = (m + n) % 2 == 1
+    # Im p_mn = 4n^2/(l(n^2 - m^2)) for m+n odd, else 0; the even entries'
+    # quotients, discarded, may overflow
+    with np.errstate(over="ignore"):
+        im = np.where(odd, 4.0 * n * n / (l * np.where(odd, n * n - m * m, 1)), 0.0)
+    size = np.abs(im)
+    # every odd entry is a normal float (the even ones are 0), and so is 4/l,
+    # the defect's value, which lies between the smallest and largest entry
+    normal = np.count_nonzero(size >= np.finfo(float).tiny)
+    if not (normal == np.count_nonzero(odd) and size.max() < math.inf):
+        raise PreconditionError("the entries 4n^2/(l(n^2 - m^2)) of the M=%d momentum matrix "
+                                "leave the normal floats at l=%r" % (m_basis, l))
+    p = 1j * im
     defect = p.conj().T - p
     return CosineBasisResult(p, defect)
 
@@ -285,11 +292,18 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
     for stack in (slice(i, i + per_stack) for i in range(0, n_max, per_stack)):
         psi = GridFunction(xs, levels.eigenfunctions(xs, stack))
         p_psi = GridFunction(xs, -1j * derivative_values(xs, psi.values, 1, acc=4))
-        # Python divides each level: numpy rounds some quotients apart, raises no ZeroDivisionError
+        squares, p_norms = inner_product(psi, psi), norm(p_psi)
+        # on a wide box the squares of p psi_n ~ (n pi/a) sqrt(2/a) underflow
+        lost = np.flatnonzero(~(np.minimum(squares.real, p_norms) >= np.finfo(float).tiny))
+        if lost.size:
+            raise PreconditionError("the norms that the residual of level n=%d divides by are "
+                                    "not normal floats on the box of width a=%r"
+                                    % (levels.n[stack][lost[0]], a))
+        # Python divides each level: numpy rounds some quotients apart
         coeffs = [complex(num) / complex(den) for num, den in
-                  zip(inner_product(psi, p_psi), inner_product(psi, psi))]
+                  zip(inner_product(psi, p_psi), squares)]
         residual_fn = GridFunction(xs, p_psi.values - np.array(coeffs)[:, None] * psi.values)
-        for n, num, den in zip(levels.n[stack], norm(residual_fn), norm(p_psi)):
+        for n, num, den in zip(levels.n[stack], norm(residual_fn), p_norms):
             quantities["r_%d" % n] = Quantity(float(num) / float(den), 1e-10)
     return ParadoxReport(
         id=3,

@@ -11,12 +11,12 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    _ALPHA_NORMAL_MIN,
     FINITE,
     _LEVEL_BYTES,
     _SAMPLE_BYTES,
     GridFunction,
     Interval,
+    _bound_energy,
     _check_budget,
     _sample_grid,
 )
@@ -144,14 +144,18 @@ def well_spectrum(a: float, n_range: Sequence[int]) -> SpectrumResult:
 
 
 def _robin_levels(alpha: float) -> Levels:
-    """The Robin bound state, E = -alpha^2 with sqrt(2|alpha|) exp(alpha*x), if alpha < 0."""
+    """The Robin bound state, E = -alpha^2 with sqrt(2|alpha|) exp(alpha*x), if alpha < 0.
+
+    An alpha < 0 whose energy is not a normal float raises PreconditionError.
+    """
     rates = np.array([alpha] if alpha < 0.0 else [], dtype=float)
+    energies = np.array([_bound_energy(alpha)] if alpha < 0.0 else [], dtype=float)
 
     def psi(xs, rows=slice(None)):
         # an alpha*x past the float range is -inf, whose exp is the 0 it stands for
         with np.errstate(over="ignore"):
             return math.sqrt(2.0 * abs(alpha)) * np.exp(rates[rows, None] * np.asarray(xs, float))
-    return Levels((0,) * len(rates), -rates * rates, psi)
+    return Levels((0,) * len(rates), energies, psi)
 
 
 def bound_state(
@@ -163,24 +167,22 @@ def bound_state(
 
     Returns ``None`` when alpha >= 0 (the boundary condition binds
     nothing).  The wave function is sqrt(2|alpha|) exp(alpha*x), unit
-    norm on [0, 35/|alpha|] to well below 1e-8 while -alpha^2 is a normal
-    float, |alpha| >= 2^-511; below that the window stops growing.  An
-    infinite alpha is a ValueError, and a grid whose samples repeat in
-    floats (x_max near 0) a PreconditionError.
+    norm on [0, 35/|alpha|] to well below 1e-8.  An alpha < 0 whose energy
+    is not a normal float (2^-511 <= |alpha| < 2^512 is served) and a grid
+    whose samples repeat in floats (x_max near 0) raise PreconditionError.
     """
     if not alpha < 0.0:
         return None
-    if math.isinf(alpha):
-        raise ValueError("the bound state needs a finite alpha, got %r" % (alpha,))
+    energy = _bound_energy(alpha)
     if x_max is None:
-        x_max = 35.0 / max(abs(alpha), _ALPHA_NORMAL_MIN)
+        x_max = 35.0 / abs(alpha)
     elif not x_max > 0.0:
         raise PreconditionError("the grid cutoff x_max must be positive, got %r" % (x_max,))
     if grid_n is None:
         grid_n = 3501
     _check_budget(_SAMPLE_BYTES * grid_n, "a bound state on %d samples" % grid_n)
     xs = _sample_grid(0.0, x_max, grid_n, "the bound state's grid")
-    return BoundState(-alpha * alpha, GridFunction(xs, _robin_levels(alpha).eigenfunctions(xs)[0]))
+    return BoundState(energy, GridFunction(xs, _robin_levels(alpha).eigenfunctions(xs)[0]))
 
 
 def bound_state_shooting(
@@ -198,9 +200,10 @@ def bound_state_shooting(
     itself), so the mismatch is (-kappa - alpha)/(1 + kappa), and this is
     not a check of E = -alpha^2 independent of ``bound_state``.  It changes
     sign on the bracket exactly when the bracket holds its root
-    kappa = -alpha, which is returned in closed form.  Neither ``x_max`` nor
-    ``ode_rtol`` is used; an integration becomes necessary once a potential
-    V(x) enters the equation.
+    kappa = -alpha, whose energy -alpha^2 is returned in closed form; an
+    energy that is not a normal float raises PreconditionError.  Neither ``x_max``
+    nor ``ode_rtol`` is used; an integration becomes necessary once a
+    potential V(x) enters the equation.
     """
     if not alpha < 0.0:
         raise PreconditionError(
@@ -211,7 +214,7 @@ def bound_state_shooting(
         lo, hi = hi, lo
     if hi >= 0.0:
         raise PreconditionError("energy bracket must be negative, got %r" % (e_bracket,))
-    energy = -alpha * alpha
+    energy = _bound_energy(alpha)
     if not lo <= energy <= hi:
         raise NoRootError(
             "boundary mismatch does not change sign on [%g, %g]" % (lo, hi)
@@ -228,7 +231,12 @@ def reflection_coefficient(k: float, alpha: float) -> complex:
         raise IndeterminateError(
             "R is indeterminate at k=0 with a Neumann boundary"
         )
-    return complex(alpha, k) / complex(-alpha, k)
+    r = complex(alpha, k) / complex(-alpha, k)
+    if not cmath.isfinite(r):
+        # R is scale-free: near the largest floats the quotient's own
+        # denominator overflows, and a quarter of each part does not
+        r = complex(alpha / 4, k / 4) / complex(-alpha / 4, k / 4)
+    return r
 
 
 def reflection_phase(k: float, alpha: float) -> float:
@@ -280,8 +288,9 @@ def scattering_state(k: float, alpha: float, xs: np.ndarray) -> GridFunction:
 def halfline_robin_spectrum(alpha: float) -> SpectrumResult:
     """Full spectral data of the Robin half-line Hamiltonian.
 
-    Discrete part: the single bound state when alpha < 0.  Continuous
-    part: the scattering branch [0, inf) with its reflection phase.
+    Discrete part: the single bound state when alpha < 0, refused
+    (PreconditionError) where its energy -alpha^2 is not a normal float.
+    Continuous part: the scattering branch [0, inf) with its reflection phase.
     """
     branch = ContinuousSpectrum(0.0, lambda k: reflection_phase(k, alpha))
     return SpectrumResult(_robin_levels(alpha), branch)

@@ -148,6 +148,29 @@ def test_anomaly_off_the_bound_states_fails_as_the_grid_reference(alpha):
     assert type(got.value) is type(expected.value)
 
 
+@pytest.mark.parametrize("alpha", [math.nextafter(-2.0**-511, 0.0), -2.0**512, -math.inf])
+def test_anomaly_whose_energy_is_not_a_normal_float_is_refused(alpha):
+    with pytest.raises(PreconditionError, match=r"2\^-511 <= \|alpha\| < 2\^512, got alpha="):
+        anomaly_quadrature(alpha)
+
+
+@pytest.mark.parametrize("alpha, t", [(-1.2e77, 0.0), (-1e70, 1e30),
+                                      (math.nextafter(-2.0**512, 0.0), 0.0)])
+def test_anomaly_whose_alpha_to_the_fourth_leaves_the_float_range_is_refused(alpha, t):
+    # its energy is a normal float, but (H psi, H psi) = alpha^4 or t * alpha^4
+    # is not finite: the anomaly was nan next to a bound_energy of -inf or
+    # a finite one
+    with pytest.raises(PreconditionError, match=r"alpha\^4 finite, got alpha="):
+        anomaly_quadrature(alpha, t=t)
+
+
+@pytest.mark.parametrize("alpha", [-2.0**-511, -1e76])
+def test_anomaly_at_the_edges_of_its_range(alpha):
+    report = anomaly_quadrature(alpha)
+    assert report.bound_energy == -alpha * alpha
+    assert report.residual <= report.tolerance
+
+
 def test_anomaly_equals_energy_unit_alpha():
     report = anomaly_quadrature(-1.0)
     assert report.bound_energy == -1.0

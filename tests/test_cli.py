@@ -1100,7 +1100,7 @@ def test_a_forked_sweep_runs_clean_in_dev_mode_with_warnings_as_errors(fmt):
 @pytest.mark.parametrize("fmt", [[], ["--csv"]])
 def test_paradox_three_runs_its_stacks_clean_in_dev_mode_with_warnings_as_errors(fmt):
     # --n 13 is three stacks of levels; at a = 1e300 the levels' norms underflow
-    # to 0, which must stay the invalid-value error, not an inf or a warning
+    # to 0, which must stay a precondition error, not an inf or a warning
     src = str(Path(__file__).resolve().parents[1] / "src")
     for argv, code in ((["paradox", "--id", "3", "--n", "13"], 0),
                        (["paradox", "--id", "3", "--a", "1e300"], 1)):
@@ -1108,7 +1108,7 @@ def test_paradox_three_runs_its_stacks_clean_in_dev_mode_with_warnings_as_errors
                                *argv, *fmt], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert (argv, proc.returncode, proc.stderr) == (argv, code, "")
-        assert ("invalid-value" in proc.stdout) == (code == 1)
+        assert ("precondition" in proc.stdout) == (code == 1)
 
 
 @pytest.mark.parametrize("fmt", [[], ["--csv"]])
@@ -2117,6 +2117,10 @@ def test_classical_work_is_bounded(argv):
     ["geometry", "--metric", "polar", "--probe", "bump:1e-300,2e-300"],
     ["geometry", "--metric", "flat", "--probe", "bump:1e-320,2e-320"],
     ["paradox", "--id", "2", "--seed", "-5"],
+    ["paradox", "--id", "4", "--l", "1e-310"],
+    ["paradox", "--id", "4", "--l", "1.7e308"],
+    ["paradox", "--id", "3", "--a", "1e150"],
+    ["deficiency", "--op", "momentum", "--interval=-1e308,1e308"],
 ])
 def test_overflow_is_a_structured_error_not_a_nan(argv):
     # the first two printed RuntimeWarnings and exited 0, with an
@@ -2135,15 +2139,23 @@ def test_overflow_is_a_structured_error_not_a_nan(argv):
     # in an invalid-value error, "xs must be strictly increasing"; the
     # geometry probes with no sample inside their support exited 0 with
     # every check 0.0 (the flat one after an overflow warning); and a
-    # negative seed ended in numpy's "expected non-negative integer"
+    # negative seed ended in numpy's "expected non-negative integer".  The
+    # cosine-basis matrix at l = 1e-310 exited 0 with RuntimeWarnings and an
+    # odd-sublattice value of "-inf", and at l = 1.7e308 with a deviation of
+    # 2.35e-308 against a tolerance of 0.0; the box of width 1e150 ended in
+    # "float division by zero", as its levels' norms underflow to 0; and
+    # the interval whose length overflows printed numpy's RuntimeWarnings
     proc = _run_process(argv)
     assert proc.returncode == 1
     assert proc.stderr == ""
     payload = json.loads(proc.stdout)
     jsonschema.validate(payload, cli.load_schema("error"))
     assert payload["error"]["code"] == "precondition"
-    if argv[0] == "deficiency" and "--interval" in argv:
-        a, b = map(float, argv[argv.index("--interval") + 1].split(","))
+    intervals = [text for flag, text in zip(argv, argv[1:]) if flag == "--interval"]
+    intervals += [arg.removeprefix("--interval=") for arg in argv
+                  if arg.startswith("--interval=")]
+    for text in intervals if argv[0] == "deficiency" else []:
+        a, b = map(float, text.split(","))
         assert f"[{a!r}, {b!r}]" in payload["error"]["message"]
 
 
@@ -2242,19 +2254,19 @@ def test_out_of_range_numbers_are_a_structured_error(argv, capsys):
     # an OverflowError or ZeroDivisionError from the arithmetic ended in a
     # traceback; a sweep records the point and goes on.  A momentum
     # solution whose norm overflows expm1 is a precondition refusal that
-    # names the interval, as a solution past the float range is, and so is
-    # a classical flow whose energy p0^2 overflows
-    expected = "invalid-value" if "paradox" in argv else "precondition"
+    # names the interval, as a solution past the float range is, and so are
+    # a classical flow whose energy p0^2 overflows and a box whose levels'
+    # norms underflow
     code, text = run_cli(argv)
     assert code == 1
     payload = json.loads(text)
     if argv[0] == "sweep":
         jsonschema.validate(payload, cli.load_schema("sweep"))
         first, last = payload["result"]["points"]
-        assert "result" in first and last["error"]["code"] == expected
+        assert "result" in first and last["error"]["code"] == "precondition"
     else:
         jsonschema.validate(payload, cli.load_schema("error"))
-        assert payload["error"]["code"] == expected
+        assert payload["error"]["code"] == "precondition"
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -2273,12 +2285,12 @@ def test_boundstate_refuses_an_underflowing_energy(alpha):
 # -- argv fuzzer ------------------------------------------------------------
 
 _FUZZ_FLOATS = ["0", "-0.0", "1", "-1", "2.5", "1e-300", "-1e-300", "1e300", "-1e300",
-                "inf", "-inf", "nan"]
+                "1e-310", "1e150", "1.7e308", "inf", "-inf", "nan"]
 _FUZZ_INTS = ["-1", "0", "1", "2", "64"]
 #: Values of the flags that take neither a float nor an int.
 _FUZZ_TEXTS = {
     "--interval": ["0,1", "0,inf", "-inf,inf", "1,0", "0,1e300", "1e-300,1", "-1e300,0",
-                   "0,1e-310", "a"],
+                   "0,1e-310", "-1e308,1e308", "a"],
     "--probe": ["bump:1,2", "bump:0.5,1.5", "bump:2,1", "bump:1e-300,1e300", "box:1,2"],
     "--units": ["hbar=2,two_m=3", "hbar=0", "hbar=1e300", "hbar=1e-300", "planck=1"],
 }

@@ -272,8 +272,36 @@ def test_bound_state_robin_residual():
 @given(st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_bound_state_threshold_property(alpha):
+    # a state for every alpha < 0 whose energy -alpha^2 is a normal float;
+    # closer to 0 the energy underflows, and the state is refused
+    if -2.0**-511 < alpha < 0.0:
+        with pytest.raises(PreconditionError):
+            bound_state(alpha)
+        return
     state = bound_state(alpha)
     assert (state is not None) == (alpha < 0.0)
+
+
+#: The negative alphas nearest the range 2^-511 <= |alpha| < 2^512, outside and inside it.
+_ALPHA_OUTSIDE = [math.nextafter(-2.0**-511, 0.0), -2.0**512, -math.inf]
+_ALPHA_EDGES = [-2.0**-511, math.nextafter(-2.0**512, 0.0)]
+
+
+@pytest.mark.parametrize("solve", [bound_state, halfline_robin_spectrum])
+@pytest.mark.parametrize("alpha", _ALPHA_OUTSIDE)
+def test_robin_bound_state_whose_energy_is_not_a_normal_float_is_refused(solve, alpha):
+    # bound_state(-1e-300) gave E = -0.0 and a psi of norm 6.9e-73, and the
+    # spectrum a level at -0.0
+    with pytest.raises(PreconditionError, match=r"2\^-511 <= \|alpha\| < 2\^512, got alpha="):
+        solve(alpha)
+
+
+@pytest.mark.parametrize("alpha", _ALPHA_EDGES)
+def test_robin_bound_state_at_the_edges_of_the_normal_energies(alpha):
+    assert halfline_robin_spectrum(alpha).discrete.values.tolist() == [-alpha * alpha]
+    state = bound_state(alpha)
+    assert state.energy == -alpha * alpha
+    assert norm(state.psi) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_shooting_recovers_closed_form():
@@ -297,6 +325,9 @@ def test_shooting_preconditions():
         bound_state_shooting(1.0, (-4.0, -0.25))
     with pytest.raises(PreconditionError):
         bound_state_shooting(-1.0, (-4.0, 1.0))
+    # a bracket reaching -inf held the overflowed energy, which was returned
+    with pytest.raises(PreconditionError, match="normal float"):
+        bound_state_shooting(-1e200, (-math.inf, -1.0))
 
 
 def _shooting_reference(alpha, e_bracket, x_max=None, ode_rtol=1e-10):
@@ -373,6 +404,18 @@ def test_reflection_indeterminate_corner():
 @settings(max_examples=300, deadline=None)
 def test_reflection_unitarity_property(k, alpha):
     assert abs(abs(reflection_coefficient(k, alpha)) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("k, alpha", [(1.7e308, 1.7e308), (1.7e308, -1.7e308),
+                                      (1e308, 1.7e308), (-1.7e308, 1e308)])
+def test_reflection_is_unitary_near_the_largest_floats(k, alpha):
+    # the complex division's denominator -alpha + k*(k/-alpha) overflowed,
+    # and R was nan; R is scale-free, so it is R at k and alpha scaled down
+    r = reflection_coefficient(k, alpha)
+    assert r == reflection_coefficient(k * 2.0**-600, alpha * 2.0**-600)
+    assert abs(abs(r) - 1.0) <= 1e-15
+    assert _reflection_columns([k], [alpha]) == ([r.real], [r.imag], [abs(r)],
+                                                 [reflection_phase(k, alpha)])
 
 
 #: k and alpha from 1e-300 to 1e300 of both signs, subnormals, signed
