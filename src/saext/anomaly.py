@@ -2,23 +2,20 @@
 
 The dilatation generator fails to preserve the Robin domain, and the
 resulting commutator defect -- in closed form on the bound state, by quadrature
-for a sampled psi -- lands exactly on the bound-state energy -alpha^2.
+for a sampled psi -- lands exactly on the bound-state energy -alpha^2.  The
+closed form, ``anomaly_quadrature`` and its ``AnomalyReport``, needs no array;
+it lives in ``robin`` and is re-exported here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import GridFunction, _bound_energy, derivative_values, inner_product
-from .errors import (
-    DomainViolationError,
-    NoBoundStateError,
-    PreconditionError,
-)
+from .core import GridFunction, derivative_values, inner_product
+from .errors import DomainViolationError, PreconditionError
+from .robin import AnomalyReport, anomaly_quadrature
 
 __all__ = [
     "AnomalyReport",
@@ -28,18 +25,6 @@ __all__ = [
     "classical_symmetry_check",
     "heisenberg_correction",
 ]
-
-
-@dataclass(frozen=True)
-class AnomalyReport:
-    alpha: float
-    t: float
-    term_Hpsi_Dpsi: complex
-    term_psi_HDpsi: complex
-    anomaly: float
-    bound_energy: float
-    residual: float
-    tolerance: float
 
 
 def _dilatation_pieces(psi: GridFunction, with_h: bool = True, d1=None):
@@ -63,54 +48,6 @@ def apply_dilatation(psi: GridFunction, t: float) -> GridFunction:
     h_psi, g_psi = _dilatation_pieces(psi, with_h=t != 0.0)
     values = -g_psi if h_psi is None else t * h_psi - g_psi
     return GridFunction(psi.xs, values, weight=psi.weight)
-
-
-def _robin_inner(p: list, q: list) -> complex:
-    """(p psi, q psi) for p, q polynomials in u = 2|alpha| x: |psi|^2 dx = e^{-u} du."""
-    return sum(a.conjugate() * b * math.factorial(j + k)
-               for j, a in enumerate(p) for k, b in enumerate(q))
-
-
-def anomaly_quadrature(alpha: float, t: float = 0.0, tol: float = 1e-6) -> AnomalyReport:
-    """Evaluate i[(H psi, D psi) - (psi, H D psi)] on the bound state.
-
-    In u = 2|alpha| x the state is psi ~ e^{-u/2}, d/dx = 2|alpha| d/du and
-    d/du (p e^{-u/2}) = (p' - p/2) e^{-u/2}, so exactly H psi = -alpha^2 psi,
-    G psi = -(i/4)(2u d/du + 1) psi = -(i/4)(1 - u) psi and
-    H G psi = (i/4) alpha^2 (5 - u) psi; the inner products are exact moments.
-
-    Both terms carry the same t * (H psi, H psi) piece, computed once so
-    the cancellation is structural; what survives is the boundary
-    mismatch between moving H across the inner product, and it equals
-    the bound-state energy.  The residual scales with the energy, so the
-    reported tolerance is relative: tol * |E|.  An alpha whose energy is not
-    a normal float, or whose alpha^4 or t * alpha^4 is not finite, raises
-    PreconditionError.
-    """
-    if not alpha < 0.0:
-        raise NoBoundStateError(
-            "no bound state for alpha=%r; the anomaly needs alpha < 0" % (alpha,)
-        )
-    energy = _bound_energy(alpha)
-    psi, h_psi = [1.0], [energy]
-    g_psi, hg_psi = [-0.25j, 0.25j], [-1.25j * energy, 0.25j * energy]
-    c_h = _robin_inner(h_psi, h_psi)
-    term_1 = t * c_h - _robin_inner(h_psi, g_psi)
-    term_2 = t * c_h - _robin_inner(psi, hg_psi)
-    anomaly_value = 1j * (term_1 - term_2)
-    if not math.isfinite(anomaly_value.real):
-        raise PreconditionError("the anomaly needs (H psi, H psi) = alpha^4 and "
-                                "t*alpha^4 finite, got alpha=%r, t=%r" % (alpha, t))
-    return AnomalyReport(
-        alpha=alpha,
-        t=t,
-        term_Hpsi_Dpsi=term_1,
-        term_psi_HDpsi=term_2,
-        anomaly=anomaly_value.real,
-        bound_energy=energy,
-        residual=abs(anomaly_value.real - energy),
-        tolerance=tol * abs(energy),
-    )
 
 
 #: Robin mismatch above this (scale-normalized) marks psi as outside the domain.

@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import gc
 import io
 import itertools
@@ -115,6 +116,9 @@ def _parse_sweep(text: str) -> tuple:
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise argparse.ArgumentTypeError(
             "sweep start and stop must be finite; got %r" % (text,))
+    if not math.isfinite(stop - start):
+        raise argparse.ArgumentTypeError(
+            "sweep stop - start must be a finite number; got %r" % (text,))
     if count < 0:
         raise argparse.ArgumentTypeError("sweep count must be >= 0")
     return (name, start, stop, count, text)
@@ -581,14 +585,32 @@ def _scatter_columns(args, axes: dict, count: int) -> tuple:
 
     axes maps each swept flag's dest to its values; the other flags are
     read from args.  The k and alpha columns are the values given, so a
-    sweep's params and its results share them.
+    sweep's params and its results share them.  R is the quotient that
+    robin.reflection_coefficient divides, and its modulus and phase are
+    taken as abs and robin.reflection_phase take them, so each value is
+    the float of a call at that point.  A point whose quotient is not
+    finite (alpha = +-inf, an overflow) is computed by
+    reflection_coefficient, and a chunk holding the indeterminate
+    k = alpha = 0 raises as that does.
     """
-    from .spectral import _reflection_columns
+    from .robin import reflection_coefficient
 
     ks = axes["k"] if "k" in axes else [args.k] * count
     alphas = axes["alpha"] if "alpha" in axes else [args.alpha] * count
+    try:
+        # -conj(alpha + ik) is -alpha + ik to the bit, and cheaper to build
+        rs = [z / -z.conjugate() for z in map(complex, alphas, ks)]
+    except ZeroDivisionError:  # k = alpha = 0
+        rs = list(map(reflection_coefficient, ks, alphas))
+    modulus = list(map(abs, rs))
+    if not sum(modulus) < math.inf:  # a nan or inf quotient
+        for i, m in enumerate(modulus):
+            if not m < math.inf:
+                rs[i] = reflection_coefficient(ks[i], alphas[i])
+                modulus[i] = abs(rs[i])
+    phase = [(-p) % math.tau for p in map(cmath.phase, rs)]
     return (_walk(_scatter_result(*range(6)), []),
-            [ks, alphas, *_reflection_columns(ks, alphas)])
+            [ks, alphas, [r.real for r in rs], [r.imag for r in rs], modulus, phase])
 
 
 def _run_scatter(args) -> dict:
@@ -597,7 +619,7 @@ def _run_scatter(args) -> dict:
 
 
 def _run_anomaly(args) -> dict:
-    from .anomaly import anomaly_quadrature
+    from .robin import anomaly_quadrature
 
     return dict(vars(anomaly_quadrature(args.alpha, t=args.t, tol=args.tol)))
 
@@ -997,16 +1019,14 @@ def _finalize(ns: argparse.Namespace, command: str, parser: argparse.ArgumentPar
         if not existed:
             os.remove(ns.out)
 
-    from .core import Interval
-
     params = {} if select is None else {select: key}
     for dest, default in variant.items():
+        kind = flags[dest][1].get("type")
         if getattr(ns, dest) is None and dest not in swept:
-            kind = flags[dest][1].get("type")
             setattr(ns, dest, kind(default) if type(default) is str else default)
         value = None if dest in swept else getattr(ns, dest)
         if dest not in ("units", "tol"):
-            params[dest] = _interval_dict(value) if isinstance(value, Interval) else value
+            params[dest] = _interval_dict(value) if kind is _parse_interval else value
     return params
 
 
@@ -1029,6 +1049,28 @@ def _manifest_settings(ns: argparse.Namespace) -> dict:
 _COMPUTE_ERRORS = (SaextError, ValueError, ArithmeticError)
 
 
+def _linspace(start: float, stop: float, count: int, lo: int, hi: int) -> list:
+    """np.linspace(start, stop, count)[lo:hi].tolist() for 0 <= lo <= hi <= count, without numpy.
+
+    The values are numpy's to the bit, computed as numpy computes them:
+    i*step + start with step = (stop - start)/(count - 1), or
+    i/(count - 1)*(stop - start) + start where that step underflows to 0,
+    and stop at i = count - 1; a single point is 0.0*(stop - start) + start.
+    stop - start must be finite (see _parse_sweep).
+    """
+    delta, div = stop - start, count - 1
+    if div <= 0:
+        return [0.0 * delta + start for _ in range(lo, hi)]
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(lo, hi)]
+    else:
+        values = [i * step + start for i in range(lo, hi)]
+    if lo < hi == count:
+        values[-1] = stop
+    return values
+
+
 def _error_fields(exc: Exception) -> dict:
     """The code and message of a library error."""
     return {"code": exc.code if isinstance(exc, SaextError) else "invalid-value",
@@ -1048,29 +1090,50 @@ class _SweepPoints(_Records):
     runner computes one point from tns.  columns, where the target has one
     (see _scatter_columns), computes a whole chunk as leaf columns; a chunk
     it raises on, and every chunk of a target without it, is computed by
-    runner one point at a time and its tails walked by _blocks.
+    runner one point at a time and its tails walked by _blocks.  grids
+    holds each axis as (start, stop, count, the flag's type), whose values
+    are laid out a chunk at a time (see _linspace).
     """
 
     def __init__(self, runner, columns, tns: argparse.Namespace, dests: list,
                  grids: list, as_rows: bool):
         self._runner, self._columns = runner, columns
         self._tns, self._dests, self._grids = tns, dests, grids
+        self._total = math.prod(count for _, _, count, _ in grids)
         self._as_rows = as_rows
         # the keys of the swept values, by dest, which come before the tail's
         self._keys = ["param." + dest for dest in dests] if as_rows else dests
 
     def chunks(self) -> int:
-        return -(-math.prod(len(grid) for grid, _ in self._grids) // _CHUNK)
+        return -(-self._total // _CHUNK)
 
     def _axis_values(self, i: int) -> list:
-        """Each axis's values at the points of chunk i, in itertools.product order."""
-        import numpy as np
+        """Each axis's values at the points of chunk i, in itertools.product order.
 
-        shape = tuple(len(grid) for grid, _ in self._grids)
-        start = i * _CHUNK
-        index = np.unravel_index(np.arange(start, min(start + _CHUNK, math.prod(shape))), shape)
-        return [[cast(v) for v in grid[at].tolist()]
-                for (grid, cast), at in zip(self._grids, index)]
+        Point j takes index k % count of an axis, k = j // stride, where
+        stride is the product of the later axes' counts; each k of the chunk
+        is computed once and repeated over its run of points.
+        """
+        lo = i * _CHUNK
+        hi = min(lo + _CHUNK, self._total)
+        values, stride = [], self._total
+        for start, stop, count, cast in self._grids:
+            stride //= count
+            first, last = lo // stride, (hi - 1) // stride
+            lap = first - first % count
+            if last < lap + count:
+                axis = _linspace(start, stop, count, first - lap, last - lap + 1)
+            else:  # the chunk goes round the axis, which has fewer points than it
+                axis = _linspace(start, stop, count, 0, count)
+                axis = [axis[k % count] for k in range(first, last + 1)]
+            if cast is int:
+                axis = list(map(int, axis))
+            if stride > 1:
+                runs = [min(hi, (k + 1) * stride) - max(lo, k * stride)
+                        for k in range(first, last + 1)]
+                axis = list(itertools.chain.from_iterable(map(itertools.repeat, axis, runs)))
+            values.append(axis)
+        return values
 
     def _frame(self, shape) -> tuple:
         """The shape of a point whose tail has this dict shape."""
@@ -1117,8 +1180,6 @@ class _SweepPoints(_Records):
 def _run_sweep(target: str, tns: argparse.Namespace,
                tparser: argparse.ArgumentParser) -> dict:
     """The sweep's result; its points are computed as they are written."""
-    import numpy as np
-
     specs, flags = tns.sweep, _flags_of(target)
     dests = [name.replace("-", "_") for name, *_ in specs]
     total = math.prod(count for _, _, _, count, _ in specs)
@@ -1129,11 +1190,12 @@ def _run_sweep(target: str, tns: argparse.Namespace,
     for dest, (_, start, stop, count, text) in zip(dests, specs):
         option, kwargs = flags[dest]
         cast = kwargs["type"]
-        grid = np.linspace(start, stop, count)
-        if cast is int and not np.all(grid == np.round(grid)):
+        if cast is int and not all(value.is_integer() for at in range(0, count, _CHUNK)
+                                   for value in _linspace(start, stop, count, at,
+                                                          min(at + _CHUNK, count))):
             tparser.error(f"sweep {text} has non-integer points, but {option[0]} "
                           f"takes an integer")
-        grids.append((grid, cast))
+        grids.append((start, stop, count, cast))
     command = _COMMANDS[target]
     points = _SweepPoints(command["run"], command.get("columns"), tns, dests, grids,
                           tns.fmt == "csv")

@@ -97,15 +97,6 @@ _SAMPLE_BYTES = 256
 _LEVEL_BYTES = 2048
 
 
-def _bound_energy(alpha: float) -> float:
-    """-alpha^2, the Robin bound-state energy of an alpha < 0, refused where not a normal float."""
-    # below 2^-511 -alpha^2 is subnormal or 0.0; from 2^512 on it overflows
-    if not 2.0**-511 <= -alpha < 2.0**512:
-        raise PreconditionError("the energy -alpha^2 is a normal float only for "
-                                "2^-511 <= |alpha| < 2^512, got alpha=%r" % (alpha,))
-    return -alpha * alpha
-
-
 def _check_budget(nbytes: int, what: str) -> None:
     if nbytes > _MEMORY_BUDGET:
         raise PreconditionError(

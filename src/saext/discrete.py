@@ -267,6 +267,18 @@ def eigenvector_commutator_demo(
     )
 
 
+def _unit_rows(values: np.ndarray) -> tuple:
+    """(values with each row times 2^-e, 2^-e), e the exponent of the row's largest modulus.
+
+    The scaled rows' largest moduli lie in [0.5, 1), so their squares are
+    normal floats however small or large the rows were.  A power of two
+    scales exactly: a norm, or a ratio of inner products, from the scaled
+    rows keeps its bits where the unscaled squares were normal floats.
+    """
+    scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(values), axis=-1))[1])
+    return values * scale[:, None], scale
+
+
 def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> ParadoxReport:
     """Box eigenfunctions are nowhere near momentum eigenfunctions.
 
@@ -290,15 +302,12 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
     quantities = {}
     per_stack = max(1, _STACK // grid_n)
     for stack in (slice(i, i + per_stack) for i in range(0, n_max, per_stack)):
-        psi = GridFunction(xs, levels.eigenfunctions(xs, stack))
-        p_psi = GridFunction(xs, -1j * derivative_values(xs, psi.values, 1, acc=4))
+        # the residual is a ratio, so psi_n and p psi_n are scaled apart: on a
+        # wide box the squares of psi_n ~ sqrt(2/a) and p psi_n ~ (n pi/a) sqrt(2/a)
+        # would underflow, and on a narrow one those of p psi_n overflow
+        psi = GridFunction(xs, _unit_rows(levels.eigenfunctions(xs, stack))[0])
+        p_psi = GridFunction(xs, _unit_rows(-1j * derivative_values(xs, psi.values, 1, acc=4))[0])
         squares, p_norms = inner_product(psi, psi), norm(p_psi)
-        # on a wide box the squares of p psi_n ~ (n pi/a) sqrt(2/a) underflow
-        lost = np.flatnonzero(~(np.minimum(squares.real, p_norms) >= np.finfo(float).tiny))
-        if lost.size:
-            raise PreconditionError("the norms that the residual of level n=%d divides by are "
-                                    "not normal floats on the box of width a=%r"
-                                    % (levels.n[stack][lost[0]], a))
         # Python divides each level: numpy rounds some quotients apart
         coeffs = [complex(num) / complex(den) for num, den in
                   zip(inner_product(psi, p_psi), squares)]

@@ -1,4 +1,8 @@
-"""Spectra, bound states, and scattering data for the operator catalog."""
+"""Spectra, bound states, and scattering data for the operator catalog.
+
+The Robin half line's reflection amplitude and phase are closed forms that
+need no array; they live in ``robin`` and are re-exported here.
+"""
 
 from __future__ import annotations
 
@@ -16,18 +20,17 @@ from .core import (
     _SAMPLE_BYTES,
     GridFunction,
     Interval,
-    _bound_energy,
     _check_budget,
     _sample_grid,
 )
 from .errors import (
-    IndeterminateError,
     InvalidIndexError,
     NoRootError,
     PreconditionError,
     TooCoarseError,
     UnsupportedOperatorError,
 )
+from .robin import _bound_energy, reflection_coefficient, reflection_phase
 
 __all__ = [
     "BoundState",
@@ -220,59 +223,6 @@ def bound_state_shooting(
             "boundary mismatch does not change sign on [%g, %g]" % (lo, hi)
         )
     return energy
-
-
-def reflection_coefficient(k: float, alpha: float) -> complex:
-    """Unit-modulus reflection amplitude R = (ik + alpha)/(ik - alpha)."""
-    if math.isinf(alpha):
-        # hard-wall limit of the Robin family
-        return complex(-1.0, 0.0)
-    if k == 0.0 and alpha == 0.0:
-        raise IndeterminateError(
-            "R is indeterminate at k=0 with a Neumann boundary"
-        )
-    r = complex(alpha, k) / complex(-alpha, k)
-    if not cmath.isfinite(r):
-        # R is scale-free: near the largest floats the quotient's own
-        # denominator overflows, and a quarter of each part does not
-        r = complex(alpha / 4, k / 4) / complex(-alpha / 4, k / 4)
-    return r
-
-
-def reflection_phase(k: float, alpha: float) -> float:
-    """Phase shift of the reflected wave, reduced to [0, 2*pi)."""
-    return (-cmath.phase(reflection_coefficient(k, alpha))) % math.tau
-
-
-def _reflection_columns(k, alpha) -> tuple:
-    """Lists of R.real, R.imag, abs(R) and the reflection phase at each (k, alpha).
-
-    Each value is the float that reflection_coefficient, abs and
-    reflection_phase give for that point.  The quotient is CPython's
-    complex division (Smith's method) in the same operation order, the
-    modulus is hypot as in abs(complex), and the phase goes through libm's
-    atan2 (math.atan2), since numpy's SIMD arctan2 can differ from it by an
-    ulp.  A point whose quotient is not finite there (alpha = +-inf, the
-    indeterminate k = alpha = 0, a non-finite input) is computed by
-    reflection_coefficient, so it raises as that does.
-    """
-    k = np.asarray(k, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    # R = (alpha + ik)/(-alpha + ik): divide through by the larger of |alpha|, |k|
-    by_alpha = np.abs(alpha) >= np.abs(k)
-    with np.errstate(all="ignore"):
-        ratio = np.where(by_alpha, k / -alpha, -alpha / k)
-        denom = np.where(by_alpha, -alpha + k * ratio, -alpha * ratio + k)
-        re = np.where(by_alpha, alpha + k * ratio, alpha * ratio + k) / denom
-        im = np.where(by_alpha, k - alpha * ratio, k * ratio - alpha) / denom
-        modulus = np.hypot(re, im)
-    lost = np.flatnonzero(~np.isfinite(modulus)).tolist()
-    re, im, modulus = re.tolist(), im.tolist(), modulus.tolist()
-    for i in lost:
-        r = reflection_coefficient(float(k[i]), float(alpha[i]))
-        re[i], im[i], modulus[i] = r.real, r.imag, abs(r)
-    phase = [(-p) % math.tau for p in map(math.atan2, im, re)]
-    return re, im, modulus, phase
 
 
 def scattering_state(k: float, alpha: float, xs: np.ndarray) -> GridFunction:

@@ -350,6 +350,65 @@ def test_sweep_axis_type_usage_errors(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "scatter", "--alpha", "-1", "--sweep", "k=-1e308:1e308:3"],
+    ["sweep", "scatter", "--alpha", "-1", "--sweep", "k=-1e308:1e308:3", "--csv"],
+    ["sweep", "anomaly", "--sweep", "alpha=-1e308:1e308:3"],
+    ["sweep", "scatter", "--k", "1", "--sweep", "alpha=1.7e308:-1.7e308:2"],
+])
+def test_a_sweep_span_past_the_float_range_is_a_usage_error(argv):
+    # stop - start = inf put points at nan and inf, with numpy's RuntimeWarnings
+    code, out, err = _process(argv)
+    assert (code, out) == (2, "")
+    assert argv[argv.index("--sweep") + 1] in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+#: Finite floats of any size: signed zeros, subnormals, and both ends of the range.
+_AXIS_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-305, 1e-305),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+)
+#: (start, stop) of a finite span; a subnormal span's step underflows to 0 at large counts.
+_SPANS = st.one_of(
+    st.tuples(_AXIS_FLOATS, _AXIS_FLOATS),
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20)).map(
+        lambda c: (c[0] * 5e-324, c[1] * 5e-324)),
+).filter(lambda span: math.isfinite(span[1] - span[0]))
+_COUNTS = st.sampled_from([0, 1, 2]) | st.integers(3, 100) | st.integers(4000, 9000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SPANS, _COUNTS), min_size=1, max_size=3), st.integers(0, 3))
+@example([((0.0, 5e-324), 4097)], 1)
+@example([((-1.0, 1.0), 3), ((0.0, 1.0), 5000)], 2)
+def test_sweep_axis_values_are_numpys_linspace(axes, chunk):
+    # each chunk's values, in itertools.product order, are those of
+    # np.linspace(start, stop, count).tolist() to the bit, signed zeros too
+    grids = [(start, stop, count, float) for (start, stop), count in axes]
+    points = cli._SweepPoints(None, None, argparse.Namespace(), [], grids, False)
+    shape = tuple(count for *_, count, _ in grids)
+    total = math.prod(shape)
+    chunk = min(chunk, max(points.chunks() - 1, 0))
+    lo, hi = chunk * cli._CHUNK, min((chunk + 1) * cli._CHUNK, total)
+    if lo >= hi:
+        assert points.chunks() == 0
+        return
+    index = np.unravel_index(np.arange(lo, hi), shape)
+    with np.errstate(over="ignore"):  # numpy's last point may overflow before it is stop
+        want = [np.linspace(start, stop, count)[at].tolist()
+                for (start, stop, count, _), at in zip(grids, index)]
+    got = points._axis_values(chunk)
+    assert [list(map(float.hex, axis)) for axis in got] \
+        == [list(map(float.hex, axis)) for axis in want]
+    if total <= 200:  # the order is itertools.product's
+        with np.errstate(over="ignore"):
+            product = itertools.product(*(np.linspace(*grid[:3]).tolist() for grid in grids))
+        assert list(zip(*got)) == list(product)[lo:hi]
+
+
 def test_sweep_csv_header_is_the_union_of_every_row():
     # alpha=1 and alpha=0 have no bound state; the alpha=-1 row keeps its
     # bound_state.* columns even though the first row lacks them
@@ -1099,11 +1158,15 @@ def test_a_forked_sweep_runs_clean_in_dev_mode_with_warnings_as_errors(fmt):
 
 @pytest.mark.parametrize("fmt", [[], ["--csv"]])
 def test_paradox_three_runs_its_stacks_clean_in_dev_mode_with_warnings_as_errors(fmt):
-    # --n 13 is three stacks of levels; at a = 1e300 the levels' norms underflow
-    # to 0, which must stay a precondition error, not an inf or a warning
+    # --n 13 is three stacks of levels; at a = 1e300 the squares of the
+    # levels' samples would underflow and at a = 1e-150 overflow, and each
+    # stack is scaled so that they do not; at a = 1e-200 the levels leave the
+    # float range, which must stay a precondition error, not an inf or a warning
     src = str(Path(__file__).resolve().parents[1] / "src")
     for argv, code in ((["paradox", "--id", "3", "--n", "13"], 0),
-                       (["paradox", "--id", "3", "--a", "1e300"], 1)):
+                       (["paradox", "--id", "3", "--n", "13", "--a", "1e300"], 0),
+                       (["paradox", "--id", "3", "--n", "13", "--a", "1e-150"], 0),
+                       (["paradox", "--id", "3", "--a", "1e-200"], 1)):
         proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "saext.cli",
                                *argv, *fmt], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
@@ -2119,7 +2182,8 @@ def test_classical_work_is_bounded(argv):
     ["paradox", "--id", "2", "--seed", "-5"],
     ["paradox", "--id", "4", "--l", "1e-310"],
     ["paradox", "--id", "4", "--l", "1.7e308"],
-    ["paradox", "--id", "3", "--a", "1e150"],
+    # a box whose levels (n pi/a)^2 overflow
+    ["paradox", "--id", "3", "--a", "1e-160"],
     ["deficiency", "--op", "momentum", "--interval=-1e308,1e308"],
 ])
 def test_overflow_is_a_structured_error_not_a_nan(argv):
@@ -2246,7 +2310,7 @@ def test_main_builds_one_command_parser_per_call(argv, built, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["deficiency", "--op", "momentum", "--lam", "1e300"],
     ["deficiency", "--op", "momentum", "--interval", "0,1e300"],
-    ["paradox", "--id", "3", "--a", "1e300"],
+    ["paradox", "--id", "3", "--a", "1e-200"],
     ["classical", "--s", "2", "--g", "1e300", "--p0", "1e300"],
     ["sweep", "deficiency", "--op", "momentum", "--sweep", "lam=1:1e300:2"],
 ])
@@ -2255,8 +2319,8 @@ def test_out_of_range_numbers_are_a_structured_error(argv, capsys):
     # traceback; a sweep records the point and goes on.  A momentum
     # solution whose norm overflows expm1 is a precondition refusal that
     # names the interval, as a solution past the float range is, and so are
-    # a classical flow whose energy p0^2 overflows and a box whose levels'
-    # norms underflow
+    # a classical flow whose energy p0^2 overflows and a box whose levels
+    # overflow
     code, text = run_cli(argv)
     assert code == 1
     payload = json.loads(text)

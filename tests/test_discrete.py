@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saext import cli, discrete, spectral
-from saext.core import UnitSystem
+from saext.core import GridFunction, UnitSystem, derivative_values, inner_product, norm
 from saext.discrete import (
     _commutator_trace,
     _hermitian_pair,
@@ -387,6 +387,42 @@ def test_box_levels_are_not_momentum_eigenfunctions():
 def test_box_levels_width_pi():
     report = commuting_observables_demo(math.pi, 2)
     assert report.quantities["r_2"].value == pytest.approx(1.0, abs=1e-10)
+
+
+#: Box widths whose p psi_n ~ (n pi/a) sqrt(2/a) has subnormal squares
+#: (a >~ 1e105: ||p psi_1|| was off by 3e-13 at 1e105, 1e-6 at 1e107 and
+#: 1.6e-4 at 1e108, and refused from ~1e154 on) or overflowing ones (a <~ 1e-103).
+_WIDE_AND_NARROW = [1e-150, 1e-105, 1e105, 1e107, 1e108, 1e206, 1.7e308]
+
+
+@pytest.mark.parametrize("a", [1.0, *_WIDE_AND_NARROW])
+def test_box_momentum_norms_keep_their_digits_on_any_box_width(a):
+    # as the demo scales them: psi_n, then p psi_n, each row by a power of two
+    xs = np.linspace(0.0, a, 10_001)
+    psi, psi_scale = discrete._unit_rows(spectral.well_spectrum(a, [1, 2, 3])
+                                         .discrete.eigenfunctions(xs))
+    p_psi, p_scale = discrete._unit_rows(-1j * derivative_values(xs, psi, 1, acc=4))
+    p_norms = norm(GridFunction(xs, p_psi)) / p_scale / psi_scale
+    assert p_norms == pytest.approx(np.arange(1, 4) * math.pi / a, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", _WIDE_AND_NARROW)
+def test_box_demo_serves_wide_and_narrow_boxes(a):
+    report = commuting_observables_demo(a, 3)
+    for n in range(1, 4):
+        assert report.quantities["r_%d" % n].value == pytest.approx(1.0, abs=1e-10)
+
+
+def test_box_demo_scaling_keeps_the_bits_of_a_unit_box():
+    # the residual as computed before the scaling, row by row
+    report = commuting_observables_demo(1.0, 5)
+    xs = np.linspace(0.0, 1.0, 10_001)
+    for n in range(1, 6):
+        psi = GridFunction(xs, math.sqrt(2.0) * np.sin(n * math.pi * xs))
+        p_psi = GridFunction(xs, -1j * derivative_values(xs, psi.values, 1, acc=4))
+        coeff = complex(inner_product(psi, p_psi)) / complex(inner_product(psi, psi))
+        residual = GridFunction(xs, p_psi.values - coeff * psi.values)
+        assert report.quantities["r_%d" % n].value == norm(residual) / norm(p_psi)
 
 
 def test_box_demo_guards():

@@ -1,9 +1,9 @@
 """Import contract: a module is loaded only by the entry points that call it.
 
 No entry point needs scipy, and each CLI process loads only the saext
-modules (and numpy) its subcommand runs.  Each check of what is loaded runs
-in a fresh interpreter, so modules imported by other tests cannot leak into
-``sys.modules``.
+modules (and numpy, where they need it) its subcommand runs.  Each check of
+what is loaded runs in a fresh interpreter, so modules imported by other
+tests cannot leak into ``sys.modules``.
 """
 
 import importlib
@@ -167,40 +167,52 @@ print(json.dumps({"code": code, "saext": saext,
                   **{m: m in loaded for m in ("numpy", "numpy.polynomial", "json", "csv")}}))
 """
 
-_SPECTRAL = ["core", "errors", "spectral"]
+_SPECTRAL = ["core", "errors", "robin", "spectral"]
 _DEFICIENCY = ["core", "deficiency", "errors"]
+#: The Robin closed forms, which load no numpy.
+_ROBIN = ["errors", "robin"]
+_SWEEP_ANOMALY = ["sweep", "anomaly", "--sweep", "alpha=-4:-0.25:16"]
 
-#: (argv, exit code, the saext modules it loads); each one-shot loads
-#: numpy as well, and nothing else.  A run that writes a list, such as a
-#: spectrum's levels or a sweep's points, loads the chunk writer _chunks.
+#: (argv, exit code, the saext modules it loads, whether it loads numpy);
+#: nothing else is loaded.  A run that writes a list, such as a spectrum's
+#: levels or a sweep's points, loads the chunk writer _chunks.
 _LOADS = {
-    "version": (["--version"], 0, ["errors"]),
-    "help": (["--help"], 0, ["errors"]),
-    "usage-error": (["boundstate"], 2, ["errors"]),
+    "version": (["--version"], 0, ["errors"], False),
+    "help": (["--help"], 0, ["errors"], False),
+    "usage-error": (["boundstate"], 2, ["errors"], False),
     # a flag that the chosen variant does not read
-    "foreign-flag-spectrum": (["spectrum", "--op", "robin", "--theta", "1"], 2, ["errors"]),
-    "foreign-flag-paradox": (["paradox", "--id", "4", "--seed", "1"], 2, ["errors"]),
+    "foreign-flag-spectrum": (["spectrum", "--op", "robin", "--theta", "1"], 2, ["errors"],
+                              False),
+    "foreign-flag-paradox": (["paradox", "--id", "4", "--seed", "1"], 2, ["errors"], False),
     "foreign-sweep-axis": (["sweep", "spectrum", "--op", "robin", "--sweep", "theta=0:1:3"], 2,
-                           ["errors"]),
+                           ["errors"], False),
     # a flag given and also swept
     "given-and-swept": (["sweep", "scatter", "--k", "1", "--alpha", "-1", "--sweep", "k=1:2:2"],
-                        2, ["errors"]),
+                        2, ["errors"], False),
     # an --out that cannot be opened, here under a file
     "bad-out": (["anomaly", "--alpha", "-2", "--out", os.path.join(os.devnull, "x.json")], 2,
-                ["errors"]),
-    "scatter": (GOLDEN["scatter"], 0, _SPECTRAL),
-    "spectrum-robin": (GOLDEN["spectrum"], 0, ["_chunks", *_SPECTRAL]),
-    "boundstate": (GOLDEN["boundstate"], 0, _SPECTRAL),
-    "sweep-scatter": (GOLDEN["sweep"], 0, ["_chunks", *_SPECTRAL]),
-    "deficiency": (GOLDEN["deficiency"], 0, ["_chunks", *_DEFICIENCY]),
-    "extend": (GOLDEN["extend"], 0, sorted([*_DEFICIENCY, "extension"])),
-    "anomaly": (GOLDEN["anomaly"], 0, ["anomaly", "core", "errors"]),
-    "paradox": (GOLDEN["paradox"], 0, ["core", "discrete", "errors"]),
-    "paradox-1": (["paradox", "--id", "1"], 0, ["core", "discrete", "errors", "spectral"]),
-    "paradox-3": (["paradox", "--id", "3"], 0, ["core", "discrete", "errors", "spectral"]),
-    "paradox-4": (["paradox", "--id", "4"], 0, ["core", "discrete", "errors"]),
-    "classical": (GOLDEN["classical"], 0, ["classical", "core", "errors"]),
-    "geometry": (GOLDEN["geometry"], 0, ["core", "errors", "geometry"]),
+                ["errors"], False),
+    "scatter": (GOLDEN["scatter"], 0, _ROBIN, False),
+    # a CSV is written by the chunk writer
+    "scatter-csv": ([*GOLDEN["scatter"], "--csv"], 0, ["_chunks", *_ROBIN], False),
+    "anomaly": (GOLDEN["anomaly"], 0, _ROBIN, False),
+    "anomaly-csv": ([*GOLDEN["anomaly"], "--csv"], 0, ["_chunks", *_ROBIN], False),
+    "sweep-scatter": (GOLDEN["sweep"], 0, ["_chunks", *_ROBIN], False),
+    "sweep-scatter-csv": ([*GOLDEN["sweep"], "--csv"], 0, ["_chunks", *_ROBIN], False),
+    "sweep-anomaly": (_SWEEP_ANOMALY, 0, ["_chunks", *_ROBIN], False),
+    "sweep-anomaly-csv": ([*_SWEEP_ANOMALY, "--csv"], 0, ["_chunks", *_ROBIN], False),
+    "spectrum-robin": (GOLDEN["spectrum"], 0, ["_chunks", *_SPECTRAL], True),
+    "boundstate": (GOLDEN["boundstate"], 0, _SPECTRAL, True),
+    "deficiency": (GOLDEN["deficiency"], 0, ["_chunks", *_DEFICIENCY], True),
+    "extend": (GOLDEN["extend"], 0, sorted([*_DEFICIENCY, "extension"]), True),
+    "paradox": (GOLDEN["paradox"], 0, ["core", "discrete", "errors"], True),
+    "paradox-1": (["paradox", "--id", "1"], 0, ["core", "discrete", "errors", "robin",
+                                                "spectral"], True),
+    "paradox-3": (["paradox", "--id", "3"], 0, ["core", "discrete", "errors", "robin",
+                                                "spectral"], True),
+    "paradox-4": (["paradox", "--id", "4"], 0, ["core", "discrete", "errors"], True),
+    "classical": (GOLDEN["classical"], 0, ["classical", "core", "errors"], True),
+    "geometry": (GOLDEN["geometry"], 0, ["core", "errors", "geometry"], True),
 }
 
 
@@ -213,14 +225,24 @@ def _run_main(argv) -> dict:
 
 @pytest.mark.parametrize("name", sorted(_LOADS))
 def test_a_cli_process_loads_only_what_its_subcommand_runs(name):
-    argv, code, modules = _LOADS[name]
+    argv, code, modules, numpy = _LOADS[name]
     out = _run_main(argv)
     assert out["code"] == code
     assert out["saext"] == modules
+    assert out["numpy"] is numpy
     # --version, --help and a usage error never reach a runner or a writer;
-    # each of these one-shots writes JSON, which needs no csv
-    assert out["numpy"] is out["json"] is (modules != ["errors"])
-    assert out["csv"] is False
+    # the cells of these CSVs are floats alone, written by float repr
+    csv = "--csv" in argv
+    assert out["json"] is (modules != ["errors"] and not csv)
+    assert out["csv"] is csv
+
+
+def test_the_robin_closed_forms_load_neither_numpy_nor_core():
+    probe = ("import json, sys, saext.robin; print(json.dumps(sorted(m for m in sys.modules "
+             "if m.startswith('saext') or m == 'numpy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_env(), timeout=120, check=True)
+    assert json.loads(proc.stdout) == ["saext", "saext.errors", "saext.robin"]
 
 
 @pytest.mark.parametrize("argv", [GOLDEN["scatter"], GOLDEN["sweep"]])

@@ -19,7 +19,6 @@ from saext.errors import (
     UnsupportedOperatorError,
 )
 from saext.spectral import (
-    _reflection_columns,
     _twisted_difference,
     bound_state,
     bound_state_shooting,
@@ -404,6 +403,13 @@ def test_reflection_indeterminate_corner():
 @settings(max_examples=300, deadline=None)
 def test_reflection_unitarity_property(k, alpha):
     assert abs(abs(reflection_coefficient(k, alpha)) - 1.0) <= 1e-14
+
+
+def _reflection_columns(ks, alphas) -> tuple:
+    """The R.real, R.imag, abs(R) and phase columns of scatter's columns hook at (k, alpha)."""
+    _, columns = cli._scatter_columns(argparse.Namespace(), {"k": ks, "alpha": alphas}, len(ks))
+    assert columns[:2] == [ks, alphas]
+    return tuple(columns[2:])
 
 
 @pytest.mark.parametrize("k, alpha", [(1.7e308, 1.7e308), (1.7e308, -1.7e308),
