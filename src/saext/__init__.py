@@ -18,8 +18,6 @@ __version__ = "0.1.0"
 #: Each submodule and the public names the package re-exports from it.
 _EXPORTS = {
     "anomaly": (
-        "AnomalyReport",
-        "anomaly_quadrature",
         "apply_dilatation",
         "classical_symmetry_check",
         "heisenberg_correction",
@@ -74,6 +72,11 @@ _EXPORTS = {
         "connection_condition",
         "radial_symmetry_defect",
     ),
+    "robin": (
+        "AnomalyReport",
+        "anomaly_quadrature",
+        "reflection_coefficient",
+    ),
     "spectral": (
         "BoundState",
         "SpectrumResult",
@@ -82,7 +85,6 @@ _EXPORTS = {
         "discretized_momentum_eigs",
         "halfline_robin_spectrum",
         "momentum_spectrum",
-        "reflection_coefficient",
         "scattering_state",
         "well_spectrum",
     ),

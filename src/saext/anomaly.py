@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GridFunction, derivative_values, inner_product
+from .core import GridFunction, _require_single, derivative_values, inner_product
 from .errors import DomainViolationError, PreconditionError
 from .robin import AnomalyReport, anomaly_quadrature
 
@@ -61,8 +61,9 @@ def heisenberg_correction(psi: GridFunction, alpha: float, t: float = 0.0) -> co
     mismatch is the surface term that moving H across (., .) leaves
     behind.  It vanishes for functions supported away from the
     boundary and reproduces the anomaly on the bound state.  psi must
-    carry the plain dx measure, weight "1".
+    carry the plain dx measure, weight "1", and be one function, not a stack.
     """
+    _require_single("the boundary correction", psi)
     if psi.weight != "1":
         raise PreconditionError("the boundary correction is defined for the dx "
                                 "measure (weight '1'), got weight %r" % (psi.weight,))

@@ -234,15 +234,14 @@ def integrate_flow(
     v: PowerLawPotential,
     state0: Sequence[float],
     t_end: float,
-    tol: float,
     samples: int = 2001,
 ) -> FlowTrajectory:
     """The flow qdot = 2p, pdot = -V'(q) at ``samples`` equally spaced times.
 
     For s in {-2, 0, 1, 2} the flow is sampled from its closed form (see
     :func:`_closed`), and for every other exponent from its energy
-    integral (see :func:`_energy_flow`); both are exact up to rounding, and
-    ``tol`` is accepted but not used.  Trajectories that reach the origin,
+    integral (see :func:`_energy_flow`); both are exact up to rounding, so
+    no tolerance is taken.  Trajectories that reach the origin,
     or run to q = +-inf in finite time, stop with a singularity error that
     gives the exact time instead of silently producing garbage.
     """
@@ -618,7 +617,6 @@ def dilatation_drift(
     v: PowerLawPotential,
     state0: Sequence[float],
     t_end: float,
-    tol: float = 1e-10,
 ) -> float:
     """Largest excursion of the dilatation from its initial value."""
-    return dilatation_drift_report(v, state0, t_end, tol=tol).max_drift
+    return dilatation_drift_report(v, state0, t_end).max_drift

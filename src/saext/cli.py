@@ -488,19 +488,11 @@ def load_schema(name: str) -> dict:
 # _finalize to its given value or its default.
 
 def _run_deficiency(args) -> dict:
-    from .core import HALF_LINE, OperatorSpec
+    from .core import FREE_HAMILTONIAN, MOMENTUM, TIME_OPERATOR, OperatorSpec
     from .deficiency import solve_deficiency, verify_deficiency_numerically
 
-    iv = args.interval
-    if args.op == "momentum":
-        spec = OperatorSpec.momentum(iv)
-    elif args.op == "hamiltonian":
-        spec = OperatorSpec.free_hamiltonian(iv)
-    elif iv.kind == HALF_LINE:
-        spec = OperatorSpec.time_operator(iv.a)
-    else:
-        raise PreconditionError("the time operator acts on a half line E0,inf; "
-                                "got the interval %r,%r" % (iv.a, iv.b))
+    kind = {"momentum": MOMENTUM, "hamiltonian": FREE_HAMILTONIAN, "time": TIME_OPERATOR}
+    spec = OperatorSpec(kind[args.op], args.interval)
     report = solve_deficiency(spec, lam=args.lam, n=args.grid_n)
     return {
         "op": args.op,
@@ -529,8 +521,6 @@ def _run_extend(args) -> dict:
 
 
 def _run_spectrum(args) -> dict:
-    import numpy as np
-
     from .spectral import halfline_robin_spectrum, momentum_spectrum, well_spectrum
 
     if args.op == "momentum":
@@ -547,7 +537,7 @@ def _run_spectrum(args) -> dict:
         out["continuous"] = {
             "threshold": res.continuous.threshold,
             "phase_samples": [{"k": k, "phase": phase(k)}
-                              for k in np.linspace(0.1, 5.0, 25).tolist()],
+                              for k in _linspace(0.1, 5.0, 25, 0, 25)],
         }
     return out
 
@@ -668,7 +658,9 @@ def _run_classical(args) -> dict:
 def _bump_values(xs: np.ndarray, center: float, width: float) -> np.ndarray:
     import numpy as np
 
-    u = (xs - center) / width
+    # a subnormal or zero width sends u past the float range, outside the support
+    with np.errstate(all="ignore"):
+        u = (xs - center) / width
     out = np.zeros_like(xs, dtype=complex)
     inside = np.abs(u) < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
@@ -676,9 +668,7 @@ def _bump_values(xs: np.ndarray, center: float, width: float) -> np.ndarray:
 
 
 def _run_geometry(args) -> dict:
-    import numpy as np
-
-    from .core import _SAMPLE_BYTES, GridFunction, _check_budget, inner_product
+    from .core import _SAMPLE_BYTES, GridFunction, _check_budget, _sample_grid, inner_product
     from .geometry import (
         commutator_preservation_check,
         connection_condition,
@@ -687,22 +677,18 @@ def _run_geometry(args) -> dict:
 
     measure, label = {"polar": ("polar", "1/(2r)"), "spherical": ("spherical_radial", "1/r"),
                       "flat": ("cartesian", "0")}[args.metric]
-    closed_form = connection_condition(measure)
-
-    def omega(r):
-        # the library refuses r = 0, where the grid starts; every probe vanishes
-        # there (0 < a), and geometry._omega_times makes omega(0) * 0 zero
-        return closed_form(np.where(r > 0.0, r, np.inf))
-
+    omega = connection_condition(measure)
     a, b = args.probe["a"], args.probe["b"]
     far_end = b + max(0.5 * (b - a), 0.25)
     _check_budget(_SAMPLE_BYTES * args.grid_n, "a grid of %d samples" % args.grid_n)
-    xs = np.linspace(0.0, far_end, args.grid_n)
-    if not np.any((a < xs) & (xs < b)):
-        # the bump would be 0 on every sample, and each check would check nothing
-        raise PreconditionError("the probe bump:%r,%r has no sample inside its support "
-                                "on %d samples from 0 to %r" % (a, b, args.grid_n, far_end))
-    f = GridFunction(xs, _bump_values(xs, 0.5 * (a + b), 0.5 * (b - a)), weight="r")
+    xs = _sample_grid(0.0, far_end, args.grid_n, "the grid of the probe bump:%r,%r" % (a, b))
+    values = _bump_values(xs, 0.5 * (a + b), 0.5 * (b - a))
+    if not values.any():
+        # no sample inside the support, or the bump underflows on each one:
+        # each check would check nothing
+        raise PreconditionError("the probe bump:%r,%r is 0.0 on each of %d samples from 0 "
+                                "to %r" % (a, b, args.grid_n, far_end))
+    f = GridFunction(xs, values, weight="r")
     defect = radial_symmetry_defect(omega, f, f)
     flat = GridFunction(xs, f.values, weight="1")
     return {

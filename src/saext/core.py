@@ -184,7 +184,8 @@ class OperatorSpec:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.kind == TIME_OPERATOR and self.interval.kind != HALF_LINE:
             # the conjugate energy variable is bounded below at E0
-            raise ValueError("time operator requires a half-line interval [E0, inf)")
+            raise PreconditionError("the time operator acts on a half line E0,inf; got "
+                                    "the interval %r,%r" % (self.interval.a, self.interval.b))
 
     @classmethod
     def momentum(cls, interval: Interval) -> "OperatorSpec":
@@ -479,9 +480,9 @@ def derivative(f: GridFunction, order: int = 1, acc: int = 4) -> GridFunction:
 _DECAY_TOL = 1e-8
 
 
-def _require_single(xi: GridFunction, eta: GridFunction) -> None:
-    if xi.values.ndim != 1 or eta.values.ndim != 1:
-        raise ValueError("a boundary form takes one function each, not a stack")
+def _require_single(what: str, *functions: GridFunction) -> None:
+    if any(f.values.ndim != 1 for f in functions):
+        raise ValueError("%s takes one function, not a stack of them" % what)
 
 
 def _decayed(value: complex, scale: float) -> bool:
@@ -497,7 +498,7 @@ def boundary_form_momentum(xi: GridFunction, eta: GridFunction,
     unbounded intervals the corresponding endpoint term must have decayed on
     the grid, otherwise the form is not defined.
     """
-    _require_single(xi, eta)
+    _require_single("a boundary form", xi, eta)
     _require_same_grid(xi, eta)
     scale = float(max(np.max(np.abs(xi.values)), np.max(np.abs(eta.values)), 1e-300))
     term_a = np.conj(xi.values[0]) * eta.values[0]
@@ -523,7 +524,7 @@ def boundary_form_hamiltonian(xi: GridFunction, eta: GridFunction,
     Endpoint derivatives come from one-sided stencils of accuracy ``acc``
     (default 4); the grid must start at the boundary point.
     """
-    _require_single(xi, eta)
+    _require_single("a boundary form", xi, eta)
     _require_same_grid(xi, eta)
     w = _window_size(1, acc)
     if len(xi) < w:

@@ -50,9 +50,10 @@ _EXPECTATION_ROUNDING = 32
 #: The work bound of commuting_observables_demo, in grid samples.  A level
 #: costs ~0.2 us per sample plus ~15 us of its own in a stack (~0.4 ms
 #: alone), still counted as _LEVEL_WORK samples.  The largest accepted
-#: ranges took 0.6 s (29,895 levels on 7 samples), 5.0 s (14,996 on 2,001),
-#: 6.7 s (4,999 on the default 10,001) and 12-17 s (588 on 100,001 to 29
-#: on 2,000,001) on one core of a 2-CPU Xeon.
+#: ranges took 4.8 s (6,809 levels on 6,811 samples, the most levels of
+#: any range whose grid resolves each level), 6.7 s (4,999 on the default
+#: 10,001) and 12-17 s (588 on 100,001 to 29 on 2,000,001) on one core of
+#: a 2-CPU Xeon.
 _LEVEL_WORK = 2_000
 _WORK_MAX = 60_000_000
 _STACK = 1 << 16  # samples in a stack of levels: 2**14 would hold one level of 10,001
@@ -284,7 +285,8 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
 
     For each level n the relative residual of p*psi_n against the best
     multiple of psi_n is reported; since the derivative of a sine is a
-    cosine, orthogonal to it, every residual sits at 1.
+    cosine, orthogonal to it, every residual sits at 1.  grid_n samples
+    resolve the levels n <= grid_n - 2; a larger n_max is refused.
     """
     from .spectral import well_spectrum
 
@@ -292,6 +294,11 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
         raise PreconditionError("need n_max >= 1, got %d" % n_max)
     _check_budget(_LEVEL_BYTES * n_max + _SAMPLE_BYTES * grid_n,
                   "a range of %d levels on a grid of %d samples" % (n_max, grid_n))
+    if n_max >= grid_n - 1:
+        # sin(n pi x/a) vanishes on every node at n = grid_n - 1, and past it
+        # the samples alias a lower level
+        raise PreconditionError("a grid of %d samples resolves the levels n <= %d, "
+                                "got n_max=%d" % (grid_n, grid_n - 2, n_max))
     work = n_max * (grid_n + _LEVEL_WORK)
     if work > _WORK_MAX:
         raise PreconditionError("a range of %d levels on a grid of %d samples is %d samples "

@@ -38,6 +38,7 @@ from .core import (
     GridFunction,
     Interval,
     OperatorSpec,
+    _require_single,
     derivative_values,
 )
 from .deficiency import DeficiencyReport, solve_deficiency
@@ -142,8 +143,10 @@ def assemble_domain_element(underlying: GridFunction,
     endpoint data within 1e-8).  For any interval and lambda of ``report``
     the result satisfies to 1e-8 the boundary condition that the report
     gives for gamma; for the lambda = 1 catalog reports that is the
-    condition of the matching *_bc_from_unitary map.
+    condition of the matching *_bc_from_unitary map.  ``underlying`` is one
+    function, not a stack.
     """
+    _require_single("a domain element", underlying)
     _check_indices(report)
     g = _gamma_of(gamma)
     kind = report.basis_plus[0].interval.kind

@@ -81,33 +81,27 @@ _SUPPORT_TOL = 1e-13
 
 
 def _check_interior_support(f: GridFunction) -> None:
-    amp = float(np.max(np.abs(f.values)))
-    if amp == 0.0:
-        return
-    head = np.max(np.abs(f.values[:_SUPPORT_PTS]))
-    tail = np.max(np.abs(f.values[-_SUPPORT_PTS:]))
-    if head > _SUPPORT_TOL * amp:
+    # each function of a stack against its own amplitude, on the sample axis
+    floor = _SUPPORT_TOL * np.max(np.abs(f.values), axis=-1)
+    if np.any(np.max(np.abs(f.values[..., :_SUPPORT_PTS]), axis=-1) > floor):
         raise SingularSupportError(
             "support touches the coordinate singularity at r=%g" % f.xs[0]
         )
-    if tail > _SUPPORT_TOL * amp:
+    if np.any(np.max(np.abs(f.values[..., -_SUPPORT_PTS:]), axis=-1) > floor):
         raise PreconditionError("support must stay inside the grid's far end")
-
-
-def _omega_times(omega_vals: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # omega may blow up where the function vanishes identically; those
-    # products are defined to be zero rather than inf * 0
-    with np.errstate(invalid="ignore"):
-        raw = omega_vals * values
-    return np.where(values == 0.0, 0.0 + 0.0j, raw)
 
 
 def _radial_momentum(
     omega_re: Callable[[np.ndarray], np.ndarray], f: GridFunction
 ) -> np.ndarray:
+    # -i (f' + omega f), one function or a stack; omega is read only on the
+    # samples where f != 0, so it may be singular where f vanishes
     d1 = derivative_values(f.xs, f.values, 1, acc=4)
-    omega_vals = np.asarray(omega_re(f.xs), dtype=float)
-    return -1j * (d1 + _omega_times(omega_vals, f.values))
+    live = f.values != 0.0
+    omega_f = np.zeros_like(f.values)
+    xs = np.broadcast_to(f.xs, f.values.shape)[live]
+    omega_f[live] = np.asarray(omega_re(xs), dtype=float) * f.values[live]
+    return -1j * (d1 + omega_f)
 
 
 def radial_symmetry_defect(
@@ -119,7 +113,9 @@ def radial_symmetry_defect(
 
     Integration by parts gives i * int (1 - 2 r omega) f-bar g dr, so
     the defect dies exactly when omega = 1/(2r) and reduces to
-    i * int f-bar g dr for omega = 0.
+    i * int f-bar g dr for omega = 0.  omega acts sample by sample and is
+    read only where the function it multiplies is nonzero, so a closed
+    form singular at r = 0 serves on a grid that starts there.
     """
     if f.weight != "r" or g.weight != "r":
         raise PreconditionError("radial defect is defined for the r dr measure")
@@ -175,7 +171,10 @@ def connection_condition(
 def commutator_preservation_check(
     omega_re: Callable[[np.ndarray], np.ndarray], f: GridFunction
 ) -> float:
-    """sup-norm of ([r, p_r] - i) f; the omega term cancels identically."""
+    """sup-norm of ([r, p_r] - i) f; the omega term cancels identically.
+
+    omega acts sample by sample and is read only where f is nonzero.
+    """
     _check_interior_support(f)
     rf = GridFunction(f.xs, f.xs * f.values, weight=f.weight)
     resid = f.xs * _radial_momentum(omega_re, f) - _radial_momentum(omega_re, rf) \

@@ -274,6 +274,15 @@ def test_correction_rejects_domain_violation():
         heisenberg_correction(psi, -1.0)
 
 
+def test_correction_refuses_a_stack_by_name():
+    # it read psi.values[0] as psi(0), and a stack ended in numpy's "truth
+    # value of an array ... is ambiguous"
+    psi = bound_state(-1.0).psi
+    stack = GridFunction(psi.xs, np.stack([psi.values, 2.0 * psi.values]))
+    with pytest.raises(ValueError, match="boundary correction takes one function, not a stack"):
+        heisenberg_correction(stack, -1.0)
+
+
 def test_correction_grid_guard():
     xs = np.linspace(0.0, 1.0, 6)
     with pytest.raises(DegenerateGridError):

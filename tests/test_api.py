@@ -7,20 +7,22 @@ from the module that defines it (``robin`` for the Robin closed forms that
 ``spectral`` and ``anomaly`` re-export); every parameter of such a function,
 and of a public method of such a class, must occur as a name in that
 function's body.  The few inputs kept though unread are
-listed below with the reason each stays.
+listed below with the reason each stays; a reason that cites perfbench is
+checked against its worker's source.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import saext
 
+_WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+
 #: (function, parameter) of each public input that is accepted but not read.
 _KEPT_UNREAD = {
-    ("classical.integrate_flow", "tol"):
-        "perfbench's drift probe passes tol=1e-10 by keyword",
     ("classical.dilatation_drift_report", "tol"):
         "perfbench's drift probe passes tol=1e-10 by keyword",
     ("spectral.bound_state_shooting", "x_max"):
@@ -96,6 +98,20 @@ def test_inputs_that_nothing_applied_are_gone():
     assert fields(OperatorSpec) == ["kind", "interval"]
     assert "coordinate" not in fields(MeasureSpec)
     assert list(inspect.signature(connection_condition).parameters) == ["metric_det"]
+    for function in (saext.integrate_flow, saext.dilatation_drift):
+        assert "tol" not in inspect.signature(function).parameters
     for constructor in (OperatorSpec.momentum, OperatorSpec.free_hamiltonian,
                         OperatorSpec.time_operator):
         assert "units" not in inspect.signature(constructor).parameters
+
+
+def test_each_input_kept_for_perfbench_is_passed_there():
+    calls = [node for node in ast.walk(ast.parse(_WORKER.read_text()))
+             if isinstance(node, ast.Call)]
+    cited = {key for key, reason in _KEPT_UNREAD.items() if "perfbench" in reason}
+    assert cited
+    for function, param in cited:
+        name = function.rsplit(".", 1)[1]
+        assert any(getattr(call.func, "attr", getattr(call.func, "id", None)) == name
+                   and param in {keyword.arg for keyword in call.keywords}
+                   for call in calls), (function, param)

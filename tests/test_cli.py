@@ -7,6 +7,7 @@ import copy
 import csv
 import gc
 import importlib
+import inspect
 import io
 import itertools
 import json
@@ -245,8 +246,9 @@ def _inline_connection(metric):
     ("bump:1,2", None), ("bump:0.1,0.3", None), ("bump:0.5,4", 2001), ("bump:3,7", 801),
 ])
 def test_geometry_connection_matches_the_inline_reference(metric, probe, grid_n):
-    # the CLI reads the term from geometry.connection_condition, which refuses
-    # r = 0; the grid starts there, where every probe vanishes
+    # the CLI passes geometry.connection_condition, which refuses r = 0, to
+    # the checks; the grid starts there, where every probe vanishes, and the
+    # checks read the term only where the probe is nonzero
     argv = ["geometry", "--metric", metric, "--probe", probe]
     result = run_json(argv + ([] if grid_n is None else ["--grid-n", str(grid_n)]))["result"]
     bump = cli._parse_probe(probe)
@@ -1449,6 +1451,33 @@ def test_explicit_zero_is_not_replaced_by_the_default(argv):
     jsonschema.validate(json.loads(text), cli.load_schema("error"))
 
 
+#: (subcommand, variant, dest) of each default that _COMMANDS restates, and
+#: the library parameter it must equal: the CLI imports a library module only
+#: when it runs, so its table cannot read the default from the signature.
+_RESTATED_DEFAULTS = [
+    *[(("deficiency", op, "lam"), ("deficiency.solve_deficiency", "lam"))
+      for op in ("momentum", "hamiltonian", "time")],
+    *[(("deficiency", op, "grid_n"), ("deficiency.solve_deficiency", "n"))
+      for op in ("momentum", "hamiltonian", "time")],
+    (("paradox", 3, "grid_n"), ("discrete.commuting_observables_demo", "grid_n")),
+    (("paradox", 1, "mode"), ("discrete.eigenvector_commutator_demo", "mode")),
+    (("paradox", 2, "seed"), ("discrete.trace_commutator_check", "seed")),
+    (("anomaly", None, "t"), ("robin.anomaly_quadrature", "t")),
+    (("anomaly", None, "tol"), ("robin.anomaly_quadrature", "tol")),
+    (("classical", None, "samples"), ("classical.dilatation_drift_report", "samples")),
+]
+
+
+@pytest.mark.parametrize("flag, param", _RESTATED_DEFAULTS)
+def test_a_restated_default_is_the_librarys(flag, param):
+    command, variant, dest = flag
+    module, name = param[0].split(".")
+    function = getattr(importlib.import_module("saext." + module), name)
+    default = inspect.signature(function).parameters[param[1]].default
+    restated = cli._COMMANDS[command]["variants"][variant][dest]
+    assert (type(restated), restated) == (type(default), default)
+
+
 @pytest.mark.parametrize("mode", ["100000000", "1" + "0" * 20])
 def test_paradox_one_meets_its_tolerances_at_any_mode(mode):
     # mode 1e8 printed a residual 7 times its tolerance under the verdict
@@ -2185,6 +2214,12 @@ def test_classical_work_is_bounded(argv):
     # a box whose levels (n pi/a)^2 overflow
     ["paradox", "--id", "3", "--a", "1e-160"],
     ["deficiency", "--op", "momentum", "--interval=-1e308,1e308"],
+    # a bump that underflows to 0.0 on the one sample inside its support
+    ["geometry", "--metric", "polar", "--probe", "bump:1.00039985,1.00049985"],
+    # a probe whose grid's far end overflows
+    ["geometry", "--metric", "polar", "--probe", "bump:1e300,1.7e308"],
+    # a probe whose half width (b - a)/2 rounds to 0.0
+    ["geometry", "--metric", "flat", "--probe", "bump:5e-324,1e-323"],
 ])
 def test_overflow_is_a_structured_error_not_a_nan(argv):
     # the first two printed RuntimeWarnings and exited 0, with an
@@ -2208,7 +2243,9 @@ def test_overflow_is_a_structured_error_not_a_nan(argv):
     # odd-sublattice value of "-inf", and at l = 1.7e308 with a deviation of
     # 2.35e-308 against a tolerance of 0.0; the box of width 1e150 ended in
     # "float division by zero", as its levels' norms underflow to 0; and
-    # the interval whose length overflows printed numpy's RuntimeWarnings
+    # the interval whose length overflows printed numpy's RuntimeWarnings.
+    # The probe that underflowed exited 0 with every check 0.0, and the
+    # probe's grid that overflowed printed numpy's RuntimeWarning
     proc = _run_process(argv)
     assert proc.returncode == 1
     assert proc.stderr == ""

@@ -59,8 +59,11 @@ def test_operator_spec_validation():
     OperatorSpec.momentum(Interval.finite(0, 1))
     OperatorSpec.free_hamiltonian()
     OperatorSpec.time_operator(e0=0.5)
-    with pytest.raises(ValueError):
+    expected = r"^the time operator acts on a half line E0,inf; got the interval 0.0,1.0$"
+    with pytest.raises(PreconditionError, match=expected):
         OperatorSpec("time_operator", Interval.finite(0, 1))
+    with pytest.raises(PreconditionError, match="got the interval -inf,inf$"):
+        OperatorSpec("time_operator", Interval.full_line())
     with pytest.raises(ValueError):
         OperatorSpec("hamiltonian", Interval.half_line())
 
@@ -364,6 +367,19 @@ def test_momentum_form_half_line_requires_decay():
     bad = GridFunction(xs, np.exp(0.2 * xs))
     with pytest.raises(UnsupportedBoundaryError):
         boundary_form_momentum(bad, bad, Interval.half_line(0.0))
+
+
+def test_momentum_form_full_line_requires_decay_at_both_ends():
+    # the momentum is essentially self-adjoint on the line: no endpoint term
+    xs = np.linspace(-30.0, 30.0, 1201)
+    ok = GridFunction(xs, np.exp(-xs**2) * (1.0 + 1j * xs))
+    assert boundary_form_momentum(ok, ok, Interval.full_line()) == 0.0
+    for values in (np.exp(-xs), np.exp(xs), np.ones_like(xs)):
+        bad = GridFunction(xs, values)
+        with pytest.raises(UnsupportedBoundaryError, match="decay at both ends"):
+            boundary_form_momentum(ok, bad, Interval.full_line())
+        with pytest.raises(UnsupportedBoundaryError, match="decay at both ends"):
+            boundary_form_momentum(bad, ok, Interval.full_line())
 
 
 # ---------------------------------------------------------------------------

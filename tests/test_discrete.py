@@ -432,7 +432,19 @@ def test_box_demo_guards():
         commuting_observables_demo(1.0, 0)
 
 
-@pytest.mark.parametrize("n_max, grid_n", [(5_000, 10_001), (29_896, 7), (60, 1_000_001)])
+@pytest.mark.parametrize("grid_n", [5, 7, 9, 101])
+def test_box_demo_refuses_levels_its_grid_cannot_resolve(grid_n):
+    # sin(n pi x/a) vanishes on every node at n = grid_n - 1: --n 4 --grid-n 5
+    # printed r_4 = 0.8632 against its tolerance of 1e-10
+    with pytest.raises(PreconditionError, match="a grid of %d samples resolves the levels "
+                       "n <= %d, got n_max=%d" % (grid_n, grid_n - 2, grid_n - 1)):
+        commuting_observables_demo(1.0, grid_n - 1, grid_n=grid_n)
+    report = commuting_observables_demo(1.0, grid_n - 2, grid_n=grid_n)
+    assert len(report.quantities) == grid_n - 2
+    assert all(abs(q.value - 1.0) <= q.tolerance for q in report.quantities.values())
+
+
+@pytest.mark.parametrize("n_max, grid_n", [(5_000, 10_001), (6_809, 6_812), (60, 1_000_001)])
 def test_box_demo_refuses_a_range_past_its_work_bound_at_once(n_max, grid_n, monkeypatch):
     # --n 2000 took 5 s, and the memory budget admitted ~520,000 levels;
     # one level fewer than each of these is accepted
@@ -452,10 +464,10 @@ def test_box_demo_builds_its_grid_functions_per_stack_not_per_level(monkeypatch)
 
     grid_function = discrete.GridFunction
     monkeypatch.setattr(discrete, "GridFunction", counted)
-    report = commuting_observables_demo(1.0, 20_000, grid_n=7)
-    stacks = -(-20_000 // (discrete._STACK // 7))
-    assert len(report.quantities) == 20_000
-    assert stacks <= 3 and len(built) <= 3 * stacks
+    report = commuting_observables_demo(1.0, 299, grid_n=301)
+    stacks = -(-299 // (discrete._STACK // 301))
+    assert len(report.quantities) == 299
+    assert stacks == 2 and len(built) <= 3 * stacks
 
 
 # ---------------------------------------------------------------------------

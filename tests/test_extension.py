@@ -243,6 +243,16 @@ def test_assemble_momentum_antiperiodic_exact():
     assert abs(xi.values[-1] + xi.values[0]) <= 1e-12
 
 
+def test_assemble_refuses_a_stack_by_name():
+    # it read underlying.values[0] as psi(a), and a stack ended in numpy's
+    # "truth value of an array ... is ambiguous"
+    report = solve_deficiency(MOMENTUM_01)
+    xs = np.linspace(0.0, 1.0, 501)
+    psi = GridFunction(xs, np.zeros((2, 501)))
+    with pytest.raises(ValueError, match="a domain element takes one function, not a stack"):
+        assemble_domain_element(psi, 0.0, report)
+
+
 def test_assemble_hamiltonian_neumann():
     report = solve_deficiency(HAMILTONIAN)
     xs = np.linspace(0.0, 40.0, 8001)

@@ -188,6 +188,42 @@ def test_defect_tolerates_inf_connection_outside_support():
     assert abs(d) < 1e-8
 
 
+def test_omega_is_read_only_where_the_function_lives():
+    # the closed form refuses r = 0, where this grid starts and the bump vanishes
+    xs = np.linspace(0.0, 4.0, 2001)
+    f = GridFunction(xs, smooth_bump(xs, 2.0, 0.6), weight="r")
+    g = GridFunction(xs, smooth_bump(xs, 2.2, 0.5), weight="r")
+    seen = []
+
+    def omega(r):
+        seen.append(r)
+        return connection_condition("polar")(r)
+
+    assert radial_symmetry_defect(omega, f, g) == radial_symmetry_defect(half_over_r, f, g)
+    assert commutator_preservation_check(omega, f) == commutator_preservation_check(
+        half_over_r, f)
+    live = np.concatenate([xs[f.values != 0], xs[g.values != 0]])
+    assert all(np.all(np.isin(r, live)) for r in seen) and 0.0 not in np.concatenate(seen)
+
+
+def test_a_stack_of_interior_bumps_is_checked_row_by_row():
+    # the support check read the first rows, not the first samples, and
+    # refused this stack at the coordinate singularity
+    xs = np.linspace(0.0, 3.0, 1501)
+    rows = [smooth_bump(xs, 1.5, 0.5), smooth_bump(xs, 1.2, 0.4)]
+    stack = GridFunction(xs, np.stack(rows), weight="r")
+    singles = [GridFunction(xs, row, weight="r") for row in rows]
+    omega = connection_condition("spherical_radial")
+    defects = radial_symmetry_defect(omega, stack, stack)
+    assert defects.tolist() == [radial_symmetry_defect(omega, f, f) for f in singles]
+    assert commutator_preservation_check(omega, stack) == max(
+        commutator_preservation_check(omega, f) for f in singles)
+    # each row against its own amplitude: a small row that touches r = 0 is refused
+    touching = GridFunction(xs, np.stack([rows[0], 1e-20 * np.exp(-xs)]), weight="r")
+    with pytest.raises(SingularSupportError):
+        radial_symmetry_defect(omega, touching, touching)
+
+
 # -- connection condition ---------------------------------------------------
 
 def test_connection_closed_forms():

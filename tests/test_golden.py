@@ -27,7 +27,7 @@ _ARGV = {
     "paradox-1": ["paradox", "--id", "1"],
     "paradox-3": ["paradox", "--id", "3"],
     "paradox-3-stacks": ["paradox", "--id", "3", "--n", "13"],
-    "paradox-3-short-rows": ["paradox", "--id", "3", "--n", "40", "--grid-n", "7"],
+    "paradox-3-short-rows": ["paradox", "--id", "3", "--n", "5", "--grid-n", "7"],
     "paradox-4": ["paradox", "--id", "4"],
     "spectrum-well": ["spectrum", "--op", "well"],
     "spectrum-momentum": ["spectrum", "--op", "momentum"],

@@ -245,6 +245,17 @@ def test_the_robin_closed_forms_load_neither_numpy_nor_core():
     assert json.loads(proc.stdout) == ["saext", "saext.errors", "saext.robin"]
 
 
+def test_the_packages_robin_closed_forms_load_neither_numpy_nor_core():
+    # they were homed in anomaly and spectral, which load numpy and core
+    probe = ("import json, sys, saext; saext.anomaly_quadrature(-2.0); "
+             "saext.reflection_coefficient(1.0, -1.0); saext.AnomalyReport; "
+             "print(json.dumps(sorted(m for m in sys.modules "
+             "if m.startswith('saext') or m == 'numpy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_env(), timeout=120, check=True)
+    assert json.loads(proc.stdout) == ["saext", "saext.errors", "saext.robin"]
+
+
 @pytest.mark.parametrize("argv", [GOLDEN["scatter"], GOLDEN["sweep"]])
 def test_a_csv_run_loads_csv(argv):
     out = _run_main([*argv, "--csv"])
