@@ -508,15 +508,16 @@ def _run_deficiency(args) -> dict:
 
 
 def _run_extend(args) -> dict:
-    from .extension import ExtensionParameter, halfline_bc_from_unitary, momentum_bc_from_unitary
+    from .extension import _alpha, _gamma_of, _theta
 
-    bc = (momentum_bc_from_unitary if args.operator == "momentum"
-          else halfline_bc_from_unitary)(args.gamma)
+    g = _gamma_of(args.gamma)
+    # the values of momentum_bc_from_unitary and halfline_bc_from_unitary at g
+    variant, value = ("phase", _theta(g)) if args.operator == "momentum" else ("robin", _alpha(g))
     return {
-        "gamma": ExtensionParameter(args.gamma).gamma,
-        "bc_variant": bc.variant,
-        "value": bc.value,
-        "dirichlet_limit": bool(bc.is_dirichlet_limit),
+        "gamma": g,
+        "bc_variant": variant,
+        "value": value,
+        "dirichlet_limit": value == math.inf,
     }
 
 
@@ -680,6 +681,9 @@ def _run_geometry(args) -> dict:
     omega = connection_condition(measure)
     a, b = args.probe["a"], args.probe["b"]
     far_end = b + max(0.5 * (b - a), 0.25)
+    if far_end == math.inf:
+        raise PreconditionError("the probe bump:%r,%r: the grid's far end b + (b - a)/2 "
+                                "leaves the float range" % (a, b))
     _check_budget(_SAMPLE_BYTES * args.grid_n, "a grid of %d samples" % args.grid_n)
     xs = _sample_grid(0.0, far_end, args.grid_n, "the grid of the probe bump:%r,%r" % (a, b))
     values = _bump_values(xs, 0.5 * (a + b), 0.5 * (b - a))

@@ -85,12 +85,14 @@ def test_extension_maps():
     c_minus = math.sqrt(2.0) / math.sqrt(e * e - 1.0)
     gammas = np.linspace(0.0, math.tau, 10_000, endpoint=False)
     mod_dev = 0.0
+    theta_dev = 0.0
     id_dev = 0.0
     for g in gammas:
         beta = complex(math.cos(g), math.sin(g))
         ratio = (c_plus / e + beta * c_minus * e) / (c_plus + beta * c_minus)
         mod_dev = max(mod_dev, abs(abs(ratio) - 1.0))
-        momentum_bc_from_unitary(g)  # internal phase check must not trip
+        theta = momentum_bc_from_unitary(g).value
+        theta_dev = max(theta_dev, abs(complex(math.cos(theta), math.sin(theta)) - ratio))
         alpha = halfline_bc_from_unitary(g).value
         if math.isinf(alpha):
             continue
@@ -98,9 +100,10 @@ def test_extension_maps():
         lhs = alpha * alpha * 2.0 * math.cos(half) ** 2
         rhs = (math.sin(half) - math.cos(half)) ** 2
         id_dev = max(id_dev, abs(lhs - rhs))
-    ok = mod_dev <= 1e-12 and id_dev <= 1e-10
+    ok = mod_dev <= 1e-12 and theta_dev <= 1e-12 and id_dev <= 1e-10
     report(ok, f"02 extension maps over 1e4 gammas: |ratio|-1 {mod_dev:.2e} "
-               f"<= 1e-12, modulus identity {id_dev:.2e} <= 1e-10")
+               f"<= 1e-12, |e^(i theta) - ratio| {theta_dev:.2e} <= 1e-12, "
+               f"modulus identity {id_dev:.2e} <= 1e-10")
 
 
 # -- 03: momentum spectrum --------------------------------------------------

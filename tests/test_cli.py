@@ -142,6 +142,16 @@ def test_extend_momentum_gives_phase():
     assert 0.0 <= result["value"] < 2 * math.pi
 
 
+@pytest.mark.parametrize("operator", ["momentum", "hamiltonian"])
+@pytest.mark.parametrize("gamma", ["-3", "7", "100", "1e20", "1e308", "-1e308"])
+def test_extend_rerun_at_its_printed_gamma_prints_its_value(operator, gamma):
+    # --gamma 1e20 printed gamma 1.8956 beside the value 5.9483 of the
+    # unreduced phase, and a rerun at 1.8956 gave 1.1432
+    first = run_json(["extend", "--operator", operator, "--gamma", gamma])["result"]
+    again = run_json(["extend", "--operator", operator, "--gamma", repr(first["gamma"])])
+    assert again["result"] == first
+
+
 def test_spectrum_momentum_levels():
     payload = run_json(["spectrum", "--op", "momentum", "--theta", "0.5",
                         "--n-min", "-2", "--n-max", "2"])
@@ -2258,6 +2268,16 @@ def test_overflow_is_a_structured_error_not_a_nan(argv):
     for text in intervals if argv[0] == "deficiency" else []:
         a, b = map(float, text.split(","))
         assert f"[{a!r}, {b!r}]" in payload["error"]["message"]
+
+
+def test_a_probe_whose_far_end_overflows_is_refused_by_name():
+    # the refusal read "the length from 0.0 to inf leaves the float range",
+    # an inf the user never gave
+    code, text = run_cli(["geometry", "--metric", "polar", "--probe", "bump:1e300,1.7e308"])
+    assert code == 1
+    message = json.loads(text)["error"]["message"]
+    assert message == ("the probe bump:1e+300,1.7e+308: the grid's far end b + (b - a)/2 "
+                       "leaves the float range")
 
 
 @pytest.mark.parametrize("argv", [

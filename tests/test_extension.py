@@ -1,17 +1,17 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from saext.core import GridFunction, Interval, OperatorSpec, derivative_values
+from saext.core import BoundaryCondition, GridFunction, Interval, OperatorSpec, derivative_values
 from saext.deficiency import solve_deficiency
 from saext.errors import PreconditionError, UnsupportedExtensionError
 from saext.extension import (
     ExtensionParameter,
-    _bc_from_report,
     assemble_domain_element,
     halfline_bc_from_unitary,
     momentum_bc_from_unitary,
@@ -20,27 +20,30 @@ from saext.extension import (
 MOMENTUM_01 = OperatorSpec.momentum(Interval.finite(0.0, 1.0))
 HAMILTONIAN = OperatorSpec.free_hamiltonian()
 
-# Reference for the public maps: the catalog pairs on [0,1] and [0,inf) at
-# lambda = 1 written out as constants, and the two maps evaluated on them.
-_C_PLUS = math.sqrt(2.0) * math.e / math.sqrt(math.e**2 - 1.0)
-_C_MINUS = math.sqrt(2.0) / math.sqrt(math.e**2 - 1.0)
-_H_PSI0 = 2.0**0.25
-_H_MU = (1j - 1.0) / math.sqrt(2.0)
+EPS = 2.0**-52
 
 
-def _constant_theta(g):
-    beta = cmath.exp(1j * g)
-    ratio = (_C_PLUS / math.e + beta * _C_MINUS * math.e) / (_C_PLUS + beta * _C_MINUS)
-    return cmath.phase(ratio) % (2.0 * math.pi)
+def _report_bc(report, gamma):
+    """The condition that xi's deficiency part meets at the ends of the report's interval.
 
-
-def _constant_alpha(g):
-    half = 0.5 * g
-    denom = (cmath.exp(-1j * half) * _H_PSI0).real
-    numer = (cmath.exp(-1j * half) * _H_MU * _H_PSI0).real
-    if abs(denom) < 1e-12 * _H_PSI0:
-        return math.inf
-    return numer / denom
+    Read off the closed forms of the pair, psi_+-' = rate_+- psi_+-: the
+    oracle of the maps on any interval and lambda.  On the half line the
+    ratio goes through xi(a) = 2 Re(e^{-i g/2} psi_+(a)) e^{i g/2}, which
+    stays accurate near g = pi, where 1 + e^{i g} cancels.
+    """
+    plus, minus = report.basis_plus[0], report.basis_minus[0]
+    iv = plus.interval
+    if iv.kind == "finite":
+        beta = cmath.exp(1j * gamma)
+        xi_a, xi_b = (complex(plus.closed_form(x) + beta * minus.closed_form(x))
+                      for x in (iv.a, iv.b))
+        return BoundaryCondition.phase(cmath.phase(xi_b / xi_a))
+    turn = cmath.exp(-0.5j * gamma)
+    p_a = complex(plus.closed_form(iv.a))
+    denom = (turn * p_a).real
+    if abs(denom) < 1e-12 * abs(p_a):
+        return BoundaryCondition.robin(math.inf)
+    return BoundaryCondition.robin((turn * plus.rate * p_a).real / denom)
 
 
 def test_extension_parameter_reduced():
@@ -145,22 +148,62 @@ def test_halfline_alpha_monotone_and_zero_at_neumann():
 # maps read off the deficiency catalog
 # ---------------------------------------------------------------------------
 
-@given(st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
-@settings(max_examples=200, deadline=None)
-@example(math.pi)
-@example(0.5 * math.pi)
-@example(1.5 * math.pi)
-@example(0.0)
-def test_maps_match_the_constant_formulas(gamma):
-    gap = abs(momentum_bc_from_unitary(gamma).value - _constant_theta(gamma))
-    assert min(gap, 2.0 * math.pi - gap) <= 1e-15
-    assert halfline_bc_from_unitary(gamma).value == _constant_alpha(gamma)
+#: 10^4 gammas over [0, 2pi), the quarter turns, the last float below 2pi
+#: and a subnormal.
+_GAMMAS = [*np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False).tolist(),
+           0.0, 0.5 * math.pi, 1.5 * math.pi, 2.0 * math.pi - 2.0**-50, 1e-320]
+
+
+def _mp_theta(gamma):
+    """arg of xi(1)/xi(0) for the lambda = 1 pair c_+ e^{-x}, c_- e^{x} on [0, 1], in [0, 2pi)."""
+    e = mpmath.e
+    c_plus, c_minus = e, mpmath.mpf(1)  # the common factor sqrt 2/sqrt(e^2 - 1) cancels
+    beta = mpmath.expj(gamma)
+    return mpmath.arg((c_plus / e + beta * c_minus * e) / (c_plus + beta * c_minus)) % (2 * mpmath.pi)
+
+
+def _mp_alpha(gamma):
+    """Re((mu + beta conj mu)/(1 + beta)), mu = (i - 1)/sqrt 2: xi'(0)/xi(0) on [0, inf)."""
+    mu = mpmath.mpc(-1, 1) / mpmath.sqrt(2)
+    beta = mpmath.expj(gamma)
+    return mpmath.re((mu + beta * mpmath.conj(mu)) / (1 + beta))
+
+
+def test_maps_match_the_constant_formulas():
+    """Each map within a few ulps of a 50-digit value of its definition."""
+    with mpmath.workdps(50):
+        for gamma in _GAMMAS:
+            gap = (momentum_bc_from_unitary(gamma).value - _mp_theta(gamma)) % (2 * mpmath.pi)
+            assert min(gap, 2 * mpmath.pi - gap) <= 4 * EPS, gamma
+            alpha = halfline_bc_from_unitary(gamma).value
+            if alpha == math.inf:
+                assert abs(mpmath.cos(mpmath.mpf(gamma) / 2)) < 1e-12, gamma
+                continue
+            assert abs(alpha - _mp_alpha(gamma)) <= 2 * EPS * (1 + abs(alpha)), gamma
+
+
+@pytest.mark.parametrize("gamma", [-3.0, 7.0, 100.0, 1e20, 1e308, -1e308])
+def test_a_map_reads_gamma_as_its_extension_parameter(gamma):
+    # momentum_bc_from_unitary(1e20) gave 5.948 against 1.143 for the
+    # reduced phase, and at 100 alpha differed in its 13th digit
+    parameter = ExtensionParameter(gamma)
+    assert momentum_bc_from_unitary(gamma) == momentum_bc_from_unitary(parameter)
+    assert halfline_bc_from_unitary(gamma) == halfline_bc_from_unitary(parameter)
+    assert momentum_bc_from_unitary(gamma) == momentum_bc_from_unitary(parameter.gamma)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+def test_a_phase_that_is_not_finite_is_refused(gamma):
+    # the maps raised cmath's "math domain error" at +-inf and gave nan at nan
+    for call in (ExtensionParameter, momentum_bc_from_unitary, halfline_bc_from_unitary):
+        with pytest.raises(PreconditionError, match="the phase gamma must be finite"):
+            call(gamma)
 
 
 def test_momentum_off_the_default_interval():
     """On [0,2], gamma = 2 the element's phase, not the frozen [0,1] one."""
     report = solve_deficiency(OperatorSpec.momentum(Interval.finite(0.0, 2.0)))
-    assert _bc_from_report(report, 2.0).value == pytest.approx(1.7407, abs=1e-4)
+    assert _report_bc(report, 2.0).value == pytest.approx(1.7407, abs=1e-4)
     assert momentum_bc_from_unitary(2.0).value == pytest.approx(1.2477, abs=1e-4)
 
 
@@ -168,21 +211,31 @@ def test_halfline_alpha_scales_with_root_lambda():
     report = solve_deficiency(HAMILTONIAN, lam=4.0)
     for g in (0.0, 1.0, 2.5, 4.0):
         expected = 2.0 * (math.tan(g / 2.0) - 1.0) / math.sqrt(2.0)
-        assert _bc_from_report(report, g).value == pytest.approx(expected, rel=1e-12)
-    assert _bc_from_report(report, math.pi).is_dirichlet_limit
+        assert _report_bc(report, g).value == pytest.approx(expected, rel=1e-12)
+    assert _report_bc(report, math.pi).is_dirichlet_limit
 
 
 def test_halfline_alpha_ignores_where_the_half_line_starts():
     origin = solve_deficiency(HAMILTONIAN)
     shifted = solve_deficiency(OperatorSpec.free_hamiltonian(Interval.half_line(2.0)))
     for g in (0.0, 1.0, 2.5, math.pi, 4.0):
-        assert _bc_from_report(shifted, g) == _bc_from_report(origin, g)
+        assert _report_bc(shifted, g) == _report_bc(origin, g)
 
 
-def test_bc_routine_rejects_wrong_indices():
-    report = solve_deficiency(OperatorSpec.momentum(Interval.half_line(0.0)))
-    with pytest.raises(UnsupportedExtensionError):
-        _bc_from_report(report, 1.0)
+@given(st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
+@settings(max_examples=200, deadline=None)
+@example(math.pi)
+@example(0.5 * math.pi)
+@example(0.0)
+def test_maps_are_the_conditions_of_the_catalog_reports(gamma):
+    momentum = _report_bc(solve_deficiency(MOMENTUM_01, n=2), gamma).value
+    gap = abs(momentum_bc_from_unitary(gamma).value - momentum)
+    assert min(gap, 2.0 * math.pi - gap) <= 4 * EPS
+    alpha = _report_bc(solve_deficiency(HAMILTONIAN, n=2), gamma).value
+    if alpha == math.inf:
+        assert halfline_bc_from_unitary(gamma).is_dirichlet_limit
+    else:
+        assert abs(halfline_bc_from_unitary(gamma).value - alpha) <= 4 * EPS * (1 + abs(alpha))
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),
@@ -198,7 +251,7 @@ def test_momentum_round_trip_on_random_intervals(a, length, lam, gamma):
     u = (xs - a) / length
     psi = GridFunction(xs, np.sin(2.0 * np.pi * u) * (u * (1.0 - u)) ** 2)
     xi = assemble_domain_element(psi, gamma, report).values
-    theta = _bc_from_report(report, gamma).value
+    theta = _report_bc(report, gamma).value
     assert abs(xi[-1] - cmath.exp(1j * theta) * xi[0]) <= 1e-8 * abs(xi[0])
 
 
@@ -214,7 +267,7 @@ def test_halfline_round_trip_over_lambda(lam, gamma):
     xs = np.linspace(0.0, 40.0 / root, 16001)
     psi = GridFunction(xs, (root * xs) ** 2 * np.exp(-root * xs))
     xi = assemble_domain_element(psi, gamma, report)
-    bc = _bc_from_report(report, gamma)
+    bc = _report_bc(report, gamma)
     scale = abs(report.basis_plus[0].closed_form(0.0))
     if bc.is_dirichlet_limit:
         assert abs(xi.values[0]) <= 1e-8 * scale

@@ -172,6 +172,9 @@ _DEFICIENCY = ["core", "deficiency", "errors"]
 #: The Robin closed forms, which load no numpy.
 _ROBIN = ["errors", "robin"]
 _SWEEP_ANOMALY = ["sweep", "anomaly", "--sweep", "alpha=-4:-0.25:16"]
+#: The extension maps' closed forms, which load no numpy.
+_EXTENSION = ["errors", "extension"]
+_SWEEP_EXTEND = ["sweep", "extend", "--operator", "hamiltonian", "--sweep", "gamma=0:3:16"]
 
 #: (argv, exit code, the saext modules it loads, whether it loads numpy);
 #: nothing else is loaded.  A run that writes a list, such as a spectrum's
@@ -204,7 +207,11 @@ _LOADS = {
     "spectrum-robin": (GOLDEN["spectrum"], 0, ["_chunks", *_SPECTRAL], True),
     "boundstate": (GOLDEN["boundstate"], 0, _SPECTRAL, True),
     "deficiency": (GOLDEN["deficiency"], 0, ["_chunks", *_DEFICIENCY], True),
-    "extend": (GOLDEN["extend"], 0, sorted([*_DEFICIENCY, "extension"]), True),
+    "extend": (GOLDEN["extend"], 0, _EXTENSION, False),
+    "extend-momentum": (["extend", "--operator", "momentum", "--gamma", "1"], 0, _EXTENSION,
+                        False),
+    "sweep-extend": (_SWEEP_EXTEND, 0, ["_chunks", *_EXTENSION], False),
+    "sweep-extend-csv": ([*_SWEEP_EXTEND, "--csv"], 0, ["_chunks", *_EXTENSION], False),
     "paradox": (GOLDEN["paradox"], 0, ["core", "discrete", "errors"], True),
     "paradox-1": (["paradox", "--id", "1"], 0, ["core", "discrete", "errors", "robin",
                                                 "spectral"], True),
@@ -231,9 +238,10 @@ def test_a_cli_process_loads_only_what_its_subcommand_runs(name):
     assert out["saext"] == modules
     assert out["numpy"] is numpy
     # --version, --help and a usage error never reach a runner or a writer;
-    # the cells of these CSVs are floats alone, written by float repr
+    # the cells of these CSVs are floats alone, written by float repr, but
+    # for extend's, whose variant string and flag the JSON encoder writes
     csv = "--csv" in argv
-    assert out["json"] is (modules != ["errors"] and not csv)
+    assert out["json"] is (modules != ["errors"] and (not csv or "extension" in modules))
     assert out["csv"] is csv
 
 
@@ -243,6 +251,48 @@ def test_the_robin_closed_forms_load_neither_numpy_nor_core():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=_env(), timeout=120, check=True)
     assert json.loads(proc.stdout) == ["saext", "saext.errors", "saext.robin"]
+
+
+def test_the_extension_maps_load_neither_numpy_nor_core():
+    probe = ("import json, sys, saext.extension; print(json.dumps(sorted(m for m in "
+             "sys.modules if m.startswith('saext') or m == 'numpy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_env(), timeout=120, check=True)
+    assert json.loads(proc.stdout) == ["saext", "saext.errors", "saext.extension"]
+
+
+def _readme_load_table() -> list:
+    """(subcommands, modules, modules of some variants only, numpy) of each README table row."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| subcommand | library modules | numpy |\n| --- | --- | --- |\n"
+    assert header in text
+    rows = []
+    for line in text.split(header, 1)[1].splitlines():
+        if not line.startswith("|"):
+            break
+        names, modules, numpy = (cell.strip() for cell in line.strip("|").split("|"))
+        shared, _, variants = modules.partition("(")
+        rows.append((re.findall(r"`([^`]+)`", names), re.findall(r"`(\w+)`", shared),
+                     re.findall(r"`(\w+)`", variants), {"yes": True, "no": False}[numpy]))
+    return rows
+
+
+def test_the_readme_load_table_is_what_each_subcommand_loads():
+    # each row against the runs of _LOADS that exit 0, and each of those in a row
+    runs = [(" ".join(argv) + " ", modules, numpy) for argv, code, modules, numpy
+            in _LOADS.values() if code == 0 and not argv[0].startswith("-")]
+    listed = set()
+    for names, shared, variants, numpy in _readme_load_table():
+        for name in names:
+            mine = [i for i, run in enumerate(runs) if run[0].startswith(name + " ")]
+            assert mine, name
+            for i in mine:
+                argv, modules, loads_numpy = runs[i]
+                library = sorted(set(modules) - {"errors", "_chunks"})
+                assert library in (sorted(shared), sorted([*shared, *variants])), argv
+                assert loads_numpy is numpy, argv
+            listed.update(mine)
+    assert listed == set(range(len(runs)))
 
 
 def test_the_packages_robin_closed_forms_load_neither_numpy_nor_core():
