@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import _SAMPLE_BYTES, _check_budget
+from .core import _sample_grid
 from .errors import PreconditionError, SingularityError
 
 __all__ = [
@@ -263,7 +263,6 @@ def _flow(v: PowerLawPotential, state0: Sequence[float], t_end: float, samples: 
     """
     if not samples >= 2:
         raise PreconditionError("need at least 2 samples, got %r" % (samples,))
-    _check_budget(_SAMPLE_BYTES * samples, "a flow of %d samples" % samples)
     q0, p0 = float(state0[0]), float(state0[1])
     if not q0 > 0.0:
         raise PreconditionError("flow starts on the q > 0 side, got q0=%r" % (q0,))
@@ -271,7 +270,7 @@ def _flow(v: PowerLawPotential, state0: Sequence[float], t_end: float, samples: 
         raise PreconditionError("t_end must be positive, got %r" % (t_end,))
     g, s = v.g, v.s
     closed = s in _CLOSED_EXPONENTS
-    ts = np.linspace(0.0, t_end, samples)
+    ts = _sample_grid(0.0, t_end, samples, "the flow's time grid")
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         qs, ps, rest = _closed(g, s, q0, p0, ts) if closed else _energy_flow(v, q0, p0, ts)
         potential = v.value(qs)

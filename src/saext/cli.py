@@ -42,8 +42,6 @@ _SWEEP_LIMIT = 1_000_000
 # ---------------------------------------------------------------------------
 
 def _parse_units(text: str) -> UnitSystem:
-    from .core import UnitSystem
-
     fields = {"hbar": 1.0}
     for part in text.split(","):
         if not part:
@@ -57,15 +55,15 @@ def _parse_units(text: str) -> UnitSystem:
             fields[key] = float(value)
         except ValueError:
             raise argparse.ArgumentTypeError("bad unit value %r" % (value,))
-    try:
-        return UnitSystem(**fields)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    # UnitSystem's own check, made before core is loaded
+    if not 0.0 < fields["hbar"] < math.inf:
+        raise argparse.ArgumentTypeError("hbar must be finite and positive")
+    from .core import UnitSystem
+
+    return UnitSystem(**fields)
 
 
 def _parse_interval(text: str) -> Interval:
-    from .core import Interval
-
     try:
         a_text, b_text = text.split(",")
         a, b = float(a_text), float(b_text)
@@ -76,14 +74,15 @@ def _parse_interval(text: str) -> Interval:
     if math.isfinite(a) and math.isfinite(b):
         if not a < b:
             raise argparse.ArgumentTypeError("interval needs a < b")
+    elif not (b == math.inf and (math.isfinite(a) or a == -math.inf)):
+        raise argparse.ArgumentTypeError(
+            "supported intervals: a,b / a,inf / -inf,inf; got %r" % (text,)
+        )
+    from .core import Interval
+
+    if b < math.inf:
         return Interval.finite(a, b)
-    if math.isfinite(a) and b == math.inf:
-        return Interval.half_line(a)
-    if a == -math.inf and b == math.inf:
-        return Interval.full_line()
-    raise argparse.ArgumentTypeError(
-        "supported intervals: a,b / a,inf / -inf,inf; got %r" % (text,)
-    )
+    return Interval.half_line(a) if a > -math.inf else Interval.full_line()
 
 
 def _parse_probe(text: str) -> dict:
@@ -669,7 +668,7 @@ def _bump_values(xs: np.ndarray, center: float, width: float) -> np.ndarray:
 
 
 def _run_geometry(args) -> dict:
-    from .core import _SAMPLE_BYTES, GridFunction, _check_budget, _sample_grid, inner_product
+    from .core import GridFunction, _sample_grid, inner_product
     from .geometry import (
         commutator_preservation_check,
         connection_condition,
@@ -684,7 +683,6 @@ def _run_geometry(args) -> dict:
     if far_end == math.inf:
         raise PreconditionError("the probe bump:%r,%r: the grid's far end b + (b - a)/2 "
                                 "leaves the float range" % (a, b))
-    _check_budget(_SAMPLE_BYTES * args.grid_n, "a grid of %d samples" % args.grid_n)
     xs = _sample_grid(0.0, far_end, args.grid_n, "the grid of the probe bump:%r,%r" % (a, b))
     values = _bump_values(xs, 0.5 * (a + b), 0.5 * (b - a))
     if not values.any():

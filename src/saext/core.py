@@ -97,15 +97,16 @@ _SAMPLE_BYTES = 256
 _LEVEL_BYTES = 2048
 
 
-def _check_budget(nbytes: int, what: str) -> None:
+def _check_budget(nbytes: int, what: str, needs: str = "needs") -> None:
     if nbytes > _MEMORY_BUDGET:
         raise PreconditionError(
-            "%s needs about %.3g GiB of arrays, over the %d GiB memory budget"
-            % (what, nbytes / 2**30, _MEMORY_BUDGET >> 30))
+            "%s %s about %.3g GiB of arrays, over the %d GiB memory budget"
+            % (what, needs, nbytes / 2**30, _MEMORY_BUDGET >> 30))
 
 
 def _sample_grid(a: float, b: float, n: int, what: str) -> np.ndarray:
-    """n evenly spaced samples from a to b, refused where b - a overflows or floats repeat one."""
+    """n evenly spaced samples from a to b, charged _SAMPLE_BYTES each to the memory budget."""
+    _check_budget(_SAMPLE_BYTES * n, "%s: %d samples" % (what, n), "need")
     if not b - a < math.inf:
         raise PreconditionError("%s: the length from %r to %r leaves the float range"
                                 % (what, a, b))
@@ -279,7 +280,7 @@ class GridFunction:
     @classmethod
     def uniform(cls, fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                 n: int, weight: str = "1") -> "GridFunction":
-        xs = np.linspace(a, b, n)
+        xs = _sample_grid(a, b, n, "the uniform grid")
         return cls(xs, fn(xs), weight)
 
     # -- basics -------------------------------------------------------------

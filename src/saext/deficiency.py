@@ -32,11 +32,9 @@ from .core import (
     HALF_LINE,
     MOMENTUM,
     TIME_OPERATOR,
-    _SAMPLE_BYTES,
     GridFunction,
     Interval,
     OperatorSpec,
-    _check_budget,
     _sample_grid,
     derivative_values,
 )
@@ -170,7 +168,6 @@ def solve_deficiency(op: OperatorSpec, lam: float = 1.0,
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    _check_budget(_SAMPLE_BYTES * n, "a deficiency basis on n=%d samples" % n)
     iv = op.interval
     basis_plus: list[DeficiencySolution] = []
     basis_minus: list[DeficiencySolution] = []

@@ -19,6 +19,7 @@ from .core import (
     GridFunction,
     UnitSystem,
     _check_budget,
+    _sample_grid,
     derivative_values,
     inner_product,
     norm,
@@ -243,7 +244,6 @@ def eigenvector_commutator_demo(
     if not abs(theta) <= _THETA_MAX:
         raise PreconditionError("the twist needs |theta| <= %g to meet the printed "
                                 "tolerances, got theta=%r" % (_THETA_MAX, theta))
-    _check_budget(_SAMPLE_BYTES * n, "a twisted ring of n=%d" % n)
     lam, vec = discretized_momentum_eigpair(theta, n, mode)
     phi = abs(math.tau * ((mode + n // 2) % n - n // 2) + theta) / n
     expectation_tol = max(1e-8, _EXPECTATION_ROUNDING * n * np.finfo(float).eps * (1.0 + phi))
@@ -305,7 +305,7 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
                                 "of work, past the bound of %d (a level counts its grid plus "
                                 "%d)" % (n_max, grid_n, work, _WORK_MAX, _LEVEL_WORK))
     levels = well_spectrum(a, range(1, n_max + 1)).discrete
-    xs = np.linspace(0.0, a, grid_n)
+    xs = _sample_grid(0.0, a, grid_n, "the box's grid")
     quantities = {}
     per_stack = max(1, _STACK // grid_n)
     for stack in (slice(i, i + per_stack) for i in range(0, n_max, per_stack)):

@@ -83,12 +83,15 @@ _SUPPORT_TOL = 1e-13
 def _check_interior_support(f: GridFunction) -> None:
     # each function of a stack against its own amplitude, on the sample axis
     floor = _SUPPORT_TOL * np.max(np.abs(f.values), axis=-1)
+    first, last = f.xs[:_SUPPORT_PTS], f.xs[-_SUPPORT_PTS:]
     if np.any(np.max(np.abs(f.values[..., :_SUPPORT_PTS]), axis=-1) > floor):
         raise SingularSupportError(
-            "support touches the coordinate singularity at r=%g" % f.xs[0]
-        )
+            "support touches the coordinate singularity at r=%g: the function is nonzero "
+            "on the first %d samples, which end at r=%g" % (first[0], len(first), first[-1]))
     if np.any(np.max(np.abs(f.values[..., -_SUPPORT_PTS:]), axis=-1) > floor):
-        raise PreconditionError("support must stay inside the grid's far end")
+        raise PreconditionError("support must stay inside the grid's far end: the function "
+                                "is nonzero on the last %d samples, which begin at r=%g"
+                                % (len(last), last[0]))
 
 
 def _radial_momentum(

@@ -133,6 +133,8 @@ def well_spectrum(a: float, n_range: Sequence[int]) -> SpectrumResult:
     """Dirichlet levels E_n = (n*pi/a)^2 with psi_n = sqrt(2/a) sin(n*pi*x/a)."""
     if not a > 0.0:
         raise PreconditionError("well width must be positive, got %r" % (a,))
+    if a == math.inf:
+        raise PreconditionError("well width must be finite, got %r" % (a,))
     ns, nf = _labels(n_range)
     if ns and ns[0] <= 0:
         raise InvalidIndexError("well levels are labelled n = 1, 2, ...; got n=%d" % ns[0])
@@ -183,7 +185,6 @@ def bound_state(
         raise PreconditionError("the grid cutoff x_max must be positive, got %r" % (x_max,))
     if grid_n is None:
         grid_n = 3501
-    _check_budget(_SAMPLE_BYTES * grid_n, "a bound state on %d samples" % grid_n)
     xs = _sample_grid(0.0, x_max, grid_n, "the bound state's grid")
     return BoundState(energy, GridFunction(xs, _robin_levels(alpha).eigenfunctions(xs)[0]))
 
@@ -263,9 +264,11 @@ def discretized_momentum_eigpair(theta: float, n: int, mode: int):
     an exact eigenvector with eigenvalue -i*n*(exp(i*phi) - 1).  Modes m
     and m + n give the same eigenpair, so mode is taken modulo n, centred
     on 0 as in discretized_momentum_eigs; phi keeps its digits that way.
+    The ring is charged _SAMPLE_BYTES a site to the memory budget first.
     """
     if n < 64:
         raise TooCoarseError("twisted ring needs n >= 64, got n=%d" % n)
+    _check_budget(_SAMPLE_BYTES * n, "a twisted ring of n=%d" % n)
     mode = (mode + n // 2) % n - n // 2
     phi = (math.tau * mode + theta) / n
     lam = -1j * n * (cmath.exp(1j * phi) - 1.0)
@@ -285,10 +288,12 @@ def discretized_momentum_eigs(
     1/n.  The modulus grows with |2*pi*m + theta|, so modes +-m tie at
     theta = 0 and m, -m-1 at theta = pi; a tie lists the negative mode
     first.  ``count`` keeps the smallest ``count`` of the n values
-    (``None``: all of them).
+    (``None``: all of them).  The ring is charged _SAMPLE_BYTES a site to
+    the memory budget first.
     """
     if n < 64:
         raise TooCoarseError("twisted ring needs n >= 64, got n=%d" % n)
+    _check_budget(_SAMPLE_BYTES * n, "a twisted ring of n=%d" % n)
     if count is None:
         count = n
     elif not 1 <= count <= n:

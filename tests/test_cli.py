@@ -916,12 +916,20 @@ def test_inverse_square_flow_stays_below_50mb():
     assert maxrss_kib / 1024 < 50
 
 
-#: Runs argv[2:] through the CLI with its address space capped at argv[1] bytes.
+#: Runs the interpreter on argv[2:] with its address space capped at argv[1] bytes.
 _CAPPED = """
 import os, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
-os.execv(sys.executable, [sys.executable, "-m", "saext.cli", *sys.argv[2:]])
+os.execv(sys.executable, [sys.executable, *sys.argv[2:]])
 """
+
+
+def _run_capped(*argv) -> subprocess.CompletedProcess:
+    """The interpreter on argv, its address space capped at 512 MiB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", _CAPPED, str(512 << 20), *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("argv", [
@@ -940,15 +948,35 @@ def test_an_array_past_the_memory_budget_is_refused_before_it_is_made(argv):
     # 1000000 704 MB; 1e8 ran for over a minute.  Under a 512 MiB cap a
     # size that is not checked first ends in a MemoryError, not in a
     # machine out of memory
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _CAPPED, str(512 << 20), *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _run_capped("-m", "saext.cli", *argv)
     assert proc.returncode == 1
     assert proc.stderr == ""
     error = json.loads(proc.stdout)["error"]
     assert error["code"] == "precondition"
     assert "memory budget" in error["message"]
+
+
+@pytest.mark.parametrize("call", [
+    "core.GridFunction.uniform(abs, 0.0, 1.0, 10**8)",
+    "spectral.discretized_momentum_eigs(0.5, 10**8)",
+    "spectral.discretized_momentum_eigpair(0.5, 10**8, 1)",
+])
+def test_a_library_grid_past_the_memory_budget_is_refused_before_it_is_made(call):
+    # each laid out its 1e8 samples, 1.6 GB at the least, with no budget
+    probe = ("from saext import core, errors, spectral\ntry:\n    %s\n"
+             "except errors.PreconditionError as exc:\n    print(exc)" % call)
+    proc = _run_capped("-c", probe)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "memory budget" in proc.stdout
+
+
+def test_a_full_line_momentum_basis_samples_nothing():
+    # the basis is empty, so no grid is laid out and --grid-n is charged nothing
+    proc = _run_capped("-m", "saext.cli", "deficiency", "--op", "momentum",
+                       "--interval=-inf,inf", "--grid-n", "100000000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout)["result"]
+    assert (result["n_plus"], result["n_minus"], result["basis"]) == (0, 0, [])
 
 
 def test_json_sweep_memory_is_flat_in_the_number_of_points():
@@ -2278,6 +2306,22 @@ def test_a_probe_whose_far_end_overflows_is_refused_by_name():
     message = json.loads(text)["error"]["message"]
     assert message == ("the probe bump:1e+300,1.7e+308: the grid's far end b + (b - a)/2 "
                        "leaves the float range")
+
+
+@pytest.mark.parametrize("grid_n, code, message", [
+    (7, "singular-support", "support touches the coordinate singularity at r=0: the function "
+     "is nonzero on the first 4 samples, which end at r=1.25"),
+    (9, "precondition", "support must stay inside the grid's far end: the function is "
+     "nonzero on the last 4 samples, which begin at r=1.5625"),
+])
+def test_a_grid_too_coarse_for_its_probe_says_so(grid_n, code, message):
+    # the support [1, 2] is far from either end of the grid [0, 2.5]; on so
+    # few samples the first or last 4 reach into it
+    status, text = run_cli(["geometry", "--metric", "flat", "--probe", "bump:1,2",
+                            "--grid-n", str(grid_n)])
+    assert status == 1
+    assert json.loads(text)["error"] | {"context": None} == {
+        "code": code, "message": message, "context": None}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,17 @@
+import ast
+import inspect
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saext.classical import PowerLawPotential, dilatation_drift_report
 from saext.core import (
+    _sample_grid,
     _unit_stencil,
     _window_size,
     BoundaryCondition,
@@ -23,6 +28,7 @@ from saext.core import (
     norm,
     quadrature_weights,
 )
+from saext.discrete import commuting_observables_demo
 from saext.errors import (
     DegenerateGridError,
     GridMismatchError,
@@ -510,3 +516,40 @@ def test_values_not_one_or_a_stack_of_functions_on_the_grid_are_refused():
             GridFunction(xs, values)
         with pytest.raises(ValueError):
             derivative_values(xs, values)
+
+
+# ---------------------------------------------------------------------------
+# evenly spaced grids
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: GridFunction.uniform(np.sin, 0.0, math.inf, 5), "the uniform grid: the length"),
+    (lambda: dilatation_drift_report(PowerLawPotential(1, 2), (1, 0.25), math.inf),
+     "the flow's time grid: the length"),
+    # the box's width is refused before its grid is laid out
+    (lambda: commuting_observables_demo(math.inf, 2, 11), "well width must be finite"),
+])
+def test_an_infinite_grid_is_refused_by_name_without_warnings(call, name):
+    # each multiplied inf by 0 in np.linspace with a RuntimeWarning; the first
+    # two then ended in "xs must be strictly increasing"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match=name):
+            call()
+
+
+def test_evenly_spaced_grids_are_laid_out_and_charged_in_one_place():
+    # np.linspace is called in core._sample_grid alone, which charges each
+    # grid to the memory budget; _SAMPLE_BYTES is read besides only where an
+    # array is charged that _sample_grid does not lay out
+    calls, reads = [], set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "saext").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "linspace":
+                calls.append((path.stem, node.lineno))
+            elif isinstance(node, ast.Name) and node.id == "_SAMPLE_BYTES":
+                reads.add(path.stem)
+    lines, first = inspect.getsourcelines(_sample_grid)
+    assert [module for module, _ in calls] == ["core"]
+    assert first <= calls[0][1] < first + len(lines)
+    assert reads == {"core", "discrete", "spectral"}

@@ -183,6 +183,13 @@ _LOADS = {
     "version": (["--version"], 0, ["errors"], False),
     "help": (["--help"], 0, ["errors"], False),
     "usage-error": (["boundstate"], 2, ["errors"], False),
+    # an --interval or --units text refused before core is loaded
+    "bad-interval-order": (["deficiency", "--op", "momentum", "--interval", "1,0"], 2,
+                           ["errors"], False),
+    "bad-interval-text": (["deficiency", "--op", "momentum", "--interval", "x"], 2,
+                          ["errors"], False),
+    "bad-units-key": (["paradox", "--id", "1", "--units", "foo=1"], 2, ["errors"], False),
+    "bad-units-hbar": (["paradox", "--id", "1", "--units", "hbar=-1"], 2, ["errors"], False),
     # a flag that the chosen variant does not read
     "foreign-flag-spectrum": (["spectrum", "--op", "robin", "--theta", "1"], 2, ["errors"],
                               False),

@@ -604,6 +604,12 @@ def test_a_momentum_level_past_the_float_range_warns_of_nothing():
             momentum_spectrum(0.0, Interval.finite(0.0, 1e-308), range(-5, 6))
 
 
+def test_a_well_of_infinite_width_is_refused_by_name():
+    # it returned the levels [0.0, 0.0] and eigenfunctions that were 0.0 everywhere
+    with pytest.raises(PreconditionError, match=r"well width must be finite, got inf"):
+        well_spectrum(math.inf, [1, 2])
+
+
 # ---------------------------------------------------------------------------
 # discretized cross-check
 # ---------------------------------------------------------------------------
