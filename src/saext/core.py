@@ -105,7 +105,9 @@ def _check_budget(nbytes: int, what: str, needs: str = "needs") -> None:
 
 
 def _sample_grid(a: float, b: float, n: int, what: str) -> np.ndarray:
-    """n evenly spaced samples from a to b, charged _SAMPLE_BYTES each to the memory budget."""
+    """n >= 2 evenly spaced samples from a to b, charged _SAMPLE_BYTES each to the budget."""
+    if n < 2:
+        raise DegenerateGridError("%s: need at least 2 samples, got %d" % (what, n))
     _check_budget(_SAMPLE_BYTES * n, "%s: %d samples" % (what, n), "need")
     if not b - a < math.inf:
         raise PreconditionError("%s: the length from %r to %r leaves the float range"

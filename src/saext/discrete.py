@@ -24,7 +24,7 @@ from .core import (
     inner_product,
     norm,
 )
-from .errors import PreconditionError
+from .errors import DegenerateGridError, PreconditionError
 
 __all__ = [
     "CosineBasisResult",
@@ -59,6 +59,15 @@ _LEVEL_WORK = 2_000
 _WORK_MAX = 60_000_000
 _STACK = 1 << 16  # samples in a stack of levels: 2**14 would hold one level of 10,001
 
+#: The work bound of trace_commutator_check, in drawn samples.  A trial
+#: costs 7-35 ns per sample (the most at the largest n the memory budget
+#: admits) plus ~10-15 us of its own, still counted as _TRIAL_WORK
+#: samples.  The largest accepted calls took 7.9 s (787,401 trials at
+#: n = 2), 8.5 s (751,879 at n = 4) and ~13 s (17 at n = 3344, 0.78 s a
+#: trial) on one core of a 2-CPU Xeon.
+_TRIAL_WORK = 500
+_TRACE_WORK_MAX = 400_000_000
+
 
 class Quantity(NamedTuple):
     """A reported number together with the tolerance it was established at."""
@@ -75,27 +84,27 @@ class ParadoxReport:
 
 
 def _hermitian_pair(rng: np.random.Generator, n: int, upper: np.ndarray) -> np.ndarray:
-    """An (X, P) pair, shape (2, n, n), from the law of (A + A^H)/2.
+    """An (X, P) pair, shape (2, n, n), of Hermitian matrices with iid uniform parts.
 
-    A has iid standard complex entries.  That law has an N(0, 1) diagonal
-    and N(0, 1/2) real and imaginary parts above it, so n**2 normals fill
-    one matrix: the diagonal, the real parts from the upper triangle and
-    the imaginary parts from the lower one.  One ``standard_normal`` call
-    draws both, X before P, the same normals as two calls of shape (n, n).
-    ``upper`` is the strict upper triangle mask.  The lower triangle of
-    each matrix is the exact conjugate of the upper.
+    n**2 uniforms u - 1/2 fill one matrix: the diagonal and the real parts
+    above it come from the upper triangle, the imaginary parts above it
+    from the lower one, and the imaginary diagonal is 0.  One ``random``
+    call draws both, X before P, the same uniforms as two calls of shape
+    (n, n).  Each u = k*2**-53, so u - 1/2 is exact and every part lies on
+    a fixed grid of [-1/2, 1/2).  ``upper`` is the strict upper triangle
+    mask.  The lower triangle of each matrix is the exact conjugate of the
+    upper.
     """
-    z = rng.standard_normal((2, n, n))
-    # every (n + 1)-th entry of a flattened matrix is on its diagonal
-    diagonal = z.reshape(2, n * n)[:, ::n + 1].copy()
-    z *= math.sqrt(0.5)
+    z = rng.random((2, n, n))
+    z -= 0.5
     zt = z.swapaxes(1, 2)
     x = np.empty(z.shape, dtype=complex)
     np.copyto(x.real, zt)
     np.copyto(x.real, z, where=upper)
     np.negative(z, out=x.imag)
     np.copyto(x.imag, zt, where=upper)
-    x.reshape(2, n * n)[:, ::n + 1] = diagonal
+    # every (n + 1)-th entry of a flattened matrix is on its diagonal
+    x.reshape(2, n * n)[:, ::n + 1].imag = 0.0
     return x
 
 
@@ -118,16 +127,21 @@ def trace_commutator_check(
 ) -> ParadoxReport:
     """Trace of any finite commutator vanishes, yet naively Tr[x,p] = i*hbar*N.
 
-    Draws ``trials`` random Hermitian pairs and reports the largest
-    commutator trace relative to the Frobenius norms, next to the
-    i*hbar*dim value the canonical relation would demand.  The commutator
-    trace and the two squared norms are dot products of the flattened
-    matrices, O(n**2) each.
+    Draws ``trials`` random Hermitian pairs, each part uniform on
+    [-1/2, 1/2), and reports the largest commutator trace relative to the
+    Frobenius norms, next to the i*hbar*dim value the canonical relation
+    would demand.  Tr[X,P] = 0 holds for every Hermitian pair, so the law
+    the pairs are drawn from changes only the rounding residual, not the
+    identity, its tolerance or the verdict.  The commutator trace and the
+    two squared norms are dot products of the flattened matrices, O(n**2)
+    each.
 
     A trial holds the two complex n x n matrices and the real samples they
     came from, 48*n**2 bytes.  The budget is charged 96*n**2 bytes per
     trial, so an n for which that exceeds _MEMORY_BUDGET (1 GiB, so
-    n > 3344) raises PreconditionError before anything is allocated.
+    n > 3344) raises PreconditionError before anything is allocated.  So
+    do trials whose work, each 2*n**2 samples plus _TRIAL_WORK, exceeds
+    _TRACE_WORK_MAX, before the first draw.
     """
     if n < 2:
         raise PreconditionError("need a matrix dimension of at least 2, got %d" % n)
@@ -136,6 +150,11 @@ def trace_commutator_check(
     if seed < 0:
         raise PreconditionError("the seed must be a non-negative integer, got %d" % seed)
     _check_budget(96 * n * n, "a trial at n=%d" % n)
+    work = trials * (2 * n * n + _TRIAL_WORK)
+    if work > _TRACE_WORK_MAX:
+        raise PreconditionError("%d trials at n=%d are %d samples of work, past the bound of %d "
+                                "(a trial counts its 2n^2 samples plus %d)"
+                                % (trials, n, work, _TRACE_WORK_MAX, _TRIAL_WORK))
     rng = np.random.default_rng(seed)
     upper = np.tri(n, k=-1, dtype=bool).T
     worst = 0.0
@@ -292,6 +311,8 @@ def commuting_observables_demo(a: float, n_max: int, grid_n: int = 10_001) -> Pa
 
     if n_max < 1:
         raise PreconditionError("need n_max >= 1, got %d" % n_max)
+    if grid_n < 2:
+        raise DegenerateGridError("the box's grid: need at least 2 samples, got %d" % grid_n)
     _check_budget(_LEVEL_BYTES * n_max + _SAMPLE_BYTES * grid_n,
                   "a range of %d levels on a grid of %d samples" % (n_max, grid_n))
     if n_max >= grid_n - 1:

@@ -2200,11 +2200,11 @@ def test_a_harmonic_well_whose_cube_of_w_overflows_runs_clean():
     assert result["deviation"] <= 1e-15 * result["drift"]
 
 
-def _run_process(argv):
+def _run_process(argv, timeout=60):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-m", "saext.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -2296,6 +2296,38 @@ def test_overflow_is_a_structured_error_not_a_nan(argv):
     for text in intervals if argv[0] == "deficiency" else []:
         a, b = map(float, text.split(","))
         assert f"[{a!r}, {b!r}]" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("grid_n", ["-1", "0", "1"])
+@pytest.mark.parametrize("argv, grid", [
+    (["boundstate", "--alpha", "-1"], "the bound state's grid"),
+    (["deficiency", "--op", "hamiltonian"], "the interval [0.0, inf]"),
+    (["geometry", "--metric", "polar"], "the grid of the probe bump:1.0,2.0"),
+    (["paradox", "--id", "3"], "the box's grid"),
+])
+def test_a_grid_of_fewer_than_two_samples_is_refused_by_name(argv, grid, grid_n):
+    # at --grid-n -1 the first three printed numpy's invalid-value "Number
+    # of samples, -1, must be non-negative.", and the box said "a grid of -1
+    # samples resolves the levels n <= -3"; geometry refused 0 and 1 as a
+    # probe that "is 0.0 on each of 0 samples"
+    code, text = run_cli([*argv, "--grid-n", grid_n])
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["code"] == "degenerate-grid"
+    assert error["message"] == "%s: need at least 2 samples, got %s" % (grid, grid_n)
+
+
+def test_a_trace_check_past_its_work_bound_is_refused_at_once():
+    # a billion trials at n = 2 ran for hours, ~10 us a trial
+    proc = _run_process(["paradox", "--id", "2", "--n", "2", "--trials", "1000000000"], timeout=5)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    jsonschema.validate(payload, cli.load_schema("error"))
+    assert payload["error"]["code"] == "precondition"
+    assert payload["error"]["message"] == (
+        "1000000000 trials at n=2 are 508000000000 samples of work, past the bound of "
+        "400000000 (a trial counts its 2n^2 samples plus 500)")
 
 
 def test_a_probe_whose_far_end_overflows_is_refused_by_name():

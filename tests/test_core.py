@@ -538,6 +538,19 @@ def test_an_infinite_grid_is_refused_by_name_without_warnings(call, name):
             call()
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_a_grid_of_fewer_than_two_samples_is_refused_by_name(n):
+    # at n = -1 numpy's linspace raised a bare ValueError, "Number of
+    # samples, -1, must be non-negative.", and the box demo said "a grid of
+    # -1 samples resolves the levels n <= -3"
+    with pytest.raises(DegenerateGridError,
+                       match="^the uniform grid: need at least 2 samples, got %d$" % n):
+        GridFunction.uniform(np.sin, 0.0, 1.0, n)
+    with pytest.raises(DegenerateGridError,
+                       match="^the box's grid: need at least 2 samples, got %d$" % n):
+        commuting_observables_demo(1.0, 3, grid_n=n)
+
+
 def test_evenly_spaced_grids_are_laid_out_and_charged_in_one_place():
     # np.linspace is called in core._sample_grid alone, which charges each
     # grid to the memory budget; _SAMPLE_BYTES is read besides only where an
@@ -553,3 +566,15 @@ def test_evenly_spaced_grids_are_laid_out_and_charged_in_one_place():
     assert [module for module, _ in calls] == ["core"]
     assert first <= calls[0][1] < first + len(lines)
     assert reads == {"core", "discrete", "spectral"}
+
+
+def test_no_normal_draws_in_the_library():
+    # the trace check's normal draws took most of a library pass; its
+    # identity holds for any law, and it draws uniforms
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "saext").rglob("*.py"))
+    calls = [(path.stem, node.lineno) for path in paths
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr == "standard_normal")
+             or (isinstance(node, ast.Name) and node.id == "standard_normal")]
+    assert "discrete" in {path.stem for path in paths}
+    assert calls == []

@@ -67,22 +67,21 @@ def test_trace_check_vanishes_for_any_dimension(n, seed):
 
 
 def _hermitian_draw(rng, n):
-    """One n x n draw from the law of (A + A^H)/2, one generator call per matrix.
+    """One n x n Hermitian draw with iid uniform parts, one generator call per matrix.
 
-    The reference for the pair draws: the diagonal is the diagonal of
-    the normals, the real parts above it come from the upper triangle and
-    the imaginary parts from the lower one, each scaled by sqrt(1/2).
+    The reference for the pair draws: the diagonal and the real parts
+    above it come from the upper triangle of the uniforms u - 1/2, the
+    imaginary parts above it from the lower one, and the imaginary
+    diagonal is 0.
     """
-    z = rng.standard_normal((n, n))
-    diagonal = z.diagonal().copy()
-    z *= math.sqrt(0.5)
+    z = rng.random((n, n)) - 0.5
     upper = np.tri(n, k=-1, dtype=bool).T
     x = np.empty((n, n), dtype=complex)
     np.copyto(x.real, z.T)
     np.copyto(x.real, z, where=upper)
     np.negative(z, out=x.imag)
     np.copyto(x.imag, z.T, where=upper)
-    np.fill_diagonal(x, diagonal)
+    np.fill_diagonal(x.imag, 0.0)
     return x
 
 
@@ -123,18 +122,44 @@ def test_hermitian_draw_is_exactly_hermitian():
         assert not np.any(x.diagonal().imag)
 
 
-def test_hermitian_draw_has_the_law_of_the_symmetrised_gaussian():
-    # (A + A^H)/2 with iid standard complex A: N(0, 1) on the diagonal,
-    # N(0, 1/2) real and imaginary parts off it; each sample variance
-    # must land within 5 of its standard errors, sigma^2 sqrt(2/count)
+def test_hermitian_draw_has_the_uniform_law():
+    # the diagonal and the real and imaginary parts above it are iid
+    # uniform on [-1/2, 1/2): mean 0 and variance 1/12, and each sample
+    # mean and variance must land within 5 of its standard errors,
+    # sqrt(1/(12 count)) and sqrt((1/80 - 1/144)/count)
     n = 256
     x = _pair(np.random.default_rng(20240607), n)[0]
     upper = x[np.triu_indices(n, 1)]
-    for values, variance in ((x.diagonal().real, 1.0), (upper.real, 0.5),
-                             (upper.imag, 0.5)):
-        spread = 5.0 * variance * math.sqrt(2.0 / values.size)
-        assert abs(np.mean(values * values) - variance) <= spread
-        assert abs(np.mean(values)) <= 5.0 * math.sqrt(variance / values.size)
+    for values in (x.diagonal().real, upper.real, upper.imag):
+        assert np.all((-0.5 <= values) & (values < 0.5))
+        assert abs(np.mean(values)) <= 5.0 * math.sqrt(1.0 / (12.0 * values.size))
+        spread = 5.0 * math.sqrt((1.0 / 80.0 - 1.0 / 144.0) / values.size)
+        assert abs(np.mean(values * values) - 1.0 / 12.0) <= spread
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_hermitian_draw_parts_lie_on_the_grid_of_the_uniforms(n):
+    # every u from Generator.random is k*2**-53, and u - 1/2 is exact, so
+    # every part is k*2**-53 - 1/2 for an integer k, 0 <= k <= 2**53 (the
+    # imaginary parts below the diagonal are negated); ldexp is exact
+    for x in _pair(np.random.default_rng(n), n):
+        for part in (x.real, x.imag):
+            k = np.ldexp(part, 53) + 2.0 ** 52
+            assert np.array_equal(k, np.floor(k))
+            assert np.all((0.0 <= k) & (k <= 2.0 ** 53))
+
+
+def test_trace_check_past_its_work_bound_is_refused_before_the_first_draw(monkeypatch):
+    # --n 2 --trials 1000000000 ran for hours; one trial fewer than each of
+    # these is accepted
+    monkeypatch.setattr(discrete, "_hermitian_pair", mock.Mock(side_effect=AssertionError("ran")))
+    for n in (2, 64, 3344):
+        trials = discrete._TRACE_WORK_MAX // (2 * n * n + discrete._TRIAL_WORK) + 1
+        with pytest.raises(PreconditionError, match="%d trials at n=%d are .* past the bound "
+                           "of 400000000" % (trials, n)):
+            trace_commutator_check(n, trials)
+    # the golden (8, 100) and the benchmark's (64, 100) take under 1% of it
+    assert 100 * (2 * 64 * 64 + discrete._TRIAL_WORK) < discrete._TRACE_WORK_MAX // 100
 
 
 @pytest.mark.parametrize("n", [2, 7, 64, 200])
