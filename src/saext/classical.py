@@ -261,8 +261,6 @@ def _flow(v: PowerLawPotential, state0: Sequence[float], t_end: float, samples: 
     float range by t_end, or at s = -2 comes within rounding of q = 0,
     raises PreconditionError.
     """
-    if not samples >= 2:
-        raise PreconditionError("need at least 2 samples, got %r" % (samples,))
     q0, p0 = float(state0[0]), float(state0[1])
     if not q0 > 0.0:
         raise PreconditionError("flow starts on the q > 0 side, got q0=%r" % (q0,))

@@ -83,38 +83,37 @@ class ParadoxReport:
     verdict: str
 
 
-def _hermitian_pair(rng: np.random.Generator, n: int, upper: np.ndarray) -> np.ndarray:
-    """An (X, P) pair, shape (2, n, n), of Hermitian matrices with iid uniform parts.
+def _hermitian_pair(rng: np.random.Generator, n: int, out: np.ndarray) -> None:
+    """Fill ``out``, shape (2, n**2) complex, with an (X, P) pair of Hermitian matrices.
 
-    n**2 uniforms u - 1/2 fill one matrix: the diagonal and the real parts
-    above it come from the upper triangle, the imaginary parts above it
-    from the lower one, and the imaginary diagonal is 0.  One ``random``
-    call draws both, X before P, the same uniforms as two calls of shape
-    (n, n).  Each u = k*2**-53, so u - 1/2 is exact and every part lies on
-    a fixed grid of [-1/2, 1/2).  ``upper`` is the strict upper triangle
-    mask.  The lower triangle of each matrix is the exact conjugate of the
-    upper.
+    Each row lists one matrix's entries, not row by row but as its
+    diagonal, then its upper triangle by rows (the order of
+    ``np.triu_indices(n, 1)``), then its lower triangle in the same order,
+    the exact conjugate of the upper.  n**2 uniforms u - 1/2 fill one
+    matrix: the first n are the diagonal, and the rest, read as interleaved
+    real and imaginary parts, the upper triangle.  One ``random`` call
+    draws both, X before P, the same uniforms as two calls of n**2 each.
+    Each u = k*2**-53, so u - 1/2 is exact and every part lies on a fixed
+    grid of [-1/2, 1/2).  The imaginary diagonal of ``out`` is never
+    written, so a zeroed buffer keeps it 0 across draws.
     """
-    z = rng.random((2, n, n))
+    z = rng.random((2, n * n))
     z -= 0.5
-    zt = z.swapaxes(1, 2)
-    x = np.empty(z.shape, dtype=complex)
-    np.copyto(x.real, zt)
-    np.copyto(x.real, z, where=upper)
-    np.negative(z, out=x.imag)
-    np.copyto(x.imag, zt, where=upper)
-    # every (n + 1)-th entry of a flattened matrix is on its diagonal
-    x.reshape(2, n * n)[:, ::n + 1].imag = 0.0
-    return x
+    end = n + n * (n - 1) // 2
+    out.real[:, :n] = z[:, :n]
+    out[:, n:end] = z[:, n:].view(complex)
+    np.conjugate(out[:, n:end], out=out[:, end:])
 
 
 def _commutator_trace(x: np.ndarray, p: np.ndarray) -> complex:
     """Tr(XP) - Tr(PX) of two Hermitian matrices, without forming the products.
 
     Tr(XP) = sum_ij X_ij P_ji = sum_ij conj(P_ij) X_ij is vdot(p, x) on the
-    flattened matrices, term by term, because P_ji = conj(P_ij) exactly;
-    likewise Tr(PX) is vdot(x, p), the conjugate of vdot(p, x).  So the
-    difference is 2i Im vdot(p, x), from one dot product.
+    entries listed in the same order, term by term, because
+    P_ji = conj(P_ij) exactly; the sum is over all n**2 pairs (i, j), so
+    any common order gives it.  Likewise Tr(PX) is vdot(x, p), the
+    conjugate of vdot(p, x).  So the difference is 2i Im vdot(p, x), from
+    one dot product.
     """
     return 2j * float(np.vdot(p, x).imag)
 
@@ -133,13 +132,14 @@ def trace_commutator_check(
     would demand.  Tr[X,P] = 0 holds for every Hermitian pair, so the law
     the pairs are drawn from changes only the rounding residual, not the
     identity, its tolerance or the verdict.  The commutator trace and the
-    two squared norms are dot products of the flattened matrices, O(n**2)
-    each.
+    two squared norms are dot products of the two matrices' entries, listed
+    in the same order (see _hermitian_pair), O(n**2) each.
 
-    A trial holds the two complex n x n matrices and the real samples they
-    came from, 48*n**2 bytes.  The budget is charged 96*n**2 bytes per
-    trial, so an n for which that exceeds _MEMORY_BUDGET (1 GiB, so
-    n > 3344) raises PreconditionError before anything is allocated.  So
+    A call holds one buffer of the two complex matrices, filled anew by
+    every trial, and the real samples of one draw, 48*n**2 bytes whatever
+    the number of trials.  The budget is charged 96*n**2 bytes, so an n
+    for which that exceeds _MEMORY_BUDGET (1 GiB, so n > 3344) raises
+    PreconditionError before anything is allocated.  So
     do trials whose work, each 2*n**2 samples plus _TRIAL_WORK, exceeds
     _TRACE_WORK_MAX, before the first draw.
     """
@@ -156,10 +156,11 @@ def trace_commutator_check(
                                 "(a trial counts its 2n^2 samples plus %d)"
                                 % (trials, n, work, _TRACE_WORK_MAX, _TRIAL_WORK))
     rng = np.random.default_rng(seed)
-    upper = np.tri(n, k=-1, dtype=bool).T
+    pair = np.zeros((2, n * n), dtype=complex)
+    x, p = pair
     worst = 0.0
     for _ in range(trials):
-        x, p = _hermitian_pair(rng, n, upper).reshape(2, n * n)
+        _hermitian_pair(rng, n, pair)
         scale = math.sqrt(np.vdot(x, x).real * np.vdot(p, p).real)
         worst = max(worst, abs(_commutator_trace(x, p)) / scale)
     naive = complex(0.0, units.hbar * n)

@@ -27,7 +27,7 @@ from saext.classical import (
     scale_symmetry_exact,
     total_time_derivative,
 )
-from saext.errors import PreconditionError, SingularityError
+from saext.errors import DegenerateGridError, PreconditionError, SingularityError
 
 ONE = MonomialObservable.single(1)
 
@@ -344,7 +344,7 @@ def test_flows_that_leave_the_float_range_are_refused(g, s, q0):
 @pytest.mark.parametrize("s", [-3, -2, -1, 0, 1, 2, 3])
 @pytest.mark.parametrize("samples", [-1, 0, 1])
 def test_fewer_than_two_samples_are_refused(s, samples):
-    with pytest.raises(PreconditionError, match="at least 2 samples"):
+    with pytest.raises(DegenerateGridError, match="at least 2 samples"):
         integrate_flow(PowerLawPotential(1.0, s), (1.0, 0.25), 5.0, samples=samples)
 
 

@@ -2119,7 +2119,7 @@ def test_classical_refuses_fewer_than_two_samples(s, samples, capsys):
     assert code == 1
     payload = json.loads(text)
     jsonschema.validate(payload, cli.load_schema("error"))
-    assert payload["error"]["code"] == "precondition"
+    assert payload["error"]["code"] == "degenerate-grid"
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -2300,17 +2300,19 @@ def test_overflow_is_a_structured_error_not_a_nan(argv):
 
 @pytest.mark.parametrize("grid_n", ["-1", "0", "1"])
 @pytest.mark.parametrize("argv, grid", [
-    (["boundstate", "--alpha", "-1"], "the bound state's grid"),
-    (["deficiency", "--op", "hamiltonian"], "the interval [0.0, inf]"),
-    (["geometry", "--metric", "polar"], "the grid of the probe bump:1.0,2.0"),
-    (["paradox", "--id", "3"], "the box's grid"),
+    (["boundstate", "--alpha", "-1", "--grid-n"], "the bound state's grid"),
+    (["deficiency", "--op", "hamiltonian", "--grid-n"], "the interval [0.0, inf]"),
+    (["geometry", "--metric", "polar", "--grid-n"], "the grid of the probe bump:1.0,2.0"),
+    (["paradox", "--id", "3", "--grid-n"], "the box's grid"),
+    (["classical", "--s", "2", "--samples"], "the flow's time grid"),
 ])
 def test_a_grid_of_fewer_than_two_samples_is_refused_by_name(argv, grid, grid_n):
     # at --grid-n -1 the first three printed numpy's invalid-value "Number
     # of samples, -1, must be non-negative.", and the box said "a grid of -1
     # samples resolves the levels n <= -3"; geometry refused 0 and 1 as a
-    # probe that "is 0.0 on each of 0 samples"
-    code, text = run_cli([*argv, "--grid-n", grid_n])
+    # probe that "is 0.0 on each of 0 samples"; classical refused its
+    # --samples as a precondition that named no grid
+    code, text = run_cli([*argv, grid_n])
     assert code == 1
     error = json.loads(text)["error"]
     assert error["code"] == "degenerate-grid"

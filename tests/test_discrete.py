@@ -1,5 +1,6 @@
 import argparse
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -69,24 +70,38 @@ def test_trace_check_vanishes_for_any_dimension(n, seed):
 def _hermitian_draw(rng, n):
     """One n x n Hermitian draw with iid uniform parts, one generator call per matrix.
 
-    The reference for the pair draws: the diagonal and the real parts
-    above it come from the upper triangle of the uniforms u - 1/2, the
-    imaginary parts above it from the lower one, and the imaginary
-    diagonal is 0.
+    The reference for the pair draws, built entry by entry: of the n**2
+    uniforms u - 1/2, the first n are the diagonal and the rest, as
+    alternating real and imaginary parts, the entries above it in the
+    order of np.triu_indices(n, 1); each entry below is the conjugate of
+    its mirror.
     """
-    z = rng.random((n, n)) - 0.5
-    upper = np.tri(n, k=-1, dtype=bool).T
+    z = rng.random(n * n) - 0.5
+    rows, cols = np.triu_indices(n, 1)
+    x = np.zeros((n, n), dtype=complex)
+    x.real[np.diag_indices(n)] = z[:n]
+    x.real[rows, cols] = z[n::2]
+    x.imag[rows, cols] = z[n + 1::2]
+    x.real[cols, rows] = z[n::2]
+    x.imag[cols, rows] = -z[n + 1::2]
+    return x
+
+
+def _matrix(row, n):
+    """Scatter one row of a pair buffer into its n x n matrix."""
+    rows, cols = np.triu_indices(n, 1)
+    m = rows.size
     x = np.empty((n, n), dtype=complex)
-    np.copyto(x.real, z.T)
-    np.copyto(x.real, z, where=upper)
-    np.negative(z, out=x.imag)
-    np.copyto(x.imag, z.T, where=upper)
-    np.fill_diagonal(x.imag, 0.0)
+    x[np.diag_indices(n)] = row[:n]
+    x[rows, cols] = row[n:n + m]
+    x[cols, rows] = row[n + m:]
     return x
 
 
 def _pair(rng, n):
-    return _hermitian_pair(rng, n, np.tri(n, k=-1, dtype=bool).T)
+    pair = np.zeros((2, n * n), dtype=complex)
+    _hermitian_pair(rng, n, pair)
+    return pair
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
@@ -94,7 +109,12 @@ def test_pair_draws_equal_the_sequential_draws_bit_for_bit(n):
     rng = np.random.default_rng(n)
     reference = [_hermitian_draw(rng, n) for _ in range(10)]
     rng = np.random.default_rng(n)
-    drawn = [x for _ in range(5) for x in _pair(rng, n)]
+    pair = np.zeros((2, n * n), dtype=complex)
+    drawn = []
+    for _ in range(5):
+        # one buffer refilled by every draw, as the check does
+        _hermitian_pair(rng, n, pair)
+        drawn.extend(_matrix(row, n) for row in pair)
     for got, want in zip(drawn, reference, strict=True):
         assert got.tobytes() == want.tobytes()
 
@@ -102,24 +122,43 @@ def test_pair_draws_equal_the_sequential_draws_bit_for_bit(n):
 @pytest.mark.parametrize("n, trials", [(2, 400), (3, 300), (8, 250), (64, 3)])
 def test_trace_check_equals_the_per_trial_reference(n, trials):
     # Tr[X,P] = Tr(XP) - conj(Tr(XP)) for Hermitian X and P: twice the
-    # imaginary part of one dot product of the flattened matrices
+    # imaginary part of one dot product of the entries in a common order,
+    # here the order the check lists them in
     rng = np.random.default_rng(11)
+    rows, cols = np.triu_indices(n, 1)
+    order = (np.concatenate([np.arange(n), rows, cols]),
+             np.concatenate([np.arange(n), cols, rows]))
     worst = 0.0
     for _ in range(trials):
-        x, p = _hermitian_draw(rng, n), _hermitian_draw(rng, n)
+        x, p = _hermitian_draw(rng, n)[order], _hermitian_draw(rng, n)[order]
         tr = 2.0 * np.vdot(p, x).imag
         worst = max(worst, abs(tr) / math.sqrt(np.vdot(x, x).real * np.vdot(p, p).real))
     assert trace_commutator_check(n, trials, seed=11).quantities["max_scaled_trace"].value == worst
 
 
 def test_hermitian_draw_is_exactly_hermitian():
-    pair = _pair(np.random.default_rng(3), 33)
-    assert pair.shape == (2, 33, 33)
+    n = 33
+    pair = _pair(np.random.default_rng(3), n)
+    assert pair.shape == (2, n * n)
     # entry by entry, with no tolerance: the lower triangle is the
     # conjugate of the upper, and the diagonal is real
-    for x in pair:
+    for row in pair:
+        x = _matrix(row, n)
         assert np.array_equal(x, x.conj().T)
         assert not np.any(x.diagonal().imag)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_each_row_lists_every_entry_of_its_matrix_once(n):
+    # the same multiset of entries as the reference matrix, bit for bit:
+    # sorting the bytes of each entry compares them in any order
+    def entries(values):
+        return sorted(v.tobytes() for v in values)
+
+    rng = np.random.default_rng(n)
+    reference = [_hermitian_draw(rng, n) for _ in range(2)]
+    for row, want in zip(_pair(np.random.default_rng(n), n), reference, strict=True):
+        assert entries(row) == entries(want.ravel())
 
 
 def test_hermitian_draw_has_the_uniform_law():
@@ -128,7 +167,7 @@ def test_hermitian_draw_has_the_uniform_law():
     # mean and variance must land within 5 of its standard errors,
     # sqrt(1/(12 count)) and sqrt((1/80 - 1/144)/count)
     n = 256
-    x = _pair(np.random.default_rng(20240607), n)[0]
+    x = _matrix(_pair(np.random.default_rng(20240607), n)[0], n)
     upper = x[np.triu_indices(n, 1)]
     for values in (x.diagonal().real, upper.real, upper.imag):
         assert np.all((-0.5 <= values) & (values < 0.5))
@@ -142,7 +181,8 @@ def test_hermitian_draw_parts_lie_on_the_grid_of_the_uniforms(n):
     # every u from Generator.random is k*2**-53, and u - 1/2 is exact, so
     # every part is k*2**-53 - 1/2 for an integer k, 0 <= k <= 2**53 (the
     # imaginary parts below the diagonal are negated); ldexp is exact
-    for x in _pair(np.random.default_rng(n), n):
+    for row in _pair(np.random.default_rng(n), n):
+        x = _matrix(row, n)
         for part in (x.real, x.imag):
             k = np.ldexp(part, 53) + 2.0 ** 52
             assert np.array_equal(k, np.floor(k))
@@ -162,13 +202,29 @@ def test_trace_check_past_its_work_bound_is_refused_before_the_first_draw(monkey
     assert 100 * (2 * 64 * 64 + discrete._TRIAL_WORK) < discrete._TRACE_WORK_MAX // 100
 
 
+@pytest.mark.parametrize("trials", [1, 8])
+def test_a_trace_check_holds_48_n2_bytes_whatever_its_trial_count(trials):
+    # one pair buffer (32 n^2) refilled by every trial, plus the real
+    # samples of one draw (16 n^2); the warm-up call imports numpy.random
+    n = 512
+    trace_commutator_check(2, 1)
+    tracemalloc.start()
+    try:
+        trace_commutator_check(n, trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 48 * n * n
+
+
 @pytest.mark.parametrize("n", [2, 7, 64, 200])
 def test_entrywise_trace_matches_the_matrix_products(n):
-    x, p = _pair(np.random.default_rng(n), n)
+    rows = _pair(np.random.default_rng(n), n)
+    x, p = (_matrix(row, n) for row in rows)
     products = np.trace(x @ p) - np.trace(p @ x)
     scale = np.linalg.norm(x) * np.linalg.norm(p)
-    # the dot products of the flattened matrices, as the check takes them
-    assert abs(_commutator_trace(x.ravel(), p.ravel()) - products) <= 1e-14 * scale
+    # the dot products of the rows, as the check takes them
+    assert abs(_commutator_trace(*rows) - products) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
